@@ -36,6 +36,10 @@ from .verify import (QuadratureSpec, check_ibp_identity, counterexample_scan,
 DEFAULT_SEED = 2024
 
 
+class UsageError(Exception):
+    """Bad command-line input; reported by argparse with exit code 2."""
+
+
 def _parse_floats(text):
     return [float(x) for x in str(text).split(",") if x != ""]
 
@@ -45,11 +49,20 @@ def _make_group(args):
         return heisenberg(args.n)
     if args.group == "nonisotropic":
         if not args.lambdas:
-            raise SystemExit("--lambdas is required for nonisotropic groups")
+            raise UsageError("--lambdas is required for nonisotropic groups")
         return nonisotropic(_parse_floats(args.lambdas))
     if args.group == "product":
         return heisenberg_product(args.n, args.N)
-    raise SystemExit(f"unknown group {args.group!r}")
+    raise UsageError(f"unknown group {args.group!r}")
+
+
+def _make_norm(kind, group, args):
+    """The gauge named by --norm, or a usage error when the group lacks it."""
+    try:
+        return make_norm(kind, group)
+    except ValueError as exc:
+        raise UsageError(f"--norm {kind} is not available on --group {args.group}: "
+                         f"{exc}") from None
 
 
 def _theta_grid(args, Q):
@@ -128,9 +141,15 @@ def _meta(args, command):
 def cmd_bounds(args) -> int:
     group = _make_group(args)
     Q = float(group.Q)
-    norms = ([args.norm] if args.norm != "all"
-             else (["koranyi", "cc"] if group.is_isotropic_heisenberg()
-                   else ["koranyi_b"]))
+    if args.group == "product":
+        # the product bound and its sup are stated for the Koranyi gauge
+        if args.norm not in ("all", "koranyi"):
+            raise UsageError("--group product is tabulated with --norm koranyi only")
+        norms = ["koranyi"]
+    elif args.norm != "all":
+        norms = [args.norm]
+    else:
+        norms = ["koranyi", "cc"] if group.is_isotropic_heisenberg() else ["koranyi_b"]
     rows = []
     for theta in _theta_grid(args, Q):
         for kind in norms:
@@ -143,11 +162,11 @@ def cmd_bounds(args) -> int:
                     branch = "product"
                 except ValueError:
                     value, branch = float("nan"), "condition_failed"
-                spec = ZFieldSpec(group, make_norm("koranyi", group), p, theta,
+                spec = ZFieldSpec(group, make_norm(kind, group), p, theta,
                                   variant="product")
                 sup = sup_z_norm(spec, seed=args.seed)
             else:
-                spec = ZFieldSpec(group, make_norm(kind, group), p, theta)
+                spec = ZFieldSpec(group, _make_norm(kind, group, args), p, theta)
                 sup = sup_z_norm(spec, seed=args.seed)
                 if kind == "koranyi":
                     value, branch = bound_koranyi(Q, p, theta)
@@ -223,13 +242,13 @@ def cmd_verify(args) -> int:
     group = _make_group(args)
     reports = []
     if args.check == "identity":
-        norm = make_norm(args.norm, group)
+        norm = _make_norm(args.norm, group, args)
         spec = ZFieldSpec(group, norm, args.p, args.theta_value)
         u = radial_bump(group, modulation=0.25 if group.h == 1 else 0.0)
         reports.append(check_ibp_identity(spec, u, _quad_from_args(args, u.support)))
     elif args.check == "hardy":
         rng = np.random.default_rng(args.seed)
-        norm = make_norm(args.norm, group)
+        norm = _make_norm(args.norm, group, args)
         spec = ZFieldSpec(group, norm, args.p, args.theta_value)
         target = abs((group.Q - args.p * args.theta_value) / args.p) ** args.p
         worst = np.inf
@@ -242,7 +261,7 @@ def cmd_verify(args) -> int:
                               values={"worst_quotient": worst, "target": target},
                               diagnostics={"bumps": args.bumps, "norm": args.norm}))
     elif args.check == "sharpness":
-        norm = make_norm(args.norm, group)
+        norm = _make_norm(args.norm, group, args)
         spec = ZFieldSpec(group, norm, args.p, args.theta_value)
         eps = _parse_floats(args.eps)
         pts = sharpness_sequence(spec, eps, QuadratureSpec(n_sigma=args.nodes))
@@ -265,7 +284,7 @@ def cmd_verify(args) -> int:
         reports.append(product_check(args.n, args.N, args.p, args.theta_value,
                                      seed=args.seed, mc_samples=args.samples))
     else:
-        raise SystemExit(f"unknown verify check {args.check!r}")
+        raise UsageError(f"unknown verify check {args.check!r}")
     payload = {"meta": _meta(args, f"verify {args.check}"),
                "results": [r.to_dict() for r in reports]}
     _emit(payload, args)
@@ -275,10 +294,10 @@ def cmd_verify(args) -> int:
 def cmd_cc(args) -> int:
     coords = _parse_floats(args.point)
     if len(coords) < 3 or len(coords) % 2 == 0:
-        raise SystemExit("--point must be z_1,...,z_2n,t")
+        raise UsageError("--point must be z_1,...,z_2n,t")
     x = Point(coords[:-1], coords[-1])
     if x.is_origin():
-        raise SystemExit("the origin has no polar data")
+        raise UsageError("the origin has no polar data")
     result = {"point": coords, "cc_value": cc_value(x)}
     polar = cc_invert(x)
     result.update(nu=polar.nu, r=polar.r)
@@ -353,8 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -56,6 +56,33 @@ _NU_TABLE = np.concatenate([
     TWO_PI - np.geomspace(1e-3, 1e-10, 4000)[1:],
 ])
 _MU_TABLE = _mu(_NU_TABLE)
+# the largest float64 below 2pi: Newton iterates stay strictly inside the chart
+_NU_MAX = float(np.nextafter(TWO_PI, 0.0))
+
+
+def _solve_near_pole(m: Array, tol: float) -> Array:
+    """nu = 2pi - delta for large m > 0, solved for delta.
+
+    Within ~1e-5 of the pole float64 cannot resolve the residual of the
+    equation in nu.  In delta it reads (2pi - delta + sin delta) -
+    2 m sin^2(delta/2) = 0 and stays well conditioned; the seed comes from
+    the pole asymptotics m = 4pi/delta^2 + pi/3 + O(delta).
+    """
+    delta = np.sqrt(4.0 * np.pi / (m - np.pi / 3.0))
+    for _ in range(2):
+        omc = 2.0 * np.sin(delta / 2.0) ** 2
+        g = (TWO_PI - delta + np.sin(delta)) - m * omc
+        delta = delta + g / (omc + m * np.sin(delta))
+    omc = 2.0 * np.sin(delta / 2.0) ** 2
+    resid = np.abs((TWO_PI - delta + np.sin(delta)) - m * omc)
+    nu = TWO_PI - delta
+    # nu must still carry delta: 2pi - nu to 1e-6 relative, which bounds the
+    # relative error that the chart inherits (e.g. r = |z| (nu/2)/sin(nu/2))
+    ok = (resid <= tol * np.maximum(1.0, m * omc)) & (np.abs((TWO_PI - nu) - delta)
+                                                      <= 1e-6 * delta)
+    if not np.all(ok):
+        raise ConvergenceError("mu(nu) = m iteration did not reach tolerance")
+    return nu
 
 
 def solve_mu_inverse(m: Array, tol: float = 1e-10) -> Array:
@@ -63,7 +90,9 @@ def solve_mu_inverse(m: Array, tol: float = 1e-10) -> Array:
 
     Small |m| uses the inverted series nu = 3m - 0.9 m^3 + (729/1400) m^5;
     otherwise a table seed plus Newton steps on the cancellation-free form
-    (nu - sin nu) - m (1 - cos nu) = 0.
+    (nu - sin nu) - m (1 - cos nu) = 0.  Entries whose residual that
+    iteration cannot certify, because nu lies too close to the pole 2pi
+    (|m| beyond ~1e11), are solved for 2pi - nu instead.
     """
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
@@ -87,11 +116,12 @@ def solve_mu_inverse(m: Array, tol: float = 1e-10) -> Array:
         omc = 2.0 * np.sin(nu / 2.0) ** 2
         f = (nu - s) - mr * omc
         df = omc - mr * s
-        nu = np.clip(nu - f / df, 1e-3, TWO_PI * (1.0 - 1e-17))
+        nu = np.clip(nu - f / df, 1e-3, _NU_MAX)
     resid = np.abs((nu - np.sin(nu)) - mr * 2.0 * np.sin(nu / 2.0) ** 2)
     scale = np.maximum(1.0, mr * 2.0 * np.sin(nu / 2.0) ** 2)
-    if np.any(resid > tol * scale):
-        raise ConvergenceError("mu(nu) = m iteration did not reach tolerance")
+    stalled = ~(resid <= tol * scale)
+    if np.any(stalled):
+        nu[stalled] = _solve_near_pole(mr[stalled], tol)
     out[rest] = nu
     return sgn * out
 

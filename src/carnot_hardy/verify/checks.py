@@ -88,6 +88,11 @@ def check_w_identity(p: float, f_samples, g_samples, tol: Optional[float] = None
 # the three-way integration-by-parts identity
 # ---------------------------------------------------------------------------
 
+def _sgn_pow(x: Array, p: float) -> Array:
+    """|x|^{p-2} x."""
+    return np.abs(x) ** (p - 2.0) * x
+
+
 def _quad_for(u: TestFunction, quad: Optional[QuadratureSpec]) -> QuadratureSpec:
     if quad is not None:
         return quad
@@ -104,7 +109,7 @@ def check_ibp_identity(spec: ZFieldSpec, u: TestFunction,
     absolute smallness (1e-4, normalized by the mass integral) when pt = Q
     makes I3 vanish identically.
     """
-    if u.hgrad is None or u.euler is None:
+    if u.jet is None:
         raise ValueError("the identity check needs analytic bump evaluators")
     quad = _quad_for(u, quad)
     p, theta = spec.p, spec.theta
@@ -112,23 +117,16 @@ def check_ibp_identity(spec: ZFieldSpec, u: TestFunction,
     Q = float(spec.group.Q)
     norm = spec.norm
 
-    def sgn_pow(x):
-        return np.abs(x) ** (p - 2.0) * x
+    def integrands(z, t):
+        d = norm.value(z, t)          # the spec's gauge, not the bump's own rho
+        v, gu, eu = u.jet(z, t)
+        sv = _sgn_pow(v, p)
+        pair = np.sum(gu * z_field_components(spec, z, t), axis=-1)
+        d_pt = d**pt
+        return np.stack([sv * pair / d ** (pt - 1.0), sv * eu / d_pt,
+                         np.abs(v) ** p / d_pt])
 
-    def f1(z, t):
-        d = norm.value(z, t)
-        pair = np.sum(u.hgrad(z, t) * z_field_components(spec, z, t), axis=-1)
-        return sgn_pow(u.value(z, t)) * pair / d ** (pt - 1.0)
-
-    def f2(z, t):
-        d = norm.value(z, t)
-        return sgn_pow(u.value(z, t)) * u.euler(z, t) / d**pt
-
-    def f3(z, t):
-        d = norm.value(z, t)
-        return np.abs(u.value(z, t)) ** p / d**pt
-
-    r1, r2, r3 = integrate_many(spec.group, [f1, f2, f3], quad)
+    r1, r2, r3 = integrate_many(spec.group, [integrands], quad)
     I1, I2 = r1.value, r2.value
     mass = r3.value
     I3 = -(Q - pt) / p * mass
@@ -158,29 +156,31 @@ def hardy_quotient(spec: ZFieldSpec, u: TestFunction,
                    projected: bool = True) -> float:
     """(int |<grad u, Z_d>|^p / d^{p(theta-1)}) / (int |u|^p / d^{p theta}),
     or with the full |grad u| in the numerator when projected is False."""
-    if u.hgrad is None:
+    if u.jet is None:
         raise ValueError("the quotient needs an analytic bump gradient")
     quad = _quad_for(u, quad)
+    rnum, rden = integrate_many(spec.group, [_quotient_integrands(spec, u, projected)],
+                                quad)
+    if rden.value <= 0.0:
+        raise ValueError("vanishing denominator: test function is zero on the grid")
+    return rnum.value / rden.value
+
+
+def _quotient_integrands(spec: ZFieldSpec, u: TestFunction, projected: bool):
+    """Numerator and denominator of the Hardy quotient as one stacked integrand."""
     p, theta = spec.p, spec.theta
     norm = spec.norm
 
-    def fnum(z, t):
+    def integrands(z, t):
         d = norm.value(z, t)
-        gu = u.hgrad(z, t)
+        v, gu, _ = u.jet(z, t)
         if projected:
             top = np.abs(np.sum(gu * z_field_components(spec, z, t), axis=-1)) ** p
         else:
             top = np.sum(gu * gu, axis=-1) ** (p / 2.0)
-        return top / d ** (p * (theta - 1.0))
+        return np.stack([top / d ** (p * (theta - 1.0)), np.abs(v) ** p / d ** (p * theta)])
 
-    def fden(z, t):
-        d = norm.value(z, t)
-        return np.abs(u.value(z, t)) ** p / d ** (p * theta)
-
-    rnum, rden = integrate_many(spec.group, [fnum, fden], quad)
-    if rden.value <= 0.0:
-        raise ValueError("vanishing denominator: test function is zero on the grid")
-    return rnum.value / rden.value
+    return integrands
 
 
 @dataclass(frozen=True)
@@ -207,26 +207,14 @@ def sharpness_sequence(spec: ZFieldSpec, eps_list: Sequence[float],
     if spec.norm.kind not in ("koranyi", "cc"):
         raise ValueError("sharpness is computed for the Koranyi or cc gauges")
     out = []
-    p, theta = spec.p, spec.theta
-    norm = spec.norm
     for eps in eps_arr:
-        u = sharpness_function(spec.group, p, eps, profile)
+        u = sharpness_function(spec.group, spec.p, eps, profile)
         q = QuadratureSpec(sigma_range=(profile.r2, profile.R2),
                            lambda_range=(eps, 1.0 / eps),
                            n_sigma=(quad.n_sigma if quad else 80),
                            n_angle=(quad.n_angle if quad else 8),
                            log_nodes=(quad.log_nodes if quad else 16))
-
-        def fnum(z, t):
-            d = norm.value(z, t)
-            pair = np.sum(u.hgrad(z, t) * z_field_components(spec, z, t), axis=-1)
-            return np.abs(pair) ** p / d ** (p * (theta - 1.0))
-
-        def fden(z, t):
-            d = norm.value(z, t)
-            return np.abs(u.value(z, t)) ** p / d ** (p * theta)
-
-        rnum, rden = integrate_many(spec.group, [fnum, fden], q)
+        rnum, rden = integrate_many(spec.group, [_quotient_integrands(spec, u, True)], q)
         out.append(SharpnessPoint(eps, rnum.value / rden.value, rden.value))
     return out
 
@@ -407,22 +395,17 @@ def product_check(n: int, N: int, p: float, theta: float,
         u = radial_bump(group)
         pt = p * theta
 
-        def sgn_pow(x):
-            return np.abs(x) ** (p - 2.0) * x
-
-        def lhs(zz, tt):
+        def sides(zz, tt):
             d = norm.value(zz, tt)
-            return sgn_pow(u.value(zz, tt)) * u.euler(zz, tt) / d**pt
-
-        def rhs(zz, tt):
-            d = norm.value(zz, tt)
-            pair = np.sum(u.hgrad(zz, tt) * z_field_components(spec, zz, tt), axis=-1)
-            return sgn_pow(u.value(zz, tt)) * pair / d ** (pt - 1.0)
+            v, gu, eu = u.jet(zz, tt)
+            sv = _sgn_pow(v, p)
+            pair = np.sum(gu * z_field_components(spec, zz, tt), axis=-1)
+            return np.stack([sv * eu / d**pt, sv * pair / d ** (pt - 1.0)])
 
         R2 = u.support[1]
         quad = QuadratureSpec(method="monte_carlo", samples=mc_samples, seed=seed,
                               box=(R2, R2**2))
-        rl, rr = integrate_many(group, [lhs, rhs], quad)
+        rl, rr = integrate_many(group, [sides], quad)
         rel = abs(rl.value - rr.value) / max(abs(rl.value), 1e-300)
         values.update(identity_lhs=rl.value, identity_rhs=rr.value,
                       identity_rel_defect=rel)
@@ -448,39 +431,30 @@ def weak_divergence_defect(norm: NormModel, p_theta: float, phi: TestFunction,
     group = norm.group
     if group.h != 1:
         raise ValueError("the divergence identities are stated for h = 1")
+    if which not in ("i", "ii"):
+        raise ValueError("which must be 'i' or 'ii'")
     quad = _quad_for(phi, quad)
     nblocks = group.n
     lam2 = np.repeat(group.lambdas, 2)
 
-    def V(z, t):
-        d = norm.value(z, t)
-        g = norm.hgrad_or_fd(z, t)
-        if which == "i":
-            t1 = np.asarray(t, float)[..., 0]
-            return (t1 / d ** (p_theta + 1.0))[..., None] * (_block_perp(g) / lam2)
-        if which == "ii":
-            return np.asarray(z, float) / (d**p_theta)[..., None]
-        raise ValueError("which must be 'i' or 'ii'")
-
-    def rhs(z, t):
+    def sides(z, t):
         z = np.asarray(z, float)
         d = norm.value(z, t)
         g = norm.hgrad_or_fd(z, t)
+        v, gphi, _ = phi.jet(z, t)
         zdotg = np.sum(z * g, axis=-1)
         if which == "i":
             t1 = np.asarray(t, float)[..., 0]
+            V = (t1 / d ** (p_theta + 1.0))[..., None] * (_block_perp(g) / lam2)
             dt = norm.dt(z, t)[..., 0] if norm.dt is not None else None
-            return (-0.5 * zdotg / d ** (p_theta + 1.0)
-                    + nblocks * t1 / d ** (p_theta + 1.0) * dt)
-        return 2.0 * nblocks / d**p_theta - p_theta * zdotg / d ** (p_theta + 1.0)
+            rhs = (-0.5 * zdotg / d ** (p_theta + 1.0)
+                   + nblocks * t1 / d ** (p_theta + 1.0) * dt)
+        else:
+            V = z / (d**p_theta)[..., None]
+            rhs = 2.0 * nblocks / d**p_theta - p_theta * zdotg / d ** (p_theta + 1.0)
+        return np.stack([np.sum(V * gphi, axis=-1), rhs * v])
 
-    def left(z, t):
-        return np.sum(V(z, t) * phi.hgrad(z, t), axis=-1)
-
-    def right(z, t):
-        return rhs(z, t) * phi.value(z, t)
-
-    rl, rr = integrate_many(group, [left, right], quad)
+    rl, rr = integrate_many(group, [sides], quad)
     scale = max(abs(rl.value), abs(rr.value), 1e-300)
     return abs(rl.value + rr.value) / scale, rl.value, -rr.value
 
@@ -491,16 +465,12 @@ def euler_adjoint_defect(group: StepTwoGroup, u: TestFunction, v: TestFunction,
     quad = quad or QuadratureSpec(
         sigma_range=(min(u.support[0], v.support[0]), max(u.support[1], v.support[1])))
 
-    def f1(z, t):
-        return u.euler(z, t) * v.value(z, t)
+    def products(z, t):
+        uv, _, ue = u.jet(z, t)
+        vv, _, ve = v.jet(z, t)
+        return np.stack([ue * vv, uv * ve, uv * vv])
 
-    def f2(z, t):
-        return u.value(z, t) * v.euler(z, t)
-
-    def f3(z, t):
-        return u.value(z, t) * v.value(z, t)
-
-    r1, r2, r3 = integrate_many(group, [f1, f2, f3], quad)
+    r1, r2, r3 = integrate_many(group, [products], quad)
     total = r1.value + r2.value + group.Q * r3.value
     scale = max(abs(r1.value), abs(r2.value), abs(group.Q * r3.value), 1e-300)
     return abs(total) / scale

@@ -173,23 +173,43 @@ def ambient_nodes(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool = Fals
     return pts[:, :2 * group.n], pts[:, 2 * group.n:], w
 
 
+def _rows(fs, z, t, where: str) -> list:
+    """Samples of every integrand on one chunk, one row per integral.
+
+    An integrand returns either m samples or a (k, m) stack of k integrals
+    that share their intermediate work.
+    """
+    rows = []
+    for f in fs:
+        vals = np.asarray(f(z, t))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"non-finite integrand sample {where}")
+        rows.extend(vals.reshape(-1, z.shape[0]))
+    return rows
+
+
 def _accumulate(fs, z, t, w, chunk: int):
-    totals = np.zeros(len(fs))
+    totals = None
     n = z.shape[0]
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         zc, tc, wc = z[lo:hi], t[lo:hi], w[lo:hi]
-        for k, f in enumerate(fs):
-            vals = f(zc, tc)
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("non-finite integrand sample: check the support "
-                                 "window against the integrand's singularities")
-            totals[k] += float(wc @ vals)
+        rows = _rows(fs, zc, tc, "on the grid: check the support window against "
+                                 "the integrand's singularities")
+        if totals is None:
+            totals = np.zeros(len(rows))
+        for k, row in enumerate(rows):
+            totals[k] += float(wc @ row)
     return totals
 
 
 def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: QuadratureSpec):
-    """Integrate several integrands on shared nodes; returns IntegralResults."""
+    """Integrate several integrands on shared nodes; returns IntegralResults.
+
+    Each integrand f(z, t) returns m samples (one integral) or a (k, m)
+    stack (k consecutive integrals), so that integrals sharing a gauge or
+    test-function evaluation compute it once per chunk.
+    """
     if quad.method == "tensor_grid":
         builder = phi_polar_nodes if quad.coordinates == "phi_polar" else ambient_nodes
         z, t, w = builder(group, quad)
@@ -203,23 +223,24 @@ def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: Quadrature
         raise ValueError(f"unknown quadrature method {quad.method!r}")
     if quad.box is None:
         raise ValueError("monte_carlo integration needs a (z_half, t_half) box")
+    if quad.samples < 1:
+        raise ValueError("monte_carlo integration needs at least one sample")
     z_half, t_half = quad.box
     dim_z, dim_t = 2 * group.n, group.h
     vol = (2.0 * z_half) ** dim_z * (2.0 * t_half) ** dim_t
     rng = np.random.default_rng(quad.seed)
-    sums = np.zeros(len(fs))
-    sq = np.zeros(len(fs))
+    sums = sq = None
     done = 0
     while done < quad.samples:
         m = min(quad.chunk, quad.samples - done)
         z = rng.uniform(-z_half, z_half, size=(m, dim_z))
         t = rng.uniform(-t_half, t_half, size=(m, dim_t))
-        for k, f in enumerate(fs):
-            vals = f(z, t)
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("non-finite integrand sample in Monte Carlo box")
-            sums[k] += float(vals.sum())
-            sq[k] += float(vals @ vals)
+        rows = _rows(fs, z, t, "in the Monte Carlo box")
+        if sums is None:
+            sums, sq = np.zeros(len(rows)), np.zeros(len(rows))
+        for k, row in enumerate(rows):
+            sums[k] += float(row.sum())
+            sq[k] += float(row @ row)
         done += m
     mean = sums / quad.samples
     var = np.maximum(sq / quad.samples - mean**2, 0.0)

@@ -3,8 +3,15 @@ logarithmic cut-off family.
 
 Everything is built from one C-infinity step S: [0, 1] -> [0, 1], the
 normalized antiderivative of exp(-1/(x(1-x))).  The step is represented by a
-high-degree Chebyshev fit (computed once at import, accurate to ~1e-13) so
-that value and derivative evaluations stay cheap on large quadrature grids.
+degree-160 Chebyshev fit (computed once at import, accurate to ~1e-13).  The
+Chebyshev sum runs only on points strictly inside (0, 1); the constant parts
+of the step are filled in directly, so a quadrature grid pays for the
+transition layers of a bump and not for its plateau or its outside.
+
+Bumps and the cut-off family are evaluated through one jet,
+``jet(z, t) -> (value, hgrad, euler)``, which computes the gauge, its
+gradient and the radial profile once per batch of points; their ``value``,
+``hgrad`` and ``euler`` are views of that jet.
 """
 
 from __future__ import annotations
@@ -49,48 +56,67 @@ _STEP_SCALE = _STEP_HI - _STEP_LO
 _STEP_DERIV = _cheb.chebder(_STEP_COEFFS) * 2.0 / _STEP_SCALE
 
 
+def _clenshaw(x: Array, coeffs: Array) -> Array:
+    """Chebyshev sum at x in [-1, 1]: numpy's chebval recurrence, operation
+    for operation (so the same bits), with its temporaries updated in place."""
+    x2 = 2.0 * x
+    c0 = np.full(x.shape, coeffs[-2])
+    c1 = np.full(x.shape, coeffs[-1])
+    tmp = np.empty(x.shape)
+    for c in coeffs[-3::-1]:
+        tmp, c0 = c0, tmp
+        np.subtract(c, c1, out=c0)
+        np.multiply(c1, x2, out=c1)
+        np.add(tmp, c1, out=c1)
+    return c0 + c1 * x
+
+
 def smoothstep(x) -> Array:
-    """C-infinity step: 0 for x <= 0, 1 for x >= 1, strictly increasing between."""
+    """C-infinity step: 0 for x <= 0, 1 for x >= 1, strictly increasing
+    between; NaN stays NaN."""
     x = np.asarray(x, dtype=float)
-    xc = np.clip(x, 0.0, 1.0)
-    v = (_cheb.chebval(2.0 * xc - 1.0, _STEP_COEFFS) - _STEP_LO) / _STEP_SCALE
-    return np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, v))
+    out = np.where(x >= 1.0, 1.0, np.where(np.isnan(x), np.nan, 0.0))
+    inside = (x > 0.0) & (x < 1.0)
+    out[inside] = (_clenshaw(2.0 * x[inside] - 1.0, _STEP_COEFFS) - _STEP_LO) / _STEP_SCALE
+    return out
 
 
 def smoothstep_d(x) -> Array:
+    """Derivative of the step: 0 outside (0, 1), NaN included."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape)
     inside = (x > 0.0) & (x < 1.0)
-    out[inside] = _cheb.chebval(2.0 * x[inside] - 1.0, _STEP_DERIV)
+    out[inside] = _clenshaw(2.0 * x[inside] - 1.0, _STEP_DERIV)
     return out
+
+
+def g_cutoff_jet(lam, eps: float, derivs: bool = True):
+    """Radial cut-off g in lam = t/|z|^2 and its derivative (None when
+    derivs is False): support [eps, 1/eps], plateau [2 eps, 1/(2 eps)],
+    built log-radially so that |g'| <= c/eps on the inner transition and
+    <= c * eps on the outer one."""
+    lam = np.asarray(lam, dtype=float)
+    pos = lam > 0.0
+    lv = np.log(np.where(pos, lam, 1.0))
+    le = np.log(eps)
+    x1 = (lv - le) / LOG2
+    x2 = (-le - lv) / LOG2
+    s1, s2 = smoothstep(x1), smoothstep(x2)
+    g = np.zeros(lam.shape)
+    g[pos] = (s1 * s2)[pos]
+    if not derivs:
+        return g, None
+    gd = np.zeros(lam.shape)
+    gd[pos] = (smoothstep_d(x1) * s2 - s1 * smoothstep_d(x2))[pos] / (lam[pos] * LOG2)
+    return g, gd
 
 
 def g_cutoff(lam, eps: float) -> Array:
-    """Radial cut-off in lam = t/|z|^2: support [eps, 1/eps], plateau
-    [2 eps, 1/(2 eps)], built log-radially so that |g'| <= c/eps on the inner
-    transition and <= c * eps on the outer one."""
-    lam = np.asarray(lam, dtype=float)
-    pos = lam > 0.0
-    out = np.zeros(lam.shape)
-    lv = np.log(np.where(pos, lam, 1.0))
-    le = np.log(eps)
-    out[pos] = (smoothstep((lv[pos] - le) / LOG2)
-                * smoothstep((-le - lv[pos]) / LOG2))
-    return out
+    return g_cutoff_jet(lam, eps, derivs=False)[0]
 
 
 def g_cutoff_d(lam, eps: float) -> Array:
-    lam = np.asarray(lam, dtype=float)
-    pos = lam > 0.0
-    out = np.zeros(lam.shape)
-    lv = np.log(np.where(pos, lam, 1.0))
-    le = np.log(eps)
-    s1 = smoothstep((lv - le) / LOG2)
-    d1 = smoothstep_d((lv - le) / LOG2)
-    s2 = smoothstep((-le - lv) / LOG2)
-    d2 = smoothstep_d((-le - lv) / LOG2)
-    out[pos] = ((d1 * s2 - s1 * d2) / (lam * LOG2))[pos]
-    return out
+    return g_cutoff_jet(lam, eps)[1]
 
 
 @dataclass(frozen=True)
@@ -106,16 +132,22 @@ class BumpProfile:
         if not (0 < self.r2 < self.r1 < self.R1 < self.R2):
             raise ValueError("bump radii must satisfy 0 < r2 < r1 < R1 < R2")
 
+    def jet(self, s):
+        """(eta(s), eta'(s)); each of the four step pieces is evaluated once."""
+        s = np.asarray(s, float)
+        w_up = self.r1 - self.r2
+        w_dn = self.R2 - self.R1
+        x_up = (s - self.r2) / w_up
+        x_dn = (self.R2 - s) / w_dn
+        up = smoothstep(x_up)
+        dn = smoothstep(x_dn)
+        return up * dn, smoothstep_d(x_up) / w_up * dn - up * smoothstep_d(x_dn) / w_dn
+
     def __call__(self, s) -> Array:
-        return (smoothstep((np.asarray(s, float) - self.r2) / (self.r1 - self.r2))
-                * smoothstep((self.R2 - np.asarray(s, float)) / (self.R2 - self.R1)))
+        return self.jet(s)[0]
 
     def deriv(self, s) -> Array:
-        s = np.asarray(s, float)
-        up = smoothstep((s - self.r2) / (self.r1 - self.r2))
-        dn = smoothstep((self.R2 - s) / (self.R2 - self.R1))
-        return (smoothstep_d((s - self.r2) / (self.r1 - self.r2)) / (self.r1 - self.r2) * dn
-                - up * smoothstep_d((self.R2 - s) / (self.R2 - self.R1)) / (self.R2 - self.R1))
+        return self.jet(s)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +158,9 @@ class TestFunction:
     the package; ``euler`` evaluates the generator of dilations applied to
     the function.  ``hgrad`` may be None for value-only functions (the
     extremal profile, differentiated by finite differences where needed).
+    ``jet(z, t)`` returns ``(value, hgrad, euler)`` from one evaluation of
+    the shared pieces, and ``jet(z, t, derivs=False)`` returns
+    ``(value, None, None)``; it is None for value-only functions.
     """
 
     kind: str
@@ -134,9 +169,19 @@ class TestFunction:
     hgrad: Optional[Callable[[Array, Array], Array]] = None
     euler: Optional[Callable[[Array, Array], Array]] = None
     support: tuple = (0.25, 2.0)
+    jet: Optional[Callable] = None
 
     def as_scalar_field(self) -> ScalarField:
         return ScalarField(self.value, self.hgrad)
+
+
+def _from_jet(kind: str, params: dict, jet: Callable, support: tuple) -> TestFunction:
+    """A test function whose evaluators are views of one jet."""
+    return TestFunction(kind, params,
+                        value=lambda z, t: jet(z, t, derivs=False)[0],
+                        hgrad=lambda z, t: jet(z, t)[1],
+                        euler=lambda z, t: jet(z, t)[2],
+                        support=support, jet=jet)
 
 
 def radial_bump(group: StepTwoGroup, profile: BumpProfile = BumpProfile(),
@@ -157,52 +202,39 @@ def radial_bump(group: StepTwoGroup, profile: BumpProfile = BumpProfile(),
     if modulated and group.h != 1:
         raise ValueError("modulated bumps are implemented for h = 1")
 
-    def _s(z, t, d):
-        return np.asarray(t, float)[..., 0] / d**2
-
-    def _inside(d):
-        return (d > profile.r2) & (d < profile.R2)
-
     # evaluations are masked to the support so that points at or near the
-    # origin (where rho-quotients degenerate) yield exact zeros, not NaNs
-    def value(z, t):
-        d = rho.value(z, t)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = profile(d)
-            if modulated:
-                s = _s(z, t, d)
-                out = out * (1.0 + a * s + b * s * s)
-        return np.where(_inside(d), out, 0.0)
-
-    def hgrad(z, t):
+    # origin (where rho-quotients degenerate) yield exact zeros, not NaNs;
+    # E rho = rho and E(t/rho^2) = 0 by homogeneity
+    def jet(z, t, derivs=True):
         z = np.asarray(z, float)
         d = rho.value(z, t)
+        inside = (d > profile.r2) & (d < profile.R2)
         with np.errstate(invalid="ignore", divide="ignore"):
-            gr = rho.hgrad(z, t)
-            out = profile.deriv(d)[..., None] * gr
+            eta, deta = profile.jet(d)
+            val = eta
             if modulated:
-                s = _s(z, t, d)
                 t1 = np.asarray(t, float)[..., 0]
-                out = out * (1.0 + a * s + b * s * s)[..., None]
+                s = t1 / d**2
+                mod = 1.0 + a * s + b * s * s
+                val = val * mod
+            val = np.where(inside, val, 0.0)
+            if not derivs:
+                return val, None, None
+            gr = rho.hgrad(z, t)
+            grad = deta[..., None] * gr
+            eul = deta * d
+            if modulated:
+                grad = grad * mod[..., None]
                 # grad(t/rho^2) = (Bz/2)/rho^2 - 2 t grad(rho) / rho^3
                 gt = 0.5 * group.bz(z)[..., 0, :]
                 gmod = gt / (d**2)[..., None] - 2.0 * (t1 / d**3)[..., None] * gr
-                out = out + (profile(d) * (a + 2.0 * b * s))[..., None] * gmod
-        return np.where(_inside(d)[..., None], out, 0.0)
+                grad = grad + (eta * (a + 2.0 * b * s))[..., None] * gmod
+                eul = eul * mod
+        return val, np.where(inside[..., None], grad, 0.0), np.where(inside, eul, 0.0)
 
-    def euler(z, t):
-        # E rho = rho and E(t/rho^2) = 0 by homogeneity
-        d = rho.value(z, t)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = profile.deriv(d) * d
-            if modulated:
-                s = _s(z, t, d)
-                out = out * (1.0 + a * s + b * s * s)
-        return np.where(_inside(d), out, 0.0)
-
-    return TestFunction("bump", {"radii": (profile.r2, profile.r1, profile.R1, profile.R2),
-                                 "modulation": (a, b)},
-                        value, hgrad, euler, support=(profile.r2, profile.R2))
+    return _from_jet("bump", {"radii": (profile.r2, profile.r1, profile.R1, profile.R2),
+                              "modulation": (a, b)},
+                     jet, support=(profile.r2, profile.R2))
 
 
 def random_bump(group: StepTwoGroup, rng: np.random.Generator) -> TestFunction:
@@ -241,35 +273,29 @@ def sharpness_function(group: StepTwoGroup, p: float, eps: float,
     rho = koranyi(group)
     kappa = (group.Q - 2.0) / (2.0 * p)
 
-    def _pieces(z, t):
+    # lam = t/|z|^2 is homogeneous of degree zero, so E u = w(lam) eta'(d) d
+    def jet(z, t, derivs=True):
         z = np.asarray(z, float)
         t1 = np.asarray(t, float)[..., 0]
         zn2 = np.sum(z * z, axis=-1)
         lam = t1 / zn2
         inside = (lam > eps) & (lam < 1.0 / eps)
         lam_s = np.where(inside, lam, 1.0)
-        w = np.where(inside, lam_s**kappa * g_cutoff(lam_s, eps), 0.0)
-        wd = np.where(inside,
-                      kappa * lam_s ** (kappa - 1.0) * g_cutoff(lam_s, eps)
-                      + lam_s**kappa * g_cutoff_d(lam_s, eps), 0.0)
-        return t1, zn2, lam, w, wd
-
-    def value(z, t):
+        g, gd = g_cutoff_jet(lam_s, eps, derivs)
+        w = np.where(inside, lam_s**kappa * g, 0.0)
         d = rho.value(z, t)
-        _, _, _, w, _ = _pieces(z, t)
-        return w * profile(d)
-
-    def hgrad(z, t):
-        z = np.asarray(z, float)
-        d = rho.value(z, t)
-        t1, zn2, lam, w, wd = _pieces(z, t)
+        eta, deta = profile.jet(d)
+        if not derivs:
+            return w * eta, None, None
+        wd = np.where(inside, kappa * lam_s ** (kappa - 1.0) * g + lam_s**kappa * gd, 0.0)
         # grad(t/|z|^2) = -2 t z / |z|^4 + Bz / (2 |z|^2)
         glam = (-2.0 * (t1 / zn2**2)[..., None] * z
                 + 0.5 * group.bz(z)[..., 0, :] / zn2[..., None])
         gr = rho.hgrad(z, t)
-        return (wd * profile(d))[..., None] * glam + (w * profile.deriv(d))[..., None] * gr
+        return (w * eta, (wd * eta)[..., None] * glam + (w * deta)[..., None] * gr,
+                w * deta * d)
 
-    return TestFunction("extremal_cutoff",
-                        {"eps": eps, "exponent": kappa,
-                         "radii": (profile.r2, profile.r1, profile.R1, profile.R2)},
-                        value, hgrad, support=(profile.r2, profile.R2))
+    return _from_jet("extremal_cutoff",
+                     {"eps": eps, "exponent": kappa,
+                      "radii": (profile.r2, profile.r1, profile.R1, profile.R2)},
+                     jet, support=(profile.r2, profile.R2))

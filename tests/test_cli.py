@@ -45,6 +45,29 @@ def test_bounds_product(capsys):
     assert row["condition_checks"]["n_ge_(ptheta-4)/4"] is True
 
 
+def test_bounds_product_reports_the_koranyi_gauge(capsys):
+    code, out = run_cli(["bounds", "--group", "product", "--n", "1", "--N", "2",
+                         "--p", "2", "--theta", "1,2"], capsys)
+    assert code == 0
+    assert [r["norm"] for r in json.loads(out)["results"]] == ["koranyi", "koranyi"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--group", "heisenberg", "--norm", "balogh_tyson"],
+    ["bounds", "--group", "nonisotropic", "--lambdas", "1,2", "--norm", "cc"],
+    ["bounds", "--group", "nonisotropic", "--norm", "cc"],
+    ["bounds", "--group", "product", "--norm", "koranyi_b"],
+    ["verify", "identity", "--group", "nonisotropic", "--lambdas", "1,2", "--norm", "cc"],
+])
+def test_unsupported_group_norm_pairs_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --" in captured.err and "Traceback" not in captured.err
+
+
 def test_bounds_theta_grid_default(capsys):
     code, out = run_cli(["bounds", "--norm", "koranyi", "--p", "2"], capsys)
     thetas = [r["theta"] for r in json.loads(out)["results"]]

@@ -131,6 +131,25 @@ def test_mu_inverse_monotone_and_exact():
         solve_mu_inverse(np.array([np.inf]))
 
 
+def test_mu_inverse_near_the_pole():
+    # m = t/|z|^2 beyond ~1e11 puts nu within ~1e-5 of 2 pi, where Newton in
+    # nu cannot certify its residual; the pole expansion
+    # m = 4 pi/delta^2 + pi/3 + O(delta), delta = 2 pi - nu, must hold there
+    m = np.geomspace(1e11, 1e16, 200)
+    nu = solve_mu_inverse(np.concatenate([m, -m]))
+    assert np.all(nu[200:] == -nu[:200])
+    delta = 2 * np.pi - nu[:200]
+    assert np.all(delta > 0)
+    assert np.max(np.abs(4 * np.pi / delta**2 + np.pi / 3 - m) / m) < 1e-6
+
+
+def test_cc_value_near_the_pole():
+    # t/|z|^2 = 1e14: the distance is continuous there, near sqrt(pi |t|)
+    d = cc(H1).value(np.array([[1e-7, 0.0]]), np.array([[1.0]]))[0]
+    assert abs(d - np.sqrt(np.pi)) <= 1e-6
+    assert cc_value(Point([0.0, 1e-7], -1.0)) == pytest.approx(d, rel=1e-12)
+
+
 def test_cc_from_polar_examples():
     p = CCPolar(np.array([1.0]), np.array([0.0]), 0.0, 2.0)
     x = cc_from_polar(p)

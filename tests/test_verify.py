@@ -32,6 +32,139 @@ def test_smoothstep_shape():
     assert np.max(np.abs(fd - smoothstep_d(xs))) < 1e-8
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_masked_smoothstep_matches_full_clenshaw():
+    # the Chebyshev sum once ran on every point, clipped to [0, 1]; masking it
+    # to 0 < x < 1 must leave every output bit as it was
+    from numpy.polynomial.chebyshev import chebval
+    from carnot_hardy.verify import testfuncs as tf
+
+    def full_step(x):
+        xc = np.clip(x, 0.0, 1.0)
+        v = (chebval(2.0 * xc - 1.0, tf._STEP_COEFFS) - tf._STEP_LO) / tf._STEP_SCALE
+        return np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, v))
+
+    def full_step_d(x):
+        inside = (x > 0.0) & (x < 1.0)
+        return np.where(inside, chebval(2.0 * np.clip(x, 0.0, 1.0) - 1.0, tf._STEP_DERIV), 0.0)
+
+    rng = np.random.default_rng(70)
+    x = np.concatenate([[0.0, -0.0, 1.0, 1e-300, -1e-300, 1.0 - 1e-16, -0.3, 1.7,
+                         np.inf, -np.inf, np.nan],
+                        np.linspace(-0.5, 1.5, 1001), rng.uniform(-1.0, 2.0, 5000)])
+    nan = np.isnan(x)
+    for got, ref in ((smoothstep(x), full_step(x)), (smoothstep_d(x), full_step_d(x))):
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        assert _same_bits(got[~nan], ref[~nan])
+    assert np.isnan(smoothstep(np.nan)) and smoothstep_d(np.nan) == 0.0
+    assert smoothstep(-np.inf) == 0.0 and smoothstep(np.inf) == 1.0
+    assert _same_bits(smoothstep(np.array(0.25)), full_step(np.array(0.25)))
+    x2 = x[~nan][:6000].reshape(-1, 3)
+    assert _same_bits(smoothstep(x2), full_step(x2))
+
+
+def _jet_points(rng, n=4000):
+    z = rng.normal(scale=1.2, size=(n, 2))
+    t = rng.normal(scale=1.5, size=(n, 1))
+    z[:3] = 0.0                  # the center and the origin
+    t[:2] = 0.0
+    return z, t
+
+
+def test_bump_jet_matches_separate_formulas():
+    # the bump value, gradient and Euler field as separate compositions of the
+    # step and the Koranyi gauge; the jet must reproduce them to the bit
+    rho = koranyi(H1)
+    rng = np.random.default_rng(71)
+    z, t = _jet_points(rng)
+    prof = BumpProfile(0.3, 0.6, 1.3, 1.8)
+    a_up, a_dn = prof.r1 - prof.r2, prof.R2 - prof.R1
+    for a, b in ((0.0, 0.0), (0.3, 0.0), (-0.4, 0.25)):
+        u = radial_bump(H1, prof, modulation=a, modulation2=b)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            d = rho.value(z, t)
+            up, dn = smoothstep((d - prof.r2) / a_up), smoothstep((prof.R2 - d) / a_dn)
+            eta = up * dn
+            deta = (smoothstep_d((d - prof.r2) / a_up) / a_up * dn
+                    - up * smoothstep_d((prof.R2 - d) / a_dn) / a_dn)
+            gr = rho.hgrad(z, t)
+            s = t[:, 0] / d**2
+            mod = 1.0 + a * s + b * s * s
+            gmod = (0.5 * H1.bz(z)[:, 0, :] / (d**2)[:, None]
+                    - 2.0 * (t[:, 0] / d**3)[:, None] * gr)
+            value, grad, euler = eta, deta[:, None] * gr, deta * d
+            if a or b:
+                value, euler = value * mod, euler * mod
+                grad = grad * mod[:, None] + (eta * (a + 2.0 * b * s))[:, None] * gmod
+        inside = (d > prof.r2) & (d < prof.R2)
+        ref = (np.where(inside, value, 0.0), np.where(inside[:, None], grad, 0.0),
+               np.where(inside, euler, 0.0))
+        jet = u.jet(z, t)
+        for got, want in zip(jet, ref):
+            assert _same_bits(got, want)
+        for got, field in zip(jet, (u.value, u.hgrad, u.euler)):
+            assert _same_bits(got, field(z, t))
+        assert _same_bits(u.jet(z, t, derivs=False)[0], jet[0])
+        assert _same_bits(prof(d[inside]), eta[inside])
+        assert _same_bits(prof.deriv(d[inside]), deta[inside])
+
+
+def test_sharpness_jet_matches_separate_formulas():
+    from carnot_hardy.verify import sharpness_function
+    rho = koranyi(H1)
+    rng = np.random.default_rng(72)
+    z, t = _jet_points(rng)
+    z[:3] = 1.0                  # the cut-off family is evaluated off the center
+    t = np.abs(t) + 1e-3
+    prof = BumpProfile()
+    eps, p = 1e-2, 2.0
+    u = sharpness_function(H1, p, eps, prof)
+    kappa = (H1.Q - 2.0) / (2.0 * p)
+    zn2 = np.sum(z * z, axis=-1)
+    lam = t[:, 0] / zn2
+    inside = (lam > eps) & (lam < 1.0 / eps)
+    lam_s = np.where(inside, lam, 1.0)
+    w = np.where(inside, lam_s**kappa * g_cutoff(lam_s, eps), 0.0)
+    wd = np.where(inside, kappa * lam_s ** (kappa - 1.0) * g_cutoff(lam_s, eps)
+                  + lam_s**kappa * g_cutoff_d(lam_s, eps), 0.0)
+    d = rho.value(z, t)
+    glam = (-2.0 * (t[:, 0] / zn2**2)[:, None] * z
+            + 0.5 * H1.bz(z)[:, 0, :] / zn2[:, None])
+    ref = (w * prof(d),
+           (wd * prof(d))[:, None] * glam + (w * prof.deriv(d))[:, None] * rho.hgrad(z, t),
+           w * prof.deriv(d) * d)
+    jet = u.jet(z, t)
+    assert np.count_nonzero(jet[0]) > 100
+    for got, want, field in zip(jet, ref, (u.value, u.hgrad, u.euler)):
+        assert _same_bits(got, want)
+        assert _same_bits(field(z, t), want)
+
+
+def test_stacked_integrand_matches_separate_callables():
+    # a (k, m) stack counts as k consecutive integrals with the same sums
+    u = radial_bump(H1, modulation=0.3, modulation2=0.1)
+    rho = koranyi(H1)
+    fs = [lambda z, t: u.value(z, t) ** 2,
+          lambda z, t: u.euler(z, t) * u.value(z, t),
+          lambda z, t: u.value(z, t) / rho.value(z, t)]
+
+    def stacked(z, t):
+        return np.stack([f(z, t) for f in fs])
+
+    quads = (QuadratureSpec(sigma_range=(0.25, 2.0), n_angle=4, psi_nodes=6, chunk=7001),
+             QuadratureSpec(method="monte_carlo", samples=50_001, chunk=7001, seed=3,
+                            box=(2.0, 4.0)))
+    for quad in quads:
+        separate = integrate_many(H1, fs, quad)
+        assert integrate_many(H1, [stacked], quad) == separate
+        mixed = integrate_many(H1, [fs[0], stacked, fs[2]], quad)
+        assert mixed == [separate[0], *separate, separate[2]]
+
+
 def test_g_cutoff_plateau_and_derivative_bounds():
     eps = 1e-3
     lam = np.array([eps / 2, eps, 2 * eps, 0.1, 1.0, 1 / (2 * eps), 1 / eps, 2 / eps])
