@@ -261,6 +261,9 @@ def cmd_verify(args) -> int:
                               values={"worst_quotient": worst, "target": target},
                               diagnostics={"bumps": args.bumps, "norm": args.norm}))
     elif args.check == "sharpness":
+        if args.norm not in ("koranyi", "cc"):
+            raise UsageError(f"--norm {args.norm} is not available for verify sharpness: "
+                             "the cut-off family is computed for the koranyi or cc gauges")
         norm = _make_norm(args.norm, group, args)
         spec = ZFieldSpec(group, norm, args.p, args.theta_value)
         eps = _parse_floats(args.eps)

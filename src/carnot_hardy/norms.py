@@ -26,8 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .groups import (Array, CenterError, HVector, Point, ScalarField,
-                     StepTwoGroup, default_step, fd_partials, hgrad_batch,
-                     heisenberg, nonisotropic)
+                     StepTwoGroup, heisenberg, nonisotropic)
 
 TWO_PI = 2.0 * np.pi
 
@@ -61,7 +60,7 @@ _NU_MAX = float(np.nextafter(TWO_PI, 0.0))
 
 
 def _solve_near_pole(m: Array, tol: float) -> Array:
-    """nu = 2pi - delta for large m > 0, solved for delta.
+    """delta = 2pi - nu for large m > 0.
 
     Within ~1e-5 of the pole float64 cannot resolve the residual of the
     equation in nu.  In delta it reads (2pi - delta + sin delta) -
@@ -75,24 +74,23 @@ def _solve_near_pole(m: Array, tol: float) -> Array:
         delta = delta + g / (omc + m * np.sin(delta))
     omc = 2.0 * np.sin(delta / 2.0) ** 2
     resid = np.abs((TWO_PI - delta + np.sin(delta)) - m * omc)
-    nu = TWO_PI - delta
-    # nu must still carry delta: 2pi - nu to 1e-6 relative, which bounds the
-    # relative error that the chart inherits (e.g. r = |z| (nu/2)/sin(nu/2))
-    ok = (resid <= tol * np.maximum(1.0, m * omc)) & (np.abs((TWO_PI - nu) - delta)
-                                                      <= 1e-6 * delta)
-    if not np.all(ok):
+    if not np.all(resid <= tol * np.maximum(1.0, m * omc)):
         raise ConvergenceError("mu(nu) = m iteration did not reach tolerance")
-    return nu
+    return delta
 
 
-def solve_mu_inverse(m: Array, tol: float = 1e-10) -> Array:
+def solve_mu_inverse(m: Array, tol: float = 1e-10,
+                     delta: Optional[Array] = None) -> Array:
     """Solve mu(nu) = m for nu in (-2pi, 2pi), vectorized.
 
     Small |m| uses the inverted series nu = 3m - 0.9 m^3 + (729/1400) m^5;
     otherwise a table seed plus Newton steps on the cancellation-free form
     (nu - sin nu) - m (1 - cos nu) = 0.  Entries whose residual that
     iteration cannot certify, because nu lies too close to the pole 2pi
-    (|m| beyond ~1e11), are solved for 2pi - nu instead.
+    (|m| beyond ~1e11), are solved for 2pi - |nu| instead.  A float64 nu
+    there no longer carries 2pi - |nu| to full relative precision, so an
+    array passed as ``delta`` receives 2pi - |nu| on those entries and NaN
+    on every other one.
     """
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
@@ -100,6 +98,8 @@ def solve_mu_inverse(m: Array, tol: float = 1e-10) -> Array:
     sgn = np.sign(m)
     ma = np.abs(m)
     out = np.empty(ma.shape)
+    if delta is not None:
+        delta[...] = np.nan
 
     tiny = ma < 1e-3
     mt = ma[tiny]
@@ -121,7 +121,12 @@ def solve_mu_inverse(m: Array, tol: float = 1e-10) -> Array:
     scale = np.maximum(1.0, mr * 2.0 * np.sin(nu / 2.0) ** 2)
     stalled = ~(resid <= tol * scale)
     if np.any(stalled):
-        nu[stalled] = _solve_near_pole(mr[stalled], tol)
+        pole = _solve_near_pole(mr[stalled], tol)
+        nu[stalled] = TWO_PI - pole
+        if delta is not None:
+            at_pole = np.zeros(ma.shape, dtype=bool)
+            at_pole[rest] = stalled
+            delta[at_pole] = pole
     out[rest] = nu
     return sgn * out
 
@@ -146,8 +151,16 @@ def cc_polar_arrays(z: Array, t: Array):
     zn2 = np.sum(z * z, axis=-1)
     if np.any(zn2 == 0.0):
         raise CenterError("polar inversion is undefined on the center {z = 0}")
-    nu = solve_mu_inverse(t / zn2)
+    delta = np.empty(zn2.shape)
+    nu = solve_mu_inverse(t / zn2, delta=delta)
     inv_sinc, cot = _half_angle_ratios(nu)
+    pole = ~np.isnan(delta)
+    if np.any(pole):
+        # at the pole take sin(nu/2) = sin(delta/2) and cos(nu/2) = -cos(delta/2)
+        # from delta = 2pi - |nu|, which a float64 nu cannot carry there
+        x_abs = 0.5 * np.abs(nu[pole])
+        inv_sinc[pole] = x_abs / np.sin(0.5 * delta[pole])
+        cot[pole] = -x_abs / np.tan(0.5 * delta[pole])
     r = np.sqrt(zn2) * inv_sinc
     x = 0.5 * nu
     a = (cot[..., None] * z[..., 0::2] - x[..., None] * z[..., 1::2]) / r[..., None]
@@ -197,9 +210,7 @@ class NormModel:
     """A homogeneous gauge with batched value / gradient evaluators.
 
     ``value(z, t) -> (...)``; ``hgrad(z, t) -> (..., 2n)`` in the X-frame;
-    ``dt(z, t) -> (..., h)``.  Gradient evaluators may be None (the
-    Balogh-Tyson gauge ships without closed derivatives); ``hgrad_or_fd``
-    then falls back to central differences of the value.
+    ``dt(z, t) -> (..., h)``.  Every gauge here carries closed derivatives.
 
     rotation_invariant records whether <z, B^{-1} grad_z d> = 0, the
     hypothesis under which the sharp constant is attained.
@@ -208,8 +219,8 @@ class NormModel:
     kind: str
     group: StepTwoGroup
     value: Callable[[Array, Array], Array]
-    hgrad: Optional[Callable[[Array, Array], Array]] = None
-    dt: Optional[Callable[[Array, Array], Array]] = None
+    hgrad: Callable[[Array, Array], Array]
+    dt: Callable[[Array, Array], Array]
     rotation_invariant: bool = True
 
     def value_at(self, x: Point) -> float:
@@ -220,26 +231,15 @@ class NormModel:
             raise CenterError("the cc distance is not differentiable on the center")
         if x.is_origin():
             raise CenterError("gauge gradients are undefined at the origin")
-        if self.hgrad is not None:
-            return HVector(self.hgrad(x.z[None], x.t[None])[0])
-        return HVector(self.hgrad_or_fd(x.z[None], x.t[None])[0])
+        return HVector(self.hgrad(x.z[None], x.t[None])[0])
 
     def dt_at(self, x: Point) -> Array:
         if self.kind == "cc" and x.on_center():
             raise CenterError("the cc distance is not differentiable on the center")
-        if self.dt is not None:
-            return self.dt(x.z[None], x.t[None])[0]
-        _, dtv = fd_partials(self.value, x.z[None], x.t[None], default_step(x))
-        return dtv[0]
-
-    def hgrad_or_fd(self, z: Array, t: Array, step: float = 1e-6) -> Array:
-        if self.hgrad is not None:
-            return self.hgrad(z, t)
-        return hgrad_batch(self.group, self.value, z, t, step)
+        return self.dt(x.z[None], x.t[None])[0]
 
     def as_scalar_field(self) -> ScalarField:
-        return ScalarField(self.value, self.hgrad,
-                           self.dt if self.dt is not None else None)
+        return ScalarField(self.value, self.hgrad, self.dt)
 
 
 def koranyi(group: StepTwoGroup) -> NormModel:
@@ -328,25 +328,55 @@ def cc(group: StepTwoGroup) -> NormModel:
 def balogh_tyson(group: StepTwoGroup) -> NormModel:
     """The explicit fundamental-solution gauge on the (1/2, 1) group.
 
-    With w = (z1^2 + z2^2)/2 + z3^2 + z4^2 and s = hypot(w, t):
+    With h = (z1^2 + z2^2)/2, w = h + z3^2 + z4^2 and s = hypot(w, t):
 
-        rho = s^{1/4} ((z1^2 + z2^2)/2 + s)^{3/8} / (w + s)^{1/8}.
+        rho = s^{1/4} (h + s)^{3/8} / (w + s)^{1/8},
 
-    No closed gradient is provided; consumers fall back to finite
-    differences.
+    so log rho = (1/4) log s + (3/8) log(h + s) - (1/8) log(w + s).  The
+    closed derivatives follow from ds = (w dw + t dt)/s, with
+    dh = z1 dz1 + z2 dz2 and dw = dh + 2 z3 dz3 + 2 z4 dz4.
     """
     if group.h != 1 or group.n != 2 or not np.allclose(group.lambdas, [0.5, 1.0]):
         raise ValueError("the Balogh-Tyson gauge lives on the (1/2, 1) group")
+    lam = group.lambdas
 
-    def value(z, t):
+    def parts(z, t):
         z = np.asarray(z, float)
         t1 = np.asarray(t, float)[..., 0]
         half = (z[..., 0]**2 + z[..., 1]**2) / 2.0
         w = half + z[..., 2]**2 + z[..., 3]**2
         s = np.hypot(w, t1)
-        return s**0.25 * (half + s)**0.375 / (w + s)**0.125
+        return z, t1, half, w, s, s**0.25 * (half + s)**0.375 / (w + s)**0.125
 
-    return NormModel("balogh_tyson", group, value, None, None, rotation_invariant=True)
+    def value(z, t):
+        return parts(z, t)[-1]
+
+    def log_partials(z, t):
+        """(z, rho, d log rho / d(|z^(i)|^2 / 2) per block, d log rho / dt)."""
+        z, t1, half, w, s, rho = parts(z, t)
+        a = 0.375 / (half + s)
+        b = 0.125 / (w + s)
+        ls = 0.25 / s + a - b         # d/ds
+        lw = ls * w / s - b           # d/dw, s moving with w
+        lq = np.empty(rho.shape + (2,))
+        np.add(a, lw, out=lq[..., 0])
+        np.multiply(2.0, lw, out=lq[..., 1])
+        return z, rho, lq, ls * t1 / s
+
+    def hgrad(z, t):
+        z, rho, lq, lt = log_partials(z, t)
+        lq *= rho[..., None]
+        ct = (lam / 2.0) * (rho * lt)[..., None]
+        g = np.empty_like(z)
+        g[..., 0::2] = lq * z[..., 0::2] + ct * z[..., 1::2]
+        g[..., 1::2] = lq * z[..., 1::2] - ct * z[..., 0::2]
+        return g
+
+    def dt(z, t):
+        _, rho, _, lt = log_partials(z, t)
+        return (rho * lt)[..., None]
+
+    return NormModel("balogh_tyson", group, value, hgrad, dt, rotation_invariant=True)
 
 
 def make_norm(kind: str, group: StepTwoGroup) -> NormModel:
@@ -474,11 +504,8 @@ def rotation_defect_arrays(norm: NormModel, z: Array, t: Array) -> Array:
 
     Vanishes identically for gauges invariant under blockwise rotations.
     """
-    g = norm.hgrad_or_fd(z, t)
-    if norm.dt is not None:
-        dt = norm.dt(z, t)
-    else:
-        _, dt = fd_partials(norm.value, z, t, 1e-6)
+    g = norm.hgrad(z, t)
+    dt = norm.dt(z, t)
     # ambient z-partials: d_{z_i} = X_i - (Bz)_i . d_t / 2
     bz = norm.group.bz(z)
     dz = g - 0.5 * np.einsum("...jk,...j->...k", bz, dt)
@@ -493,7 +520,7 @@ def reconstruction_defect_arrays(norm: NormModel, z: Array, t: Array) -> Array:
     for blockwise rotation-invariant gauges (single vertical direction)."""
     z = np.asarray(z, float)
     t1 = np.asarray(t, float)[..., 0]
-    g = norm.hgrad_or_fd(z, t)
+    g = norm.hgrad(z, t)
     lam = norm.group.lambdas
     binv_dot_z = np.sum((z[..., 1::2] * g[..., 0::2] - z[..., 0::2] * g[..., 1::2]) / lam,
                         axis=-1)

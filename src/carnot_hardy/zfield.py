@@ -97,7 +97,7 @@ def z_field_components(spec: ZFieldSpec, z: Array, t: Array) -> Array:
     d = spec.norm.value(z, t)
     if np.any(d <= 0.0):
         raise ValueError("Z_d needs d > 0 (point away from the origin)")
-    g = spec.norm.hgrad_or_fd(z, t)
+    g = spec.norm.hgrad(z, t)
     pg = _block_perp(g)
     n = spec.group.n
 

@@ -58,6 +58,9 @@ def test_bounds_product_reports_the_koranyi_gauge(capsys):
     ["bounds", "--group", "nonisotropic", "--norm", "cc"],
     ["bounds", "--group", "product", "--norm", "koranyi_b"],
     ["verify", "identity", "--group", "nonisotropic", "--lambdas", "1,2", "--norm", "cc"],
+    ["verify", "sharpness", "--norm", "koranyi_b"],
+    ["verify", "sharpness", "--group", "nonisotropic", "--lambdas", "1,2",
+     "--norm", "koranyi_b"],
 ])
 def test_unsupported_group_norm_pairs_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -150,6 +150,21 @@ def test_cc_value_near_the_pole():
     assert cc_value(Point([0.0, 1e-7], -1.0)) == pytest.approx(d, rel=1e-12)
 
 
+def test_cc_beyond_float_resolution_of_the_pole():
+    # t/|z|^2 from 1e14 to 1e60: float64 nu rounds to 2 pi from ~1e32 on, so
+    # the chart must come from 2 pi - nu itself.  (0, t)^{-1} o (z, t) = (z, 0)
+    # gives |d(z, t) - sqrt(pi |t|)| <= |z|
+    eps = np.geomspace(1e-30, 1e-7, 60)
+    z = np.stack([eps, np.zeros_like(eps)], axis=-1)
+    t = np.ones((eps.size, 1))
+    model = cc(H1)
+    d = model.value(np.concatenate([z, z]), np.concatenate([t, -t]))
+    assert np.all(np.abs(d - np.sqrt(np.pi)) <= np.concatenate([eps, eps]) + 1e-15)
+    assert np.allclose(np.linalg.norm(model.hgrad(z, t), axis=-1), 1.0, atol=1e-12)
+    nu, r, a, b = cc_polar_arrays(z, t[:, 0])
+    assert np.all(np.isfinite(nu)) and np.allclose(a**2 + b**2, 1.0, atol=1e-12)
+
+
 def test_cc_from_polar_examples():
     p = CCPolar(np.array([1.0]), np.array([0.0]), 0.0, 2.0)
     x = cc_from_polar(p)

@@ -1,0 +1,176 @@
+"""Structural invariants, property-tested, and the closed Balogh-Tyson
+derivatives against a symbolic derivation."""
+
+import mpmath
+import numpy as np
+import pytest
+import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from carnot_hardy import (CCPolar, Point, ZFieldSpec, balogh_tyson, cc, cc_from_polar,
+                          cc_invert, dilate, group_inverse, group_law, heisenberg,
+                          heisenberg_product, koranyi, koranyi_b, nonisotropic)
+from carnot_hardy.groups import fd_partials, hgrad_batch
+from carnot_hardy.zfield import z_field_components
+
+H1 = heisenberg(1)
+BT_GROUP = nonisotropic([0.5, 1.0])
+GAUGES = [koranyi(H1), koranyi(heisenberg(2)), cc(H1),
+          koranyi_b(nonisotropic([1.0, 2.0])), balogh_tyson(BT_GROUP)]
+FEW = settings(max_examples=25, deadline=None)
+
+coord = st.floats(-2.0, 2.0, allow_nan=False)
+scale = st.floats(0.05, 20.0)
+
+
+def _point(g, draw_coords):
+    return Point(np.array(draw_coords[:2 * g.n]), np.array(draw_coords[2 * g.n:]))
+
+
+def _off_center(g):
+    return st.lists(coord, min_size=g.dim, max_size=g.dim).map(
+        lambda c: _point(g, c)).filter(lambda x: np.linalg.norm(x.z) > 1e-2)
+
+
+# ---------------------------------------------------------------------------
+# the closed Balogh-Tyson derivatives
+# ---------------------------------------------------------------------------
+
+def _symbolic_balogh_tyson():
+    """Frame gradient and t-derivative of rho, differentiated by sympy."""
+    z = sp.symbols("z1:5", real=True)
+    t = sp.Symbol("t", real=True)
+    half = (z[0]**2 + z[1]**2) / 2
+    w = half + z[2]**2 + z[3]**2
+    s = sp.sqrt(w**2 + t**2)
+    rho = s**sp.Rational(1, 4) * (half + s)**sp.Rational(3, 8) / (w + s)**sp.Rational(1, 8)
+    lam = [sp.Rational(1, 2), sp.Integer(1)]
+    drho_t = sp.diff(rho, t)
+    frame = []
+    for i in range(2):
+        a, b = z[2 * i], z[2 * i + 1]
+        frame.append(sp.diff(rho, a) + lam[i] / 2 * b * drho_t)
+        frame.append(sp.diff(rho, b) - lam[i] / 2 * a * drho_t)
+    return sp.lambdify((*z, t), [*frame, drho_t], modules="mpmath")
+
+
+def test_balogh_tyson_derivatives_match_sympy():
+    reference = _symbolic_balogh_tyson()
+    model = balogh_tyson(BT_GROUP)
+    rng = np.random.default_rng(70)
+    z = rng.normal(size=(40, 4))
+    t = rng.normal(size=(40, 1))
+    z[:5, 2:] = 0.0          # second block at rest
+    z[5:10, :2] = 0.0        # first block at rest
+    t[10:15] = 0.0           # on {t = 0}
+    z[15:20] *= 1e-3         # close to the center
+    grad = model.hgrad(z, t)
+    dt = model.dt(z, t)[:, 0]
+    with mpmath.workdps(40):
+        for k in range(z.shape[0]):
+            ref = np.array([float(v) for v in reference(*z[k], t[k, 0])])
+            assert np.max(np.abs(grad[k] - ref[:4])) <= 1e-12 * np.linalg.norm(ref[:4])
+            assert abs(dt[k] - ref[4]) <= 1e-12 * abs(ref[4]) + 1e-300
+
+
+def test_balogh_tyson_derivatives_match_central_differences():
+    model = balogh_tyson(BT_GROUP)
+    rng = np.random.default_rng(71)
+    z = rng.normal(size=(200, 4))
+    t = rng.normal(size=(200, 1))
+    grad = model.hgrad(z, t)
+    fd = hgrad_batch(BT_GROUP, model.value, z, t, 1e-6)
+    _, dt_fd = fd_partials(model.value, z, t, 1e-6)
+    assert np.max(np.abs(grad - fd)) <= 1e-8 * np.max(np.abs(grad))
+    assert np.max(np.abs(model.dt(z, t) - dt_fd)) <= 1e-8 * np.max(np.abs(dt_fd))
+
+
+# ---------------------------------------------------------------------------
+# homogeneity under dilations
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model", GAUGES, ids=lambda m: f"{m.kind}-n{m.group.n}")
+def test_gauge_derivatives_are_homogeneous(model):
+    g = model.group
+
+    @FEW
+    @given(_off_center(g), scale)
+    def check(x, gamma):
+        y = dilate(g, gamma, x)
+        assert model.value_at(y) == pytest.approx(gamma * model.value_at(x), rel=1e-12)
+        grad_x = model.hgrad_at(x).components
+        grad_y = model.hgrad_at(y).components
+        assert np.max(np.abs(grad_y - grad_x)) <= 1e-11 * max(1.0, np.linalg.norm(grad_x))
+        dt_x, dt_y = model.dt_at(x), model.dt_at(y)
+        assert np.max(np.abs(gamma * dt_y - dt_x)) <= 1e-11 * max(1.0, np.max(np.abs(dt_x)))
+
+    check()
+
+
+@pytest.mark.parametrize("model", GAUGES, ids=lambda m: f"{m.kind}-n{m.group.n}")
+def test_z_field_norm_is_degree_zero(model):
+    g = model.group
+    spec = ZFieldSpec(g, model, 2.0, 1.5)
+
+    @FEW
+    @given(_off_center(g), scale)
+    def check(x, gamma):
+        y = dilate(g, gamma, x)
+        zx = np.linalg.norm(z_field_components(spec, x.z[None], x.t[None])[0])
+        zy = np.linalg.norm(z_field_components(spec, y.z[None], y.t[None])[0])
+        assert zy == pytest.approx(zx, rel=1e-11, abs=1e-11)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# the cc distance
+# ---------------------------------------------------------------------------
+
+@FEW
+@given(_off_center(H1), scale)
+def test_cc_is_homogeneous_with_unit_gradient(x, gamma):
+    model = cc(H1)
+    y = dilate(H1, gamma, x)
+    assert model.value_at(y) == pytest.approx(gamma * model.value_at(x), rel=1e-12)
+    assert model.hgrad_at(x).norm() == pytest.approx(1.0, abs=1e-12)
+    assert model.hgrad_at(y).norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@FEW
+@given(st.floats(0.0, 2 * np.pi), st.floats(-2 * np.pi + 1e-2, 2 * np.pi - 1e-2),
+       st.floats(0.05, 20.0))
+def test_cc_invert_inverts_cc_from_polar(angle, nu, r):
+    assume(abs(nu) > 1e-6)
+    polar = CCPolar([np.cos(angle)], [np.sin(angle)], nu, r)
+    back = cc_invert(cc_from_polar(polar))
+    # the forward chart forms nu - sin nu with an absolute rounding error of
+    # ~1e-16 |nu|, which the inversion (nu ~ 3 t/|z|^2) turns into ~1e-15/|nu|
+    assert abs(back.nu - nu) <= 1e-9 * abs(nu) + 2e-15 / abs(nu)
+    assert back.r == pytest.approx(r, rel=1e-12)
+    assert np.allclose(back.a, polar.a, atol=1e-9)
+    assert np.allclose(back.b, polar.b, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the group law
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("g", [H1, heisenberg(2), BT_GROUP, heisenberg_product(1, 2)],
+                         ids=["H1", "H2", "half_one", "H1xH1"])
+def test_group_law_is_associative_with_inverses(g):
+    point = st.lists(coord, min_size=g.dim, max_size=g.dim).map(lambda c: _point(g, c))
+
+    @FEW
+    @given(point, point, point)
+    def check(x, y, w):
+        left = group_law(g, group_law(g, x, y), w)
+        right = group_law(g, x, group_law(g, y, w))
+        assert np.allclose(left.z, right.z, rtol=0.0, atol=1e-12)
+        assert np.allclose(left.t, right.t, rtol=0.0, atol=1e-12)
+        for e in (group_law(g, x, group_inverse(g, x)), group_law(g, group_inverse(g, x), x)):
+            assert np.all(e.z == 0.0)
+            assert np.allclose(e.t, 0.0, rtol=0.0, atol=1e-14)
+
+    check()

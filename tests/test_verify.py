@@ -485,6 +485,29 @@ def test_counterexample_isotropic_control():
     assert rep.values["max_excess"] <= 1e-6
 
 
+def test_counterexample_control_sits_at_round_off():
+    # closed Koranyi gradient: the profile argument makes B <= 0 exactly, so
+    # only rounding remains on top of the t = 0 maximizer
+    rep = counterexample_scan(samples_log2=13, seed=3, isotropic_control=True)
+    assert rep.diagnostics["norm"] == "koranyi"
+    assert rep.values["max_excess"] <= 1e-12
+
+
+def test_vertical_excess_stack_matches_separate_fields():
+    from carnot_hardy import balogh_tyson
+    from carnot_hardy.verify.checks import _vertical_excess
+    from carnot_hardy.zfield import z_field_components
+    g = nonisotropic([0.5, 1.0])
+    spec = ZFieldSpec(g, balogh_tyson(g), 2.0, 1.0)
+    rng = np.random.default_rng(61)
+    z = rng.normal(size=(50, 4))
+    t = rng.normal(size=(50, 1))
+    zc = z_field_components(spec, z, t)
+    z0 = z_field_components(spec, z, np.zeros_like(t))
+    separate = np.sum(zc * zc, axis=-1) - np.sum(z0 * z0, axis=-1)
+    assert np.array_equal(_vertical_excess(spec, z, t), separate)
+
+
 def test_product_check_small():
     rep = product_check(1, 2, 2.0, 1.0, samples_log2=13, mc_samples=2_000_000)
     assert rep.passed, rep.values
