@@ -5,10 +5,8 @@ from .groups import (CenterError, HVector, Point, ScalarField, StepTwoGroup,
                      dilate, euler_apply, general_group, group_inverse, group_law,
                      heisenberg, heisenberg_product, horizontal_divergence,
                      horizontal_gradient, lambda_min, nonisotropic)
-from .norms import (CCPolar, ConvergenceError, NormModel, balogh_tyson,
-                    balogh_tyson_value, cc, cc_dt, cc_from_polar, cc_hgrad,
-                    cc_invert, cc_value, koranyi, koranyi_B_value, koranyi_b,
-                    koranyi_hgrad, koranyi_value, make_norm)
+from .norms import (CCPolar, ConvergenceError, NormModel, balogh_tyson, cc,
+                    cc_from_polar, cc_invert, koranyi, koranyi_b, make_norm)
 from .zfield import (SupResult, ZFieldSpec, g_cc, golden_section_max,
                      koranyi_profile_max, sup_z_norm, symplectic_norm, z_field_at,
                      z_profile_koranyi)

@@ -83,11 +83,7 @@ def bound_koranyi(Q: float, p: float, theta: float):
     lo, hi = koranyi_window(Q)
     if lo <= pt <= hi:
         return abs((Q - pt) / p) ** p * abs((Q - 2.0) / Q) ** p, "first"
-    disc = pt * (pt - 2.0 * Q)
-    if disc <= 0:
-        # outside the window this product is positive; a nonpositive value can
-        # only come from rounding exactly at the window edge
-        raise ValueError("second branch needs p theta (p theta - 2Q) > 0")
+    disc = pt * (pt - 2.0 * Q)      # at least Q^2/2 outside the window
     return ((1.5) ** (p / 2.0) * (3.0 * disc) ** (p / 4.0) / abs(pt - Q) ** (p / 2.0)
             * abs((Q - 2.0) / p) ** p), "second"
 

@@ -26,7 +26,7 @@ from .bounds import (BoundReport, bound_cc, bound_generic, bound_koranyi,
                      bound_koranyi_B, bound_product, koranyi_window, CC_COEFF,
                      product_conditions)
 from .groups import Point, heisenberg, heisenberg_product, nonisotropic
-from .norms import cc_dt, cc_hgrad, cc_invert, cc_value, make_norm
+from .norms import cc_invert, make_norm
 from .zfield import (ZFieldSpec, cc_profile_max, g_cc, koranyi_profile_max,
                      sup_z_norm, z_profile_koranyi)
 from .verify import (QuadratureSpec, check_ibp_identity, counterexample_scan,
@@ -164,10 +164,10 @@ def cmd_bounds(args) -> int:
                     value, branch = float("nan"), "condition_failed"
                 spec = ZFieldSpec(group, make_norm(kind, group), p, theta,
                                   variant="product")
-                sup = sup_z_norm(spec, seed=args.seed)
+                sup = sup_z_norm(spec)
             else:
                 spec = ZFieldSpec(group, _make_norm(kind, group, args), p, theta)
-                sup = sup_z_norm(spec, seed=args.seed)
+                sup = sup_z_norm(spec)
                 if kind == "koranyi":
                     value, branch = bound_koranyi(Q, p, theta)
                     lo, hi = koranyi_window(Q)
@@ -238,8 +238,24 @@ def _quad_from_args(args, support):
     return QuadratureSpec(n_sigma=args.nodes, sigma_range=support)
 
 
+def _check_verify_args(args, group):
+    """Usage errors for configurations that no verify check covers."""
+    if args.check in ("identity", "hardy", "sharpness"):
+        if group.h != 1:
+            raise UsageError(f"--group {args.group} has {group.h} vertical directions; "
+                             f"verify {args.check} needs one (see verify product)")
+        if group.n != 1 and (args.check == "sharpness"
+                             or args.quad_method == "tensor_grid"):
+            hint = "" if args.check == "sharpness" else "; try --quad-method monte_carlo"
+            raise UsageError(f"--group {args.group} has {group.n} horizontal blocks; the "
+                             f"tensor grid of verify {args.check} needs one{hint}")
+    if args.check == "product" and args.theta_value < 0:
+        raise UsageError(f"--theta {args.theta_value:g}: verify product needs theta >= 0")
+
+
 def cmd_verify(args) -> int:
     group = _make_group(args)
+    _check_verify_args(args, group)
     reports = []
     if args.check == "identity":
         norm = _make_norm(args.norm, group, args)
@@ -279,9 +295,8 @@ def cmd_verify(args) -> int:
                     "target": target, "fit_C": c_fit, "fit_residual": resid},
             diagnostics={"norm": args.norm}))
     elif args.check == "counterexample":
-        reports.append(counterexample_scan(seed=args.seed,
-                                           samples_log2=args.samples_log2))
-        reports.append(counterexample_scan(seed=args.seed, isotropic_control=True,
+        reports.append(counterexample_scan(samples_log2=args.samples_log2))
+        reports.append(counterexample_scan(isotropic_control=True,
                                            samples_log2=args.samples_log2))
     elif args.check == "product":
         reports.append(product_check(args.n, args.N, args.p, args.theta_value,
@@ -301,13 +316,15 @@ def cmd_cc(args) -> int:
     x = Point(coords[:-1], coords[-1])
     if x.is_origin():
         raise UsageError("the origin has no polar data")
-    result = {"point": coords, "cc_value": cc_value(x)}
+    model = make_norm("cc", heisenberg(x.z.shape[0] // 2))
+    result = {"point": coords, "cc_value": model.value_at(x)}
     polar = cc_invert(x)
     result.update(nu=polar.nu, r=polar.r)
     if not x.on_center():
-        result["hgrad"] = cc_hgrad(x).components.tolist()
-        result["hgrad_norm"] = cc_hgrad(x).norm()
-        result["dt"] = cc_dt(x)
+        grad = model.hgrad_at(x)
+        result["hgrad"] = grad.components.tolist()
+        result["hgrad_norm"] = grad.norm()
+        result["dt"] = float(model.dt_at(x)[0])
     _emit({"meta": _meta(args, "cc"), "results": [result]}, args)
     return 0
 

@@ -25,8 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import (Array, CenterError, HVector, Point, ScalarField,
-                     StepTwoGroup, heisenberg, nonisotropic)
+from .groups import Array, CenterError, HVector, Point, ScalarField, StepTwoGroup
 
 TWO_PI = 2.0 * np.pi
 
@@ -429,8 +428,11 @@ def cc_from_polar(p: CCPolar) -> Point:
     s = np.sin(nu)
     z[0::2] = (p.b * omc + p.a * s) / nu * r
     z[1::2] = (-p.a * omc + p.b * s) / nu * r
-    t = 2.0 * (nu - np.sin(nu)) / nu**2 * r**2
-    return Point(z, np.array([t]))
+    if abs(nu) < 1e-2:    # (nu - sin nu)/nu^2 by series: the difference cancels
+        g = nu / 6.0 - nu**3 / 120.0 + nu**5 / 5040.0
+    else:
+        g = (nu - s) / nu**2
+    return Point(z, np.array([2.0 * g * r**2]))
 
 
 def cc_invert(x: Point) -> CCPolar:
@@ -452,47 +454,6 @@ def cc_invert(x: Point) -> CCPolar:
         zn = np.linalg.norm(x.z)
         return CCPolar(x.z[0::2] / zn, x.z[1::2] / zn, float(nu[0]), float(r[0]))
     return CCPolar(a[0], b[0], float(nu[0]), float(r[0]))
-
-
-def cc_value(x: Point) -> float:
-    """cc distance; continuous through the center, zero at the origin."""
-    if x.is_origin():
-        return 0.0
-    return float(cc_value_arrays(x.z[None], np.array([float(x.t[0])]))[0])
-
-
-def cc_hgrad(x: Point) -> HVector:
-    if x.on_center():
-        raise CenterError("the cc distance is not differentiable on the center")
-    return HVector(cc_hgrad_arrays(x.z[None], np.array([float(x.t[0])]))[0])
-
-
-def cc_dt(x: Point) -> float:
-    if x.on_center():
-        raise CenterError("the cc distance is not differentiable on the center")
-    return float(cc_dt_arrays(x.z[None], np.array([float(x.t[0])]))[0])
-
-
-def koranyi_value(x: Point) -> float:
-    zn2 = float(x.z @ x.z)
-    return (zn2**2 + float(x.t @ x.t)) ** 0.25
-
-
-def koranyi_hgrad(x: Point) -> HVector:
-    """Closed Koranyi gradient on H^n; satisfies |grad rho|^2 = |z|^2 / rho^2."""
-    if x.is_origin():
-        raise CenterError("gauge gradients are undefined at the origin")
-    g = heisenberg(x.z.shape[0] // 2)
-    return HVector(koranyi(g).hgrad(x.z[None], x.t[None])[0])
-
-
-def koranyi_B_value(group: StepTwoGroup, x: Point) -> float:
-    zb2 = float(symplectic_norm_sq_arrays(group, x.z[None])[0])
-    return (zb2**2 + float(x.t[0]) ** 2) ** 0.25
-
-
-def balogh_tyson_value(x: Point) -> float:
-    return balogh_tyson(nonisotropic([0.5, 1.0])).value_at(x)
 
 
 # ---------------------------------------------------------------------------

@@ -137,17 +137,21 @@ def z_field_at(spec: ZFieldSpec, x: Point) -> HVector:
 # closed profiles
 # ---------------------------------------------------------------------------
 
+def _koranyi_profile_coeffs(Q: float, p: float, theta: float):
+    """(alpha, beta) = ((Q/(Q-2))^2, p theta (p theta - 2Q)/(Q-2)^2)."""
+    if Q <= 2:
+        raise ValueError("the profile needs Q > 2")
+    pt = p * theta
+    return (Q / (Q - 2.0)) ** 2, pt * (pt - 2.0 * Q) / (Q - 2.0) ** 2
+
+
 def z_profile_koranyi(Q: float, p: float, theta: float, lam) -> Array:
     """|Z_rho|^2 on the slice t = lam |z|^2:
 
     (1 + lam^2)^{-1/2} [ (Q/(Q-2))^2 + p theta (p theta - 2Q)/(Q-2)^2 * lam^2/(1+lam^2) ].
     """
-    if Q <= 2:
-        raise ValueError("the profile needs Q > 2")
+    alpha, beta = _koranyi_profile_coeffs(Q, p, theta)
     lam = np.asarray(lam, dtype=float)
-    pt = p * theta
-    alpha = (Q / (Q - 2.0)) ** 2
-    beta = pt * (pt - 2.0 * Q) / (Q - 2.0) ** 2
     s = lam**2 / (1.0 + lam**2)
     return (alpha + beta * s) / np.sqrt(1.0 + lam**2)
 
@@ -191,11 +195,7 @@ def koranyi_profile_max(Q: float, p: float, theta: float):
     Returns (sup of |Z|^2, argmax lam, branch) with branch "endpoint" or
     "interior".
     """
-    if Q <= 2:
-        raise ValueError("the profile needs Q > 2")
-    pt = p * theta
-    alpha = (Q / (Q - 2.0)) ** 2
-    beta = pt * (pt - 2.0 * Q) / (Q - 2.0) ** 2
+    alpha, beta = _koranyi_profile_coeffs(Q, p, theta)
     if beta > 0 and 2.0 * beta > alpha:
         s_star = (2.0 * beta - alpha) / (3.0 * beta)
         sup_sq = np.sqrt(1.0 - s_star) * (alpha + beta * s_star)
@@ -251,13 +251,7 @@ def symplectic_norm(g: StepTwoGroup, z) -> float:
     return float(np.sqrt(symplectic_norm_sq_arrays(g, np.asarray(z, float)[None])[0]))
 
 
-def _sobol_samples(dim: int, m: int, seed: int) -> Array:
-    sampler = qmc.Sobol(d=dim, scramble=False, seed=seed)
-    return sampler.random_base2(m)
-
-
-def _coordinate_refine(f, x0: Array, value0: float, width: float = 0.3,
-                       sweeps: int = 6):
+def _coordinate_refine(f, x0: Array, value0: float, width: float, sweeps: int):
     """Golden-section sweeps along coordinate axes around a candidate max."""
     x = np.array(x0, dtype=float)
     best = value0
@@ -275,56 +269,54 @@ def _coordinate_refine(f, x0: Array, value0: float, width: float = 0.3,
     return x, best
 
 
-def multistart_sup(spec: ZFieldSpec, m: int = 17, seed: int = 2024,
-                   box: float = 1.5, refine: bool = True) -> SupResult:
-    """Quasi-random lower bound for sup |Z_d| over the slice {d = 1}.
+def scan_unit_sphere(objective, norm: NormModel, m: int, width: float = 0.3,
+                     sweeps: int = 6):
+    """Quasi-random maximization of a dilation-invariant objective on {d = 1}.
 
-    Sobol samples (2^m points) in a box are projected to the unit gauge
-    sphere by dilation; |Z_d| is degree-zero homogeneous so the projection
-    only avoids ill-scaled points.  The best sample is polished by
-    golden-section sweeps along coordinates.  The result is an honest lower
-    bound of the supremum, never a certificate.
+    ``objective(z, t)`` is batched over rows.  The 2^m unscrambled Sobol
+    points of [-1.5, 1.5]^dim, less those with |z|^2 <= 1e-6, are dilated onto
+    the unit gauge sphere of ``norm``; the best one is polished by
+    golden-section sweeps along coordinates.  Returns (best value, (arg_z,
+    arg_t) on the sphere, objective at every sample).  The best value is a
+    sampled lower bound of the supremum, never a certificate.
     """
-    g = spec.group
-    dim = g.dim
-    pts = _sobol_samples(dim, m, seed)
-    pts = box * (2.0 * pts - 1.0)
-    z = pts[:, :2 * g.n]
-    t = pts[:, 2 * g.n:]
-    keep = np.sum(z * z, axis=1) > 1e-8
-    z, t = z[keep], t[keep]
-    d = spec.norm.value(z, t)
-    z = z / d[:, None]
-    t = t / d[:, None] ** 2
+    nz = 2 * norm.group.n
 
-    vals = np.linalg.norm(z_field_components(spec, z, t), axis=-1)
+    def to_sphere(z, t):
+        d = norm.value(z, t)
+        return z / d[:, None], t / d[:, None] ** 2
+
+    pts = 1.5 * (2.0 * qmc.Sobol(d=norm.group.dim, scramble=False).random_base2(m) - 1.0)
+    z, t = pts[:, :nz], pts[:, nz:]
+    keep = np.sum(z * z, axis=1) > 1e-6
+    z, t = to_sphere(z[keep], t[keep])
+    vals = objective(z, t)
     i = int(np.argmax(vals))
-    best_x = np.concatenate([z[i], t[i]])
-    best = float(vals[i])
 
-    if refine:
-        nz = 2 * g.n
+    def f(x):
+        zz, tt = x[:nz], x[nz:]
+        if zz @ zz < 1e-10:
+            return -np.inf
+        return float(objective(zz[None], tt[None])[0])
 
-        def f(x):
-            zz, tt = x[:nz], x[nz:]
-            if zz @ zz + tt @ tt < 1e-12:
-                return -np.inf
-            return float(np.linalg.norm(z_field_components(spec, zz[None], tt[None])[0]))
-
-        best_x, best = _coordinate_refine(f, best_x, best)
-
-    # report the argmax back on the unit gauge sphere
-    zz, tt = best_x[:2 * g.n], best_x[2 * g.n:]
-    dd = float(spec.norm.value(zz[None], tt[None])[0])
-    arg = (zz / dd, tt / dd**2)
-    return SupResult(best, arg, "multistart", samples=int(z.shape[0]))
+    x, best = _coordinate_refine(f, np.concatenate([z[i], t[i]]), float(vals[i]),
+                                 width, sweeps)
+    arg_z, arg_t = to_sphere(x[None, :nz], x[None, nz:])
+    return best, (arg_z[0], arg_t[0]), vals
 
 
-def sup_z_norm(spec: ZFieldSpec, scan_nodes: int = 10**4, seed: int = 2024) -> SupResult:
+def multistart_sup(spec: ZFieldSpec, m: int = 17) -> SupResult:
+    """Quasi-random lower bound for sup |Z_d| over the unit gauge sphere."""
+    best, arg, vals = scan_unit_sphere(
+        lambda z, t: np.linalg.norm(z_field_components(spec, z, t), axis=-1), spec.norm, m)
+    return SupResult(best, arg, "multistart", samples=int(vals.size))
+
+
+def sup_z_norm(spec: ZFieldSpec, scan_nodes: int = 10**4) -> SupResult:
     """sup |Z_d|, by closed profile, dense scan, or multistart sampling.
 
     * Koranyi on isotropic H^n (and its products under the nonpositivity
-      condition): closed one-parameter profile, confirmed by golden section.
+      condition): closed one-parameter profile.
     * generalized Koranyi (single vertical direction): the closed profile in
       the symplectic norm times the frame-equivalence factor 2/sqrt(lam_min),
       which is the constant entering the Hardy bound and dominates the
@@ -338,13 +330,6 @@ def sup_z_norm(spec: ZFieldSpec, scan_nodes: int = 10**4, seed: int = 2024) -> S
 
     if kind == "koranyi" and spec.variant == "single" and spec.group.is_isotropic_heisenberg():
         sup_sq, lam_star, _ = koranyi_profile_max(Q, p, theta)
-        pt = p * theta
-        alpha = (Q / (Q - 2.0)) ** 2
-        beta = pt * (pt - 2.0 * Q) / (Q - 2.0) ** 2
-        # golden section on the compactified variable s = lam^2/(1+lam^2)
-        _, val = golden_section_max(
-            lambda s: np.sqrt(1.0 - s) * (alpha + beta * s), 0.0, 1.0 - 1e-12)
-        sup_sq = max(sup_sq, alpha, float(val))
         return SupResult(float(np.sqrt(sup_sq)), lam_star, "closed_form")
 
     if kind == "koranyi_b" and spec.variant == "single":
@@ -360,6 +345,5 @@ def sup_z_norm(spec: ZFieldSpec, scan_nodes: int = 10**4, seed: int = 2024) -> S
         fn = spec.factor_blocks()
         if theta >= 0 and fn + 1 >= spec.ptheta / 4.0:
             return SupResult((fn + 1) / fn, 0.0, "closed_form")
-        return multistart_sup(spec, seed=seed)
 
-    return multistart_sup(spec, seed=seed)
+    return multistart_sup(spec)

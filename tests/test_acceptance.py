@@ -220,11 +220,10 @@ def test_criterion_10_products():
 
 def test_criterion_11_counterexample():
     t0 = time.time()
-    rep = counterexample_scan(p_theta=2.0, samples_log2=17, seed=2024)
+    rep = counterexample_scan(p_theta=2.0, samples_log2=17)
     assert rep.passed
     assert rep.values["max_excess"] > 1e-6
-    control = counterexample_scan(p_theta=2.0, samples_log2=17, seed=2024,
-                                  isotropic_control=True)
+    control = counterexample_scan(p_theta=2.0, samples_log2=17, isotropic_control=True)
     assert control.passed
     assert control.values["max_excess"] <= 1e-6
     elapsed = time.time() - t0

@@ -61,6 +61,15 @@ def test_bounds_product_reports_the_koranyi_gauge(capsys):
     ["verify", "sharpness", "--norm", "koranyi_b"],
     ["verify", "sharpness", "--group", "nonisotropic", "--lambdas", "1,2",
      "--norm", "koranyi_b"],
+    ["verify", "identity", "--group", "product"],
+    ["verify", "hardy", "--group", "product"],
+    ["verify", "sharpness", "--group", "product"],
+    ["verify", "sharpness", "--group", "nonisotropic", "--lambdas", "1,2",
+     "--norm", "koranyi"],
+    ["verify", "identity", "--n", "2"],
+    ["verify", "identity", "--group", "nonisotropic", "--lambdas", "1,2"],
+    ["verify", "hardy", "--group", "nonisotropic", "--lambdas", "1,2", "--norm", "koranyi_b"],
+    ["verify", "product", "--theta", "-1"],
 ])
 def test_unsupported_group_norm_pairs_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

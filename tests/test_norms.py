@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from carnot_hardy import (CCPolar, CenterError, Point, balogh_tyson,
-                          balogh_tyson_value, cc, cc_dt, cc_from_polar, cc_hgrad,
-                          cc_invert, cc_value, heisenberg, heisenberg_product,
-                          koranyi, koranyi_B_value, koranyi_b, koranyi_hgrad,
-                          koranyi_value, nonisotropic)
+from carnot_hardy import (CCPolar, CenterError, Point, balogh_tyson, cc,
+                          cc_from_polar, cc_invert, heisenberg, heisenberg_product,
+                          koranyi, koranyi_b, nonisotropic)
 from carnot_hardy.groups import hgrad_batch
 from carnot_hardy.norms import (cc_polar_arrays, equivalence_ratio_range,
                                 reconstruction_defect_arrays,
@@ -26,13 +24,14 @@ def rand_points(rng, g, n, scale=2.0):
 # ---------------------------------------------------------------------------
 
 def test_koranyi_values():
-    assert koranyi_value(Point([1.0, 0.0], 0.0)) == 1.0
-    assert koranyi_value(Point([0.0, 0.0], 1.0)) == 1.0
-    assert koranyi_value(Point([1.0, 0.0], 1.0)) == pytest.approx(2**0.25, rel=1e-15)
+    rho = koranyi(H1)
+    assert rho.value_at(Point([1.0, 0.0], 0.0)) == 1.0
+    assert rho.value_at(Point([0.0, 0.0], 1.0)) == 1.0
+    assert rho.value_at(Point([1.0, 0.0], 1.0)) == pytest.approx(2**0.25, rel=1e-15)
 
 
 def test_koranyi_hgrad_identities():
-    g1 = koranyi_hgrad(Point([1.0, 0.0], 0.0))
+    g1 = koranyi(H1).hgrad_at(Point([1.0, 0.0], 0.0))
     assert np.allclose(g1.components, [1.0, 0.0], atol=1e-14)
     # |grad rho|^2 = |z|^2 / rho^2 at random points
     rng = np.random.default_rng(10)
@@ -48,7 +47,7 @@ def test_koranyi_hgrad_identities():
 def test_koranyi_perp_pairing():
     # <z, perp grad rho> = |z|^2 t / rho^3, frozen at (1, 0, 1): 2^{-3/4}
     x = Point([1.0, 0.0], 1.0)
-    grad = koranyi_hgrad(x).components
+    grad = koranyi(H1).hgrad_at(x).components
     perp = np.array([-grad[1], grad[0]])
     assert float(x.z @ perp) == pytest.approx(2.0**-0.75, rel=1e-13)
     assert float(x.z @ perp) == pytest.approx(0.594604, abs=1e-6)
@@ -93,7 +92,7 @@ def test_koranyi_b_value_example():
     g = nonisotropic([1.0, 2.0])
     x = Point([2.0, 0.0, 0.0, 0.0], 0.0)
     # |z|_B^2 = (1/4) * 1 * 4 = 1
-    assert koranyi_B_value(g, x) == pytest.approx(1.0, rel=1e-15)
+    assert koranyi_b(g).value_at(x) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_koranyi_b_gradients_vs_fd():
@@ -147,7 +146,7 @@ def test_cc_value_near_the_pole():
     # t/|z|^2 = 1e14: the distance is continuous there, near sqrt(pi |t|)
     d = cc(H1).value(np.array([[1e-7, 0.0]]), np.array([[1.0]]))[0]
     assert abs(d - np.sqrt(np.pi)) <= 1e-6
-    assert cc_value(Point([0.0, 1e-7], -1.0)) == pytest.approx(d, rel=1e-12)
+    assert cc(H1).value_at(Point([0.0, 1e-7], -1.0)) == pytest.approx(d, rel=1e-12)
 
 
 def test_cc_beyond_float_resolution_of_the_pole():
@@ -219,15 +218,16 @@ def test_cc_round_trip():
 
 
 def test_cc_values():
-    assert cc_value(Point([1.0, 0.0], 0.0)) == pytest.approx(1.0, rel=1e-14)
-    assert cc_value(Point([0.0, 0.0], 1.0)) == pytest.approx(np.sqrt(np.pi), abs=1e-10)
-    assert cc_value(Point([0.0, 0.0], 0.0)) == 0.0
+    dcc = cc(H1)
+    assert dcc.value_at(Point([1.0, 0.0], 0.0)) == pytest.approx(1.0, rel=1e-14)
+    assert dcc.value_at(Point([0.0, 0.0], 1.0)) == pytest.approx(np.sqrt(np.pi), abs=1e-10)
+    assert dcc.value_at(Point([0.0, 0.0], 0.0)) == 0.0
     # homogeneity at random points
     rng = np.random.default_rng(16)
     for _ in range(50):
         x = Point(rng.normal(size=2), rng.normal(size=1))
-        five = cc_value(Point(5.0 * x.z, 25.0 * x.t))
-        assert five == pytest.approx(5.0 * cc_value(x), rel=1e-11)
+        five = dcc.value_at(Point(5.0 * x.z, 25.0 * x.t))
+        assert five == pytest.approx(5.0 * dcc.value_at(x), rel=1e-11)
 
 
 def test_cc_gradient_identities():
@@ -256,15 +256,16 @@ def test_cc_gradient_identities():
 
 
 def test_cc_dt_example():
-    assert cc_dt(Point([1.0, 0.0], np.pi / 2)) == pytest.approx(0.5, rel=1e-12)
-    assert cc_dt(Point([1.0, 0.0], 0.0)) == pytest.approx(0.0, abs=1e-14)
+    dcc = cc(H1)
+    assert dcc.dt_at(Point([1.0, 0.0], np.pi / 2))[0] == pytest.approx(0.5, rel=1e-12)
+    assert dcc.dt_at(Point([1.0, 0.0], 0.0))[0] == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(CenterError):
-        cc_hgrad(Point([0.0, 0.0], 1.0))
+        dcc.hgrad_at(Point([0.0, 0.0], 1.0))
 
 
 def test_cc_hgrad_at_nu_zero():
     # at (1,0,0): nu = 0, (a, b) = ((1), (0)), so the gradient is (1, 0)
-    g = cc_hgrad(Point([1.0, 0.0], 0.0))
+    g = cc(H1).hgrad_at(Point([1.0, 0.0], 0.0))
     assert np.allclose(g.components, [1.0, 0.0], atol=1e-12)
 
 
@@ -284,8 +285,9 @@ def test_cc_on_h2():
 
 def test_balogh_tyson_value():
     x = Point([0.0, 0.0, 1.0, 0.0], 0.0)
-    assert balogh_tyson_value(x) == pytest.approx(2.0**-0.125, rel=1e-14)
-    assert balogh_tyson_value(x) == pytest.approx(0.917004, abs=1e-6)
+    rho = balogh_tyson(nonisotropic([0.5, 1.0]))
+    assert rho.value_at(x) == pytest.approx(2.0**-0.125, rel=1e-14)
+    assert rho.value_at(x) == pytest.approx(0.917004, abs=1e-6)
 
 
 def test_balogh_tyson_positive_on_grid():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from carnot_hardy import (CCPolar, Point, ZFieldSpec, balogh_tyson, cc, cc_from_polar,
                           cc_invert, dilate, group_inverse, group_law, heisenberg,
                           heisenberg_product, koranyi, koranyi_b, nonisotropic)
+from carnot_hardy.bounds import bound_koranyi, koranyi_window
 from carnot_hardy.groups import fd_partials, hgrad_batch
 from carnot_hardy.zfield import z_field_components
 
@@ -145,12 +146,29 @@ def test_cc_invert_inverts_cc_from_polar(angle, nu, r):
     assume(abs(nu) > 1e-6)
     polar = CCPolar([np.cos(angle)], [np.sin(angle)], nu, r)
     back = cc_invert(cc_from_polar(polar))
-    # the forward chart forms nu - sin nu with an absolute rounding error of
-    # ~1e-16 |nu|, which the inversion (nu ~ 3 t/|z|^2) turns into ~1e-15/|nu|
-    assert abs(back.nu - nu) <= 1e-9 * abs(nu) + 2e-15 / abs(nu)
+    assert abs(back.nu - nu) <= 1e-9 * abs(nu)
     assert back.r == pytest.approx(r, rel=1e-12)
     assert np.allclose(back.a, polar.a, atol=1e-9)
     assert np.allclose(back.b, polar.b, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the Koranyi bound at its window edges
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(2.5, 40.0), st.floats(2.0, 8.0), st.sampled_from([0, 1]),
+       st.floats(-1e-9, 1e-9))
+def test_bound_koranyi_is_continuous_at_the_window_edges(Q, p, edge, offset):
+    # at p theta = (1 +- sqrt(3/2)) Q both branches equal 1.5^{p/2} ((Q-2)/p)^p
+    at_edge = 1.5 ** (p / 2.0) * ((Q - 2.0) / p) ** p
+    (inner, b_in), (outer, b_out) = (
+        bound_koranyi(Q, p, koranyi_window(Q)[edge] * (1.0 + o) / p)
+        for o in (-abs(offset), abs(offset)))
+    assert inner == pytest.approx(at_edge, rel=1e-7)
+    assert outer == pytest.approx(at_edge, rel=1e-7)
+    if abs(offset) > 1e-12:     # at the edge itself rounding picks the branch
+        assert (b_in, b_out) == ("first", "second")
 
 
 # ---------------------------------------------------------------------------
