@@ -45,14 +45,18 @@ def _parse_floats(text):
 
 
 def _make_group(args):
-    if args.group == "heisenberg":
-        return heisenberg(args.n)
-    if args.group == "nonisotropic":
-        if not args.lambdas:
-            raise UsageError("--lambdas is required for nonisotropic groups")
-        return nonisotropic(_parse_floats(args.lambdas))
-    if args.group == "product":
-        return heisenberg_product(args.n, args.N)
+    """The group named by --group, or a usage error for out-of-range sizes."""
+    if args.group == "nonisotropic" and not args.lambdas:
+        raise UsageError("--lambdas is required for nonisotropic groups")
+    try:
+        if args.group == "heisenberg":
+            return heisenberg(args.n)
+        if args.group == "nonisotropic":
+            return nonisotropic(_parse_floats(args.lambdas))
+        if args.group == "product":
+            return heisenberg_product(args.n, args.N)
+    except ValueError as exc:
+        raise UsageError(f"--group {args.group}: {exc}") from None
     raise UsageError(f"unknown group {args.group!r}")
 
 
@@ -63,6 +67,14 @@ def _make_norm(kind, group, args):
     except ValueError as exc:
         raise UsageError(f"--norm {kind} is not available on --group {args.group}: "
                          f"{exc}") from None
+
+
+def _make_spec(group, norm, p, theta, variant="single"):
+    """The Z-field of (group, norm, p, theta), or a usage error for --p < 2."""
+    try:
+        return ZFieldSpec(group, norm, p, theta, variant=variant)
+    except ValueError as exc:
+        raise UsageError(f"--p {p:g} --theta {theta:g}: {exc}") from None
 
 
 def _theta_grid(args, Q):
@@ -162,11 +174,11 @@ def cmd_bounds(args) -> int:
                     branch = "product"
                 except ValueError:
                     value, branch = float("nan"), "condition_failed"
-                spec = ZFieldSpec(group, make_norm(kind, group), p, theta,
+                spec = _make_spec(group, make_norm(kind, group), p, theta,
                                   variant="product")
                 sup = sup_z_norm(spec)
             else:
-                spec = ZFieldSpec(group, _make_norm(kind, group, args), p, theta)
+                spec = _make_spec(group, _make_norm(kind, group, args), p, theta)
                 sup = sup_z_norm(spec)
                 if kind == "koranyi":
                     value, branch = bound_koranyi(Q, p, theta)
@@ -196,19 +208,24 @@ def cmd_supz(args) -> int:
     Q = float(args.Q)
     p, theta = args.p, args.theta if args.theta is not None else 1.0
     theta = float(theta)
-    if args.norm == "cc":
-        xs = np.linspace(-2 * np.pi, 2 * np.pi, args.nodes)
-        ys = g_cc(Q, p, theta, xs)
-        xname = "nu"
-        sup_sq, arg = cc_profile_max(Q, p, theta)
-        method = "scan_golden"
-    else:
-        psi = np.linspace(-np.pi / 2 * (1 - 1e-9), np.pi / 2 * (1 - 1e-9), args.nodes)
-        xs = np.tan(psi)
-        ys = z_profile_koranyi(Q, p, theta, xs)
-        xname = "lambda"
-        sup_sq, arg, _ = koranyi_profile_max(Q, p, theta)
-        method = "closed_form"
+    if args.nodes < 2:
+        raise UsageError(f"--nodes {args.nodes}: the profile needs at least 2 nodes")
+    try:
+        if args.norm == "cc":
+            xs = np.linspace(-2 * np.pi, 2 * np.pi, args.nodes)
+            ys = g_cc(Q, p, theta, xs)
+            xname = "nu"
+            sup_sq, arg = cc_profile_max(Q, p, theta)
+            method = "scan_golden"
+        else:
+            psi = np.linspace(-np.pi / 2 * (1 - 1e-9), np.pi / 2 * (1 - 1e-9), args.nodes)
+            xs = np.tan(psi)
+            ys = z_profile_koranyi(Q, p, theta, xs)
+            xname = "lambda"
+            sup_sq, arg, _ = koranyi_profile_max(Q, p, theta)
+            method = "closed_form"
+    except ValueError as exc:
+        raise UsageError(f"--Q {Q:g}: {exc}") from None
     i = int(np.argmax(ys))
     if args.format == "csv":
         lines = [f"# sup_sq={sup_sq!r} arg={arg!r} method={method}",
@@ -240,6 +257,13 @@ def _quad_from_args(args, support):
 
 def _check_verify_args(args, group):
     """Usage errors for configurations that no verify check covers."""
+    # the grid error is estimated against a grid of half the nodes, floored at
+    # 8: from 16 nodes on the two grids differ
+    for flag, value, least in (("--bumps", args.bumps, 1), ("--nodes", args.nodes, 16),
+                               ("--samples", args.samples, 1),
+                               ("--samples-log2", args.samples_log2, 0)):
+        if value < least:
+            raise UsageError(f"{flag} {value}: must be at least {least}")
     if args.check in ("identity", "hardy", "sharpness"):
         if group.h != 1:
             raise UsageError(f"--group {args.group} has {group.h} vertical directions; "
@@ -251,6 +275,8 @@ def _check_verify_args(args, group):
                              f"tensor grid of verify {args.check} needs one{hint}")
     if args.check == "product" and args.theta_value < 0:
         raise UsageError(f"--theta {args.theta_value:g}: verify product needs theta >= 0")
+    if args.check == "product" and args.p < 2:
+        raise UsageError(f"--p {args.p:g}: verify product needs p >= 2")
 
 
 def cmd_verify(args) -> int:
@@ -259,13 +285,13 @@ def cmd_verify(args) -> int:
     reports = []
     if args.check == "identity":
         norm = _make_norm(args.norm, group, args)
-        spec = ZFieldSpec(group, norm, args.p, args.theta_value)
+        spec = _make_spec(group, norm, args.p, args.theta_value)
         u = radial_bump(group, modulation=0.25 if group.h == 1 else 0.0)
         reports.append(check_ibp_identity(spec, u, _quad_from_args(args, u.support)))
     elif args.check == "hardy":
         rng = np.random.default_rng(args.seed)
         norm = _make_norm(args.norm, group, args)
-        spec = ZFieldSpec(group, norm, args.p, args.theta_value)
+        spec = _make_spec(group, norm, args.p, args.theta_value)
         target = abs((group.Q - args.p * args.theta_value) / args.p) ** args.p
         worst = np.inf
         for _ in range(args.bumps):
@@ -281,7 +307,7 @@ def cmd_verify(args) -> int:
             raise UsageError(f"--norm {args.norm} is not available for verify sharpness: "
                              "the cut-off family is computed for the koranyi or cc gauges")
         norm = _make_norm(args.norm, group, args)
-        spec = ZFieldSpec(group, norm, args.p, args.theta_value)
+        spec = _make_spec(group, norm, args.p, args.theta_value)
         eps = _parse_floats(args.eps)
         pts = sharpness_sequence(spec, eps, QuadratureSpec(n_sigma=args.nodes))
         target = abs((group.Q - args.p * args.theta_value) / args.p) ** args.p

@@ -499,7 +499,7 @@ def equivalence_ratio_range(norm_a: NormModel, norm_b: NormModel,
     g = norm_a.group
     z = rng.normal(size=(n_samples, 2 * g.n))
     t = rng.normal(size=(n_samples, g.h))
-    rho = (np.sum(z * z, -1)**2 + np.sum(t * t, -1)) ** 0.25
+    rho = koranyi(g).value(z, t)
     z /= rho[:, None]
     t /= rho[:, None] ** 2
     ratio = norm_a.value(z, t) / norm_b.value(z, t)

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad as _adaptive_quad
 
 from ..groups import (Array, CenterError, Point, StepTwoGroup, heisenberg,
                       heisenberg_product, hgrad_batch, nonisotropic)
@@ -47,14 +46,15 @@ def _w_sq(p: float, f: float, g: float) -> float:
     The integrand has a |.|^{p-2} kink where s g + (1-s) f crosses zero;
     handing that point to the subdivision keeps the estimate at ~1e-13.
     """
+    from scipy.integrate import quad  # here, to keep scipy off the import path
+
     kink = None
     if f != g:
         s0 = f / (f - g)
         if 0.0 < s0 < 1.0:
             kink = [s0]
-    val, _ = _adaptive_quad(lambda s: s * abs(s * g + (1.0 - s) * f) ** (p - 2.0),
-                            0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200,
-                            points=kink)
+    val, _ = quad(lambda s: s * abs(s * g + (1.0 - s) * f) ** (p - 2.0),
+                  0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200, points=kink)
     return p * (p - 1.0) * val
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .groups import Array, HVector, Point, StepTwoGroup
 from .norms import NormModel, symplectic_norm_sq_arrays
@@ -280,6 +279,9 @@ def scan_unit_sphere(objective, norm: NormModel, m: int, width: float = 0.3,
     arg_t) on the sphere, objective at every sample).  The best value is a
     sampled lower bound of the supremum, never a certificate.
     """
+    # scipy.stats costs about a second to import; only the scans need it
+    from scipy.stats import qmc
+
     nz = 2 * norm.group.n
 
     def to_sphere(z, t):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,12 +76,49 @@ def test_bounds_product_reports_the_koranyi_gauge(capsys):
     ["verify", "product", "--theta", "-1"],
 ])
 def test_unsupported_group_norm_pairs_are_usage_errors(argv, capsys):
+    assert_usage_error(argv, capsys)
+
+
+def assert_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: --" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--p", "1"],
+    ["bounds", "--group", "product", "--p", "1"],
+    ["bounds", "--n", "0"],
+    ["bounds", "--group", "product", "--N", "0"],
+    ["bounds", "--group", "nonisotropic", "--lambdas=-1,2"],
+    ["verify", "identity", "--p", "1"],
+    ["verify", "product", "--n", "0"],
+    ["verify", "product", "--p", "1"],
+    ["supz", "--Q", "2"],
+    ["supz", "--norm", "cc", "--Q", "2"],
+])
+def test_out_of_range_numbers_are_usage_errors(argv, capsys):
+    assert_usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "hardy", "--bumps", "0"],
+    ["verify", "identity", "--nodes", "0"],
+    ["verify", "identity", "--nodes", "15"],
+    ["verify", "sharpness", "--nodes", "8"],
+    ["verify", "product", "--samples", "0"],
+    ["verify", "identity", "--quad-method", "monte_carlo", "--samples", "0"],
+    ["verify", "counterexample", "--samples-log2", "-1"],
+    ["supz", "--nodes", "0"],
+    ["supz", "--nodes", "1"],
+])
+def test_degenerate_counts_are_usage_errors(argv, capsys):
+    # left through, each of these would check nothing and pass, report a grid
+    # error from two identical grids, or end in a traceback
+    assert_usage_error(argv, capsys)
 
 
 def test_bounds_theta_grid_default(capsys):
@@ -178,3 +219,48 @@ def test_cc_command(capsys):
 def test_cc_rejects_origin():
     with pytest.raises(SystemExit):
         cli.main(["cc", "--point", "0,0,0"])
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports the package from src."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_package_and_readme_commands_do_not_import_scipy():
+    # scipy.stats takes about a second to import; only the Sobol scans and the
+    # p != 2 weight identity load scipy, on first use
+    proc = run_fresh("""
+import contextlib, io, sys
+import carnot_hardy, carnot_hardy.verify, carnot_hardy.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert scipy_modules() == [], scipy_modules()
+for argv in (["bounds", "--group", "heisenberg", "--n", "1", "--norm", "all",
+              "--p", "2", "--theta", "1"],
+             ["supz", "--norm", "cc"],
+             ["cc", "--point", "1,0,0.5"],
+             ["verify", "identity"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert carnot_hardy.cli.main(argv) == 0, argv
+    assert scipy_modules() == [], (argv, scipy_modules())
+""")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scan_loads_scipy_on_first_use():
+    proc = run_fresh("""
+import contextlib, io, json, sys
+from carnot_hardy import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["verify", "counterexample", "--samples-log2", "10"])
+assert code == 0, out.getvalue()
+assert all(r["passed"] for r in json.loads(out.getvalue())["results"])
+assert "scipy.stats" in sys.modules
+""")
+    assert proc.returncode == 0, proc.stderr
