@@ -208,6 +208,8 @@ def cmd_supz(args) -> int:
     Q = float(args.Q)
     p, theta = args.p, args.theta if args.theta is not None else 1.0
     theta = float(theta)
+    if p < 2:
+        raise UsageError(f"--p {p:g}: the profiles are stated for p >= 2, as the bounds are")
     if args.nodes < 2:
         raise UsageError(f"--nodes {args.nodes}: the profile needs at least 2 nodes")
     try:
@@ -256,7 +258,9 @@ def _quad_from_args(args, support):
 
 
 def _check_verify_args(args, group):
-    """Usage errors for configurations that no verify check covers."""
+    """Usage errors for configurations that no verify check covers; group is
+    the --group of identity, hardy and sharpness, and None for the checks
+    that build their own."""
     # the grid error is estimated against a grid of half the nodes, floored at
     # 8: from 16 nodes on the two grids differ
     for flag, value, least in (("--bumps", args.bumps, 1), ("--nodes", args.nodes, 16),
@@ -264,7 +268,7 @@ def _check_verify_args(args, group):
                                ("--samples-log2", args.samples_log2, 0)):
         if value < least:
             raise UsageError(f"{flag} {value}: must be at least {least}")
-    if args.check in ("identity", "hardy", "sharpness"):
+    if group is not None:
         if group.h != 1:
             raise UsageError(f"--group {args.group} has {group.h} vertical directions; "
                              f"verify {args.check} needs one (see verify product)")
@@ -273,14 +277,20 @@ def _check_verify_args(args, group):
             hint = "" if args.check == "sharpness" else "; try --quad-method monte_carlo"
             raise UsageError(f"--group {args.group} has {group.n} horizontal blocks; the "
                              f"tensor grid of verify {args.check} needs one{hint}")
-    if args.check == "product" and args.theta_value < 0:
-        raise UsageError(f"--theta {args.theta_value:g}: verify product needs theta >= 0")
-    if args.check == "product" and args.p < 2:
-        raise UsageError(f"--p {args.p:g}: verify product needs p >= 2")
+    if args.check == "product":
+        if args.n < 1 or args.N < 1:
+            raise UsageError(f"--n {args.n} --N {args.N}: verify product scans (H^n)^N "
+                             "and needs n >= 1 and N >= 1")
+        if args.theta_value < 0:
+            raise UsageError(f"--theta {args.theta_value:g}: verify product needs theta >= 0")
+        if args.p < 2:
+            raise UsageError(f"--p {args.p:g}: verify product needs p >= 2")
 
 
 def cmd_verify(args) -> int:
-    group = _make_group(args)
+    # counterexample and product build their own groups and ignore --group
+    uses_group = args.check in ("identity", "hardy", "sharpness")
+    group = _make_group(args) if uses_group else None
     _check_verify_args(args, group)
     reports = []
     if args.check == "identity":

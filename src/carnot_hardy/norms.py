@@ -140,6 +140,32 @@ def _half_angle_ratios(nu: Array):
     return inv_sinc, cot
 
 
+def _cc_slope(m: Array):
+    """(nu, (nu/2)/sin(nu/2), (nu/2)/tan(nu/2)) at the slope m = t/|z|^2,
+    on which the cc polar angle alone depends."""
+    delta = np.empty(np.shape(m))
+    nu = solve_mu_inverse(m, delta=delta)
+    inv_sinc, cot = _half_angle_ratios(nu)
+    pole = ~np.isnan(delta)
+    if np.any(pole):
+        # at the pole take sin(nu/2) = sin(delta/2) and cos(nu/2) = -cos(delta/2)
+        # from delta = 2pi - |nu|, which a float64 nu cannot carry there
+        x_abs = 0.5 * np.abs(nu[pole])
+        inv_sinc[pole] = x_abs / np.sin(0.5 * delta[pole])
+        cot[pole] = -x_abs / np.tan(0.5 * delta[pole])
+    return nu, inv_sinc, cot
+
+
+def _cc_frame_grad(nu: Array, a: Array, b: Array) -> Array:
+    """Frame components of grad delta_cc from the polar data."""
+    s = np.sin(nu)[..., None]
+    c = np.cos(nu)[..., None]
+    g = np.empty(a.shape[:-1] + (2 * a.shape[-1],))
+    g[..., 0::2] = b * s + a * c
+    g[..., 1::2] = b * c - a * s
+    return g
+
+
 def cc_polar_arrays(z: Array, t: Array):
     """Vectorized polar data (nu, r, a, b) for off-center points of H^n.
 
@@ -150,16 +176,7 @@ def cc_polar_arrays(z: Array, t: Array):
     zn2 = np.sum(z * z, axis=-1)
     if np.any(zn2 == 0.0):
         raise CenterError("polar inversion is undefined on the center {z = 0}")
-    delta = np.empty(zn2.shape)
-    nu = solve_mu_inverse(t / zn2, delta=delta)
-    inv_sinc, cot = _half_angle_ratios(nu)
-    pole = ~np.isnan(delta)
-    if np.any(pole):
-        # at the pole take sin(nu/2) = sin(delta/2) and cos(nu/2) = -cos(delta/2)
-        # from delta = 2pi - |nu|, which a float64 nu cannot carry there
-        x_abs = 0.5 * np.abs(nu[pole])
-        inv_sinc[pole] = x_abs / np.sin(0.5 * delta[pole])
-        cot[pole] = -x_abs / np.tan(0.5 * delta[pole])
+    nu, inv_sinc, cot = _cc_slope(t / zn2)
     r = np.sqrt(zn2) * inv_sinc
     x = 0.5 * nu
     a = (cot[..., None] * z[..., 0::2] - x[..., None] * z[..., 1::2]) / r[..., None]
@@ -185,13 +202,8 @@ def cc_value_arrays(z: Array, t: Array) -> Array:
 
 def cc_hgrad_arrays(z: Array, t: Array) -> Array:
     """Frame components of grad delta_cc; unit horizontal norm off the center."""
-    nu, r, a, b = cc_polar_arrays(z, t)
-    s = np.sin(nu)[..., None]
-    c = np.cos(nu)[..., None]
-    g = np.empty_like(np.asarray(z, dtype=float))
-    g[..., 0::2] = b * s + a * c
-    g[..., 1::2] = b * c - a * s
-    return g
+    nu, _, a, b = cc_polar_arrays(z, t)
+    return _cc_frame_grad(nu, a, b)
 
 
 def cc_dt_arrays(z: Array, t: Array) -> Array:
@@ -210,6 +222,10 @@ class NormModel:
 
     ``value(z, t) -> (...)``; ``hgrad(z, t) -> (..., 2n)`` in the X-frame;
     ``dt(z, t) -> (..., h)``.  Every gauge here carries closed derivatives.
+    ``jet(nodes, derivs=True) -> (value, hgrad)`` evaluates both from one
+    pass over a quadrature node record (flat ``z``, ``t`` and, on phi-chart
+    chunks of H^1, the radius table ``sigma`` and the slope table ``lam``; see
+    ``verify.quadrature.Nodes``); ``hgrad`` is None when derivs is False.
 
     rotation_invariant records whether <z, B^{-1} grad_z d> = 0, the
     hypothesis under which the sharp constant is attained.
@@ -220,6 +236,7 @@ class NormModel:
     value: Callable[[Array, Array], Array]
     hgrad: Callable[[Array, Array], Array]
     dt: Callable[[Array, Array], Array]
+    jet: Callable
     rotation_invariant: bool = True
 
     def value_at(self, x: Point) -> float:
@@ -241,6 +258,14 @@ class NormModel:
         return ScalarField(self.value, self.hgrad, self.dt)
 
 
+def _plain_jet(value: Callable, hgrad: Callable) -> Callable:
+    """A gauge jet that reads the coordinates only."""
+    def jet(nodes, derivs=True):
+        return (value(nodes.z, nodes.t),
+                hgrad(nodes.z, nodes.t) if derivs else None)
+    return jet
+
+
 def koranyi(group: StepTwoGroup) -> NormModel:
     """rho = (|z|^4 + |t|^2)^{1/4} with closed frame gradient.
 
@@ -254,22 +279,38 @@ def koranyi(group: StepTwoGroup) -> NormModel:
         tn2 = np.sum(np.asarray(t, float)**2, axis=-1)
         return (zn2**2 + tn2) ** 0.25
 
-    def hgrad(z, t):
+    def frame_grad(z, t, rho):
         z = np.asarray(z, float)
         t = np.asarray(t, float)
         zn2 = np.sum(z * z, axis=-1)
-        rho3 = value(z, t) ** 3
+        rho3 = rho ** 3
         lt4 = (t @ L) / 4.0                      # (..., n): sum_j lam^(j)_i t_j / 4
         g = np.empty_like(z)
         g[..., 0::2] = (zn2[..., None] * z[..., 0::2] + z[..., 1::2] * lt4) / rho3[..., None]
         g[..., 1::2] = (zn2[..., None] * z[..., 1::2] - z[..., 0::2] * lt4) / rho3[..., None]
         return g
 
+    def hgrad(z, t):
+        return frame_grad(z, t, value(z, t))
+
     def dt(z, t):
         t = np.asarray(t, float)
         return t / (2.0 * value(z, t)[..., None] ** 3)
 
-    return NormModel("koranyi", group, value, hgrad, dt, rotation_invariant=True)
+    # on the phi chart (H^1) rho = sigma, |z|^2 = sigma^2 c and t = lam sigma^2 c
+    # with c = (1 + lam^2)^{-1/2}, so with k = L/4 the frame gradient is
+    # (c/sigma) (z_1 + k lam z_2, z_2 - k lam z_1)
+    def jet(nodes, derivs=True):
+        if nodes.sigma is None:
+            rho = value(nodes.z, nodes.t)
+            return rho, (frame_grad(nodes.z, nodes.t, rho) if derivs else None)
+        rho = nodes.spread(nodes.radii)
+        if not derivs:
+            return rho, None
+        c_sig = 1.0 / np.sqrt(1.0 + nodes.lam**2) / nodes.radii
+        return rho, nodes.frame(c_sig, c_sig * (nodes.lam * L[0, 0] / 4.0))
+
+    return NormModel("koranyi", group, value, hgrad, dt, jet, rotation_invariant=True)
 
 
 def symplectic_norm_sq_arrays(group: StepTwoGroup, z: Array) -> Array:
@@ -304,7 +345,8 @@ def koranyi_b(group: StepTwoGroup) -> NormModel:
         t = np.asarray(t, float)
         return t / (2.0 * value(z, t)[..., None] ** 3)
 
-    return NormModel("koranyi_b", group, value, hgrad, dt, rotation_invariant=True)
+    return NormModel("koranyi_b", group, value, hgrad, dt, _plain_jet(value, hgrad),
+                     rotation_invariant=True)
 
 
 def cc(group: StepTwoGroup) -> NormModel:
@@ -321,7 +363,26 @@ def cc(group: StepTwoGroup) -> NormModel:
     def dt(z, t):
         return cc_dt_arrays(z, np.asarray(t, float)[..., 0])[..., None]
 
-    return NormModel("cc", group, value, hgrad, dt, rotation_invariant=True)
+    # the polar angle depends on the slope lam = t/|z|^2 alone, and on the
+    # phi chart |z| = sigma (1 + lam^2)^{-1/4}: the inversion runs on the lam
+    # table, r = sigma q(lam), and with x = nu/2 and z^perp = (z_2, -z_1) the
+    # gradient is (z (x sin nu + cot cos nu) + z^perp (cot sin nu - x cos nu)) / r
+    def jet(nodes, derivs=True):
+        if nodes.sigma is None:
+            if not derivs:
+                return value(nodes.z, nodes.t), None
+            nu, r, a, b = cc_polar_arrays(nodes.z, np.asarray(nodes.t, float)[..., 0])
+            return r, _cc_frame_grad(nu, a, b)
+        nu, inv_sinc, cot = _cc_slope(nodes.lam)
+        q = (1.0 + nodes.lam**2) ** -0.25 * inv_sinc
+        r = nodes.spread(nodes.radii * q)
+        if not derivs:
+            return r, None
+        x, s, c = 0.5 * nu, np.sin(nu), np.cos(nu)
+        qs = q * nodes.radii
+        return r, nodes.frame((x * s + cot * c) / qs, (cot * s - x * c) / qs)
+
+    return NormModel("cc", group, value, hgrad, dt, jet, rotation_invariant=True)
 
 
 def balogh_tyson(group: StepTwoGroup) -> NormModel:
@@ -375,7 +436,8 @@ def balogh_tyson(group: StepTwoGroup) -> NormModel:
         _, rho, _, lt = log_partials(z, t)
         return (rho * lt)[..., None]
 
-    return NormModel("balogh_tyson", group, value, hgrad, dt, rotation_invariant=True)
+    return NormModel("balogh_tyson", group, value, hgrad, dt, _plain_jet(value, hgrad),
+                     rotation_invariant=True)
 
 
 def make_norm(kind: str, group: StepTwoGroup) -> NormModel:

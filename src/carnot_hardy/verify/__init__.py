@@ -1,6 +1,6 @@
 """Numerical verification: quadrature, test functions, and identity checks."""
 
-from .quadrature import IntegralResult, QuadratureSpec, integrate, integrate_many
+from .quadrature import IntegralResult, Nodes, QuadratureSpec, integrate, integrate_many
 from .testfuncs import (BumpProfile, TestFunction, extremal_power, g_cutoff,
                         g_cutoff_d, radial_bump, random_bump, sharpness_function,
                         smoothstep, smoothstep_d)
@@ -10,7 +10,7 @@ from .checks import (Report, SharpnessPoint, check_ibp_identity, check_w_identit
                      sharpness_sequence, weak_divergence_defect)
 
 __all__ = [
-    "IntegralResult", "QuadratureSpec", "integrate", "integrate_many",
+    "IntegralResult", "Nodes", "QuadratureSpec", "integrate", "integrate_many",
     "BumpProfile", "TestFunction", "extremal_power", "g_cutoff", "g_cutoff_d",
     "radial_bump", "random_bump", "sharpness_function", "smoothstep", "smoothstep_d",
     "Report", "SharpnessPoint", "check_ibp_identity", "check_w_identity",

@@ -116,11 +116,11 @@ def check_ibp_identity(spec: ZFieldSpec, u: TestFunction,
     Q = float(spec.group.Q)
     norm = spec.norm
 
-    def integrands(z, t):
-        d = norm.value(z, t)          # the spec's gauge, not the bump's own rho
-        v, gu, eu = u.jet(z, t)
+    def integrands(nodes):
+        v, gu, eu = u.jet(nodes)
+        d, g = norm.jet(nodes)        # the spec's gauge, not the bump's own rho
         sv = _sgn_pow(v, p)
-        pair = np.sum(gu * z_field_components(spec, z, t), axis=-1)
+        pair = np.sum(gu * z_field_components(spec, nodes.z, nodes.t, d, g), axis=-1)
         d_pt = d**pt
         return np.stack([sv * pair / d ** (pt - 1.0), sv * eu / d_pt,
                          np.abs(v) ** p / d_pt])
@@ -170,11 +170,12 @@ def _quotient_integrands(spec: ZFieldSpec, u: TestFunction, projected: bool):
     p, theta = spec.p, spec.theta
     norm = spec.norm
 
-    def integrands(z, t):
-        d = norm.value(z, t)
-        v, gu, _ = u.jet(z, t)
+    def integrands(nodes):
+        v, gu, _ = u.jet(nodes)
+        d, g = norm.jet(nodes, derivs=projected)
         if projected:
-            top = np.abs(np.sum(gu * z_field_components(spec, z, t), axis=-1)) ** p
+            zc = z_field_components(spec, nodes.z, nodes.t, d, g)
+            top = np.abs(np.sum(gu * zc, axis=-1)) ** p
         else:
             top = np.sum(gu * gu, axis=-1) ** (p / 2.0)
         return np.stack([top / d ** (p * (theta - 1.0)), np.abs(v) ** p / d ** (p * theta)])
@@ -341,11 +342,11 @@ def product_check(n: int, N: int, p: float, theta: float,
         u = radial_bump(group)
         pt = p * theta
 
-        def sides(zz, tt):
-            d = norm.value(zz, tt)
-            v, gu, eu = u.jet(zz, tt)
+        def sides(nodes):
+            v, gu, eu = u.jet(nodes)
+            d, g = norm.jet(nodes)
             sv = _sgn_pow(v, p)
-            pair = np.sum(gu * z_field_components(spec, zz, tt), axis=-1)
+            pair = np.sum(gu * z_field_components(spec, nodes.z, nodes.t, d, g), axis=-1)
             return np.stack([sv * eu / d**pt, sv * pair / d ** (pt - 1.0)])
 
         R2 = u.support[1]
@@ -383,11 +384,10 @@ def weak_divergence_defect(norm: NormModel, p_theta: float, phi: TestFunction,
     nblocks = group.n
     lam2 = np.repeat(group.lambdas, 2)
 
-    def sides(z, t):
-        z = np.asarray(z, float)
-        d = norm.value(z, t)
-        g = norm.hgrad(z, t)
-        v, gphi, _ = phi.jet(z, t)
+    def sides(nodes):
+        z, t = np.asarray(nodes.z, float), nodes.t
+        v, gphi, _ = phi.jet(nodes)
+        d, g = norm.jet(nodes)
         zdotg = np.sum(z * g, axis=-1)
         if which == "i":
             t1 = np.asarray(t, float)[..., 0]
@@ -411,9 +411,9 @@ def euler_adjoint_defect(group: StepTwoGroup, u: TestFunction, v: TestFunction,
     quad = quad or QuadratureSpec(
         sigma_range=(min(u.support[0], v.support[0]), max(u.support[1], v.support[1])))
 
-    def products(z, t):
-        uv, _, ue = u.jet(z, t)
-        vv, _, ve = v.jet(z, t)
+    def products(nodes):
+        uv, _, ue = u.jet(nodes)
+        vv, _, ve = v.jet(nodes)
         return np.stack([ue * vv, uv * ve, uv * vv])
 
     r1, r2, r3 = integrate_many(group, [products], quad)

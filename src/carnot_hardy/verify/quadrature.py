@@ -9,7 +9,10 @@ Two charts are supported:
   uses Gauss-Legendre in sigma = |omega|, a uniform circle rule in the
   angle, and either graded Gauss panels in psi = arctan(lam) (whole line) or
   log-spaced panels in log(lam) when a positive lambda window is requested
-  (the cut-off family of the sharpness test lives on such windows).
+  (the cut-off family of the sharpness test lives on such windows).  Its
+  1-D tables are built once per resolution, and integrands receive them
+  with each chunk of whole sigma slabs (see ``Nodes``), so that a function
+  of the radius or of lam = t/|z|^2 alone is evaluated on its table.
 
 * ``ambient`` - a plain tensor Gauss grid on a coordinate box, as a cross
   check of the chart above.
@@ -22,12 +25,13 @@ order-deterministic accumulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ..groups import StepTwoGroup
+from ..groups import Array, StepTwoGroup
 
 LOG2 = float(np.log(2.0))
 
@@ -73,8 +77,17 @@ class IntegralResult:
     method: str
 
 
-def _gauss_on(a: float, b: float, n: int):
+@lru_cache(maxsize=None)
+def _legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per count."""
     x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_on(a: float, b: float, n: int):
+    x, w = _legendre(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -118,34 +131,71 @@ def _log_lambda(lo: float, hi: float, nodes: int):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def phi_polar_nodes(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool = False):
-    """Tensor nodes (z, t, w) of the phi chart for H^1."""
-    if group.h != 1 or group.n != 1:
-        raise ValueError("the phi_polar tensor grid is implemented for H^1")
-    shrink = 2 if coarse else 1
-    slo, shi = quad.sigma_range
-    sig, wsig = _gauss_on(slo, shi, max(quad.n_sigma // shrink, 8))
-    nang = max(quad.n_angle // shrink, 4)
-    ang = (np.arange(nang) + 0.5) * 2.0 * np.pi / nang
-    wang = np.full(nang, 2.0 * np.pi / nang)
+class ChartTables(NamedTuple):
+    """The 1-D rules of the phi chart: gauge radius, circle angle and slope
+    lam = t/|z|^2, each with its weight (the slope weight carries the chart's
+    (1 + lam^2)^{-1} factor)."""
 
-    if quad.lambda_range is None:
-        psi, wpsi = _graded_psi(quad.psi_levels, max(quad.psi_nodes // shrink, 4))
+    sigma: Array
+    w_sigma: Array
+    cos: Array
+    sin: Array
+    w_angle: Array
+    lam: Array
+    w_lam: Array
+
+
+@lru_cache(maxsize=64)
+def _chart_tables(sigma_range: tuple, n_sigma: int, n_angle: int, lam_rule: tuple):
+    sig, wsig = _gauss_on(*sigma_range, n_sigma)
+    ang = (np.arange(n_angle) + 0.5) * 2.0 * np.pi / n_angle
+    wang = np.full(n_angle, 2.0 * np.pi / n_angle)
+    if lam_rule[0] == "psi":
+        psi, wpsi = _graded_psi(*lam_rule[1:])
         lam = np.tan(psi)
         # measure (1+lam^2)^{-1} dlam = dpsi for n = 1
         wlam = wpsi
     else:
-        v, wv = _log_lambda(*quad.lambda_range, max(quad.log_nodes // shrink, 4))
+        v, wv = _log_lambda(*lam_rule[1:])
         lam = np.exp(v)
         wlam = lam / (1.0 + lam**2) * wv
+    tables = ChartTables(sig, wsig, np.cos(ang), np.sin(ang), wang, lam, wlam)
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
 
-    S, A, L = np.meshgrid(sig, ang, lam, indexing="ij")
-    WS, WA, WL = np.meshgrid(wsig, wang, wlam, indexing="ij")
-    clam = 1.0 / np.sqrt(1.0 + L**2)
-    z = np.stack([S * np.cos(A), S * np.sin(A)], axis=-1) * np.sqrt(clam)[..., None]
-    t = (L * S**2 * clam)[..., None]
-    w = S**3 * WS * WA * WL
-    return z.reshape(-1, 2), t.reshape(-1, 1), w.reshape(-1)
+
+def chart_tables(quad: QuadratureSpec, coarse: bool = False) -> ChartTables:
+    """The phi chart's 1-D tables at the resolution of quad (or of its coarse
+    companion grid, with half the nodes); built once per resolution."""
+    shrink = 2 if coarse else 1
+    if quad.lambda_range is None:
+        lam_rule = ("psi", quad.psi_levels, max(quad.psi_nodes // shrink, 4))
+    else:
+        lam_rule = ("log", *map(float, quad.lambda_range),
+                    max(quad.log_nodes // shrink, 4))
+    return _chart_tables(tuple(map(float, quad.sigma_range)),
+                         max(quad.n_sigma // shrink, 8),
+                         max(quad.n_angle // shrink, 4), lam_rule)
+
+
+def phi_polar_nodes(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool = False):
+    """Tensor nodes (z, t, w) of the phi chart for H^1, laid out
+    (sigma, angle, lam) in C order."""
+    if group.h != 1 or group.n != 1:
+        raise ValueError("the phi_polar tensor grid is implemented for H^1")
+    tab = chart_tables(quad, coarse)
+    sig = tab.sigma[:, None, None]
+    lam = tab.lam[None, None, :]
+    clam = 1.0 / np.sqrt(1.0 + lam**2)
+    rz = np.sqrt(clam)
+    shape = (tab.sigma.size, tab.cos.size, tab.lam.size)
+    z = np.empty(shape + (2,))
+    np.multiply(sig * tab.cos[None, :, None], rz, out=z[..., 0])
+    np.multiply(sig * tab.sin[None, :, None], rz, out=z[..., 1])
+    t = np.broadcast_to(lam * sig**2 * clam, shape)[..., None]
+    w = (sig**3 * tab.w_sigma[:, None, None]) * tab.w_angle[None, :, None] * tab.w_lam
+    return z.reshape(-1, 2), t.reshape(-1, 1), np.broadcast_to(w, shape).reshape(-1)
 
 
 def ambient_nodes(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool = False):
@@ -173,7 +223,72 @@ def ambient_nodes(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool = Fals
     return pts[:, :2 * group.n], pts[:, 2 * group.n:], w
 
 
-def _rows(fs, z, t, where: str) -> list:
+class Nodes(NamedTuple):
+    """The record of one chunk of quadrature nodes that every integrand receives.
+
+    ``z`` (m, 2n) and ``t`` (m, h) are the nodes' coordinates.  A chunk of the
+    phi chart on H^1 also carries the distinct gauge radii ``sigma`` (k,) of
+    its nodes and the slope table ``lam`` (n_lam,): its nodes are laid out
+    (k, n_angle, n_lam) in C order, the Koranyi gauge of a node is its sigma
+    and t/|z|^2 its lam.  A function of (sigma, lam) is then evaluated on the
+    (k, n_lam) tables and spread onto the nodes.  Ambient and Monte Carlo
+    chunks carry no tables (``sigma`` and ``lam`` are None).
+    """
+
+    z: Array
+    t: Array
+    sigma: Optional[Array] = None
+    lam: Optional[Array] = None
+
+    @property
+    def radii(self) -> Array:
+        """sigma as a (k, 1) column, to combine with functions of lam."""
+        return self.sigma[:, None]
+
+    def spread(self, table) -> Array:
+        """A table broadcastable to (k, n_lam), in (sigma, lam), on every node:
+        a radius column (k, 1), a slope row (n_lam,) or a full table."""
+        k, n_lam = self.sigma.size, self.lam.size
+        table = np.broadcast_to(table, (k, n_lam))[:, None, :]
+        return np.broadcast_to(table, (k, self.z.shape[0] // (k * n_lam), n_lam)).reshape(-1)
+
+    def frame(self, p, r) -> Array:
+        """Frame components (z_1 P + z_2 R, z_2 P - z_1 R) from tables P, R in
+        (sigma, lam): the form that the horizontal gradient of every function
+        of (|z|, t) takes on H^1."""
+        P, R = self.spread(p), self.spread(r)
+        z1, z2 = self.z[:, 0], self.z[:, 1]
+        g = np.empty(self.z.shape)
+        g[:, 0] = z1 * P + z2 * R
+        g[:, 1] = z2 * P - z1 * R
+        return g
+
+
+def _chunks(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool):
+    """(nodes, weights) of the tensor grid, chunk by chunk.
+
+    The phi chart is cut in whole sigma slabs of at most quad.chunk nodes,
+    each carrying its chart tables; a slab larger than quad.chunk is cut
+    like the ambient grid, into plain chunks.
+    """
+    if quad.coordinates == "phi_polar":
+        z, t, w = phi_polar_nodes(group, quad, coarse)
+        tab = chart_tables(quad, coarse)
+        slab = z.shape[0] // tab.sigma.size
+        if slab <= quad.chunk:
+            per = quad.chunk // slab
+            for i in range(0, tab.sigma.size, per):
+                lo, hi = i * slab, min(i + per, tab.sigma.size) * slab
+                yield Nodes(z[lo:hi], t[lo:hi], tab.sigma[i:i + per], tab.lam), w[lo:hi]
+            return
+    else:
+        z, t, w = ambient_nodes(group, quad, coarse)
+    for lo in range(0, z.shape[0], quad.chunk):
+        hi = lo + quad.chunk
+        yield Nodes(z[lo:hi], t[lo:hi]), w[lo:hi]
+
+
+def _rows(fs, nodes: Nodes, where: str) -> list:
     """Samples of every integrand on one chunk, one row per integral.
 
     An integrand returns either m samples or a (k, m) stack of k integrals
@@ -181,42 +296,40 @@ def _rows(fs, z, t, where: str) -> list:
     """
     rows = []
     for f in fs:
-        vals = np.asarray(f(z, t))
+        vals = np.asarray(f(nodes))
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"non-finite integrand sample {where}")
-        rows.extend(vals.reshape(-1, z.shape[0]))
+        rows.extend(vals.reshape(-1, nodes.z.shape[0]))
     return rows
 
 
-def _accumulate(fs, z, t, w, chunk: int):
+def _accumulate(fs, group: StepTwoGroup, quad: QuadratureSpec, coarse: bool):
     totals = None
-    n = z.shape[0]
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        zc, tc, wc = z[lo:hi], t[lo:hi], w[lo:hi]
-        rows = _rows(fs, zc, tc, "on the grid: check the support window against "
-                                 "the integrand's singularities")
+    n = 0
+    for nodes, w in _chunks(group, quad, coarse):
+        rows = _rows(fs, nodes, "on the grid: check the support window against "
+                                "the integrand's singularities")
         if totals is None:
             totals = np.zeros(len(rows))
+        # numpy's pairwise sum, not BLAS: the same bits whatever its thread count
         for k, row in enumerate(rows):
-            totals[k] += float(wc @ row)
-    return totals
+            totals[k] += float(np.sum(w * row))
+        n += w.size
+    return totals, n
 
 
 def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: QuadratureSpec):
     """Integrate several integrands on shared nodes; returns IntegralResults.
 
-    Each integrand f(z, t) returns m samples (one integral) or a (k, m)
-    stack (k consecutive integrals), so that integrals sharing a gauge or
-    test-function evaluation compute it once per chunk.
+    Each integrand f(nodes) receives one chunk as a ``Nodes`` record and
+    returns m samples (one integral) or a (k, m) stack (k consecutive
+    integrals), so that integrals sharing a gauge or test-function evaluation
+    compute it once per chunk.
     """
     if quad.method == "tensor_grid":
-        builder = phi_polar_nodes if quad.coordinates == "phi_polar" else ambient_nodes
-        z, t, w = builder(group, quad)
-        totals = _accumulate(fs, z, t, w, quad.chunk)
-        zc, tc, wc = builder(group, quad, coarse=True)
-        coarse = _accumulate(fs, zc, tc, wc, quad.chunk)
-        return [IntegralResult(float(v), float(abs(v - c)), z.shape[0], "tensor_grid")
+        totals, n = _accumulate(fs, group, quad, coarse=False)
+        coarse, _ = _accumulate(fs, group, quad, coarse=True)
+        return [IntegralResult(float(v), float(abs(v - c)), n, "tensor_grid")
                 for v, c in zip(totals, coarse)]
 
     if quad.method != "monte_carlo":
@@ -235,7 +348,7 @@ def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: Quadrature
         m = min(quad.chunk, quad.samples - done)
         z = rng.uniform(-z_half, z_half, size=(m, dim_z))
         t = rng.uniform(-t_half, t_half, size=(m, dim_t))
-        rows = _rows(fs, z, t, "in the Monte Carlo box")
+        rows = _rows(fs, Nodes(z, t), "in the Monte Carlo box")
         if sums is None:
             sums, sq = np.zeros(len(rows)), np.zeros(len(rows))
         for k, row in enumerate(rows):
@@ -250,5 +363,5 @@ def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: Quadrature
 
 
 def integrate(group: StepTwoGroup, f: Callable, quad: QuadratureSpec) -> IntegralResult:
-    """Integral of a batched scalar integrand f(z, t) over the group."""
+    """Integral of a batched scalar integrand f(nodes) over the group."""
     return integrate_many(group, [f], quad)[0]

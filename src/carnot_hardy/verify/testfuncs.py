@@ -9,9 +9,12 @@ of the step are filled in directly, so a quadrature grid pays for the
 transition layers of a bump and not for its plateau or its outside.
 
 Bumps and the cut-off family are evaluated through one jet,
-``jet(z, t) -> (value, hgrad, euler)``, which computes the gauge, its
-gradient and the radial profile once per batch of points; their ``value``,
-``hgrad`` and ``euler`` are views of that jet.
+``jet(nodes) -> (value, hgrad, euler)`` on a quadrature node record, which
+computes the gauge, its gradient and the radial profile once per batch of
+points; their ``value``, ``hgrad`` and ``euler`` are views of that jet.  On
+a phi-chart chunk the jet evaluates the radial profile on the chunk's
+distinct radii and the vertical factor on its slope table, and spreads them
+onto the nodes.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from numpy.polynomial.legendre import leggauss
 
 from ..groups import Array, ScalarField, StepTwoGroup
 from ..norms import koranyi
+from .quadrature import Nodes
 
 LOG2 = float(np.log(2.0))
 
@@ -133,15 +137,15 @@ class BumpProfile:
             raise ValueError("bump radii must satisfy 0 < r2 < r1 < R1 < R2")
 
     def jet(self, s):
-        """(eta(s), eta'(s)); each of the four step pieces is evaluated once."""
+        """(eta(s), eta'(s)); the rising and the falling step go through one
+        call of the step and one of its derivative."""
         s = np.asarray(s, float)
         w_up = self.r1 - self.r2
         w_dn = self.R2 - self.R1
-        x_up = (s - self.r2) / w_up
-        x_dn = (self.R2 - s) / w_dn
-        up = smoothstep(x_up)
-        dn = smoothstep(x_dn)
-        return up * dn, smoothstep_d(x_up) / w_up * dn - up * smoothstep_d(x_dn) / w_dn
+        x = np.stack([(s - self.r2) / w_up, (self.R2 - s) / w_dn])
+        up, dn = smoothstep(x)
+        d_up, d_dn = smoothstep_d(x)
+        return up * dn, d_up / w_up * dn - up * d_dn / w_dn
 
     def __call__(self, s) -> Array:
         return self.jet(s)[0]
@@ -158,9 +162,9 @@ class TestFunction:
     the package; ``euler`` evaluates the generator of dilations applied to
     the function.  ``hgrad`` may be None for value-only functions (the
     extremal profile, differentiated by finite differences where needed).
-    ``jet(z, t)`` returns ``(value, hgrad, euler)`` from one evaluation of
-    the shared pieces, and ``jet(z, t, derivs=False)`` returns
-    ``(value, None, None)``; it is None for value-only functions.
+    ``jet(nodes)`` returns ``(value, hgrad, euler)`` on a node record from
+    one evaluation of the shared pieces, and ``jet(nodes, derivs=False)``
+    returns ``(value, None, None)``; it is None for value-only functions.
     """
 
     kind: str
@@ -178,9 +182,9 @@ class TestFunction:
 def _from_jet(kind: str, params: dict, jet: Callable, support: tuple) -> TestFunction:
     """A test function whose evaluators are views of one jet."""
     return TestFunction(kind, params,
-                        value=lambda z, t: jet(z, t, derivs=False)[0],
-                        hgrad=lambda z, t: jet(z, t)[1],
-                        euler=lambda z, t: jet(z, t)[2],
+                        value=lambda z, t: jet(Nodes(z, t), derivs=False)[0],
+                        hgrad=lambda z, t: jet(Nodes(z, t))[1],
+                        euler=lambda z, t: jet(Nodes(z, t))[2],
                         support=support, jet=jet)
 
 
@@ -202,11 +206,32 @@ def radial_bump(group: StepTwoGroup, profile: BumpProfile = BumpProfile(),
     if modulated and group.h != 1:
         raise ValueError("modulated bumps are implemented for h = 1")
 
+    # on a phi-chart chunk, with c = (1 + lam^2)^{-1/2} and k = L/4: rho = sigma,
+    # s = lam c, grad rho = (c/sigma) (z_1 + k lam z_2, z_2 - k lam z_1) and
+    # grad s = (2 c^2/sigma^2) ((k z_2, -k z_1) - lam z); every coefficient is
+    # a table in (sigma, lam)
+    def chart_jet(nodes, derivs):
+        sig, lam = nodes.radii, nodes.lam
+        eta, deta = (v[:, None] for v in profile.jet(nodes.sigma))
+        c = 1.0 / np.sqrt(1.0 + lam**2)
+        s = lam * c
+        mod, dmod = 1.0 + a * s + b * s * s, a + 2.0 * b * s
+        val = nodes.spread(eta * mod)
+        if not derivs:
+            return val, None, None
+        k = group.couplings[0, 0] / 4.0
+        # grad u = eta' mod grad rho + eta mod' grad s
+        grad = nodes.frame(deta / sig * (mod * c) - eta / sig**2 * (2.0 * dmod * lam * c**2),
+                           k * (deta / sig * (mod * lam * c) + eta / sig**2 * (2.0 * dmod * c**2)))
+        return val, grad, nodes.spread(deta * sig * mod)
+
     # evaluations are masked to the support so that points at or near the
     # origin (where rho-quotients degenerate) yield exact zeros, not NaNs;
     # E rho = rho and E(t/rho^2) = 0 by homogeneity
-    def jet(z, t, derivs=True):
-        z = np.asarray(z, float)
+    def jet(nodes, derivs=True):
+        if nodes.sigma is not None:
+            return chart_jet(nodes, derivs)
+        z, t = np.asarray(nodes.z, float), nodes.t
         d = rho.value(z, t)
         inside = (d > profile.r2) & (d < profile.R2)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -273,25 +298,48 @@ def sharpness_function(group: StepTwoGroup, p: float, eps: float,
     rho = koranyi(group)
     kappa = (group.Q - 2.0) / (2.0 * p)
 
-    # lam = t/|z|^2 is homogeneous of degree zero, so E u = w(lam) eta'(d) d
-    def jet(z, t, derivs=True):
-        z = np.asarray(z, float)
-        t1 = np.asarray(t, float)[..., 0]
-        zn2 = np.sum(z * z, axis=-1)
-        lam = t1 / zn2
+    def cutoff(lam, derivs):
+        """w(lam) = lam^kappa g_eps(lam) and w'(lam) (None when derivs is False)."""
         inside = (lam > eps) & (lam < 1.0 / eps)
         lam_s = np.where(inside, lam, 1.0)
         g, gd = g_cutoff_jet(lam_s, eps, derivs)
         w = np.where(inside, lam_s**kappa * g, 0.0)
-        d = rho.value(z, t)
+        if not derivs:
+            return w, None
+        return w, np.where(inside, kappa * lam_s ** (kappa - 1.0) * g + lam_s**kappa * gd, 0.0)
+
+    # on a phi-chart chunk lam is the slope table, rho = sigma and, with
+    # c = (1 + lam^2)^{-1/2} and k = L/4, grad lam = (2/(sigma^2 c))
+    # ((k z_2, -k z_1) - lam z); grad rho is as for the bumps
+    def chart_jet(nodes, derivs):
+        sig, lam = nodes.radii, nodes.lam
+        eta, deta = (v[:, None] for v in profile.jet(nodes.sigma))
+        w, wd = cutoff(lam, derivs)
+        if not derivs:
+            return nodes.spread(eta * w), None, None
+        c = 1.0 / np.sqrt(1.0 + lam**2)
+        k = group.couplings[0, 0] / 4.0
+        # grad u = w' eta grad lam + w eta' grad rho
+        grad = nodes.frame(deta / sig * (w * c) - eta / sig**2 * (2.0 * lam * wd / c),
+                           k * (deta / sig * (w * lam * c) + eta / sig**2 * (2.0 * wd / c)))
+        return nodes.spread(eta * w), grad, nodes.spread(deta * sig * w)
+
+    # lam = t/|z|^2 is homogeneous of degree zero, so E u = w(lam) eta'(d) d
+    def jet(nodes, derivs=True):
+        if nodes.sigma is not None:
+            return chart_jet(nodes, derivs)
+        z = np.asarray(nodes.z, float)
+        t1 = np.asarray(nodes.t, float)[..., 0]
+        zn2 = np.sum(z * z, axis=-1)
+        w, wd = cutoff(t1 / zn2, derivs)
+        d = rho.value(z, nodes.t)
         eta, deta = profile.jet(d)
         if not derivs:
             return w * eta, None, None
-        wd = np.where(inside, kappa * lam_s ** (kappa - 1.0) * g + lam_s**kappa * gd, 0.0)
         # grad(t/|z|^2) = -2 t z / |z|^4 + Bz / (2 |z|^2)
         glam = (-2.0 * (t1 / zn2**2)[..., None] * z
                 + 0.5 * group.bz(z)[..., 0, :] / zn2[..., None])
-        gr = rho.hgrad(z, t)
+        gr = rho.hgrad(z, nodes.t)
         return (w * eta, (wd * eta)[..., None] * glam + (w * deta)[..., None] * gr,
                 w * deta * d)
 

@@ -15,6 +15,7 @@ enough symmetry, and a sampled lower bound otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -89,14 +90,21 @@ def _block_perp(v: Array) -> Array:
     return out
 
 
-def z_field_components(spec: ZFieldSpec, z: Array, t: Array) -> Array:
-    """Batched frame components of Z_d; z (..., 2n), t (..., h)."""
+def z_field_components(spec: ZFieldSpec, z: Array, t: Array,
+                       d: Optional[Array] = None, g: Optional[Array] = None) -> Array:
+    """Batched frame components of Z_d; z (..., 2n), t (..., h).
+
+    The gauge d and its frame gradient g at (z, t) are evaluated here unless
+    the caller hands them in (say, from the gauge's jet).
+    """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
-    d = spec.norm.value(z, t)
+    if d is None:
+        d = spec.norm.value(z, t)
     if np.any(d <= 0.0):
         raise ValueError("Z_d needs d > 0 (point away from the origin)")
-    g = spec.norm.hgrad(z, t)
+    if g is None:
+        g = spec.norm.hgrad(z, t)
     pg = _block_perp(g)
     n = spec.group.n
 

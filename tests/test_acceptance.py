@@ -99,6 +99,30 @@ def test_criterion_04_cc_distance_identities():
     _report(4, f"100 points: |grad|=1, dt=nu/4r to 1e-6; d(0,0,1)=sqrt(pi) ({elapsed:.2f}s)")
 
 
+# the values below were computed before the tensor-grid integrands moved onto
+# the phi chart's tables; since then only their rounding may differ.  A
+# defect is a difference of integrals over one of them, so 1e-16 of rounding
+# in the integrals moves a 5e-8 defect by 1e-8 of itself: the defects are
+# pinned to 1e-12 absolute, the quotients to 1e-12 relative.
+PINNED_05_DEFECTS = [
+    5.0081875894653816e-08, 6.136255343696697e-07, 1.8951904962890493e-06,
+    8.571042392724154e-08, 3.896207926265902e-06, 5.3828202795075234e-06,
+    7.066595005922869e-07, 3.0797897773277092e-06, 1.1055734648258041e-05,
+    1.1088380733942178e-06, 2.059876286002649e-05, 3.098508900032856e-05,
+    4.0324724747021793e-07, 4.161704254716085e-06, 1.096363389363198e-05,
+    6.452801313956954e-07, 2.247411659392358e-05, 2.621143647191001e-05,
+    1.1727323816576026e-06, 1.6691103767872917e-06, 2.425487651502483e-07,
+    1.847548760745184e-06, 2.8517606543653437e-06, 5.5991730063864616e-06,
+    1.9967910896631784e-06, 1.042411500730052e-05, 2.9392786228036796e-05,
+    3.158046620599258e-06, 5.554498295026193e-05, 8.542774035967765e-05,
+]
+# (worst projected, worst full) quotient per gauge
+PINNED_06_WORST = {"koranyi": (12.695894974248413, 5.66796484334833),
+                   "cc": (13.556560939048168, 7.174464540275794)}
+PINNED_07_QUOTIENTS = [7.384860882865937, 5.126354387138383, 4.047772242949455]
+PINNED_07_DENOMINATORS = [36.61324873581394, 56.667686892727964, 76.72212504964182]
+
+
 def test_criterion_05_integration_by_parts_suite():
     t0 = time.time()
     rng = np.random.default_rng(105)
@@ -112,17 +136,20 @@ def test_criterion_05_integration_by_parts_suite():
                                  modulation=rng.uniform(-0.4, 0.4),
                                  modulation2=rng.uniform(-0.3, 0.3)))
     worst_rel, worst_abs = 0.0, 0.0
+    defects = []
     for u in bumps:
         for p in (2.0, 3.0):
             for theta in (0.0, 1.0, 2.0):
                 spec = ZFieldSpec(H1, koranyi(H1), p, theta)
                 rep = check_ibp_identity(spec, u)
                 assert rep.passed, (p, theta, rep.values)
+                defects.append(rep.values["defect"])
                 if abs(p * theta - 4.0) > 1e-12:
                     worst_rel = max(worst_rel, rep.values["defect"])
                 else:
                     worst_abs = max(worst_abs, rep.values["defect"])
     assert worst_rel <= 2e-3 and worst_abs <= 1e-4
+    assert np.max(np.abs(np.array(defects) - PINNED_05_DEFECTS)) <= 1e-12
     elapsed = time.time() - t0
     assert elapsed < 120.0
     _report(5, f"30 cases: worst rel {worst_rel:.2e}, worst degenerate {worst_abs:.2e} "
@@ -141,6 +168,7 @@ def test_criterion_06_hardy_dominance():
         assert min(proj) >= 1.0 - 1e-3, kind
         assert min(full) >= 0.25 - 1e-3, kind
         results[kind] = (min(proj), min(full))
+        assert results[kind] == pytest.approx(PINNED_06_WORST[kind], rel=1e-12, abs=0.0)
     elapsed = time.time() - t0
     assert elapsed < 300.0
     _report(6, f"20 bumps: worst projected {min(r[0] for r in results.values()):.6f}, "
@@ -153,6 +181,9 @@ def test_criterion_07_sharpness():
     eps_list = [1e-2, 1e-3, 1e-4]
     pts = sharpness_sequence(spec, eps_list)
     quotients = [sp.quotient for sp in pts]
+    assert quotients == pytest.approx(PINNED_07_QUOTIENTS, rel=1e-12, abs=0.0)
+    assert [sp.denominator for sp in pts] == pytest.approx(PINNED_07_DENOMINATORS,
+                                                           rel=1e-12, abs=0.0)
     assert all(b <= a + 1e-3 for a, b in zip(quotients, quotients[1:]))
     assert all(q >= 1.0 - 1e-9 for q in quotients)
     c_fit, resid = fit_log_excess(pts, 1.0)
@@ -210,6 +241,13 @@ def test_criterion_10_products():
     assert rep.values["sampled_sup"] <= 2.0 + 1e-9
     assert rep.values["argmax_t_norm"] <= 1e-4
     assert rep.values["identity_rel_defect"] <= 5e-3
+    # the Monte Carlo branch carries no chart tables: its values are those
+    # computed before the integrands moved onto them, bit for bit
+    assert (rep.values["identity_lhs"], rep.values["identity_rhs"]) == (
+        -789.1278747788011, -788.8477403837502)
+    # the standard error sums squares through BLAS, whose thread count may
+    # move its last bits
+    assert rep.diagnostics["mc_stderr"] == pytest.approx(1.5291555533415975, rel=1e-12)
     assert bound_product(1, 2, 2.0, 1.0) == pytest.approx(2.25)
     elapsed = time.time() - t0
     assert elapsed < 600.0

@@ -99,9 +99,30 @@ def assert_usage_error(argv, capsys):
     ["verify", "product", "--p", "1"],
     ["supz", "--Q", "2"],
     ["supz", "--norm", "cc", "--Q", "2"],
+    ["supz", "--p", "1", "--theta", "1"],
+    ["supz", "--norm", "cc", "--p", "1.5"],
 ])
 def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     assert_usage_error(argv, capsys)
+
+
+def test_counterexample_ignores_group(capsys):
+    # the scan runs on its own (1/2, 1) group; --group is not built for it
+    base = ["verify", "counterexample", "--samples-log2", "6"]
+    code, plain = run_cli(base, capsys)
+    code_g, grouped = run_cli(base + ["--group", "nonisotropic"], capsys)
+    assert code == code_g == 0
+    assert json.loads(grouped)["results"] == json.loads(plain)["results"]
+
+
+@pytest.mark.parametrize("argv", [["verify", "product", "--n", "0"],
+                                  ["verify", "product", "--N", "0"]])
+def test_product_sizes_have_their_own_usage_message(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "verify product" in err and "--group" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ from scipy.integrate import quad as scipy_quad
 
 from carnot_hardy import (Point, ZFieldSpec, cc, heisenberg, heisenberg_product,
                           koranyi, nonisotropic)
-from carnot_hardy.verify import (BumpProfile, QuadratureSpec, check_ibp_identity,
+from carnot_hardy.verify import (BumpProfile, Nodes, QuadratureSpec, check_ibp_identity,
                                  check_w_identity, counterexample_scan,
                                  euler_adjoint_defect, extremal_residual,
                                  fit_log_excess, g_cutoff, g_cutoff_d,
@@ -103,12 +103,12 @@ def test_bump_jet_matches_separate_formulas():
         inside = (d > prof.r2) & (d < prof.R2)
         ref = (np.where(inside, value, 0.0), np.where(inside[:, None], grad, 0.0),
                np.where(inside, euler, 0.0))
-        jet = u.jet(z, t)
+        jet = u.jet(Nodes(z, t))
         for got, want in zip(jet, ref):
             assert _same_bits(got, want)
         for got, field in zip(jet, (u.value, u.hgrad, u.euler)):
             assert _same_bits(got, field(z, t))
-        assert _same_bits(u.jet(z, t, derivs=False)[0], jet[0])
+        assert _same_bits(u.jet(Nodes(z, t), derivs=False)[0], jet[0])
         assert _same_bits(prof(d[inside]), eta[inside])
         assert _same_bits(prof.deriv(d[inside]), deta[inside])
 
@@ -137,7 +137,7 @@ def test_sharpness_jet_matches_separate_formulas():
     ref = (w * prof(d),
            (wd * prof(d))[:, None] * glam + (w * prof.deriv(d))[:, None] * rho.hgrad(z, t),
            w * prof.deriv(d) * d)
-    jet = u.jet(z, t)
+    jet = u.jet(Nodes(z, t))
     assert np.count_nonzero(jet[0]) > 100
     for got, want, field in zip(jet, ref, (u.value, u.hgrad, u.euler)):
         assert _same_bits(got, want)
@@ -148,12 +148,12 @@ def test_stacked_integrand_matches_separate_callables():
     # a (k, m) stack counts as k consecutive integrals with the same sums
     u = radial_bump(H1, modulation=0.3, modulation2=0.1)
     rho = koranyi(H1)
-    fs = [lambda z, t: u.value(z, t) ** 2,
-          lambda z, t: u.euler(z, t) * u.value(z, t),
-          lambda z, t: u.value(z, t) / rho.value(z, t)]
+    fs = [lambda n: u.value(n.z, n.t) ** 2,
+          lambda n: u.euler(n.z, n.t) * u.value(n.z, n.t),
+          lambda n: u.value(n.z, n.t) / rho.value(n.z, n.t)]
 
-    def stacked(z, t):
-        return np.stack([f(z, t) for f in fs])
+    def stacked(nodes):
+        return np.stack([f(nodes) for f in fs])
 
     quads = (QuadratureSpec(sigma_range=(0.25, 2.0), n_angle=4, psi_nodes=6, chunk=7001),
              QuadratureSpec(method="monte_carlo", samples=50_001, chunk=7001, seed=3,
@@ -201,7 +201,7 @@ def test_bump_profile_support():
 
 def test_integrate_zero_and_mass_oracle():
     quad = QuadratureSpec(sigma_range=(0.25, 2.0))
-    zero = integrate(H1, lambda z, t: np.zeros(z.shape[0]), quad)
+    zero = integrate(H1, lambda n: np.zeros(n.z.shape[0]), quad)
     assert zero.value == 0.0
 
     # radial mass integral against its separable 1-D reduction:
@@ -210,9 +210,9 @@ def test_integrate_zero_and_mass_oracle():
     prof = BumpProfile()
     u = radial_bump(H1, prof)
 
-    def f(z, t):
-        d = koranyi(H1).value(z, t)
-        return u.value(z, t) ** 2 / d**2
+    def f(nodes):
+        d = koranyi(H1).value(nodes.z, nodes.t)
+        return u.value(nodes.z, nodes.t) ** 2 / d**2
 
     got = integrate(H1, f, quad)
     oracle, est_err = scipy_quad(lambda s: s * prof(np.array(s)) ** 2, 0.25, 2.0,
@@ -232,10 +232,10 @@ def test_chart_equivalence_ambient_vs_phi_polar():
     fs = []
     for u in bumps:
         for power in (0.0, 1.0, 2.0):
-            def f(z, t, u=u, power=power):
-                return u.value(z, t) ** 2 / rho.value(z, t) ** power
+            def f(n, u=u, power=power):
+                return u.value(n.z, n.t) ** 2 / rho.value(n.z, n.t) ** power
             fs.append(f)
-    fs.append(lambda z, t: bumps[0].value(z, t) * np.asarray(t)[..., 0] ** 2)
+    fs.append(lambda n: bumps[0].value(n.z, n.t) * np.asarray(n.t)[..., 0] ** 2)
     assert len(fs) == 10
     chart = integrate_many(H1, fs, QuadratureSpec(sigma_range=(0.25, 2.0)))
     box = integrate_many(H1, fs, QuadratureSpec(coordinates="ambient", n_sigma=140,
@@ -250,11 +250,11 @@ def test_dilation_scaling_of_integral():
     prof = BumpProfile()
     u = radial_bump(H1, prof)
 
-    def f(z, t):
-        return u.value(z, t)
+    def f(nodes):
+        return u.value(nodes.z, nodes.t)
 
-    def f_dil(z, t):
-        return u.value(gam * np.asarray(z), gam**2 * np.asarray(t))
+    def f_dil(nodes):
+        return u.value(gam * np.asarray(nodes.z), gam**2 * np.asarray(nodes.t))
 
     base = integrate(H1, f, QuadratureSpec(sigma_range=(0.25, 2.0)))
     scaled = integrate(H1, f_dil, QuadratureSpec(sigma_range=(0.25 / gam, 2.0 / gam)))
@@ -265,8 +265,8 @@ def test_monte_carlo_deterministic_and_consistent():
     prof = BumpProfile()
     u = radial_bump(H1, prof)
 
-    def f(z, t):
-        return u.value(z, t)
+    def f(nodes):
+        return u.value(nodes.z, nodes.t)
 
     quad = QuadratureSpec(method="monte_carlo", samples=200_000, seed=7,
                           box=(2.0, 4.0))
@@ -280,7 +280,7 @@ def test_monte_carlo_deterministic_and_consistent():
 def test_integrate_flags_nonfinite():
     quad = QuadratureSpec(sigma_range=(0.25, 2.0))
     with pytest.raises(ValueError):
-        integrate(H1, lambda z, t: np.full(z.shape[0], np.nan), quad)
+        integrate(H1, lambda n: np.full(n.z.shape[0], np.nan), quad)
 
 
 # ---------------------------------------------------------------------------
