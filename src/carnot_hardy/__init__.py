@@ -1,10 +1,10 @@
 """Horizontal vector fields, homogeneous gauges and explicit Hardy-constant
 lower bounds on step-two Carnot groups."""
 
-from .groups import (CenterError, HVector, Point, ScalarField, StepTwoGroup,
-                     dilate, euler_apply, general_group, group_inverse, group_law,
-                     heisenberg, heisenberg_product, horizontal_divergence,
-                     horizontal_gradient, lambda_min, nonisotropic)
+from .groups import (CenterError, HVector, Point, StepTwoGroup, dilate, euler_apply,
+                     general_group, group_inverse, group_law, heisenberg,
+                     heisenberg_product, horizontal_divergence, horizontal_gradient,
+                     lambda_min, nonisotropic)
 from .norms import (CCPolar, ConvergenceError, NormModel, balogh_tyson, cc,
                     cc_from_polar, cc_invert, koranyi, koranyi_b, make_norm)
 from .zfield import (SupResult, ZFieldSpec, g_cc, golden_section_max,

@@ -37,11 +37,26 @@ DEFAULT_SEED = 2024
 
 
 class UsageError(Exception):
-    """Bad command-line input; reported by argparse with exit code 2."""
+    """Bad command-line input; reported by argparse with exit code 2.  Not a
+    ValueError, so that argparse passes it on from a type function."""
 
 
-def _parse_floats(text):
-    return [float(x) for x in str(text).split(",") if x != ""]
+def _finite(flag):
+    """argparse type of ``flag``: a finite float, or a usage error."""
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = np.nan
+        if not np.isfinite(value):
+            raise UsageError(f"{flag} {text}: must be a finite number")
+        return value
+    return parse
+
+
+def _parse_floats(text, flag):
+    """The comma list of finite numbers given to ``flag``."""
+    return [_finite(flag)(x) for x in str(text).split(",") if x != ""]
 
 
 def _make_group(args):
@@ -52,7 +67,7 @@ def _make_group(args):
         if args.group == "heisenberg":
             return heisenberg(args.n)
         if args.group == "nonisotropic":
-            return nonisotropic(_parse_floats(args.lambdas))
+            return nonisotropic(_parse_floats(args.lambdas, "--lambdas"))
         if args.group == "product":
             return heisenberg_product(args.n, args.N)
     except ValueError as exc:
@@ -79,7 +94,7 @@ def _make_spec(group, norm, p, theta, variant="single"):
 
 def _theta_grid(args, Q):
     if args.theta is not None:
-        return _parse_floats(args.theta)
+        return _parse_floats(args.theta, "--theta")
     return [0.0, 0.5, 1.0, 2.0, Q / args.p]
 
 
@@ -206,8 +221,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_supz(args) -> int:
     Q = float(args.Q)
-    p, theta = args.p, args.theta if args.theta is not None else 1.0
-    theta = float(theta)
+    p, theta = args.p, args.theta
     if p < 2:
         raise UsageError(f"--p {p:g}: the profiles are stated for p >= 2, as the bounds are")
     if args.nodes < 2:
@@ -285,6 +299,12 @@ def _check_verify_args(args, group):
             raise UsageError(f"--theta {args.theta_value:g}: verify product needs theta >= 0")
         if args.p < 2:
             raise UsageError(f"--p {args.p:g}: verify product needs p >= 2")
+    if args.check == "sharpness":
+        eps = _parse_floats(args.eps, "--eps")
+        if not (eps and all(0.0 < e < 1.0 for e in eps)
+                and all(b < a for a, b in zip(eps, eps[1:]))):
+            raise UsageError(f"--eps {args.eps}: verify sharpness needs values in (0, 1) "
+                             "that decrease strictly")
 
 
 def cmd_verify(args) -> int:
@@ -318,7 +338,7 @@ def cmd_verify(args) -> int:
                              "the cut-off family is computed for the koranyi or cc gauges")
         norm = _make_norm(args.norm, group, args)
         spec = _make_spec(group, norm, args.p, args.theta_value)
-        eps = _parse_floats(args.eps)
+        eps = _parse_floats(args.eps, "--eps")
         pts = sharpness_sequence(spec, eps, QuadratureSpec(n_sigma=args.nodes))
         target = abs((group.Q - args.p * args.theta_value) / args.p) ** args.p
         c_fit, resid = fit_log_excess(pts, target)
@@ -346,7 +366,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cc(args) -> int:
-    coords = _parse_floats(args.point)
+    coords = _parse_floats(args.point, "--point")
     if len(coords) < 3 or len(coords) % 2 == 0:
         raise UsageError("--point must be z_1,...,z_2n,t")
     x = Point(coords[:-1], coords[-1])
@@ -383,16 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--lambdas", default=None)
     b.add_argument("--norm", default="all",
                    choices=("all", "koranyi", "cc", "koranyi_b", "balogh_tyson"))
-    b.add_argument("--p", type=float, default=2.0)
+    b.add_argument("--p", type=_finite("--p"), default=2.0)
     b.add_argument("--theta", default=None, help="comma list; default grid incl. Q/p")
     common(b)
     b.set_defaults(func=cmd_bounds)
 
     s = sub.add_parser("supz", help="dump the |Z_d|^2 profile for plotting")
     s.add_argument("--norm", choices=("koranyi", "cc"), default="koranyi")
-    s.add_argument("--Q", type=float, default=4.0)
-    s.add_argument("--p", type=float, default=2.0)
-    s.add_argument("--theta", type=float, default=1.0)
+    s.add_argument("--Q", type=_finite("--Q"), default=4.0)
+    s.add_argument("--p", type=_finite("--p"), default=2.0)
+    s.add_argument("--theta", type=_finite("--theta"), default=1.0)
     s.add_argument("--nodes", type=int, default=2001)
     common(s)
     s.set_defaults(func=cmd_supz)
@@ -407,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--lambdas", default=None)
     v.add_argument("--norm", default="koranyi",
                    choices=("koranyi", "cc", "koranyi_b"))
-    v.add_argument("--p", type=float, default=2.0)
-    v.add_argument("--theta", dest="theta_value", type=float, default=1.0)
+    v.add_argument("--p", type=_finite("--p"), default=2.0)
+    v.add_argument("--theta", dest="theta_value", type=_finite("--theta"), default=1.0)
     v.add_argument("--eps", default="1e-2,1e-3,1e-4")
     v.add_argument("--bumps", type=int, default=5)
     v.add_argument("--samples", type=int, default=10**6, help="Monte Carlo samples")
@@ -429,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))

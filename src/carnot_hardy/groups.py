@@ -17,13 +17,13 @@ whose only nonzero brackets are [X_{2i}, X_{2i-1}] = sum_j lam^(j)_i d/dt_j.
 The homogeneous dimension is Q = 2n + 2h.
 
 Batched evaluators use arrays z of shape (..., 2n) and t of shape (..., h);
-scalar fields return shape (...).
+scalar evaluators ``value(z, t)`` return shape (...).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -74,10 +74,9 @@ class StepTwoGroup:
             sel = tuple(int(i) for i in self.selected)
             if len(sel) != c.shape[0] or any(i < 0 or i >= c.shape[1] for i in sel):
                 raise ValueError("selected must pick one block per vertical direction")
-            a = np.array([[c[j, k] for j in range(c.shape[0])] for k in sel])
-            if abs(np.linalg.det(a)) < 1e-12:
-                raise ValueError("selected blocks give a singular coupling matrix A")
             object.__setattr__(self, "selected", sel)
+            if abs(np.linalg.det(self.a_matrix())) < 1e-12:
+                raise ValueError("selected blocks give a singular coupling matrix A")
 
     @property
     def n(self) -> int:
@@ -86,10 +85,6 @@ class StepTwoGroup:
     @property
     def h(self) -> int:
         return self.couplings.shape[0]
-
-    @property
-    def horizontal_dim(self) -> int:
-        return 2 * self.n
 
     @property
     def dim(self) -> int:
@@ -109,8 +104,7 @@ class StepTwoGroup:
     def a_matrix(self) -> Array:
         if self.selected is None:
             raise ValueError("group has no selected blocks")
-        return np.array([[self.couplings[j, k] for j in range(self.h)]
-                         for k in self.selected])
+        return self.couplings[:, list(self.selected)].T
 
     def is_isotropic_heisenberg(self) -> bool:
         return self.h == 1 and np.allclose(self.couplings[0], 4.0)
@@ -195,19 +189,6 @@ class HVector:
         return float(np.linalg.norm(self.components))
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarField:
-    """A scalar function with optional analytic derivative evaluators.
-
-    ``value(z, t)`` must accept batched arrays.  ``analytic_hgrad`` returns
-    frame components of shape (..., 2n); ``analytic_dt`` returns (..., h).
-    """
-
-    value: Callable[[Array, Array], Array]
-    analytic_hgrad: Optional[Callable[[Array, Array], Array]] = None
-    analytic_dt: Optional[Callable[[Array, Array], Array]] = None
-
-
 def _check_dims(g: StepTwoGroup, x: Point):
     if x.z.shape[0] != 2 * g.n or x.t.shape[0] != g.h:
         raise ValueError(f"point of shape ({x.z.shape[0]}, {x.t.shape[0]}) "
@@ -241,105 +222,72 @@ def default_step(x: Point) -> float:
     return 1e-5 * max(1.0, float(scale))
 
 
+def _step_at(x: Point, step: Optional[float]) -> float:
+    h = default_step(x) if step is None else float(step)
+    if not h > 0:
+        raise ValueError("step must be positive")
+    return h
+
+
+def frame(z: Array, P: Array, R: Array) -> Array:
+    """Frame components (z_{2i-1} P + z_{2i} R, z_{2i} P - z_{2i-1} R) on each
+    block, with P and R broadcast against (..., n): the form that the
+    horizontal gradient of every function of the block radii and t takes."""
+    z = np.asarray(z, float)
+    z1, z2 = z[..., 0::2], z[..., 1::2]
+    g = np.empty(z.shape)
+    g[..., 0::2] = z1 * P + z2 * R
+    g[..., 1::2] = z2 * P - z1 * R
+    return g
+
+
 def fd_partials(value, z: Array, t: Array, step: float):
     """Central-difference ambient partials of a batched scalar evaluator.
 
-    Returns (dz, dt) of shapes (..., 2n) and (..., h).
+    Returns (dz, dt) of shapes (..., 2n) and (..., h).  Every derivative
+    oracle of this module is built on this one kernel.
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
-    nz = z.shape[-1]
-    nt = t.shape[-1]
-    dz = np.empty(z.shape)
-    for k in range(nz):
-        zp = z.copy()
-        zp[..., k] += step
-        zm = z.copy()
-        zm[..., k] -= step
-        dz[..., k] = (value(zp, t) - value(zm, t)) / (2.0 * step)
-    dt = np.empty(t.shape)
-    for j in range(nt):
-        tp = t.copy()
-        tp[..., j] += step
-        tm = t.copy()
-        tm[..., j] -= step
-        dt[..., j] = (value(z, tp) - value(z, tm)) / (2.0 * step)
-    return dz, dt
-
-
-def frame_from_partials(g: StepTwoGroup, z: Array, dz: Array, dt: Array) -> Array:
-    """Assemble X_i u from ambient partials: X_i u = d_{z_i} u + (Bz)_i . d_t u / 2."""
-    bz = g.bz(z)                                   # (..., h, 2n)
-    return dz + 0.5 * np.einsum("...jk,...j->...k", bz, dt)
+    dz = [(value(z + step * e, t) - value(z - step * e, t)) / (2.0 * step)
+          for e in np.eye(z.shape[-1])]
+    dt = [(value(z, t + step * e) - value(z, t - step * e)) / (2.0 * step)
+          for e in np.eye(t.shape[-1])]
+    return np.stack(dz, axis=-1), np.stack(dt, axis=-1)
 
 
 def hgrad_batch(g: StepTwoGroup, value, z: Array, t: Array, step: float) -> Array:
-    """Finite-difference horizontal gradient of a batched evaluator."""
+    """Central-difference horizontal gradient of a batched evaluator:
+    X_i u = d_{z_i} u + (Bz)_i . d_t u / 2."""
     dz, dt = fd_partials(value, z, t, step)
-    return frame_from_partials(g, z, dz, dt)
+    return dz + 0.5 * np.einsum("...jk,...j->...k", g.bz(z), dt)
 
 
-def horizontal_gradient(g: StepTwoGroup, u: ScalarField, x: Point,
-                        scheme: str = "central_fd", step: Optional[float] = None) -> HVector:
-    """Horizontal gradient (X_1 u, ..., X_{2n} u) at a point.
-
-    scheme "analytic" uses the field's analytic evaluator and fails if it is
-    absent; "central_fd" assembles the frame from central differences of the
-    ambient partials.
-    """
+def horizontal_gradient(g: StepTwoGroup, value, x: Point,
+                        step: Optional[float] = None) -> HVector:
+    """Horizontal gradient (X_1 u, ..., X_{2n} u) of a batched ``value(z, t)``
+    at a point, by central differences."""
     _check_dims(g, x)
-    if scheme == "analytic":
-        if u.analytic_hgrad is None:
-            raise ValueError("field has no analytic horizontal gradient")
-        return HVector(u.analytic_hgrad(x.z[None], x.t[None])[0])
-    if scheme != "central_fd":
-        raise ValueError(f"unknown scheme {scheme!r}")
-    h = default_step(x) if step is None else float(step)
-    if h <= 0:
-        raise ValueError("step must be positive")
-    return HVector(hgrad_batch(g, u.value, x.z[None], x.t[None], h)[0])
+    return HVector(hgrad_batch(g, value, x.z[None], x.t[None], _step_at(x, step))[0])
 
 
-def euler_apply(g: StepTwoGroup, u: ScalarField, x: Point,
-                step: Optional[float] = None) -> float:
-    """Generator of dilations: E u = <z, grad_z u> + 2 <t, d_t u>."""
+def euler_apply(g: StepTwoGroup, value, x: Point, step: Optional[float] = None) -> float:
+    """Generator of dilations: E u = <z, grad_z u> + 2 <t, d_t u>, by central
+    differences of a batched ``value(z, t)``."""
     _check_dims(g, x)
-    h = default_step(x) if step is None else float(step)
-    if u.analytic_hgrad is not None and u.analytic_dt is not None:
-        xg = u.analytic_hgrad(x.z[None], x.t[None])[0]
-        dt = u.analytic_dt(x.z[None], x.t[None])[0]
-        # recover the ambient z-partials from the frame components
-        dz = xg - 0.5 * np.einsum("jk,j->k", g.bz(x.z), dt)
-    else:
-        dz, dt = fd_partials(u.value, x.z[None], x.t[None], h)
-        dz, dt = dz[0], dt[0]
-    return float(x.z @ dz + 2.0 * (x.t @ dt))
+    dz, dt = fd_partials(value, x.z[None], x.t[None], _step_at(x, step))
+    return float(x.z @ dz[0] + 2.0 * (x.t @ dt[0]))
 
 
-def horizontal_divergence(g: StepTwoGroup, V: Callable[[Point], HVector], x: Point,
+def horizontal_divergence(g: StepTwoGroup, V, x: Point,
                           step: Optional[float] = None) -> float:
-    """sum_i X_i(V_i) by central differences on each component."""
+    """sum_i X_i(V_i) of a batched field ``V(z, t) -> (..., 2n)`` at a point,
+    by central differences on each component."""
     _check_dims(g, x)
-    h = default_step(x) if step is None else float(step)
-    bz = g.bz(x.z)
-    total = 0.0
-    nz = 2 * g.n
-    for i in range(nz):
-        zp = x.z.copy()
-        zp[i] += h
-        zm = x.z.copy()
-        zm[i] -= h
-        dzi = (V(Point(zp, x.t)).components[i] - V(Point(zm, x.t)).components[i]) / (2 * h)
-        dti = 0.0
-        for j in range(g.h):
-            tp = x.t.copy()
-            tp[j] += h
-            tm = x.t.copy()
-            tm[j] -= h
-            dvi = (V(Point(x.z, tp)).components[i] - V(Point(x.z, tm)).components[i]) / (2 * h)
-            dti += 0.5 * bz[j, i] * dvi
-        total += dzi + dti
-    return float(total)
+    h = _step_at(x, step)
+    z, t = x.z[None], x.t[None]
+    return float(sum(hgrad_batch(g, lambda z, t, i=i: V(z, t)[..., i], z, t, h)[0, i]
+                     for i in range(2 * g.n)))
 
 
 def lambda_min(g: StepTwoGroup) -> float:
@@ -350,51 +298,24 @@ def lambda_min(g: StepTwoGroup) -> float:
     return float(lams.min())
 
 
-def commutator_vertical(g: StepTwoGroup, u: ScalarField, x: Point, i: int,
+def commutator_vertical(g: StepTwoGroup, value, x: Point, i: int,
                         step: Optional[float] = None) -> float:
-    """(X_{2i} X_{2i-1} - X_{2i-1} X_{2i}) u by nested central differences.
+    """(X_{2i} X_{2i-1} - X_{2i-1} X_{2i}) u of a batched ``value(z, t)`` by
+    nested central differences.
 
     Should equal sum_j lam^(j)_i d_{t_j} u up to O(step^2).
     """
     _check_dims(g, x)
     if not 0 <= i < g.n:
         raise ValueError("block index out of range")
-    h = default_step(x) if step is None else float(step)
+    h = _step_at(x, step)
+    z, t = x.z[None], x.t[None]
 
-    def x_a(z, t, a):
-        bz = g.bz(z)
-        za = z.copy()
-        za[..., a] += h
-        zb = z.copy()
-        zb[..., a] -= h
-        dz = (u.value(za, t) - u.value(zb, t)) / (2 * h)
-        dt = np.zeros(z.shape[:-1])
-        for j in range(g.h):
-            tp = t.copy()
-            tp[..., j] += h
-            tm = t.copy()
-            tm[..., j] -= h
-            dt = dt + 0.5 * bz[..., j, a] * (u.value(z, tp) - u.value(z, tm)) / (2 * h)
-        return dz + dt
+    def xx(outer, inner):
+        """X_outer (X_inner u) at x."""
+        def x_inner(z, t):
+            return hgrad_batch(g, value, z, t, h)[..., inner]
+        return hgrad_batch(g, x_inner, z, t, h)[0, outer]
 
     a, b = 2 * i, 2 * i + 1
-
-    def apply_then(first, then, z, t):
-        # X_then (X_first u) at (z, t), with the inner derivative by fd
-        bz = g.bz(z)
-        zp = z.copy()
-        zp[..., then] += h
-        zm = z.copy()
-        zm[..., then] -= h
-        dz = (x_a(zp, t, first) - x_a(zm, t, first)) / (2 * h)
-        dt = np.zeros(z.shape[:-1])
-        for j in range(g.h):
-            tp = t.copy()
-            tp[..., j] += h
-            tm = t.copy()
-            tm[..., j] -= h
-            dt = dt + 0.5 * bz[..., j, then] * (x_a(z, tp, first) - x_a(z, tm, first)) / (2 * h)
-        return dz + dt
-
-    z1, t1 = x.z[None], x.t[None]
-    return float(apply_then(a, b, z1, t1)[0] - apply_then(b, a, z1, t1)[0])
+    return float(xx(b, a) - xx(a, b))

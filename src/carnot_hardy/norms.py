@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import Array, CenterError, HVector, Point, ScalarField, StepTwoGroup
+from .groups import Array, CenterError, HVector, Point, StepTwoGroup, frame
 
 TWO_PI = 2.0 * np.pi
 
@@ -254,9 +254,6 @@ class NormModel:
             raise CenterError("the cc distance is not differentiable on the center")
         return self.dt(x.z[None], x.t[None])[0]
 
-    def as_scalar_field(self) -> ScalarField:
-        return ScalarField(self.value, self.hgrad, self.dt)
-
 
 def _plain_jet(value: Callable, hgrad: Callable) -> Callable:
     """A gauge jet that reads the coordinates only."""
@@ -283,11 +280,9 @@ def koranyi(group: StepTwoGroup) -> NormModel:
         z = np.asarray(z, float)
         t = np.asarray(t, float)
         zn2 = np.sum(z * z, axis=-1)
-        rho3 = rho ** 3
         lt4 = (t @ L) / 4.0                      # (..., n): sum_j lam^(j)_i t_j / 4
-        g = np.empty_like(z)
-        g[..., 0::2] = (zn2[..., None] * z[..., 0::2] + z[..., 1::2] * lt4) / rho3[..., None]
-        g[..., 1::2] = (zn2[..., None] * z[..., 1::2] - z[..., 0::2] * lt4) / rho3[..., None]
+        g = frame(z, zn2[..., None], lt4)
+        g /= (rho ** 3)[..., None]
         return g
 
     def hgrad(z, t):
@@ -324,7 +319,7 @@ def koranyi_b(group: StepTwoGroup) -> NormModel:
     """Generalized gauge rho_B = (|z|_B^4 + t^2)^{1/4} with the symplectic norm."""
     if group.h != 1:
         raise ValueError("the generalized Koranyi gauge needs a single vertical direction")
-    lam = group.lambdas
+    lam2 = np.repeat(group.lambdas, 2)
 
     def value(z, t):
         t1 = np.asarray(t, float)[..., 0]
@@ -335,11 +330,7 @@ def koranyi_b(group: StepTwoGroup) -> NormModel:
         t1 = np.asarray(t, float)[..., 0]
         zb2 = symplectic_norm_sq_arrays(group, z)
         rho3 = value(z, t) ** 3
-        g = np.empty_like(z)
-        coef = lam / (4.0 * rho3[..., None])
-        g[..., 0::2] = coef * (zb2[..., None] * z[..., 0::2] + z[..., 1::2] * t1[..., None])
-        g[..., 1::2] = coef * (zb2[..., None] * z[..., 1::2] - z[..., 0::2] * t1[..., None])
-        return g
+        return frame(z, zb2[..., None], t1[..., None]) * (lam2 / (4.0 * rho3[..., None]))
 
     def dt(z, t):
         t = np.asarray(t, float)
@@ -426,11 +417,7 @@ def balogh_tyson(group: StepTwoGroup) -> NormModel:
     def hgrad(z, t):
         z, rho, lq, lt = log_partials(z, t)
         lq *= rho[..., None]
-        ct = (lam / 2.0) * (rho * lt)[..., None]
-        g = np.empty_like(z)
-        g[..., 0::2] = lq * z[..., 0::2] + ct * z[..., 1::2]
-        g[..., 1::2] = lq * z[..., 1::2] - ct * z[..., 0::2]
-        return g
+        return frame(z, lq, (lam / 2.0) * (rho * lt)[..., None])
 
     def dt(z, t):
         _, rho, _, lt = log_partials(z, t)

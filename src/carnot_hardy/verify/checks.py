@@ -14,11 +14,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..groups import (Array, CenterError, Point, StepTwoGroup, heisenberg,
-                      heisenberg_product, hgrad_batch, nonisotropic)
+                      heisenberg_product, nonisotropic)
 from ..norms import NormModel, balogh_tyson, koranyi
 from ..zfield import ZFieldSpec, _block_perp, scan_unit_sphere, z_field_components
-from .quadrature import QuadratureSpec, integrate_many
-from .testfuncs import BumpProfile, TestFunction, radial_bump, sharpness_function
+from .quadrature import Nodes, QuadratureSpec, integrate_many
+from .testfuncs import (BumpProfile, TestFunction, extremal_power, radial_bump,
+                        sharpness_function)
 
 
 @dataclass
@@ -108,8 +109,6 @@ def check_ibp_identity(spec: ZFieldSpec, u: TestFunction,
     absolute smallness (1e-4, normalized by the mass integral) when pt = Q
     makes I3 vanish identically.
     """
-    if u.jet is None:
-        raise ValueError("the identity check needs analytic bump evaluators")
     quad = _quad_for(u, quad)
     p, theta = spec.p, spec.theta
     pt = spec.ptheta
@@ -155,8 +154,6 @@ def hardy_quotient(spec: ZFieldSpec, u: TestFunction,
                    projected: bool = True) -> float:
     """(int |<grad u, Z_d>|^p / d^{p(theta-1)}) / (int |u|^p / d^{p theta}),
     or with the full |grad u| in the numerator when projected is False."""
-    if u.jet is None:
-        raise ValueError("the quotient needs an analytic bump gradient")
     quad = _quad_for(u, quad)
     rnum, rden = integrate_many(spec.group, [_quotient_integrands(spec, u, projected)],
                                 quad)
@@ -232,9 +229,9 @@ def fit_log_excess(points: Sequence[SharpnessPoint], target: float):
 # the extremal residual
 # ---------------------------------------------------------------------------
 
-def extremal_residual(spec: ZFieldSpec, x: Point, step: float = 1e-5) -> float:
+def extremal_residual(spec: ZFieldSpec, x: Point) -> float:
     """|<grad u, Z_d>/d^{theta-1} + ((Q - p theta)/p) u / d^theta| for the
-    extremal u = (|t|/|z|^2)^{(Q-2)/(2p)}, with finite-difference gradients.
+    extremal u = (|t|/|z|^2)^{(Q-2)/(2p)}, from its closed jet.
 
     Vanishes when the gauge is blockwise rotation-invariant; at p theta = Q
     the second term drops and the pairing itself must vanish.
@@ -243,16 +240,13 @@ def extremal_residual(spec: ZFieldSpec, x: Point, step: float = 1e-5) -> float:
         raise ValueError("the extremal profile needs <z, B^-1 grad_z d> = 0")
     if x.on_center() or abs(float(x.t[0])) == 0.0:
         raise CenterError("evaluate the residual off the center and off {t = 0}")
-    from .testfuncs import extremal_power
-    u = extremal_power(spec.group, spec.p)
-    g = spec.group
-    gu = hgrad_batch(g, u.value, x.z[None], x.t[None], step)[0]
-    zc = z_field_components(spec, x.z[None], x.t[None])[0]
-    d = spec.norm.value(x.z[None], x.t[None])[0]
-    uval = u.value(x.z[None], x.t[None])[0]
-    pair = float(gu @ zc)
+    z, t = x.z[None], x.t[None]
+    uval, gu, _ = extremal_power(spec.group, spec.p).jet(Nodes(z, t))
+    zc = z_field_components(spec, z, t)[0]
+    d = spec.norm.value(z, t)[0]
+    pair = float(gu[0] @ zc)
     return abs(pair / d ** (spec.theta - 1.0)
-               + (g.Q - spec.ptheta) / spec.p * uval / d**spec.theta)
+               + (spec.group.Q - spec.ptheta) / spec.p * uval[0] / d**spec.theta)
 
 
 # ---------------------------------------------------------------------------

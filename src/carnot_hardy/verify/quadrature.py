@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ..groups import Array, StepTwoGroup
+from ..groups import Array, StepTwoGroup, frame
 
 LOG2 = float(np.log(2.0))
 
@@ -253,15 +253,10 @@ class Nodes(NamedTuple):
         return np.broadcast_to(table, (k, self.z.shape[0] // (k * n_lam), n_lam)).reshape(-1)
 
     def frame(self, p, r) -> Array:
-        """Frame components (z_1 P + z_2 R, z_2 P - z_1 R) from tables P, R in
-        (sigma, lam): the form that the horizontal gradient of every function
-        of (|z|, t) takes on H^1."""
-        P, R = self.spread(p), self.spread(r)
-        z1, z2 = self.z[:, 0], self.z[:, 1]
-        g = np.empty(self.z.shape)
-        g[:, 0] = z1 * P + z2 * R
-        g[:, 1] = z2 * P - z1 * R
-        return g
+        """``groups.frame`` (z_1 P + z_2 R, z_2 P - z_1 R) with tables P, R in
+        (sigma, lam) spread onto the nodes: the horizontal gradient of every
+        function of (|z|, t) on H^1."""
+        return frame(self.z, self.spread(p)[:, None], self.spread(r)[:, None])
 
 
 def _chunks(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool):

@@ -20,13 +20,13 @@ onto the nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial.legendre import leggauss
 
-from ..groups import Array, ScalarField, StepTwoGroup
+from ..groups import Array, StepTwoGroup
 from ..norms import koranyi
 from .quadrature import Nodes
 
@@ -156,27 +156,22 @@ class BumpProfile:
 
 @dataclass(frozen=True, eq=False)
 class TestFunction:
-    """A compactly supported test function with analytic evaluators.
+    """A test function with closed evaluators.
 
     ``value`` and ``hgrad`` follow the batched conventions of the rest of
     the package; ``euler`` evaluates the generator of dilations applied to
-    the function.  ``hgrad`` may be None for value-only functions (the
-    extremal profile, differentiated by finite differences where needed).
-    ``jet(nodes)`` returns ``(value, hgrad, euler)`` on a node record from
-    one evaluation of the shared pieces, and ``jet(nodes, derivs=False)``
-    returns ``(value, None, None)``; it is None for value-only functions.
+    the function.  ``jet(nodes)`` returns ``(value, hgrad, euler)`` on a
+    node record from one evaluation of the shared pieces, and
+    ``jet(nodes, derivs=False)`` returns ``(value, None, None)``.
     """
 
     kind: str
     params: dict
     value: Callable[[Array, Array], Array]
-    hgrad: Optional[Callable[[Array, Array], Array]] = None
-    euler: Optional[Callable[[Array, Array], Array]] = None
+    hgrad: Callable[[Array, Array], Array]
+    euler: Callable[[Array, Array], Array]
+    jet: Callable
     support: tuple = (0.25, 2.0)
-    jet: Optional[Callable] = None
-
-    def as_scalar_field(self) -> ScalarField:
-        return ScalarField(self.value, self.hgrad)
 
 
 def _from_jet(kind: str, params: dict, jet: Callable, support: tuple) -> TestFunction:
@@ -272,18 +267,33 @@ def random_bump(group: StepTwoGroup, rng: np.random.Generator) -> TestFunction:
     return radial_bump(group, BumpProfile(r2, r1, R1, R2), modulation=a)
 
 
+def _slope_grad(group: StepTwoGroup, z: Array, t1: Array, zn2: Array) -> Array:
+    """grad(t/|z|^2) = -2 t z / |z|^4 + Bz / (2 |z|^2), for h = 1."""
+    return (-2.0 * (t1 / zn2**2)[..., None] * z
+            + 0.5 * group.bz(z)[..., 0, :] / zn2[..., None])
+
+
 def extremal_power(group: StepTwoGroup, p: float) -> TestFunction:
-    """u = (|t|/|z|^2)^{(Q-2)/(2p)}, the profile attaining equality."""
+    """u = (|t|/|z|^2)^{(Q-2)/(2p)}, the profile attaining equality.
+
+    With lam = t/|z|^2, grad u = kappa |lam|^{kappa-1} sgn(lam) grad lam, and
+    E u = 0 since lam is homogeneous of degree zero.  The jet reads the
+    coordinates only, chart tables or not.
+    """
     kappa = (group.Q - 2.0) / (2.0 * p)
 
-    def value(z, t):
-        z = np.asarray(z, float)
+    def jet(nodes, derivs=True):
+        z = np.asarray(nodes.z, float)
+        t1 = np.asarray(nodes.t, float)[..., 0]
         zn2 = np.sum(z * z, axis=-1)
-        t1 = np.abs(np.asarray(t, float)[..., 0])
-        return (t1 / zn2) ** kappa
+        val = (np.abs(t1) / zn2) ** kappa
+        if not derivs:
+            return val, None, None
+        lam = t1 / zn2
+        coef = kappa * np.abs(lam) ** (kappa - 1.0) * np.sign(lam)
+        return val, coef[..., None] * _slope_grad(group, z, t1, zn2), np.zeros(val.shape)
 
-    return TestFunction("extremal", {"exponent": kappa}, value,
-                        support=(0.0, np.inf))
+    return _from_jet("extremal", {"exponent": kappa}, jet, support=(0.0, np.inf))
 
 
 def sharpness_function(group: StepTwoGroup, p: float, eps: float,
@@ -336,9 +346,7 @@ def sharpness_function(group: StepTwoGroup, p: float, eps: float,
         eta, deta = profile.jet(d)
         if not derivs:
             return w * eta, None, None
-        # grad(t/|z|^2) = -2 t z / |z|^4 + Bz / (2 |z|^2)
-        glam = (-2.0 * (t1 / zn2**2)[..., None] * z
-                + 0.5 * group.bz(z)[..., 0, :] / zn2[..., None])
+        glam = _slope_grad(group, z, t1, zn2)
         gr = rho.hgrad(z, nodes.t)
         return (w * eta, (wd * eta)[..., None] * glam + (w * deta)[..., None] * gr,
                 w * deta * d)

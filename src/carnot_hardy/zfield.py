@@ -36,6 +36,8 @@ class ZFieldSpec:
     variant: str = "single"
 
     def __post_init__(self):
+        if not (np.isfinite(self.p) and np.isfinite(self.theta)):
+            raise ValueError("p and theta must be finite")
         if self.p < 2:
             raise ValueError("p must be >= 2")
         if self.variant not in _VARIANTS:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from carnot_hardy import (Point, ScalarField, ZFieldSpec, bound_generic,
+from carnot_hardy import (Point, ZFieldSpec, bound_generic,
                           bound_koranyi, bound_koranyi_B, bound_product, cc,
                           g_cc, heisenberg, koranyi, koranyi_b,
                           koranyi_profile_max, nonisotropic, sup_z_norm,
@@ -281,18 +281,17 @@ def test_criterion_12_commutator_and_adjoint():
     def dt_u(z, t):
         return -np.sin(np.asarray(t)[..., 0]) * np.asarray(z)[..., 0]
 
-    fld = ScalarField(uval)
     rng = np.random.default_rng(112)
     for _ in range(100):
         x = Point(rng.normal(size=2), rng.normal(size=1))
         expected = 4.0 * float(dt_u(x.z[None], x.t[None])[0])
-        got = commutator_vertical(H1, fld, x, 0, step=1e-3)
+        got = commutator_vertical(H1, uval, x, 0, step=1e-3)
         assert abs(got - expected) <= 5e-5 * max(1.0, abs(expected))
     # second-order convergence at a fixed point
     x = Point([0.4, -0.7], 0.3)
     ref = 4.0 * float(dt_u(x.z[None], x.t[None])[0])
-    e1 = abs(commutator_vertical(H1, fld, x, 0, step=2e-3) - ref)
-    e2 = abs(commutator_vertical(H1, fld, x, 0, step=1e-3) - ref)
+    e1 = abs(commutator_vertical(H1, uval, x, 0, step=2e-3) - ref)
+    e2 = abs(commutator_vertical(H1, uval, x, 0, step=1e-3) - ref)
     assert e2 <= e1 / 2.5
 
     rng = np.random.default_rng(212)

@@ -101,6 +101,16 @@ def assert_usage_error(argv, capsys):
     ["supz", "--norm", "cc", "--Q", "2"],
     ["supz", "--p", "1", "--theta", "1"],
     ["supz", "--norm", "cc", "--p", "1.5"],
+    ["cc", "--point", "1,0,abc"],
+    ["cc", "--point", "nan,0,0.5"],
+    ["verify", "sharpness", "--eps", "abc"],
+    ["verify", "sharpness", "--eps", "0"],
+    ["verify", "sharpness", "--eps", "2"],
+    ["verify", "sharpness", "--eps", "1e-2,1e-2"],
+    ["bounds", "--theta", "abc"],
+    ["bounds", "--p", "nan"],
+    ["verify", "identity", "--p", "nan"],
+    ["supz", "--Q", "nan"],
 ])
 def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     assert_usage_error(argv, capsys)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from carnot_hardy import (Point, ScalarField, dilate, euler_apply, group_inverse,
+from carnot_hardy import (Point, dilate, euler_apply, group_inverse,
                           group_law, heisenberg, heisenberg_product,
                           horizontal_divergence, horizontal_gradient, koranyi,
                           lambda_min, nonisotropic)
-from carnot_hardy.groups import (HVector, StepTwoGroup, commutator_vertical,
-                                 default_step, hgrad_batch)
+from carnot_hardy.groups import (StepTwoGroup, commutator_vertical, default_step,
+                                 hgrad_batch)
 
 
 def test_group_invariants():
@@ -72,7 +72,7 @@ def _coordinate_fields(g):
     def tval(z, t):
         return np.asarray(t)[..., 0]
 
-    return ScalarField(z1), ScalarField(tval)
+    return z1, tval
 
 
 def test_horizontal_gradient_coordinate_fields():
@@ -90,14 +90,10 @@ def test_horizontal_gradient_analytic_vs_fd():
     g = heisenberg(1)
     rho = koranyi(g)
     x = Point([1.0, 0.0], 0.0)
-    ana = horizontal_gradient(g, rho.as_scalar_field(), x, scheme="analytic")
+    ana = rho.hgrad_at(x)
     assert np.allclose(ana.components, [1.0, 0.0], atol=1e-12)
-    fd = horizontal_gradient(g, rho.as_scalar_field(), x, scheme="central_fd",
-                             step=1e-5)
+    fd = horizontal_gradient(g, rho.value, x, step=1e-5)
     assert np.allclose(fd.components, ana.components, atol=1e-9)
-    bare = ScalarField(rho.value)
-    with pytest.raises(ValueError):
-        horizontal_gradient(g, bare, x, scheme="analytic")
 
 
 def test_frame_orthonormality_against_fd():
@@ -119,12 +115,17 @@ def test_euler_apply():
     # homogeneous of degree 1: E d = d
     for _ in range(10):
         x = Point(rng.normal(size=2), rng.normal(size=1))
-        ed = euler_apply(g, rho.as_scalar_field(), x)
+        ed = euler_apply(g, rho.value, x)
         assert abs(ed - rho.value_at(x)) < 1e-8 * max(1, rho.value_at(x))
-    ft = ScalarField(lambda z, t: np.asarray(t)[..., 0])
     x = Point([0.3, 0.1], 0.7)
+
+    def ft(z, t):
+        return np.asarray(t)[..., 0]
+
+    def fz2(z, t):
+        return np.sum(np.asarray(z)**2, axis=-1)
+
     assert abs(euler_apply(g, ft, x) - 2 * 0.7) < 1e-9
-    fz2 = ScalarField(lambda z, t: np.sum(np.asarray(z)**2, axis=-1))
     assert abs(euler_apply(g, fz2, x) - 2 * (0.3**2 + 0.1**2)) < 1e-8
 
 
@@ -132,13 +133,13 @@ def test_horizontal_divergence():
     g = heisenberg(2)
     x = Point([0.4, -0.2, 0.3, 0.9], 0.5)
 
-    def identity_field(p):
-        return HVector(p.z)
+    def identity_field(z, t):
+        return np.asarray(z, float)
 
     assert abs(horizontal_divergence(g, identity_field, x) - 4.0) < 1e-8
 
-    def const_field(p):
-        return HVector(np.array([1.0, -2.0, 0.5, 0.0]))
+    def const_field(z, t):
+        return np.broadcast_to([1.0, -2.0, 0.5, 0.0], np.shape(z))
 
     assert abs(horizontal_divergence(g, const_field, x)) < 1e-10
 
@@ -146,17 +147,60 @@ def test_horizontal_divergence():
     def phi(z, t):
         return np.sin(np.asarray(z)[..., 0] + np.asarray(z)[..., 2]) * np.asarray(t)[..., 0]
 
-    fld = ScalarField(phi)
-
-    def perp_block0(p):
-        grad = horizontal_gradient(g, fld, p, step=1e-4).components
-        out = np.zeros(4)
-        out[0], out[1] = -grad[1], grad[0]
-        return HVector(out)
+    def perp_block0(z, t):
+        grad = hgrad_batch(g, phi, z, t, 1e-4)
+        out = np.zeros(grad.shape)
+        out[..., 0], out[..., 1] = -grad[..., 1], grad[..., 0]
+        return out
 
     dphi_dt = np.sin(x.z[0] + x.z[2])
     got = horizontal_divergence(g, perp_block0, x, step=1e-4)
     assert abs(got - 4.0 * dphi_dt) < 1e-5
+
+
+@pytest.mark.parametrize("g", [heisenberg_product(1, 2), nonisotropic([1.0, 2.0])],
+                         ids=["(H^1)^2", "lam (1, 2)"])
+def test_divergence_of_perp_gradients_on_every_block(g):
+    # V = perp-gradient of phi on block i: div V = [X_{2i}, X_{2i-1}] phi
+    #   = sum_j lam^(j)_i d_{t_j} phi
+    def phi(z, t):
+        z, t = np.asarray(z), np.asarray(t)
+        return np.sin(z[..., 0] + z[..., 2]) * t[..., 0] + np.cos(z[..., 1]) * t[..., -1] ** 2
+
+    def dt_phi(z, t):
+        dt = np.zeros(t.shape)
+        dt[0] = np.sin(z[0] + z[2])
+        dt[-1] += 2.0 * np.cos(z[1]) * t[-1]
+        return dt
+
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        x = Point(rng.normal(size=2 * g.n), rng.normal(size=g.h))
+        for i in range(g.n):
+            def perp(z, t, i=i):
+                grad = hgrad_batch(g, phi, z, t, 1e-4)
+                out = np.zeros(grad.shape)
+                out[..., 2 * i], out[..., 2 * i + 1] = -grad[..., 2 * i + 1], grad[..., 2 * i]
+                return out
+
+            expected = float(g.couplings[:, i] @ dt_phi(x.z, x.t))
+            got = horizontal_divergence(g, perp, x, step=1e-4)
+            assert abs(got - expected) < 1e-5 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("g", [heisenberg_product(1, 2), nonisotropic([1.0, 2.0])],
+                         ids=["(H^1)^2", "lam (1, 2)"])
+def test_euler_apply_returns_the_degree_of_homogeneous_polynomials(g):
+    # z has degree 1 and t degree 2: both terms below are homogeneous of degree 3
+    def u(z, t):
+        z, t = np.asarray(z), np.asarray(t)
+        return z[..., 0] ** 2 * z[..., 3] - 0.5 * z[..., 1] * t[..., -1]
+
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        x = Point(rng.normal(size=2 * g.n), rng.normal(size=g.h))
+        val = float(u(x.z, x.t))
+        assert abs(euler_apply(g, u, x) - 3.0 * val) < 1e-8 * max(1.0, abs(val))
 
 
 def test_lambda_min():
@@ -179,14 +223,13 @@ def test_commutators_at_random_points():
         return -np.sin(np.asarray(t)[..., 0]) * np.asarray(z)[..., 0]
 
     for g in (heisenberg(1), nonisotropic([1.0, 2.0]), heisenberg_product(1, 2)):
-        fld = ScalarField(u)
         for _ in range(25):
             x = Point(rng.normal(size=2 * g.n), rng.normal(size=g.h))
             for i in range(g.n):
                 lams = g.couplings[:, i]
                 # only the first vertical direction appears in u above
                 expected = float(lams[0] * dt_u(x.z[None], x.t[None])[0])
-                got = commutator_vertical(g, fld, x, i, step=1e-3)
+                got = commutator_vertical(g, u, x, i, step=1e-3)
                 assert abs(got - expected) < 5e-5 * max(1.0, abs(expected))
 
 

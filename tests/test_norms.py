@@ -7,7 +7,9 @@ from carnot_hardy import (CCPolar, CenterError, Point, balogh_tyson, cc,
 from carnot_hardy.groups import hgrad_batch
 from carnot_hardy.norms import (cc_polar_arrays, equivalence_ratio_range,
                                 reconstruction_defect_arrays,
-                                rotation_defect_arrays, solve_mu_inverse)
+                                rotation_defect_arrays, solve_mu_inverse,
+                                symplectic_norm_sq_arrays)
+from carnot_hardy.verify.quadrature import Nodes, QuadratureSpec, _chunks
 
 H1 = heisenberg(1)
 H2 = heisenberg(2)
@@ -300,6 +302,83 @@ def test_balogh_tyson_positive_on_grid():
     d0 = model.value(z, t)
     for gam in (0.5, 2.0, 7.0):
         assert np.allclose(model.value(gam * z, gam**2 * t), gam * d0, rtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the frame gradients, written out slot by slot
+# ---------------------------------------------------------------------------
+
+def _slots(z, first, second):
+    g = np.empty(z.shape)
+    g[..., 0::2] = first
+    g[..., 1::2] = second
+    return g
+
+
+def _koranyi_slots(model, z, t):
+    L = model.group.couplings
+    zn2 = np.sum(z * z, axis=-1)[..., None]
+    rho3 = (model.value(z, t) ** 3)[..., None]
+    lt4 = (t @ L) / 4.0
+    return _slots(z, (zn2 * z[..., 0::2] + z[..., 1::2] * lt4) / rho3,
+                  (zn2 * z[..., 1::2] - z[..., 0::2] * lt4) / rho3)
+
+
+def _koranyi_b_slots(model, z, t):
+    g = model.group
+    t1 = t[..., 0][..., None]
+    zb2 = symplectic_norm_sq_arrays(g, z)[..., None]
+    coef = g.lambdas / (4.0 * (model.value(z, t) ** 3)[..., None])
+    return _slots(z, coef * (zb2 * z[..., 0::2] + z[..., 1::2] * t1),
+                  coef * (zb2 * z[..., 1::2] - z[..., 0::2] * t1))
+
+
+def _balogh_tyson_slots(model, z, t):
+    t1 = t[..., 0]
+    half = (z[..., 0]**2 + z[..., 1]**2) / 2.0
+    w = half + z[..., 2]**2 + z[..., 3]**2
+    s = np.hypot(w, t1)
+    rho = model.value(z, t)
+    a = 0.375 / (half + s)
+    b = 0.125 / (w + s)
+    ls = 0.25 / s + a - b
+    lw = ls * w / s - b
+    lq = np.stack([a + lw, 2.0 * lw], axis=-1) * rho[..., None]
+    ct = (model.group.lambdas / 2.0) * (rho * (ls * t1 / s))[..., None]
+    return _slots(z, lq * z[..., 0::2] + ct * z[..., 1::2],
+                  lq * z[..., 1::2] - ct * z[..., 0::2])
+
+
+_SLOT_CASES = [
+    (koranyi, _koranyi_slots, H1), (koranyi, _koranyi_slots, H2),
+    (koranyi, _koranyi_slots, nonisotropic([1.0, 2.0])),
+    (koranyi, _koranyi_slots, nonisotropic([0.5, 1.0])),
+    (koranyi, _koranyi_slots, heisenberg_product(1, 2)),
+    (koranyi_b, _koranyi_b_slots, H1), (koranyi_b, _koranyi_b_slots, H2),
+    (koranyi_b, _koranyi_b_slots, nonisotropic([1.0, 2.0])),
+    (koranyi_b, _koranyi_b_slots, nonisotropic([0.5, 1.0])),
+    (balogh_tyson, _balogh_tyson_slots, nonisotropic([0.5, 1.0])),
+]
+
+
+@pytest.mark.parametrize("factory, slots, g", _SLOT_CASES,
+                         ids=[f"{f.__name__} {g.couplings.tolist()}" for f, _, g in _SLOT_CASES])
+def test_hgrad_is_bit_identical_to_the_slot_formulas(factory, slots, g):
+    model = factory(g)
+    z, t = rand_points(np.random.default_rng(23), g, 400)
+    assert np.array_equal(model.hgrad(z, t), slots(model, z, t))
+    _, grad = model.jet(Nodes(z, t))
+    assert np.array_equal(grad, slots(model, z, t))
+
+
+def test_koranyi_chart_jet_is_bit_identical_to_the_slot_formula():
+    quad = QuadratureSpec(sigma_range=(0.25, 2.0), n_sigma=8)
+    nodes = next(_chunks(H1, quad, False))[0]
+    c_sig = 1.0 / np.sqrt(1.0 + nodes.lam**2) / nodes.radii
+    P, R = nodes.spread(c_sig), nodes.spread(c_sig * nodes.lam)
+    z1, z2 = nodes.z[:, 0], nodes.z[:, 1]
+    assert np.array_equal(koranyi(H1).jet(nodes)[1],
+                          np.stack([z1 * P + z2 * R, z2 * P - z1 * R], axis=-1))
 
 
 # ---------------------------------------------------------------------------

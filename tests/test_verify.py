@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from carnot_hardy import (Point, ZFieldSpec, cc, heisenberg, heisenberg_product,
-                          koranyi, nonisotropic)
+from carnot_hardy import (Point, ZFieldSpec, cc, euler_apply, heisenberg,
+                          heisenberg_product, koranyi, nonisotropic)
+from carnot_hardy.groups import hgrad_batch
 from carnot_hardy.verify import (BumpProfile, Nodes, QuadratureSpec, check_ibp_identity,
                                  check_w_identity, counterexample_scan,
-                                 euler_adjoint_defect, extremal_residual,
+                                 euler_adjoint_defect, extremal_power,
+                                 extremal_residual,
                                  fit_log_excess, g_cutoff, g_cutoff_d,
                                  hardy_quotient, integrate, integrate_many,
                                  product_check, radial_bump, random_bump,
@@ -395,24 +397,44 @@ def test_sharpness_sequence_quick():
 # extremal residual
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("g", [H1, heisenberg(2), nonisotropic([1.0, 2.0])],
+                         ids=["H^1", "H^2", "lam (1, 2)"])
+def test_extremal_power_jet_matches_central_differences(g):
+    u = extremal_power(g, 3.0)
+    rng = np.random.default_rng(56)
+    z = rng.normal(size=(40, 2 * g.n))
+    t = rng.choice([-1.0, 1.0], size=(40, 1)) * rng.uniform(0.2, 2.0, size=(40, 1))
+    v, gu, eu = u.jet(Nodes(z, t))
+    assert np.array_equal(v, u.value(z, t))
+    fd = hgrad_batch(g, u.value, z, t, 1e-6)
+    assert np.max(np.abs(gu - fd) / np.maximum(1.0, np.abs(gu))) < 1e-7
+    assert np.array_equal(eu, np.zeros(40))
+    for k in range(5):
+        x = Point(z[k], t[k])
+        assert abs(euler_apply(g, u.value, x)) < 1e-8 * max(1.0, float(v[k]))
+
+
+# the residual reads the extremal profile's closed jet, so it vanishes to
+# round-off (about 1e-15 on these points)
+
 def test_extremal_residual_koranyi():
     spec = ZFieldSpec(H1, koranyi(H1), 2.0, 1.0)
-    assert extremal_residual(spec, Point([1.0, 0.0], 1.0)) < 1e-8
+    assert extremal_residual(spec, Point([1.0, 0.0], 1.0)) < 1e-14
     rng = np.random.default_rng(54)
     for _ in range(10):
         x = Point(rng.normal(size=2), rng.uniform(0.2, 2.0, size=1))
-        assert extremal_residual(spec, x) < 1e-7
+        assert extremal_residual(spec, x) < 1e-14
 
 
 def test_extremal_residual_cc():
     spec = ZFieldSpec(H1, cc(H1), 2.0, 1.0)
-    assert extremal_residual(spec, Point([1.0, 0.0], 1.0)) < 1e-7
+    assert extremal_residual(spec, Point([1.0, 0.0], 1.0)) < 1e-14
 
 
 def test_extremal_residual_degenerate():
-    # p theta = Q: the reduction factor vanishes, the pairing itself is tiny
+    # p theta = Q: the reduction factor vanishes, the pairing itself vanishes
     spec = ZFieldSpec(H1, koranyi(H1), 2.0, 2.0)
-    assert extremal_residual(spec, Point([1.0, 0.0], 1.0)) < 1e-8
+    assert extremal_residual(spec, Point([1.0, 0.0], 1.0)) < 1e-14
 
 
 def test_extremal_residual_guards():

@@ -225,6 +225,9 @@ def test_symplectic_norm():
 def test_spec_validation():
     with pytest.raises(ValueError):
         ZFieldSpec(H1, koranyi(H1), 1.5, 1.0)
+    for p, theta in ((np.nan, 1.0), (np.inf, 1.0), (2.0, np.nan), (2.0, -np.inf)):
+        with pytest.raises(ValueError):
+            ZFieldSpec(H1, koranyi(H1), p, theta)
     with pytest.raises(ValueError):
         ZFieldSpec(H1, koranyi(H1), 2.0, 1.0, variant="bogus")
     with pytest.raises(ValueError):
