@@ -7,7 +7,7 @@ from .groups import (CenterError, HVector, Point, StepTwoGroup, dilate, euler_ap
                      lambda_min, nonisotropic)
 from .norms import (CCPolar, ConvergenceError, NormModel, balogh_tyson, cc,
                     cc_from_polar, cc_invert, koranyi, koranyi_b, make_norm)
-from .zfield import (SupResult, ZFieldSpec, g_cc, golden_section_max,
+from .zfield import (SupResult, ZFieldSpec, bracket_zoom_max, g_cc,
                      koranyi_profile_max, sup_z_norm, symplectic_norm, z_field_at,
                      z_profile_koranyi)
 from .bounds import (BoundReport, bound_cc, bound_generic, bound_koranyi,

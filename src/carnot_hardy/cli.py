@@ -34,6 +34,8 @@ from .verify import (QuadratureSpec, check_ibp_identity, counterexample_scan,
                      sharpness_sequence, fit_log_excess)
 
 DEFAULT_SEED = 2024
+# each bounds row lists the group's lambdas, so its size grows with --n
+MAX_BOUNDS_N = 1000
 
 
 class UsageError(Exception):
@@ -52,6 +54,16 @@ def _finite(flag):
             raise UsageError(f"{flag} {text}: must be a finite number")
         return value
     return parse
+
+
+def _not_finite(context):
+    """The usage error for finite inputs whose results overflow double precision."""
+    return UsageError(f"{context}: the result is not finite in double precision")
+
+
+def _check_finite(context, *values):
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise _not_finite(context)
 
 
 def _parse_floats(text, flag):
@@ -165,7 +177,44 @@ def _meta(args, command):
             "config": cfg}
 
 
+def _bound_row(args, group, kind, p, theta, context):
+    """(sup, bound value, branch, condition checks) of one bounds row."""
+    Q = float(group.Q)
+    checks = {}
+    if args.group == "product":
+        checks = product_conditions(args.n, args.N, p, theta)
+        spec = _make_spec(group, make_norm(kind, group), p, theta, variant="product")
+        sup = sup_z_norm(spec)
+        _check_finite(context, sup.sup_value)
+        try:
+            value = bound_product(args.n, args.N, p, theta)
+        except ValueError:
+            return sup, float("nan"), "condition_failed", checks
+        _check_finite(context, value)
+        return sup, value, "product", checks
+    spec = _make_spec(group, _make_norm(kind, group, args), p, theta)
+    sup = sup_z_norm(spec)
+    _check_finite(context, sup.sup_value)
+    if kind == "koranyi":
+        value, branch = bound_koranyi(Q, p, theta)
+        lo, hi = koranyi_window(Q)
+        checks = {"ptheta_in_window": lo <= p * theta <= hi}
+    elif kind == "cc":
+        checks = {"closed_branch": theta >= 0 and Q >= CC_COEFF * p * theta}
+        value, branch = bound_cc(Q, p, theta, g_sup=sup.sup_sq)
+    elif kind == "koranyi_b":
+        value, branch = bound_koranyi_B(group, p, theta)
+        lo, hi = koranyi_window(Q)
+        checks = {"ptheta_in_window": lo <= p * theta <= hi}
+    else:  # no closed formula: generic bound from the sampled sup
+        value, branch = bound_generic(sup.sup_value, Q, p, theta), "generic"
+    _check_finite(context, value)
+    return sup, value, branch, checks
+
+
 def cmd_bounds(args) -> int:
+    if args.n > MAX_BOUNDS_N:
+        raise UsageError(f"--n {args.n}: bounds tabulates at most {MAX_BOUNDS_N} blocks")
     group = _make_group(args)
     Q = float(group.Q)
     if args.group == "product":
@@ -181,33 +230,11 @@ def cmd_bounds(args) -> int:
     for theta in _theta_grid(args, Q):
         for kind in norms:
             p = args.p
-            checks = {}
-            if args.group == "product":
-                checks = product_conditions(args.n, args.N, p, theta)
-                try:
-                    value = bound_product(args.n, args.N, p, theta)
-                    branch = "product"
-                except ValueError:
-                    value, branch = float("nan"), "condition_failed"
-                spec = _make_spec(group, make_norm(kind, group), p, theta,
-                                  variant="product")
-                sup = sup_z_norm(spec)
-            else:
-                spec = _make_spec(group, _make_norm(kind, group, args), p, theta)
-                sup = sup_z_norm(spec)
-                if kind == "koranyi":
-                    value, branch = bound_koranyi(Q, p, theta)
-                    lo, hi = koranyi_window(Q)
-                    checks = {"ptheta_in_window": lo <= p * theta <= hi}
-                elif kind == "cc":
-                    checks = {"closed_branch": theta >= 0 and Q >= CC_COEFF * p * theta}
-                    value, branch = bound_cc(Q, p, theta, g_sup=sup.sup_sq)
-                elif kind == "koranyi_b":
-                    value, branch = bound_koranyi_B(group, p, theta)
-                    lo, hi = koranyi_window(Q)
-                    checks = {"ptheta_in_window": lo <= p * theta <= hi}
-                else:  # no closed formula: generic bound from the sampled sup
-                    value, branch = bound_generic(sup.sup_value, Q, p, theta), "generic"
+            context = f"--p {p:g} --theta {theta:g} --norm {kind}"
+            try:
+                sup, value, branch, checks = _bound_row(args, group, kind, p, theta, context)
+            except OverflowError:
+                raise _not_finite(context) from None
             report = BoundReport(group.describe(), kind, p, theta, Q,
                                  float(value), branch,
                                  sup_value=sup.sup_value, sup_method=sup.method,
@@ -226,6 +253,7 @@ def cmd_supz(args) -> int:
         raise UsageError(f"--p {p:g}: the profiles are stated for p >= 2, as the bounds are")
     if args.nodes < 2:
         raise UsageError(f"--nodes {args.nodes}: the profile needs at least 2 nodes")
+    context = f"--Q {Q:g} --p {p:g} --theta {theta:g}"
     try:
         if args.norm == "cc":
             xs = np.linspace(-2 * np.pi, 2 * np.pi, args.nodes)
@@ -242,6 +270,9 @@ def cmd_supz(args) -> int:
             method = "closed_form"
     except ValueError as exc:
         raise UsageError(f"--Q {Q:g}: {exc}") from None
+    except OverflowError:
+        raise _not_finite(context) from None
+    _check_finite(context, ys, sup_sq, arg)
     i = int(np.argmax(ys))
     if args.format == "csv":
         lines = [f"# sup_sq={sup_sq!r} arg={arg!r} method={method}",
@@ -372,6 +403,11 @@ def cmd_cc(args) -> int:
     x = Point(coords[:-1], coords[-1])
     if x.is_origin():
         raise UsageError("the origin has no polar data")
+    # the polar chart reads t/|z|^2 off |z|^2, away from the center
+    with np.errstate(all="ignore"):
+        zn2 = x.z @ x.z
+        slope = x.t[0] / zn2 if not x.on_center() else 0.0
+    _check_finite(f"--point {args.point}", zn2, slope)
     model = make_norm("cc", heisenberg(x.z.shape[0] // 2))
     result = {"point": coords, "cc_value": model.value_at(x)}
     polar = cc_invert(x)

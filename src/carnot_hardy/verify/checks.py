@@ -266,7 +266,7 @@ def counterexample_scan(p_theta: float = 2.0, samples_log2: int = 17,
 
     On the (1/2, 1) group with the Balogh-Tyson gauge (closed frame
     gradient) the scan looks for B(z, t) > tol over quasi-random points on
-    the unit gauge sphere, polished by coordinate golden-section sweeps; it
+    the unit gauge sphere, polished by coordinate bracket-zoom sweeps; it
     passes when such a point is found.  With isotropic_control=True the same
     scan runs on H^2 with the Koranyi gauge, where the profile argument
     forces B <= 0, and passes when no positive value is found.

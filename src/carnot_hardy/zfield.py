@@ -214,7 +214,7 @@ def koranyi_profile_max(Q: float, p: float, theta: float):
 
 
 def cc_profile_max(Q: float, p: float, theta: float, scan_nodes: int = 10**4):
-    """Maximum of g over [-2pi, 2pi]: dense scan plus golden refinement.
+    """Maximum of g over [-2pi, 2pi]: dense scan plus a bracket zoom.
 
     Returns (max g, argmax nu).  Under theta >= 0 and Q >= 4 p theta/(12-pi^2)
     the maximum sits at nu = 0 with value (Q/(Q-2))^2; outside that regime no
@@ -225,34 +225,37 @@ def cc_profile_max(Q: float, p: float, theta: float, scan_nodes: int = 10**4):
     i = int(np.argmax(vals))
     lo = nus[max(i - 1, 0)]
     hi = nus[min(i + 1, scan_nodes - 1)]
-    nu_hat, g_hat = golden_section_max(
-        lambda v: float(g_cc(Q, p, theta, np.array(v))), lo, hi, tol=1e-9)
+    nu_hat, g_hat = bracket_zoom_max(lambda v: g_cc(Q, p, theta, v), lo, hi, tol=1e-9)
     if vals[i] > g_hat:
         nu_hat, g_hat = float(nus[i]), float(vals[i])
     return float(g_hat), float(nu_hat)
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12,
-                       max_iter: int = 200):
-    """Golden-section maximization of a unimodal scalar function on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+ZOOM_POINTS = 33
+
+
+def bracket_zoom_max(f, lo: float, hi: float, tol: float = 1e-12):
+    """Maximize a batched scalar function on [lo, hi] by zooming in on a bracket.
+
+    ``f`` maps an array of abscissae to their values.  Each step evaluates it
+    at ZOOM_POINTS equally spaced points of the bracket in one call; the next
+    bracket is the two cells on either side of the best point.  The zoom stops
+    once a cell is at most ``tol`` wide, or once the bracket is so few ulps
+    wide that it no longer shrinks.  Returns (s, f(s)) for the best point
+    seen, which is the maximum for a unimodal f.
+    """
     a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    best_s, best_v = a, -np.inf
+    while True:
+        s = np.linspace(a, b, ZOOM_POINTS)
+        v = f(s)
+        i = int(np.argmax(v))
+        if v[i] > best_v:
+            best_s, best_v = float(s[i]), float(v[i])
+        a_next, b_next = s[max(i - 1, 0)], s[min(i + 1, ZOOM_POINTS - 1)]
+        if (b - a) / (ZOOM_POINTS - 1) <= tol or b_next - a_next >= b - a:
+            return best_s, best_v
+        a, b = a_next, b_next
 
 
 def symplectic_norm(g: StepTwoGroup, z) -> float:
@@ -261,17 +264,21 @@ def symplectic_norm(g: StepTwoGroup, z) -> float:
 
 
 def _coordinate_refine(f, x0: Array, value0: float, width: float, sweeps: int):
-    """Golden-section sweeps along coordinate axes around a candidate max."""
+    """Bracket-zoom sweeps along coordinate axes around a candidate max.
+
+    ``f`` is batched over rows; each zoom step moves one coordinate of x
+    through its bracket in one call.
+    """
     x = np.array(x0, dtype=float)
     best = value0
     w = width
     for _ in range(sweeps):
         for i in range(x.size):
             def slice_f(s, i=i):
-                y = x.copy()
-                y[i] = s
+                y = np.repeat(x[None], s.size, axis=0)
+                y[:, i] = s
                 return f(y)
-            s, v = golden_section_max(slice_f, x[i] - w, x[i] + w, tol=1e-10)
+            s, v = bracket_zoom_max(slice_f, x[i] - w, x[i] + w, tol=1e-10)
             if v > best:
                 best, x[i] = v, s
         w *= 0.35
@@ -284,8 +291,8 @@ def scan_unit_sphere(objective, norm: NormModel, m: int, width: float = 0.3,
 
     ``objective(z, t)`` is batched over rows.  The 2^m unscrambled Sobol
     points of [-1.5, 1.5]^dim, less those with |z|^2 <= 1e-6, are dilated onto
-    the unit gauge sphere of ``norm``; the best one is polished by
-    golden-section sweeps along coordinates.  Returns (best value, (arg_z,
+    the unit gauge sphere of ``norm``; the best one is polished by sweeps of
+    bracket zooms along coordinates.  Returns (best value, (arg_z,
     arg_t) on the sphere, objective at every sample).  The best value is a
     sampled lower bound of the supremum, never a certificate.
     """
@@ -306,10 +313,11 @@ def scan_unit_sphere(objective, norm: NormModel, m: int, width: float = 0.3,
     i = int(np.argmax(vals))
 
     def f(x):
-        zz, tt = x[:nz], x[nz:]
-        if zz @ zz < 1e-10:
-            return -np.inf
-        return float(objective(zz[None], tt[None])[0])
+        zz, tt = x[:, :nz], x[:, nz:]
+        out = np.full(len(x), -np.inf)
+        ok = np.sum(zz * zz, axis=1) >= 1e-10
+        out[ok] = objective(zz[ok], tt[ok])
+        return out
 
     x, best = _coordinate_refine(f, np.concatenate([z[i], t[i]]), float(vals[i]),
                                  width, sweeps)
@@ -333,7 +341,7 @@ def sup_z_norm(spec: ZFieldSpec, scan_nodes: int = 10**4) -> SupResult:
       the symplectic norm times the frame-equivalence factor 2/sqrt(lam_min),
       which is the constant entering the Hardy bound and dominates the
       Euclidean sup.
-    * cc distance: dense scan of g(nu) on [-2pi, 2pi] plus golden refinement.
+    * cc distance: dense scan of g(nu) on [-2pi, 2pi] plus a bracket zoom.
     * anything else: quasi-random multistart (a sampled lower bound).
     """
     kind = spec.norm.kind

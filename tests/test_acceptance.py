@@ -19,7 +19,7 @@ from carnot_hardy import (Point, ZFieldSpec, bound_generic,
                           z_field_at, z_profile_koranyi)
 from carnot_hardy.groups import commutator_vertical, hgrad_batch
 from carnot_hardy.norms import cc_polar_arrays, symplectic_norm_sq_arrays
-from carnot_hardy.zfield import golden_section_max, z_field_components
+from carnot_hardy.zfield import bracket_zoom_max, z_field_components
 from carnot_hardy.verify import (BumpProfile, QuadratureSpec, check_ibp_identity,
                                  check_w_identity, counterexample_scan,
                                  euler_adjoint_defect, fit_log_excess,
@@ -38,12 +38,12 @@ def test_criterion_01_koranyi_heisenberg_bound():
     value, branch = bound_koranyi(4.0, 2.0, 1.0)
     assert value == (4.0 - 2.0) ** 4 / (4.0 * 4.0**2) == 0.25
     assert branch == "first"
-    # numerically maximized profile: golden section on the compactified
+    # numerically maximized profile: bracket zoom on the compactified
     # variable plus endpoint check
     alpha, beta = 4.0, 2.0 * (2.0 - 8.0) / 4.0
-    _, golden = golden_section_max(lambda s: np.sqrt(1 - s) * (alpha + beta * s),
-                                   0.0, 1.0 - 1e-12)
-    sup_sq = max(float(golden), float(z_profile_koranyi(4.0, 2.0, 1.0, 0.0)))
+    _, zoomed = bracket_zoom_max(lambda s: np.sqrt(1 - s) * (alpha + beta * s),
+                                 0.0, 1.0 - 1e-12)
+    sup_sq = max(float(zoomed), float(z_profile_koranyi(4.0, 2.0, 1.0, 0.0)))
     assert abs(sup_sq - 4.0) <= 1e-9
     elapsed = time.time() - t0
     assert elapsed < 1.0

@@ -111,9 +111,46 @@ def assert_usage_error(argv, capsys):
     ["bounds", "--p", "nan"],
     ["verify", "identity", "--p", "nan"],
     ["supz", "--Q", "nan"],
+    # finite inputs whose results overflow double precision
+    ["supz", "--theta", "1e308"],
+    ["supz", "--norm", "cc", "--theta", "1e308"],
+    ["supz", "--Q", "1e308"],
+    ["supz", "--norm", "cc", "--Q", "1e308"],
+    ["bounds", "--p", "1e308"],
+    ["bounds", "--theta", "1e308"],
+    ["bounds", "--p", "400", "--theta", "300"],
+    ["cc", "--point", "1e200,0,1"],
+    ["cc", "--point", "1e-160,0,1"],
 ])
 def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     assert_usage_error(argv, capsys)
+
+
+def _reject_non_finite(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["supz", "--nodes", "101"],
+    ["supz", "--norm", "cc", "--nodes", "101"],
+    ["supz", "--theta", "1e100", "--nodes", "101"],
+    ["supz", "--norm", "cc", "--theta=-1e100", "--nodes", "101"],
+    ["cc", "--point", "1e154,0,1"],
+])
+def test_outputs_are_strict_json(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    json.loads(out, parse_constant=_reject_non_finite)
+
+
+def test_bounds_n_has_a_stated_maximum(monkeypatch, capsys):
+    # the check comes before the group is built: nothing large is started
+    def never(args):
+        raise AssertionError("the group was built")
+
+    monkeypatch.setattr(cli, "_make_group", never)
+    for n in (cli.MAX_BOUNDS_N + 1, 10**8):
+        assert_usage_error(["bounds", "--n", str(n)], capsys)
 
 
 def test_counterexample_ignores_group(capsys):

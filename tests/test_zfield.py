@@ -6,7 +6,7 @@ from carnot_hardy import (Point, ZFieldSpec, balogh_tyson, cc, g_cc, heisenberg,
                           koranyi_profile_max, nonisotropic, sup_z_norm,
                           symplectic_norm, z_field_at, z_profile_koranyi)
 from carnot_hardy.norms import cc_from_polar, CCPolar, symplectic_norm_sq_arrays
-from carnot_hardy.zfield import golden_section_max, z_field_components
+from carnot_hardy.zfield import bracket_zoom_max, z_field_components
 
 H1 = heisenberg(1)
 
@@ -78,10 +78,10 @@ def test_profile_max_closed_form():
     assert branch == "interior"
     assert sup_sq == pytest.approx(192.0 / 27.0, rel=1e-14)
     assert lam_star**2 / (1 + lam_star**2) == pytest.approx(5.0 / 9.0, rel=1e-12)
-    # golden-section confirmation on the compactified variable
+    # bracket-zoom confirmation on the compactified variable
     alpha, beta = 4.0, 12.0
-    _, val = golden_section_max(lambda s: np.sqrt(1 - s) * (alpha + beta * s),
-                                0.0, 1.0 - 1e-12)
+    _, val = bracket_zoom_max(lambda s: np.sqrt(1 - s) * (alpha + beta * s),
+                              0.0, 1.0 - 1e-12)
     assert val == pytest.approx(192.0 / 27.0, rel=1e-10)
 
 
@@ -235,3 +235,65 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         z_field_components(ZFieldSpec(H1, koranyi(H1), 2.0, 1.0),
                            np.zeros((1, 2)), np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("shape", ["smooth", "kinked"])
+@pytest.mark.parametrize("a, lo, hi", [(0.3183098861837907, -1.0, 2.0),
+                                       (-0.7071067811865476, -0.75, 0.5),
+                                       (1.4142135623730951, 1.4, 1.5)])
+def test_bracket_zoom_reaches_the_maximizer(shape, a, lo, hi):
+    # exact arithmetic in f, so f has the same bits in a batch and alone
+    f = {"smooth": lambda s: -(s - a) ** 2, "kinked": lambda s: -np.abs(s - a)}[shape]
+    tol = 1e-10
+    s, v = bracket_zoom_max(f, lo, hi, tol=tol)
+    assert abs(s - a) <= tol
+    assert v == f(np.array([s]))[0]
+
+
+def test_bracket_zoom_keeps_an_endpoint_maximum():
+    s, v = bracket_zoom_max(lambda s: -s, 0.25, 1.0, tol=1e-10)
+    assert (s, v) == (0.25, -0.25)
+
+
+def test_bracket_zoom_stops_below_the_ulp_of_its_bracket():
+    # cells of 1e-12 are finer than the spacing of doubles near 1e6
+    s, v = bracket_zoom_max(lambda s: -(s - 1e6) ** 2, 1e6 - 1.0, 1e6 + 1.0, tol=1e-12)
+    assert abs(s - 1e6) <= 1e-9 and v == -(s - 1e6) ** 2
+
+
+def test_coordinate_refinement_never_returns_less_than_its_start():
+    from carnot_hardy.zfield import _coordinate_refine
+    centre = np.array([0.2, -0.1, 0.4])
+
+    def f(x):
+        return -np.sum((x - centre) ** 2, axis=1)
+
+    x0 = np.array([0.35, 0.05, 0.2])
+    v0 = float(f(x0[None])[0])
+    x, best = _coordinate_refine(f, x0, v0, width=0.3, sweeps=6)
+    assert best >= v0
+    assert best == f(x[None])[0]
+    assert np.max(np.abs(x - centre)) <= 1e-10
+    # a start value above anything f reaches is kept, and so is its point
+    x, best = _coordinate_refine(f, x0, 1.0, width=0.3, sweeps=6)
+    assert best == 1.0 and np.array_equal(x, x0)
+
+
+def test_multistart_refines_in_batches(monkeypatch):
+    # the Sobol batch plus one call per zoom step, each with its 33 rows;
+    # the one-row golden-section refinement took 808 calls here
+    from carnot_hardy import zfield
+    calls, rows = [], []
+
+    def counted(spec, z, t, d=None, g=None):
+        calls.append(len(z))
+        rows.append(np.min(np.sum(z * z, axis=-1)))
+        return z_field_components(spec, z, t, d, g)
+
+    monkeypatch.setattr(zfield, "z_field_components", counted)
+    res = zfield.multistart_sup(ZFieldSpec(H1, koranyi(H1), 2.0, 6.0), m=10)
+    assert len(calls) <= 150
+    assert calls[0] == res.samples and set(calls[1:]) <= {zfield.ZOOM_POINTS}
+    assert min(rows) >= 1e-10
+    sup = np.sqrt(koranyi_profile_max(4.0, 2.0, 6.0)[0])
+    assert abs(res.sup_value - sup) <= 1e-9 * sup
