@@ -31,7 +31,7 @@ class BoundReport:
     p: float
     theta: float
     Q: float
-    bound: float
+    bound: Optional[float]     # None where the bound's hypothesis fails
     branch: str
     sup_value: Optional[float] = None
     sup_method: Optional[str] = None

@@ -178,7 +178,8 @@ def _meta(args, command):
 
 
 def _bound_row(args, group, kind, p, theta, context):
-    """(sup, bound value, branch, condition checks) of one bounds row."""
+    """(sup, bound value, branch, condition checks) of one bounds row; the
+    value is None where the hypothesis of the product bound fails."""
     Q = float(group.Q)
     checks = {}
     if args.group == "product":
@@ -189,7 +190,7 @@ def _bound_row(args, group, kind, p, theta, context):
         try:
             value = bound_product(args.n, args.N, p, theta)
         except ValueError:
-            return sup, float("nan"), "condition_failed", checks
+            return sup, None, "condition_failed", checks
         _check_finite(context, value)
         return sup, value, "product", checks
     spec = _make_spec(group, _make_norm(kind, group, args), p, theta)
@@ -236,7 +237,7 @@ def cmd_bounds(args) -> int:
             except OverflowError:
                 raise _not_finite(context) from None
             report = BoundReport(group.describe(), kind, p, theta, Q,
-                                 float(value), branch,
+                                 None if value is None else float(value), branch,
                                  sup_value=sup.sup_value, sup_method=sup.method,
                                  condition_checks=checks,
                                  upper_remark=((Q - 2.0)**2 / 4.0
@@ -297,8 +298,8 @@ def cmd_supz(args) -> int:
 def _quad_from_args(args, support):
     """Quadrature overrides from the command line for one test function."""
     if args.quad_method == "monte_carlo":
-        return QuadratureSpec(method="monte_carlo", samples=args.samples,
-                              seed=args.seed, box=(support[1], support[1] ** 2))
+        return QuadratureSpec(method="monte_carlo", samples=args.samples, seed=args.seed,
+                              sigma_range=support, box=(support[1], support[1] ** 2))
     return QuadratureSpec(n_sigma=args.nodes, sigma_range=support)
 
 
@@ -407,6 +408,8 @@ def cmd_cc(args) -> int:
     with np.errstate(all="ignore"):
         zn2 = x.z @ x.z
         slope = x.t[0] / zn2 if not x.on_center() else 0.0
+    if not x.on_center() and zn2 < np.finfo(float).tiny:
+        raise UsageError(f"--point {args.point}: |z|^2 underflows double precision")
     _check_finite(f"--point {args.point}", zn2, slope)
     model = make_norm("cc", heisenberg(x.z.shape[0] // 2))
     result = {"point": coords, "cc_value": model.value_at(x)}

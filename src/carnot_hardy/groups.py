@@ -17,13 +17,14 @@ whose only nonzero brackets are [X_{2i}, X_{2i-1}] = sum_j lam^(j)_i d/dt_j.
 The homogeneous dimension is Q = 2n + 2h.
 
 Batched evaluators use arrays z of shape (..., 2n) and t of shape (..., h);
-scalar evaluators ``value(z, t)`` return shape (...).
+scalar evaluators ``value(z, t)`` return shape (...).  Gauge and test-function
+jets read a batch of points as a ``Nodes`` record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -168,11 +169,13 @@ class Point:
         object.__setattr__(self, "z", _readonly(z))
         object.__setattr__(self, "t", _readonly(t))
 
-    def on_center(self, tol: float = 0.0) -> bool:
-        return bool(np.linalg.norm(self.z) <= tol)
+    # exact zeros: a norm would square the coordinates, and a tiny point
+    # whose square underflows is not on the center
+    def on_center(self) -> bool:
+        return not np.any(self.z)
 
-    def is_origin(self, tol: float = 0.0) -> bool:
-        return self.on_center(tol) and bool(np.linalg.norm(self.t) <= tol)
+    def is_origin(self) -> bool:
+        return self.on_center() and not np.any(self.t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,6 +242,43 @@ def frame(z: Array, P: Array, R: Array) -> Array:
     g[..., 0::2] = z1 * P + z2 * R
     g[..., 1::2] = z2 * P - z1 * R
     return g
+
+
+class Nodes(NamedTuple):
+    """A batch of points as gauge and test-function jets read it: one chunk
+    of quadrature nodes, or any (z, t) batch.
+
+    ``z`` (m, 2n) and ``t`` (m, h) are the nodes' coordinates.  A chunk of the
+    phi chart on H^1 also carries the distinct gauge radii ``sigma`` (k,) of
+    its nodes and the slope table ``lam`` (n_lam,): its nodes are laid out
+    (k, n_angle, n_lam) in C order, the Koranyi gauge of a node is its sigma
+    and t/|z|^2 its lam.  A function of (sigma, lam) is then evaluated on the
+    (k, n_lam) tables and spread onto the nodes.  Ambient and Monte Carlo
+    chunks carry no tables (``sigma`` and ``lam`` are None).
+    """
+
+    z: Array
+    t: Array
+    sigma: Optional[Array] = None
+    lam: Optional[Array] = None
+
+    @property
+    def radii(self) -> Array:
+        """sigma as a (k, 1) column, to combine with functions of lam."""
+        return self.sigma[:, None]
+
+    def spread(self, table) -> Array:
+        """A table broadcastable to (k, n_lam), in (sigma, lam), on every node:
+        a radius column (k, 1), a slope row (n_lam,) or a full table."""
+        k, n_lam = self.sigma.size, self.lam.size
+        table = np.broadcast_to(table, (k, n_lam))[:, None, :]
+        return np.broadcast_to(table, (k, self.z.shape[0] // (k * n_lam), n_lam)).reshape(-1)
+
+    def frame(self, p, r) -> Array:
+        """``frame`` (z_1 P + z_2 R, z_2 P - z_1 R) with tables P, R in
+        (sigma, lam) spread onto the nodes: the horizontal gradient of every
+        function of (|z|, t) on H^1."""
+        return frame(self.z, self.spread(p)[:, None], self.spread(r)[:, None])
 
 
 def fd_partials(value, z: Array, t: Array, step: float):

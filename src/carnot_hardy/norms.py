@@ -200,12 +200,6 @@ def cc_value_arrays(z: Array, t: Array) -> Array:
     return out
 
 
-def cc_hgrad_arrays(z: Array, t: Array) -> Array:
-    """Frame components of grad delta_cc; unit horizontal norm off the center."""
-    nu, _, a, b = cc_polar_arrays(z, t)
-    return _cc_frame_grad(nu, a, b)
-
-
 def cc_dt_arrays(z: Array, t: Array) -> Array:
     """d delta_cc / dt = nu / (4 r) off the center."""
     nu, r, _, _ = cc_polar_arrays(z, t)
@@ -223,9 +217,9 @@ class NormModel:
     ``value(z, t) -> (...)``; ``hgrad(z, t) -> (..., 2n)`` in the X-frame;
     ``dt(z, t) -> (..., h)``.  Every gauge here carries closed derivatives.
     ``jet(nodes, derivs=True) -> (value, hgrad)`` evaluates both from one
-    pass over a quadrature node record (flat ``z``, ``t`` and, on phi-chart
-    chunks of H^1, the radius table ``sigma`` and the slope table ``lam``; see
-    ``verify.quadrature.Nodes``); ``hgrad`` is None when derivs is False.
+    pass over a node record (flat ``z``, ``t`` and, on phi-chart chunks of
+    H^1, the radius table ``sigma`` and the slope table ``lam``; see
+    ``groups.Nodes``); ``hgrad`` is None when derivs is False.
 
     rotation_invariant records whether <z, B^{-1} grad_z d> = 0, the
     hypothesis under which the sharp constant is attained.
@@ -245,8 +239,10 @@ class NormModel:
     def hgrad_at(self, x: Point) -> HVector:
         if self.kind == "cc" and x.on_center():
             raise CenterError("the cc distance is not differentiable on the center")
-        if x.is_origin():
-            raise CenterError("gauge gradients are undefined at the origin")
+        # the gradients divide by d: at the origin, and where d underflows
+        if x.is_origin() or not self.value_at(x) > 0.0:
+            raise CenterError("gauge gradients are undefined at the origin "
+                              "and where the gauge underflows")
         return HVector(self.hgrad(x.z[None], x.t[None])[0])
 
     def dt_at(self, x: Point) -> Array:
@@ -255,11 +251,13 @@ class NormModel:
         return self.dt(x.z[None], x.t[None])[0]
 
 
-def _plain_jet(value: Callable, hgrad: Callable) -> Callable:
-    """A gauge jet that reads the coordinates only."""
+def _plain_jet(value: Callable, value_hgrad: Callable) -> Callable:
+    """A gauge jet that reads the coordinates only: the value alone, or the
+    value and the frame gradient from one pass, ``value_hgrad(z, t)``."""
     def jet(nodes, derivs=True):
-        return (value(nodes.z, nodes.t),
-                hgrad(nodes.z, nodes.t) if derivs else None)
+        if not derivs:
+            return value(nodes.z, nodes.t), None
+        return value_hgrad(nodes.z, nodes.t)
     return jet
 
 
@@ -276,36 +274,36 @@ def koranyi(group: StepTwoGroup) -> NormModel:
         tn2 = np.sum(np.asarray(t, float)**2, axis=-1)
         return (zn2**2 + tn2) ** 0.25
 
-    def frame_grad(z, t, rho):
+    def value_hgrad(z, t):
         z = np.asarray(z, float)
         t = np.asarray(t, float)
+        rho = value(z, t)
         zn2 = np.sum(z * z, axis=-1)
         lt4 = (t @ L) / 4.0                      # (..., n): sum_j lam^(j)_i t_j / 4
         g = frame(z, zn2[..., None], lt4)
         g /= (rho ** 3)[..., None]
-        return g
-
-    def hgrad(z, t):
-        return frame_grad(z, t, value(z, t))
+        return rho, g
 
     def dt(z, t):
         t = np.asarray(t, float)
         return t / (2.0 * value(z, t)[..., None] ** 3)
+
+    plain = _plain_jet(value, value_hgrad)
 
     # on the phi chart (H^1) rho = sigma, |z|^2 = sigma^2 c and t = lam sigma^2 c
     # with c = (1 + lam^2)^{-1/2}, so with k = L/4 the frame gradient is
     # (c/sigma) (z_1 + k lam z_2, z_2 - k lam z_1)
     def jet(nodes, derivs=True):
         if nodes.sigma is None:
-            rho = value(nodes.z, nodes.t)
-            return rho, (frame_grad(nodes.z, nodes.t, rho) if derivs else None)
+            return plain(nodes, derivs)
         rho = nodes.spread(nodes.radii)
         if not derivs:
             return rho, None
         c_sig = 1.0 / np.sqrt(1.0 + nodes.lam**2) / nodes.radii
         return rho, nodes.frame(c_sig, c_sig * (nodes.lam * L[0, 0] / 4.0))
 
-    return NormModel("koranyi", group, value, hgrad, dt, jet, rotation_invariant=True)
+    return NormModel("koranyi", group, value, lambda z, t: value_hgrad(z, t)[1], dt, jet,
+                     rotation_invariant=True)
 
 
 def symplectic_norm_sq_arrays(group: StepTwoGroup, z: Array) -> Array:
@@ -325,19 +323,19 @@ def koranyi_b(group: StepTwoGroup) -> NormModel:
         t1 = np.asarray(t, float)[..., 0]
         return (symplectic_norm_sq_arrays(group, z)**2 + t1**2) ** 0.25
 
-    def hgrad(z, t):
+    def value_hgrad(z, t):
         z = np.asarray(z, float)
         t1 = np.asarray(t, float)[..., 0]
         zb2 = symplectic_norm_sq_arrays(group, z)
-        rho3 = value(z, t) ** 3
-        return frame(z, zb2[..., None], t1[..., None]) * (lam2 / (4.0 * rho3[..., None]))
+        rho = value(z, t)
+        return rho, frame(z, zb2[..., None], t1[..., None]) * (lam2 / (4.0 * rho[..., None] ** 3))
 
     def dt(z, t):
         t = np.asarray(t, float)
         return t / (2.0 * value(z, t)[..., None] ** 3)
 
-    return NormModel("koranyi_b", group, value, hgrad, dt, _plain_jet(value, hgrad),
-                     rotation_invariant=True)
+    return NormModel("koranyi_b", group, value, lambda z, t: value_hgrad(z, t)[1], dt,
+                     _plain_jet(value, value_hgrad), rotation_invariant=True)
 
 
 def cc(group: StepTwoGroup) -> NormModel:
@@ -348,11 +346,14 @@ def cc(group: StepTwoGroup) -> NormModel:
     def value(z, t):
         return cc_value_arrays(z, np.asarray(t, float)[..., 0])
 
-    def hgrad(z, t):
-        return cc_hgrad_arrays(z, np.asarray(t, float)[..., 0])
+    def value_hgrad(z, t):
+        nu, r, a, b = cc_polar_arrays(z, np.asarray(t, float)[..., 0])
+        return r, _cc_frame_grad(nu, a, b)
 
     def dt(z, t):
         return cc_dt_arrays(z, np.asarray(t, float)[..., 0])[..., None]
+
+    plain = _plain_jet(value, value_hgrad)
 
     # the polar angle depends on the slope lam = t/|z|^2 alone, and on the
     # phi chart |z| = sigma (1 + lam^2)^{-1/4}: the inversion runs on the lam
@@ -360,10 +361,7 @@ def cc(group: StepTwoGroup) -> NormModel:
     # gradient is (z (x sin nu + cot cos nu) + z^perp (cot sin nu - x cos nu)) / r
     def jet(nodes, derivs=True):
         if nodes.sigma is None:
-            if not derivs:
-                return value(nodes.z, nodes.t), None
-            nu, r, a, b = cc_polar_arrays(nodes.z, np.asarray(nodes.t, float)[..., 0])
-            return r, _cc_frame_grad(nu, a, b)
+            return plain(nodes, derivs)
         nu, inv_sinc, cot = _cc_slope(nodes.lam)
         q = (1.0 + nodes.lam**2) ** -0.25 * inv_sinc
         r = nodes.spread(nodes.radii * q)
@@ -373,7 +371,8 @@ def cc(group: StepTwoGroup) -> NormModel:
         qs = q * nodes.radii
         return r, nodes.frame((x * s + cot * c) / qs, (cot * s - x * c) / qs)
 
-    return NormModel("cc", group, value, hgrad, dt, jet, rotation_invariant=True)
+    return NormModel("cc", group, value, lambda z, t: value_hgrad(z, t)[1], dt, jet,
+                     rotation_invariant=True)
 
 
 def balogh_tyson(group: StepTwoGroup) -> NormModel:
@@ -414,17 +413,17 @@ def balogh_tyson(group: StepTwoGroup) -> NormModel:
         np.multiply(2.0, lw, out=lq[..., 1])
         return z, rho, lq, ls * t1 / s
 
-    def hgrad(z, t):
+    def value_hgrad(z, t):
         z, rho, lq, lt = log_partials(z, t)
         lq *= rho[..., None]
-        return frame(z, lq, (lam / 2.0) * (rho * lt)[..., None])
+        return rho, frame(z, lq, (lam / 2.0) * (rho * lt)[..., None])
 
     def dt(z, t):
         _, rho, _, lt = log_partials(z, t)
         return (rho * lt)[..., None]
 
-    return NormModel("balogh_tyson", group, value, hgrad, dt, _plain_jet(value, hgrad),
-                     rotation_invariant=True)
+    return NormModel("balogh_tyson", group, value, lambda z, t: value_hgrad(z, t)[1], dt,
+                     _plain_jet(value, value_hgrad), rotation_invariant=True)
 
 
 def make_norm(kind: str, group: StepTwoGroup) -> NormModel:

@@ -13,11 +13,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..groups import (Array, CenterError, Point, StepTwoGroup, heisenberg,
+from ..groups import (Array, CenterError, Nodes, Point, StepTwoGroup, heisenberg,
                       heisenberg_product, nonisotropic)
 from ..norms import NormModel, balogh_tyson, koranyi
 from ..zfield import ZFieldSpec, _block_perp, scan_unit_sphere, z_field_components
-from .quadrature import Nodes, QuadratureSpec, integrate_many
+from .quadrature import QuadratureSpec, integrate_many
 from .testfuncs import (BumpProfile, TestFunction, extremal_power, radial_bump,
                         sharpness_function)
 
@@ -345,7 +345,7 @@ def product_check(n: int, N: int, p: float, theta: float,
 
         R2 = u.support[1]
         quad = QuadratureSpec(method="monte_carlo", samples=mc_samples, seed=seed,
-                              box=(R2, R2**2))
+                              sigma_range=u.support, box=(R2, R2**2))
         rl, rr = integrate_many(group, [sides], quad)
         rel = abs(rl.value - rr.value) / max(abs(rl.value), 1e-300)
         values.update(identity_lhs=rl.value, identity_rhs=rr.value,

@@ -19,7 +19,11 @@ Two charts are supported:
 
 Monte Carlo integration over a coordinate box covers the product and
 five-dimensional non-isotropic cases, with a fixed seed and chunked,
-order-deterministic accumulation.
+order-deterministic accumulation.  Integrands are evaluated only on the
+samples whose Koranyi gauge lies inside the support window ``sigma_range``;
+the others enter the sums as exact zeros, so each sum sees the vector that a
+full-box evaluation of an integrand vanishing outside the window gives, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ..groups import Array, StepTwoGroup, frame
+from ..groups import Array, Nodes, StepTwoGroup
+from ..norms import koranyi
 
 LOG2 = float(np.log(2.0))
 
@@ -50,7 +55,11 @@ class QuadratureSpec:
     samples: int = 1 << 20               # Monte Carlo sample count
     seed: int = 2024
     rel_tol: float = 2e-3                # target relative tolerance for checks
-    sigma_range: tuple = (0.25, 2.0)     # gauge support of the integrand
+    # gauge support of the integrand: the open Koranyi annulus outside which
+    # every integrand must vanish.  The phi chart and Monte Carlo integrate
+    # only over it; Monte Carlo evaluates integrands, and checks their samples
+    # for finiteness, on the samples inside it alone
+    sigma_range: tuple = (0.25, 2.0)
     lambda_range: Optional[tuple] = None  # positive (lo, hi): one-sided log grid
     box: Optional[tuple] = None          # (z_half, t_half) for ambient / MC
     chunk: int = 1 << 17
@@ -223,42 +232,6 @@ def ambient_nodes(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool = Fals
     return pts[:, :2 * group.n], pts[:, 2 * group.n:], w
 
 
-class Nodes(NamedTuple):
-    """The record of one chunk of quadrature nodes that every integrand receives.
-
-    ``z`` (m, 2n) and ``t`` (m, h) are the nodes' coordinates.  A chunk of the
-    phi chart on H^1 also carries the distinct gauge radii ``sigma`` (k,) of
-    its nodes and the slope table ``lam`` (n_lam,): its nodes are laid out
-    (k, n_angle, n_lam) in C order, the Koranyi gauge of a node is its sigma
-    and t/|z|^2 its lam.  A function of (sigma, lam) is then evaluated on the
-    (k, n_lam) tables and spread onto the nodes.  Ambient and Monte Carlo
-    chunks carry no tables (``sigma`` and ``lam`` are None).
-    """
-
-    z: Array
-    t: Array
-    sigma: Optional[Array] = None
-    lam: Optional[Array] = None
-
-    @property
-    def radii(self) -> Array:
-        """sigma as a (k, 1) column, to combine with functions of lam."""
-        return self.sigma[:, None]
-
-    def spread(self, table) -> Array:
-        """A table broadcastable to (k, n_lam), in (sigma, lam), on every node:
-        a radius column (k, 1), a slope row (n_lam,) or a full table."""
-        k, n_lam = self.sigma.size, self.lam.size
-        table = np.broadcast_to(table, (k, n_lam))[:, None, :]
-        return np.broadcast_to(table, (k, self.z.shape[0] // (k * n_lam), n_lam)).reshape(-1)
-
-    def frame(self, p, r) -> Array:
-        """``groups.frame`` (z_1 P + z_2 R, z_2 P - z_1 R) with tables P, R in
-        (sigma, lam) spread onto the nodes: the horizontal gradient of every
-        function of (|z|, t) on H^1."""
-        return frame(self.z, self.spread(p)[:, None], self.spread(r)[:, None])
-
-
 def _chunks(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool):
     """(nodes, weights) of the tensor grid, chunk by chunk.
 
@@ -287,14 +260,15 @@ def _rows(fs, nodes: Nodes, where: str) -> list:
     """Samples of every integrand on one chunk, one row per integral.
 
     An integrand returns either m samples or a (k, m) stack of k integrals
-    that share their intermediate work.
+    that share their intermediate work; a chunk of m = 0 nodes gives k empty
+    rows.
     """
     rows = []
     for f in fs:
         vals = np.asarray(f(nodes))
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"non-finite integrand sample {where}")
-        rows.extend(vals.reshape(-1, nodes.z.shape[0]))
+        rows.extend(vals.reshape(len(vals) if vals.ndim == 2 else 1, nodes.z.shape[0]))
     return rows
 
 
@@ -336,6 +310,8 @@ def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: Quadrature
     z_half, t_half = quad.box
     dim_z, dim_t = 2 * group.n, group.h
     vol = (2.0 * z_half) ** dim_z * (2.0 * t_half) ** dim_t
+    gauge = koranyi(group).value
+    lo, hi = quad.sigma_range
     rng = np.random.default_rng(quad.seed)
     sums = sq = None
     done = 0
@@ -343,12 +319,17 @@ def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: Quadrature
         m = min(quad.chunk, quad.samples - done)
         z = rng.uniform(-z_half, z_half, size=(m, dim_z))
         t = rng.uniform(-t_half, t_half, size=(m, dim_t))
-        rows = _rows(fs, Nodes(z, t), "in the Monte Carlo box")
+        rho = gauge(z, t)
+        keep = (rho > lo) & (rho < hi)
+        rows = _rows(fs, Nodes(z[keep], t[keep]), "in the Monte Carlo box")
         if sums is None:
             sums, sq = np.zeros(len(rows)), np.zeros(len(rows))
+        full = np.zeros(m)
         for k, row in enumerate(rows):
-            sums[k] += float(row.sum())
-            sq[k] += float(row @ row)
+            # the samples outside the window are the zeros of the full chunk
+            full[keep] = row
+            sums[k] += float(full.sum())
+            sq[k] += float(full @ full)
         done += m
     mean = sums / quad.samples
     var = np.maximum(sq / quad.samples - mean**2, 0.0)

@@ -26,9 +26,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial.legendre import leggauss
 
-from ..groups import Array, StepTwoGroup
+from ..groups import Array, Nodes, StepTwoGroup
 from ..norms import koranyi
-from .quadrature import Nodes
 
 LOG2 = float(np.log(2.0))
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import Array, HVector, Point, StepTwoGroup
+from .groups import Array, HVector, Nodes, Point, StepTwoGroup
 from .norms import NormModel, symplectic_norm_sq_arrays
 
 _VARIANTS = ("single", "product", "general")
@@ -96,17 +96,17 @@ def z_field_components(spec: ZFieldSpec, z: Array, t: Array,
                        d: Optional[Array] = None, g: Optional[Array] = None) -> Array:
     """Batched frame components of Z_d; z (..., 2n), t (..., h).
 
-    The gauge d and its frame gradient g at (z, t) are evaluated here unless
-    the caller hands them in (say, from the gauge's jet).
+    The gauge d and its frame gradient g at (z, t) come from one pass of the
+    gauge's jet unless the caller hands in both.
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
-    if d is None:
-        d = spec.norm.value(z, t)
+    if d is None or g is None:
+        # at the origin the gradient divides 0 by 0; the d > 0 test rejects it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d, g = spec.norm.jet(Nodes(z, t))
     if np.any(d <= 0.0):
         raise ValueError("Z_d needs d > 0 (point away from the origin)")
-    if g is None:
-        g = spec.norm.hgrad(z, t)
     pg = _block_perp(g)
     n = spec.group.n
 

@@ -136,11 +136,21 @@ def _reject_non_finite(name):
     ["supz", "--theta", "1e100", "--nodes", "101"],
     ["supz", "--norm", "cc", "--theta=-1e100", "--nodes", "101"],
     ["cc", "--point", "1e154,0,1"],
+    ["bounds", "--group", "product", "--n", "1", "--N", "2", "--p", "2", "--theta", "10"],
 ])
 def test_outputs_are_strict_json(argv, capsys):
     code, out = run_cli(argv, capsys)
     assert code == 0
     json.loads(out, parse_constant=_reject_non_finite)
+
+
+def test_product_row_whose_hypothesis_fails_has_no_bound(capsys):
+    code, out = run_cli(["bounds", "--group", "product", "--n", "1", "--N", "2",
+                         "--p", "2", "--theta", "2,10"], capsys)
+    assert code == 0
+    held, failed = json.loads(out, parse_constant=_reject_non_finite)["results"]
+    assert held["branch"] == "product" and held["bound"] > 0.0
+    assert failed["branch"] == "condition_failed" and failed["bound"] is None
 
 
 def test_bounds_n_has_a_stated_maximum(monkeypatch, capsys):
@@ -287,6 +297,17 @@ def test_cc_command(capsys):
 def test_cc_rejects_origin():
     with pytest.raises(SystemExit):
         cli.main(["cc", "--point", "0,0,0"])
+
+
+@pytest.mark.parametrize("point", ["1e-200,0,0", "0,1e-170,0", "1e-160,0,0"])
+def test_cc_point_whose_square_underflows_is_not_the_origin(point, capsys):
+    # |z| is representable but |z|^2 is 0 or subnormal: a usage error that
+    # says so, not the origin's
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cc", "--point", point])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "underflows" in err and "origin" not in err and "Traceback" not in err
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -35,6 +35,15 @@ def test_group_law_identity_and_inverse():
         assert np.allclose(prod.z, 0) and np.allclose(prod.t, 0, atol=1e-15)
 
 
+def test_center_and_origin_are_exact_zeros():
+    # |z|^2 underflows here, but z is not 0
+    tiny = Point([1e-200, 0.0], 0.0)
+    assert not tiny.on_center() and not tiny.is_origin()
+    assert Point([0.0, 0.0], 1e-200).on_center()
+    assert not Point([0.0, 0.0], 1e-200).is_origin()
+    assert Point([0.0, -0.0], 0.0).is_origin()
+
+
 def test_group_law_block_formula():
     # lam = 4 block: <Bz, eta> = 4 (z2 eta1 - z1 eta2), so the cross term of
     # (1,0,0) o (0,1,0) is -2

@@ -464,6 +464,12 @@ def test_origin_and_center_guards():
         koranyi(H1).hgrad_at(Point([0.0, 0.0], 0.0))
     with pytest.raises(CenterError):
         cc(H1).hgrad_at(Point([0.0, 0.0], 0.5))
+    # a gauge that underflows off the origin has no gradient to give
+    with pytest.raises(CenterError):
+        koranyi(H1).hgrad_at(Point([1e-200, 0.0], 0.0))
+    bt_group = nonisotropic([0.5, 1.0])
+    with pytest.raises(CenterError):
+        balogh_tyson(bt_group).hgrad_at(Point([0.0] * 4, 0.0))
     # koranyi is smooth through the center away from the origin
     g = koranyi(H1).hgrad_at(Point([0.0, 0.0], 0.5))
     assert np.allclose(g.components, 0.0)

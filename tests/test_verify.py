@@ -5,7 +5,8 @@ from scipy.integrate import quad as scipy_quad
 from carnot_hardy import (Point, ZFieldSpec, cc, euler_apply, heisenberg,
                           heisenberg_product, koranyi, nonisotropic)
 from carnot_hardy.groups import hgrad_batch
-from carnot_hardy.verify import (BumpProfile, Nodes, QuadratureSpec, check_ibp_identity,
+from carnot_hardy.verify import (BumpProfile, IntegralResult, Nodes, QuadratureSpec,
+                                 check_ibp_identity,
                                  check_w_identity, counterexample_scan,
                                  euler_adjoint_defect, extremal_power,
                                  extremal_residual,
@@ -283,6 +284,105 @@ def test_integrate_flags_nonfinite():
     quad = QuadratureSpec(sigma_range=(0.25, 2.0))
     with pytest.raises(ValueError):
         integrate(H1, lambda n: np.full(n.z.shape[0], np.nan), quad)
+
+
+def _full_box(group, fs, quad):
+    """The Monte Carlo estimate with every integrand evaluated on every sample
+    of the box: the draws, sums and error formula of ``integrate_many``
+    without its support window."""
+    z_half, t_half = quad.box
+    vol = (2.0 * z_half) ** (2 * group.n) * (2.0 * t_half) ** group.h
+    rng = np.random.default_rng(quad.seed)
+    sums = sq = None
+    done = 0
+    while done < quad.samples:
+        m = min(quad.chunk, quad.samples - done)
+        nodes = Nodes(rng.uniform(-z_half, z_half, size=(m, 2 * group.n)),
+                      rng.uniform(-t_half, t_half, size=(m, group.h)))
+        rows = [row for f in fs for row in np.asarray(f(nodes)).reshape(-1, m)]
+        if sums is None:
+            sums, sq = np.zeros(len(rows)), np.zeros(len(rows))
+        for k, row in enumerate(rows):
+            sums[k] += float(row.sum())
+            sq[k] += float(row @ row)
+        done += m
+    mean = sums / quad.samples
+    err = vol * np.sqrt(np.maximum(sq / quad.samples - mean**2, 0.0) / quad.samples)
+    return [IntegralResult(float(vol * mu), float(e), quad.samples, "monte_carlo")
+            for mu, e in zip(mean, err)]
+
+
+def _bump_integrands(group):
+    """A plain and a stacked integrand of one bump, both vanishing outside its
+    support; the bump's own support test is the window's."""
+    u = radial_bump(group)
+    rho = koranyi(group)
+
+    def plain(nodes):
+        return u.value(nodes.z, nodes.t)
+
+    def stacked(nodes):
+        v, gu, eu = u.jet(nodes)
+        d = rho.value(nodes.z, nodes.t)
+        return np.stack([v * eu / d**2, np.sum(gu * gu, axis=-1), v * v / d])
+
+    return u, plain, stacked
+
+
+@pytest.mark.parametrize("group", [H1, heisenberg_product(1, 2)], ids=["H1", "H1xH1"])
+def test_monte_carlo_evaluates_only_inside_the_window(group):
+    u, plain, _ = _bump_integrands(group)
+    seen = []
+
+    def recorded(nodes):
+        seen.append(koranyi(group).value(nodes.z, nodes.t))
+        return plain(nodes)
+
+    lo, hi = 0.5, 1.5
+    quad = QuadratureSpec(method="monte_carlo", samples=20_000, chunk=7001, seed=5,
+                          sigma_range=(lo, hi), box=(2.0, 4.0))
+    integrate(group, recorded, quad)
+    rho = np.concatenate(seen)
+    assert len(seen) == 3 and 0 < rho.size < quad.samples
+    assert np.all((rho > lo) & (rho < hi))
+
+
+@pytest.mark.parametrize("group", [H1, heisenberg_product(1, 2)], ids=["H1", "H1xH1"])
+def test_monte_carlo_window_keeps_the_full_box_bits(group):
+    # the samples outside the window enter the sums as zeros, exactly the
+    # values the integrands give there; 7001 does not divide 50_001
+    u, plain, stacked = _bump_integrands(group)
+    fs = [plain, stacked]
+    quad = QuadratureSpec(method="monte_carlo", samples=50_001, chunk=7001, seed=3,
+                          sigma_range=u.support, box=(2.0, 4.0))
+    got = integrate_many(group, fs, quad)
+    assert got == _full_box(group, fs, quad)
+    assert all(r.value != 0.0 for r in got)
+
+
+@pytest.mark.parametrize("group, samples, chunk, seed", [
+    (H1, 1, 1 << 17, 1),               # the one sample misses the window
+    (H1, 12, 2, 10),                   # the first chunk misses it, later ones do not
+    (heisenberg_product(1, 2), 12, 2, 2),
+])
+def test_monte_carlo_chunks_outside_the_window(group, samples, chunk, seed):
+    u, plain, stacked = _bump_integrands(group)
+    sizes = []
+
+    def recorded(nodes):
+        sizes.append(nodes.z.shape[0])
+        return stacked(nodes)
+
+    quad = QuadratureSpec(method="monte_carlo", samples=samples, chunk=chunk, seed=seed,
+                          sigma_range=u.support, box=(2.0, 4.0))
+    for fs in ([plain], [recorded], [plain, recorded]):
+        want = _full_box(group, fs, quad)
+        sizes.clear()
+        assert integrate_many(group, fs, quad) == want
+    # the chunks the integrands saw: an empty one first, then some samples
+    # unless there was only the one
+    assert sizes[0] == 0
+    assert (sum(sizes) > 0) == (samples > 1)
 
 
 # ---------------------------------------------------------------------------
