@@ -234,21 +234,40 @@ class NormModel:
     rotation_invariant: bool = True
 
     def value_at(self, x: Point) -> float:
-        return float(self.value(x.z[None], x.t[None])[0])
+        return float(_at_scale(self.value, x, 1))
 
     def hgrad_at(self, x: Point) -> HVector:
         if self.kind == "cc" and x.on_center():
             raise CenterError("the cc distance is not differentiable on the center")
-        # the gradients divide by d: at the origin, and where d underflows
-        if x.is_origin() or not self.value_at(x) > 0.0:
-            raise CenterError("gauge gradients are undefined at the origin "
-                              "and where the gauge underflows")
-        return HVector(self.hgrad(x.z[None], x.t[None])[0])
+        if x.is_origin():
+            raise CenterError("gauge gradients are undefined at the origin")
+        return HVector(_at_scale(self.hgrad, x, 0))
 
     def dt_at(self, x: Point) -> Array:
         if self.kind == "cc" and x.on_center():
             raise CenterError("the cc distance is not differentiable on the center")
-        return self.dt(x.z[None], x.t[None])[0]
+        return _at_scale(self.dt, x, -1)
+
+
+# a point whose scale max(|z|, |t|^{1/2}) lies in this window keeps every
+# power up to the fourth that the gauges form inside the normal float range
+_SCALE_WINDOW = (2.0**-60, 2.0**60)
+
+
+def _at_scale(fn: Callable, x: Point, degree: int) -> Array:
+    """fn, homogeneous of the given degree under the dilations, at the point x.
+
+    A point whose scale lies outside ``_SCALE_WINDOW`` is evaluated at its
+    exact power-of-two dilation to scale [1/2, 1), and the result is scaled
+    back by 2^(degree e), so that no intermediate underflows or overflows;
+    other points are evaluated as they are.
+    """
+    z, t = x.z, x.t
+    scale = max(np.max(np.abs(z)), np.sqrt(np.max(np.abs(t))))
+    if scale == 0.0 or _SCALE_WINDOW[0] <= scale <= _SCALE_WINDOW[1]:
+        return fn(z[None], t[None])[0]
+    e = int(np.frexp(scale)[1])
+    return np.ldexp(fn(np.ldexp(z, -e)[None], np.ldexp(t, -2 * e)[None])[0], degree * e)
 
 
 def _plain_jet(value: Callable, value_hgrad: Callable) -> Callable:

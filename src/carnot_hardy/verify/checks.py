@@ -8,7 +8,7 @@ reports can be serialized and regression-compared byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -99,6 +99,19 @@ def _quad_for(u: TestFunction, quad: Optional[QuadratureSpec]) -> QuadratureSpec
     return QuadratureSpec(sigma_range=u.support)
 
 
+def _circle_rule(spec: ZFieldSpec, u: TestFunction, quad: QuadratureSpec) -> QuadratureSpec:
+    """quad, with one circle node when the integrand is rotation-invariant.
+
+    The gauge, u and hence Z_d, <grad u, Z_d>, |grad u| and Eu are then
+    invariant under rotations of z, so every integrand of the checks is a
+    function of (sigma, lam) on the phi chart, and one node at angle 0 with
+    the weight 2 pi integrates it exactly on the fine and the coarse grid.
+    """
+    if spec.norm.rotation_invariant and u.rotation_invariant:
+        return replace(quad, n_angle=1)
+    return quad
+
+
 def check_ibp_identity(spec: ZFieldSpec, u: TestFunction,
                        quad: Optional[QuadratureSpec] = None) -> Report:
     """I1 = int |u|^{p-2} u <grad u, Z_d> / d^{pt-1},
@@ -113,18 +126,8 @@ def check_ibp_identity(spec: ZFieldSpec, u: TestFunction,
     p, theta = spec.p, spec.theta
     pt = spec.ptheta
     Q = float(spec.group.Q)
-    norm = spec.norm
-
-    def integrands(nodes):
-        v, gu, eu = u.jet(nodes)
-        d, g = norm.jet(nodes)        # the spec's gauge, not the bump's own rho
-        sv = _sgn_pow(v, p)
-        pair = np.sum(gu * z_field_components(spec, nodes.z, nodes.t, d, g), axis=-1)
-        d_pt = d**pt
-        return np.stack([sv * pair / d ** (pt - 1.0), sv * eu / d_pt,
-                         np.abs(v) ** p / d_pt])
-
-    r1, r2, r3 = integrate_many(spec.group, [integrands], quad)
+    r1, r2, r3 = integrate_many(spec.group, [_ibp_integrands(spec, u)],
+                                _circle_rule(spec, u, quad))
     I1, I2 = r1.value, r2.value
     mass = r3.value
     I3 = -(Q - pt) / p * mass
@@ -140,9 +143,26 @@ def check_ibp_identity(spec: ZFieldSpec, u: TestFunction,
     return Report("ibp_identity", passed, tol,
                   values={"I1": I1, "I2": I2, "I3": I3, "p": p, "theta": theta,
                           "defect": defect},
-                  diagnostics={"norm": norm.kind, "mass": mass,
+                  diagnostics={"norm": spec.norm.kind, "mass": mass,
                                "grid_error": max(r1.error, r2.error, r3.error),
                                "n_evals": r1.n_evals})
+
+
+def _ibp_integrands(spec: ZFieldSpec, u: TestFunction):
+    """The integrands of I1, I2 and of the mass int |u|^p / d^{pt}, stacked."""
+    p, pt = spec.p, spec.ptheta
+    norm = spec.norm
+
+    def integrands(nodes):
+        v, gu, eu = u.jet(nodes)
+        d, g = norm.jet(nodes)        # the spec's gauge, not the bump's own rho
+        sv = _sgn_pow(v, p)
+        pair = np.sum(gu * z_field_components(spec, nodes.z, nodes.t, d, g), axis=-1)
+        d_pt = d**pt
+        return np.stack([sv * pair / d ** (pt - 1.0), sv * eu / d_pt,
+                         np.abs(v) ** p / d_pt])
+
+    return integrands
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +176,7 @@ def hardy_quotient(spec: ZFieldSpec, u: TestFunction,
     or with the full |grad u| in the numerator when projected is False."""
     quad = _quad_for(u, quad)
     rnum, rden = integrate_many(spec.group, [_quotient_integrands(spec, u, projected)],
-                                quad)
+                                _circle_rule(spec, u, quad))
     if rden.value <= 0.0:
         raise ValueError("vanishing denominator: test function is zero on the grid")
     return rnum.value / rden.value
@@ -209,9 +229,9 @@ def sharpness_sequence(spec: ZFieldSpec, eps_list: Sequence[float],
         q = QuadratureSpec(sigma_range=(profile.r2, profile.R2),
                            lambda_range=(eps, 1.0 / eps),
                            n_sigma=(quad.n_sigma if quad else 80),
-                           n_angle=(quad.n_angle if quad else 8),
                            log_nodes=(quad.log_nodes if quad else 16))
-        rnum, rden = integrate_many(spec.group, [_quotient_integrands(spec, u, True)], q)
+        rnum, rden = integrate_many(spec.group, [_quotient_integrands(spec, u, True)],
+                                    _circle_rule(spec, u, q))
         out.append(SharpnessPoint(eps, rnum.value / rden.value, rden.value))
     return out
 

@@ -7,12 +7,14 @@ Two charts are supported:
   which Lebesgue measure becomes |omega|^2 (1 + lam^2)^{-(n+1)/2} domega dlam
   and |omega| equals the Koranyi gauge of the image point.  The tensor grid
   uses Gauss-Legendre in sigma = |omega|, a uniform circle rule in the
-  angle, and either graded Gauss panels in psi = arctan(lam) (whole line) or
-  log-spaced panels in log(lam) when a positive lambda window is requested
-  (the cut-off family of the sharpness test lives on such windows).  Its
-  1-D tables are built once per resolution, and integrands receive them
-  with each chunk of whole sigma slabs (see ``Nodes``), so that a function
-  of the radius or of lam = t/|z|^2 alone is evaluated on its table.
+  angle (one node at angle 0 when n_angle is 1: exact for integrands
+  invariant under rotations of z), and either graded Gauss panels in
+  psi = arctan(lam) (whole line) or log-spaced panels in log(lam) when a
+  positive lambda window is requested (the cut-off family of the sharpness
+  test lives on such windows).  Its 1-D tables are built once per
+  resolution, and integrands receive them with each chunk of whole sigma
+  slabs (see ``Nodes``), so that a function of the radius or of
+  lam = t/|z|^2 alone is evaluated on its table.
 
 * ``ambient`` - a plain tensor Gauss grid on a coordinate box, as a cross
   check of the chart above.
@@ -48,7 +50,7 @@ class QuadratureSpec:
     method: str = "tensor_grid"          # tensor_grid | monte_carlo
     coordinates: str = "phi_polar"       # phi_polar | ambient
     n_sigma: int = 80                    # Gauss nodes in sigma (and per ambient axis)
-    n_angle: int = 16                    # circle nodes
+    n_angle: int = 16                    # circle nodes (1: one node at angle 0)
     psi_nodes: int = 12                  # Gauss nodes per psi panel
     psi_levels: int = 10                 # dyadic grading depth toward psi = pi/2
     log_nodes: int = 16                  # Gauss nodes per log-lambda panel
@@ -63,19 +65,6 @@ class QuadratureSpec:
     lambda_range: Optional[tuple] = None  # positive (lo, hi): one-sided log grid
     box: Optional[tuple] = None          # (z_half, t_half) for ambient / MC
     chunk: int = 1 << 17
-
-    def describe(self) -> dict:
-        d = {"method": self.method, "coordinates": self.coordinates,
-             "seed": self.seed, "rel_tol": self.rel_tol}
-        if self.method == "tensor_grid":
-            d.update(n_sigma=self.n_sigma, n_angle=self.n_angle,
-                     sigma_range=list(self.sigma_range))
-            if self.lambda_range is not None:
-                d["lambda_range"] = list(self.lambda_range)
-        else:
-            d["samples"] = self.samples
-            d["box"] = list(self.box) if self.box else None
-        return d
 
 
 @dataclass
@@ -157,7 +146,8 @@ class ChartTables(NamedTuple):
 @lru_cache(maxsize=64)
 def _chart_tables(sigma_range: tuple, n_sigma: int, n_angle: int, lam_rule: tuple):
     sig, wsig = _gauss_on(*sigma_range, n_sigma)
-    ang = (np.arange(n_angle) + 0.5) * 2.0 * np.pi / n_angle
+    # midpoints on the circle; a single node sits at angle 0, where z = (|z|, 0)
+    ang = (np.arange(n_angle) + (0.5 if n_angle > 1 else 0.0)) * 2.0 * np.pi / n_angle
     wang = np.full(n_angle, 2.0 * np.pi / n_angle)
     if lam_rule[0] == "psi":
         psi, wpsi = _graded_psi(*lam_rule[1:])
@@ -176,7 +166,11 @@ def _chart_tables(sigma_range: tuple, n_sigma: int, n_angle: int, lam_rule: tupl
 
 def chart_tables(quad: QuadratureSpec, coarse: bool = False) -> ChartTables:
     """The phi chart's 1-D tables at the resolution of quad (or of its coarse
-    companion grid, with half the nodes); built once per resolution."""
+    companion grid, with half the nodes); built once per resolution.
+
+    One circle node integrates a rotation-invariant integrand exactly, so it
+    serves the coarse grid too; a full circle keeps at least 4 coarse nodes.
+    """
     shrink = 2 if coarse else 1
     if quad.lambda_range is None:
         lam_rule = ("psi", quad.psi_levels, max(quad.psi_nodes // shrink, 4))
@@ -185,7 +179,8 @@ def chart_tables(quad: QuadratureSpec, coarse: bool = False) -> ChartTables:
                     max(quad.log_nodes // shrink, 4))
     return _chart_tables(tuple(map(float, quad.sigma_range)),
                          max(quad.n_sigma // shrink, 8),
-                         max(quad.n_angle // shrink, 4), lam_rule)
+                         1 if quad.n_angle == 1 else max(quad.n_angle // shrink, 4),
+                         lam_rule)
 
 
 def phi_polar_nodes(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool = False):

@@ -162,6 +162,12 @@ class TestFunction:
     the function.  ``jet(nodes)`` returns ``(value, hgrad, euler)`` on a
     node record from one evaluation of the shared pieces, and
     ``jet(nodes, derivs=False)`` returns ``(value, None, None)``.
+
+    ``rotation_invariant`` declares that the function is invariant under
+    the rotations of z in each horizontal 2-plane, i.e. depends on z only
+    through the blockwise |z^(i)|; the checks then integrate it on one
+    circle node of the phi chart.  It is not verified, so it defaults to
+    False.
     """
 
     kind: str
@@ -171,15 +177,20 @@ class TestFunction:
     euler: Callable[[Array, Array], Array]
     jet: Callable
     support: tuple = (0.25, 2.0)
+    rotation_invariant: bool = False
 
 
 def _from_jet(kind: str, params: dict, jet: Callable, support: tuple) -> TestFunction:
-    """A test function whose evaluators are views of one jet."""
+    """A test function whose evaluators are views of one jet.
+
+    Every function built here depends on z through |z|^2 alone (the Koranyi
+    gauge and t/|z|^2), so each is declared rotation-invariant.
+    """
     return TestFunction(kind, params,
                         value=lambda z, t: jet(Nodes(z, t), derivs=False)[0],
                         hgrad=lambda z, t: jet(Nodes(z, t))[1],
                         euler=lambda z, t: jet(Nodes(z, t))[2],
-                        support=support, jet=jet)
+                        support=support, jet=jet, rotation_invariant=True)
 
 
 def radial_bump(group: StepTwoGroup, profile: BumpProfile = BumpProfile(),

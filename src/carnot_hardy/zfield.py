@@ -76,13 +76,6 @@ class SupResult:
     def sup_sq(self) -> float:
         return self.sup_value ** 2
 
-    def describe(self) -> dict:
-        arg = self.arg
-        if isinstance(arg, tuple):
-            arg = [np.asarray(a).tolist() for a in arg]
-        return {"sup_value": self.sup_value, "arg": arg,
-                "method": self.method, "samples": self.samples}
-
 
 def _block_perp(v: Array) -> Array:
     """(v_1, v_2, ...) -> (-v_2, v_1, ...) per horizontal 2-plane."""

@@ -1,19 +1,23 @@
 """The phi chart's tables: integrands evaluated on the distinct radii and
 slopes of a chunk must give what the same evaluators give on its flat nodes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from carnot_hardy import ZFieldSpec, cc, heisenberg, koranyi
 from carnot_hardy.verify import (BumpProfile, Nodes, QuadratureSpec, check_ibp_identity,
-                                 euler_adjoint_defect, hardy_quotient, integrate_many,
-                                 product_check, radial_bump, random_bump,
+                                 euler_adjoint_defect, hardy_quotient, integrate,
+                                 integrate_many, product_check, radial_bump, random_bump,
                                  sharpness_function, sharpness_sequence,
                                  weak_divergence_defect)
-from carnot_hardy.verify import checks
+from carnot_hardy.verify import checks, testfuncs
+from carnot_hardy.verify.quadrature import chart_tables
 
 H1 = heisenberg(1)
 PROFILE = BumpProfile(0.3, 0.6, 1.3, 1.8)
+PROFILE_SUPPORT = (PROFILE.r2, PROFILE.R2)
 # the whole line in psi (its graded end panels reach |lam| ~ 7e4) and a
 # one-sided log-lambda window as the cut-off family uses
 QUADS = {
@@ -144,3 +148,124 @@ def test_product_monte_carlo_is_unchanged():
     # the standard error sums squares through BLAS, whose thread count may
     # move its last bits
     assert rep.diagnostics["mc_stderr"] == pytest.approx(10.598635319379762, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# rotation-invariant integrands on one circle node
+# ---------------------------------------------------------------------------
+
+def _seeded_bump():
+    rng = np.random.default_rng(23)
+    return radial_bump(H1, PROFILE, modulation=rng.uniform(-0.5, 0.5),
+                       modulation2=rng.uniform(-0.3, 0.3))
+
+
+INVARIANT_QUADS = {
+    "bump": QuadratureSpec(sigma_range=PROFILE_SUPPORT, n_angle=16, psi_nodes=6),
+    "cut-off": QuadratureSpec(sigma_range=PROFILE_SUPPORT, n_angle=16, log_nodes=8,
+                              lambda_range=(1e-2, 1e2)),
+}
+
+
+def _invariant_integrands(norm):
+    """Every integrand the three one-node checks build, by name, with the grid
+    it lives on."""
+    spec = ZFieldSpec(H1, norm, 3.0, 1.0)
+    u = _seeded_bump()
+    cutoff = sharpness_function(H1, spec.p, 1e-2, PROFILE)
+    return {"ibp": (checks._ibp_integrands(spec, u), "bump"),
+            "projected quotient": (checks._quotient_integrands(spec, u, True), "bump"),
+            "full quotient": (checks._quotient_integrands(spec, u, False), "bump"),
+            "sharpness": (checks._quotient_integrands(spec, cutoff, True), "cut-off")}
+
+
+@pytest.mark.parametrize("norm", [koranyi(H1), cc(H1)], ids=lambda n: n.kind)
+def test_check_integrands_are_rotation_invariant(norm):
+    for name, (f, grid) in _invariant_integrands(norm).items():
+        quad = INVARIANT_QUADS[grid]
+        nodes = chunks(quad)[0]
+        k, n_lam = nodes.sigma.size, nodes.lam.size
+        assert nodes.z.shape[0] == k * 16 * n_lam
+        rows = np.asarray(f(nodes))
+        for row in rows.reshape(len(rows), k, 16, n_lam):
+            assert np.max(np.abs(row)) > 0.0, name
+            spread = np.max(np.abs(row - row[:, :1, :]))
+            assert spread <= 1e-13 * np.max(np.abs(row)), (name, spread)
+
+
+def _runs(norm):
+    spec = ZFieldSpec(H1, norm, 3.0, 1.0)
+    u = _seeded_bump()
+    quad = INVARIANT_QUADS["bump"]
+    return {"ibp": lambda: check_ibp_identity(spec, u, quad),
+            "projected quotient": lambda: hardy_quotient(spec, u, quad, True),
+            "full quotient": lambda: hardy_quotient(spec, u, quad, False),
+            "sharpness": lambda: sharpness_sequence(
+                spec, [1e-2, 1e-3], QuadratureSpec(n_sigma=32, n_angle=16, log_nodes=8))}
+
+
+@pytest.mark.parametrize("norm", [koranyi(H1), cc(H1)], ids=lambda n: n.kind)
+def test_checks_integrate_invariant_integrands_on_one_circle_node(norm):
+    real = checks.integrate_many
+    for name, run in _runs(norm).items():
+        pairs = []
+
+        def recording(group, fs, quad):
+            out = real(group, fs, quad)
+            pairs.append((quad.n_angle, out, real(group, fs, replace(quad, n_angle=16))))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checks, "integrate_many", recording)
+            run()
+        assert pairs, name
+        for n_angle, one, full in pairs:
+            assert n_angle == 1, name
+            for a, b in zip(one, full):
+                assert a.n_evals * 16 == b.n_evals, name
+                assert abs(a.value - b.value) <= 1e-13 * abs(b.value), name
+                # the coarse grid has one node too: the grid error is unchanged
+                assert abs(a.error - b.error) <= 1e-13 * abs(b.value), name
+
+
+def test_integrate_keeps_the_full_circle():
+    # z_1^2 averages to |z|^2 / 2 over the circle; one node at angle 0 would
+    # give the whole of it
+    u = _seeded_bump()
+    quad = QuadratureSpec(sigma_range=PROFILE_SUPPORT)
+
+    def weighted(nodes, i):
+        z2 = nodes.z[:, i] ** 2 if i is not None else np.sum(nodes.z**2, axis=-1)
+        return u.jet(nodes, derivs=False)[0] * z2
+
+    first = integrate(H1, lambda n: weighted(n, 0), quad).value
+    whole = integrate(H1, lambda n: weighted(n, None), quad).value
+    assert abs(first - whole / 2) <= 1e-12 * whole
+    one = replace(quad, n_angle=1)
+    assert integrate(H1, lambda n: weighted(n, 0), one).value == pytest.approx(whole, rel=1e-12)
+
+
+def test_undeclared_test_functions_keep_the_full_circle():
+    u = _seeded_bump()
+    seen = []
+
+    def jet(nodes, derivs=True):
+        seen.append(nodes.z.shape[0] // (nodes.sigma.size * nodes.lam.size))
+        return u.jet(nodes, derivs)
+
+    hand_built = testfuncs.TestFunction("recorded bump", {}, u.value, u.hgrad, u.euler, jet,
+                              support=u.support)
+    assert not hand_built.rotation_invariant and u.rotation_invariant
+    spec = ZFieldSpec(H1, koranyi(H1), 3.0, 1.0)
+    quad = QuadratureSpec(sigma_range=u.support, n_angle=16, psi_nodes=6)
+    full = check_ibp_identity(spec, hand_built, quad)
+    # the fine grid and its coarse companion
+    assert seen[0] == quad.n_angle and set(seen) == {16, 8}
+    n_lam = chart_tables(quad).lam.size
+    assert full.diagnostics["n_evals"] == quad.n_sigma * 16 * n_lam
+    seen.clear()
+    one = check_ibp_identity(spec, replace(hand_built, rotation_invariant=True), quad)
+    assert set(seen) == {1}
+    assert one.diagnostics["n_evals"] == quad.n_sigma * n_lam
+    for key in ("I1", "I2", "I3"):
+        assert one.values[key] == pytest.approx(full.values[key], rel=1e-13)

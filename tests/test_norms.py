@@ -464,15 +464,51 @@ def test_origin_and_center_guards():
         koranyi(H1).hgrad_at(Point([0.0, 0.0], 0.0))
     with pytest.raises(CenterError):
         cc(H1).hgrad_at(Point([0.0, 0.0], 0.5))
-    # a gauge that underflows off the origin has no gradient to give
-    with pytest.raises(CenterError):
-        koranyi(H1).hgrad_at(Point([1e-200, 0.0], 0.0))
+    # a point whose gauge powers underflow is not the origin: its gradient
+    # is that of its dilation to unit scale
+    g = koranyi(H1).hgrad_at(Point([1e-200, 0.0], 0.0))
+    assert np.array_equal(g.components, [1.0, 0.0])
     bt_group = nonisotropic([0.5, 1.0])
     with pytest.raises(CenterError):
         balogh_tyson(bt_group).hgrad_at(Point([0.0] * 4, 0.0))
     # koranyi is smooth through the center away from the origin
     g = koranyi(H1).hgrad_at(Point([0.0, 0.0], 0.5))
     assert np.allclose(g.components, 0.0)
+
+
+def test_point_level_gauges_below_the_normal_float_range():
+    # |z|^4 (Koranyi) and |z|^2 (cc) underflow here; the point-level API
+    # evaluates at a power-of-two dilation and scales back
+    assert koranyi(H1).value_at(Point([1e-100, 0.0], 0.0)) == pytest.approx(1e-100, rel=1e-15)
+    assert koranyi(H1).value_at(Point([1e-80, 0.0], 0.0)) == pytest.approx(1e-80, rel=1e-15)
+    assert cc(H1).value_at(Point([1e-170, 0.0], 0.0)) == pytest.approx(1e-170, rel=1e-15)
+    assert cc(H1).value_at(Point([0.0, 5e-324], 0.0)) == 5e-324
+
+
+# (scale, t at unit scale): scale^2 t must stay a normal float
+_EXTREME = ([(s, 0.4) for s in (1e-80, 1e-100, 1e-150, 1e40, 1e100, 1e150)]
+            + [(s, 0.0) for s in (1e-100, 1e-170, 1e-300, 1e150, 1e300)])
+
+
+@pytest.mark.parametrize("factory", [koranyi, cc])
+@pytest.mark.parametrize("scale, t", _EXTREME)
+def test_point_level_gauges_are_homogeneous_at_extreme_scales(factory, scale, t):
+    model = factory(H1)
+    x = Point([0.6, -0.3], t)
+    y = Point(scale * x.z, scale * (scale * x.t))
+    assert model.value_at(y) == pytest.approx(scale * model.value_at(x), rel=1e-14)
+    assert np.allclose(model.hgrad_at(y).components, model.hgrad_at(x).components,
+                       rtol=0.0, atol=1e-14)
+    assert model.dt_at(y)[0] == pytest.approx(model.dt_at(x)[0] / scale, rel=1e-14)
+
+
+def test_point_level_gauges_in_the_normal_range_are_evaluated_as_they_are():
+    x = Point([1.0, 0.0], 0.5)
+    for model in (koranyi(H1), cc(H1)):
+        z, t = x.z[None], x.t[None]
+        assert model.value_at(x) == model.value(z, t)[0]
+        assert np.array_equal(model.hgrad_at(x).components, model.hgrad(z, t)[0])
+        assert np.array_equal(model.dt_at(x), model.dt(z, t)[0])
 
 
 def test_ccpolar_validation():
