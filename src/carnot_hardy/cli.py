@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -27,8 +28,8 @@ from .bounds import (BoundReport, bound_cc, bound_generic, bound_koranyi,
                      product_conditions)
 from .groups import Point, heisenberg, heisenberg_product, nonisotropic
 from .norms import cc_invert, make_norm
-from .zfield import (ZFieldSpec, cc_profile_max, g_cc, koranyi_profile_max,
-                     sup_z_norm, z_profile_koranyi)
+from .zfield import (ScanRangeError, ZFieldSpec, cc_profile_max, g_cc,
+                     koranyi_profile_max, sup_z_norm, z_profile_koranyi)
 from .verify import (QuadratureSpec, check_ibp_identity, counterexample_scan,
                      hardy_quotient, product_check, radial_bump, random_bump,
                      sharpness_sequence, fit_log_excess)
@@ -64,6 +65,15 @@ def _not_finite(context):
 def _check_finite(context, *values):
     if not all(np.all(np.isfinite(v)) for v in values):
         raise _not_finite(context)
+
+
+@contextmanager
+def _scan_limits(context):
+    """Usage errors for scans beyond the Sobol draw's dimensions or points."""
+    try:
+        yield
+    except ScanRangeError as exc:
+        raise UsageError(f"{context}: {exc}") from None
 
 
 def _parse_floats(text, flag):
@@ -233,7 +243,9 @@ def cmd_bounds(args) -> int:
             p = args.p
             context = f"--p {p:g} --theta {theta:g} --norm {kind}"
             try:
-                sup, value, branch, checks = _bound_row(args, group, kind, p, theta, context)
+                with _scan_limits(f"--group {args.group} {context}"):
+                    sup, value, branch, checks = _bound_row(args, group, kind, p, theta,
+                                                            context)
             except OverflowError:
                 raise _not_finite(context) from None
             report = BoundReport(group.describe(), kind, p, theta, Q,
@@ -383,12 +395,14 @@ def cmd_verify(args) -> int:
                     "target": target, "fit_C": c_fit, "fit_residual": resid},
             diagnostics={"norm": args.norm}))
     elif args.check == "counterexample":
-        reports.append(counterexample_scan(samples_log2=args.samples_log2))
-        reports.append(counterexample_scan(isotropic_control=True,
-                                           samples_log2=args.samples_log2))
+        with _scan_limits(f"--samples-log2 {args.samples_log2}"):
+            reports.append(counterexample_scan(samples_log2=args.samples_log2))
+            reports.append(counterexample_scan(isotropic_control=True,
+                                               samples_log2=args.samples_log2))
     elif args.check == "product":
-        reports.append(product_check(args.n, args.N, args.p, args.theta_value,
-                                     seed=args.seed, mc_samples=args.samples))
+        with _scan_limits(f"--n {args.n} --N {args.N}"):
+            reports.append(product_check(args.n, args.N, args.p, args.theta_value,
+                                         seed=args.seed, mc_samples=args.samples))
     else:
         raise UsageError(f"unknown verify check {args.check!r}")
     payload = {"meta": _meta(args, f"verify {args.check}"),

@@ -15,6 +15,7 @@ enough symmetry, and a sampled lower bound otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -139,12 +140,20 @@ def z_field_at(spec: ZFieldSpec, x: Point) -> HVector:
 # closed profiles
 # ---------------------------------------------------------------------------
 
+def _finite_coeffs(*coeffs):
+    """The coefficients of a closed profile, or OverflowError before the
+    profile is evaluated on non-finite values."""
+    if not np.all(np.isfinite(coeffs)):
+        raise OverflowError("the profile's coefficients are not finite in double precision")
+    return coeffs
+
+
 def _koranyi_profile_coeffs(Q: float, p: float, theta: float):
     """(alpha, beta) = ((Q/(Q-2))^2, p theta (p theta - 2Q)/(Q-2)^2)."""
     if Q <= 2:
         raise ValueError("the profile needs Q > 2")
     pt = p * theta
-    return (Q / (Q - 2.0)) ** 2, pt * (pt - 2.0 * Q) / (Q - 2.0) ** 2
+    return _finite_coeffs((Q / (Q - 2.0)) ** 2, pt * (pt - 2.0 * Q) / (Q - 2.0) ** 2)
 
 
 def z_profile_koranyi(Q: float, p: float, theta: float, lam) -> Array:
@@ -171,6 +180,9 @@ def g_cc(Q: float, p: float, theta: float, nu) -> Array:
     """
     if Q <= 2:
         raise ValueError("g needs Q > 2")
+    pt = p * theta
+    c_f, c_g, c_x = _finite_coeffs(2.0 * (Q / (Q - 2.0))**2, (2.0 * pt / (Q - 2.0))**2,
+                                   4.0 * pt * Q / (Q - 2.0)**2)
     nu = np.asarray(nu, dtype=float)
     if np.any(np.abs(nu) > TWO_PI_TOL):
         raise ValueError("nu must lie in [-2pi, 2pi]")
@@ -182,10 +194,7 @@ def g_cc(Q: float, p: float, theta: float, nu) -> Array:
     g_ser = nu / 6.0 - nu**3 / 120.0 + nu**5 / 5040.0
     f = np.where(small, f_ser, f_dir)
     gg = np.where(small, g_ser, g_dir)
-    pt = p * theta
-    A = Q / (Q - 2.0)
-    return (2.0 * A**2 * f + (2.0 * pt / (Q - 2.0))**2 * gg**2
-            - 4.0 * pt * Q / (Q - 2.0)**2 * gg * (nu * f))
+    return c_f * f + c_g * gg**2 - c_x * gg * (nu * f)
 
 
 def koranyi_profile_max(Q: float, p: float, theta: float):
@@ -278,32 +287,146 @@ def _coordinate_refine(f, x0: Array, value0: float, width: float, sweeps: int):
     return x, best
 
 
+# ---------------------------------------------------------------------------
+# the Sobol draw
+# ---------------------------------------------------------------------------
+
+SOBOL_BITS = 30
+
+# (primitive polynomial, initial direction numbers m_1..m_s) of dimensions 2
+# to 64, from Joe and Kuo, "Constructing Sobol sequences with better
+# two-dimensional projections", SIAM J. Sci. Comput. 30 (2008), file
+# new-joe-kuo-6.21201.  The polynomial's coefficients are its bits, leading
+# and constant term included.  Dimension 1 has every m_k = 1 (van der Corput).
+_JOE_KUO = (
+    (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)), (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)), (41, (1, 1, 5, 5, 5)),
+    (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)), (59, (1, 1, 1, 3, 11)),
+    (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)), (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)), (103, (1, 1, 1, 15, 7, 5)),
+    (109, (1, 3, 1, 15, 13, 25)), (115, (1, 1, 5, 5, 19, 61)),
+    (131, (1, 3, 7, 11, 23, 15, 103)), (137, (1, 3, 7, 13, 13, 15, 69)),
+    (143, (1, 1, 3, 13, 7, 35, 63)), (145, (1, 3, 5, 9, 1, 25, 53)),
+    (157, (1, 3, 1, 13, 9, 35, 107)), (167, (1, 3, 1, 5, 27, 61, 31)),
+    (171, (1, 1, 5, 11, 19, 41, 61)), (185, (1, 3, 5, 3, 3, 13, 69)),
+    (191, (1, 1, 7, 13, 1, 19, 1)), (193, (1, 3, 7, 5, 13, 19, 59)),
+    (203, (1, 1, 3, 9, 25, 29, 41)), (211, (1, 3, 5, 13, 23, 1, 55)),
+    (213, (1, 3, 7, 3, 13, 59, 17)), (229, (1, 3, 1, 3, 5, 53, 69)),
+    (239, (1, 1, 5, 5, 23, 33, 13)), (241, (1, 1, 7, 7, 1, 61, 123)),
+    (247, (1, 1, 7, 9, 13, 61, 49)), (253, (1, 3, 3, 5, 3, 55, 33)),
+    (285, (1, 3, 1, 15, 31, 13, 49, 245)), (299, (1, 3, 5, 15, 31, 59, 63, 97)),
+    (301, (1, 3, 1, 11, 11, 11, 77, 249)), (333, (1, 3, 1, 11, 27, 43, 71, 9)),
+    (351, (1, 1, 7, 15, 21, 11, 81, 45)), (355, (1, 3, 7, 3, 25, 31, 65, 79)),
+    (357, (1, 3, 1, 1, 19, 11, 3, 205)), (361, (1, 1, 5, 9, 19, 21, 29, 157)),
+    (369, (1, 3, 7, 11, 1, 33, 89, 185)), (391, (1, 3, 3, 3, 15, 9, 79, 71)),
+    (397, (1, 3, 7, 11, 15, 39, 119, 27)), (425, (1, 1, 3, 1, 11, 31, 97, 225)),
+    (451, (1, 1, 1, 3, 23, 43, 57, 177)), (463, (1, 3, 7, 7, 17, 17, 37, 71)),
+    (487, (1, 3, 1, 5, 27, 63, 123, 213)), (501, (1, 1, 3, 5, 11, 43, 53, 133)),
+    (529, (1, 3, 5, 5, 29, 17, 47, 173, 479)), (539, (1, 3, 3, 11, 3, 1, 109, 9, 69)),
+    (545, (1, 1, 1, 5, 17, 39, 23, 5, 343)), (557, (1, 3, 1, 5, 25, 15, 31, 103, 499)),
+    (563, (1, 1, 1, 11, 11, 17, 63, 105, 183)),
+    (601, (1, 1, 5, 11, 9, 29, 97, 231, 363)),
+    (607, (1, 1, 5, 15, 19, 45, 41, 7, 383)),
+    (617, (1, 3, 7, 7, 31, 19, 83, 137, 221)),
+    (623, (1, 1, 1, 3, 23, 15, 111, 223, 83)),
+    (631, (1, 1, 5, 13, 31, 15, 55, 25, 161)),
+    (637, (1, 1, 3, 13, 25, 47, 39, 87, 257)),
+)
+SOBOL_MAX_DIM = len(_JOE_KUO) + 1
+
+
+class ScanRangeError(ValueError):
+    """A Sobol draw beyond the committed dimensions or the 2^30 points."""
+
+
+@lru_cache(maxsize=None)
+def _sobol_directions(dim: int) -> Array:
+    """(SOBOL_BITS, dim) uint32 direction numbers: row b is XORed in at bit b."""
+    if not 1 <= dim <= SOBOL_MAX_DIM:
+        raise ScanRangeError(f"the Sobol scan draws at most {SOBOL_MAX_DIM} dimensions, "
+                             f"not {dim}")
+    v = np.ones((SOBOL_BITS, dim), dtype=np.uint32)
+    for j, (poly, init) in enumerate(_JOE_KUO[:dim - 1], start=1):
+        s = len(init)
+        m = list(init)
+        for b in range(s, SOBOL_BITS):
+            new = m[b - s]
+            for k in range(1, s + 1):
+                if (poly >> (s - k)) & 1:
+                    new ^= m[b - k] << k
+            m.append(new)
+        v[:, j] = m
+    v <<= np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)[:, None]
+    v.flags.writeable = False
+    return v
+
+
+def sobol_points(dim: int, lo: int, hi: int) -> Array:
+    """Points lo, ..., hi - 1 of the unscrambled Sobol sequence in [0, 1)^dim.
+
+    Point k is the XOR of the direction numbers at the set bits of its Gray
+    code k ^ (k >> 1); point k + 1 differs from it by the direction at the
+    lowest set bit of k + 1.  ``sobol_points(dim, 0, 2**m)`` is scipy's
+    ``qmc.Sobol(dim, scramble=False).random_base2(m)``, bit for bit.
+    """
+    v = _sobol_directions(dim)
+    if not 0 <= lo < hi <= 2**SOBOL_BITS:
+        raise ScanRangeError(f"the Sobol scan draws nonempty ranges of points 0 to "
+                             f"2^{SOBOL_BITS} - 1, not [{lo}, {hi})")
+    x = np.empty((hi - lo, dim), dtype=np.uint32)
+    gray = lo ^ (lo >> 1)
+    x[0] = np.bitwise_xor.reduce(v[[b for b in range(SOBOL_BITS) if gray >> b & 1]])
+    k = np.arange(lo + 1, hi, dtype=np.int64)
+    x[1:] = v[np.frexp(k & -k)[1] - 1]            # lowest set bit of k, exactly
+    np.bitwise_xor.accumulate(x, axis=0, out=x)
+    return x * 2.0**-SOBOL_BITS
+
+
+# ---------------------------------------------------------------------------
+# the unit-sphere scan
+# ---------------------------------------------------------------------------
+
+# rows drawn, dilated and evaluated at once; bounds the scan's temporaries
+_SCAN_BLOCK = 2**13
+
+
 def scan_unit_sphere(objective, norm: NormModel, m: int, width: float = 0.3,
                      sweeps: int = 6):
     """Quasi-random maximization of a dilation-invariant objective on {d = 1}.
 
     ``objective(z, t)`` is batched over rows.  The 2^m unscrambled Sobol
     points of [-1.5, 1.5]^dim, less those with |z|^2 <= 1e-6, are dilated onto
-    the unit gauge sphere of ``norm``; the best one is polished by sweeps of
-    bracket zooms along coordinates.  Returns (best value, (arg_z,
-    arg_t) on the sphere, objective at every sample).  The best value is a
-    sampled lower bound of the supremum, never a certificate.
+    the unit gauge sphere of ``norm`` and evaluated in blocks of _SCAN_BLOCK
+    points; the first best one, as np.argmax picks it from all values, is
+    polished by sweeps of bracket zooms along coordinates.  Returns (best
+    value, (arg_z, arg_t) on the sphere, objective at every sample).  The
+    best value is a sampled lower bound of the supremum, never a
+    certificate.
     """
-    # scipy.stats costs about a second to import; only the scans need it
-    from scipy.stats import qmc
-
     nz = 2 * norm.group.n
+    dim = norm.group.dim
+    if not 0 <= m <= SOBOL_BITS:
+        raise ScanRangeError(f"the Sobol scan draws at most 2^{SOBOL_BITS} points, "
+                             f"not 2^{m}")
 
     def to_sphere(z, t):
         d = norm.value(z, t)
         return z / d[:, None], t / d[:, None] ** 2
 
-    pts = 1.5 * (2.0 * qmc.Sobol(d=norm.group.dim, scramble=False).random_base2(m) - 1.0)
-    z, t = pts[:, :nz], pts[:, nz:]
-    keep = np.sum(z * z, axis=1) > 1e-6
-    z, t = to_sphere(z[keep], t[keep])
-    vals = objective(z, t)
-    i = int(np.argmax(vals))
+    vals, x0, v0 = [], None, None
+    for lo in range(0, 2**m, _SCAN_BLOCK):
+        pts = 1.5 * (2.0 * sobol_points(dim, lo, min(lo + _SCAN_BLOCK, 2**m)) - 1.0)
+        z, t = pts[:, :nz], pts[:, nz:]
+        keep = np.sum(z * z, axis=1) > 1e-6
+        z, t = to_sphere(z[keep], t[keep])
+        v = objective(z, t)
+        vals.append(v)
+        # the first block keeps point 0, (-1.5, ..., -1.5); the winner is the
+        # row np.argmax picks from all values: the first NaN, else the first max
+        i = int(np.argmax(v))
+        if x0 is None or (not np.isnan(v0) and (np.isnan(v[i]) or v[i] > v0)):
+            x0, v0 = np.concatenate([z[i], t[i]]), float(v[i])
+    vals = np.concatenate(vals)
 
     def f(x):
         zz, tt = x[:, :nz], x[:, nz:]
@@ -312,8 +435,7 @@ def scan_unit_sphere(objective, norm: NormModel, m: int, width: float = 0.3,
         out[ok] = objective(zz[ok], tt[ok])
         return out
 
-    x, best = _coordinate_refine(f, np.concatenate([z[i], t[i]]), float(vals[i]),
-                                 width, sweeps)
+    x, best = _coordinate_refine(f, x0, v0, width, sweeps)
     arg_z, arg_t = to_sphere(x[None, :nz], x[None, nz:])
     return best, (arg_z[0], arg_t[0]), vals
 

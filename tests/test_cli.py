@@ -122,7 +122,10 @@ def assert_usage_error(argv, capsys):
     ["cc", "--point", "1e200,0,1"],
     ["cc", "--point", "1e-160,0,1"],
 ])
+@pytest.mark.filterwarnings("error")
 def test_out_of_range_numbers_are_usage_errors(argv, capsys):
+    # the closed profiles check their coefficients before evaluating anything,
+    # so no NumPy warning precedes the usage error
     assert_usage_error(argv, capsys)
 
 
@@ -180,6 +183,19 @@ def test_product_sizes_have_their_own_usage_message(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "verify product" in err and "--group" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "product", "--n", "32", "--N", "1"],
+    ["verify", "product", "--n", "1", "--N", "22"],
+    ["bounds", "--group", "product", "--n", "32", "--N", "1", "--p", "2", "--theta", "200"],
+    ["bounds", "--group", "nonisotropic", "--lambdas", ",".join(["1"] * 32),
+     "--norm", "koranyi"],
+    ["verify", "counterexample", "--samples-log2", "31"],
+])
+def test_scans_beyond_the_sobol_draw_are_usage_errors(argv, capsys):
+    # 65 dimensions and more, or more than 2^30 points: rejected before any draw
+    assert_usage_error(argv, capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -321,8 +337,8 @@ def run_fresh(code):
 
 
 def test_package_and_readme_commands_do_not_import_scipy():
-    # scipy.stats takes about a second to import; only the Sobol scans and the
-    # p != 2 weight identity load scipy, on first use
+    # scipy.stats takes about a second to import; only the p != 2 weight
+    # identity loads scipy, on first use
     proc = run_fresh("""
 import contextlib, io, sys
 import carnot_hardy, carnot_hardy.verify, carnot_hardy.cli
@@ -341,15 +357,29 @@ for argv in (["bounds", "--group", "heisenberg", "--n", "1", "--norm", "all",
     assert proc.returncode == 0, proc.stderr
 
 
-def test_scan_loads_scipy_on_first_use():
+def test_scans_do_not_load_scipy():
+    # the Sobol points come from the package's own generator; only the p != 2
+    # weight identity imports scipy
     proc = run_fresh("""
 import contextlib, io, json, sys
-from carnot_hardy import cli
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    code = cli.main(["verify", "counterexample", "--samples-log2", "10"])
-assert code == 0, out.getvalue()
-assert all(r["passed"] for r in json.loads(out.getvalue())["results"])
-assert "scipy.stats" in sys.modules
+from carnot_hardy import ZFieldSpec, balogh_tyson, cli, nonisotropic
+from carnot_hardy.zfield import multistart_sup
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+# 1000 Monte Carlo samples cannot resolve the product identity: exit code 1
+for argv, code in ((["verify", "counterexample"], 0),
+                   (["verify", "product", "--samples", "1000"], 1),
+                   (["bounds", "--group", "nonisotropic", "--lambdas", "0.5,1",
+                     "--norm", "balogh_tyson", "--theta", "1"], 0)):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        got = cli.main(argv)
+    assert got == code, (argv, got)
+    rows = json.loads(out.getvalue())["results"]
+    assert rows and scipy_modules() == [], (argv, scipy_modules())
+assert rows[0]["sup_method"] == "multistart"
+g = nonisotropic([0.5, 1.0])
+assert multistart_sup(ZFieldSpec(g, balogh_tyson(g), 2.0, 1.0), m=10).samples > 0
+assert scipy_modules() == [], scipy_modules()
 """)
     assert proc.returncode == 0, proc.stderr

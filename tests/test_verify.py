@@ -675,6 +675,18 @@ def test_scan_argmax_lies_on_the_unit_sphere(monkeypatch):
     assert on_sphere(bt, *res.arg)
 
 
+@pytest.mark.parametrize("slots", [2, 4, 6])
+def test_pairing_is_the_frame_sum_bit_for_bit(slots):
+    # H^1 and H^2 frames, (H^1)^2 and (H^1)^3 products: numpy sums fewer than
+    # 8 terms from the left, as the slot products do
+    from carnot_hardy.verify.checks import _pairing
+    rng = np.random.default_rng(62)
+    a = rng.normal(size=(4096, slots)) * 10.0 ** rng.uniform(-8, 8, size=(4096, slots))
+    b = rng.normal(size=(4096, slots))
+    assert np.array_equal(_pairing(a, b), np.sum(a * b, axis=-1))
+    assert np.array_equal(_pairing(a, a), np.sum(a * a, axis=-1))
+
+
 def test_vertical_excess_stack_matches_separate_fields():
     from carnot_hardy import balogh_tyson
     from carnot_hardy.verify.checks import _vertical_excess

@@ -297,3 +297,135 @@ def test_multistart_refines_in_batches(monkeypatch):
     assert min(rows) >= 1e-10
     sup = np.sqrt(koranyi_profile_max(4.0, 2.0, 6.0)[0])
     assert abs(res.sup_value - sup) <= 1e-9 * sup
+
+
+# ---------------------------------------------------------------------------
+# the Sobol draw and the blocked scan
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 10, 17])
+def test_sobol_points_match_scipy(m):
+    # scipy's generator, from the same Joe-Kuo numbers, is the oracle
+    from scipy.stats import qmc
+    from carnot_hardy.zfield import SOBOL_MAX_DIM, _SCAN_BLOCK, sobol_points
+    ref = qmc.Sobol(SOBOL_MAX_DIM, scramble=False).random_base2(m)
+    for lo in range(0, 2**m, _SCAN_BLOCK):
+        hi = min(lo + _SCAN_BLOCK, 2**m)
+        assert np.array_equal(sobol_points(SOBOL_MAX_DIM, lo, hi), ref[lo:hi])
+    lo, hi = 2**m // 3, 2**m - 2**m // 5
+    assert np.array_equal(sobol_points(SOBOL_MAX_DIM, lo, hi), ref[lo:hi])
+    for dim in (1, 3, 5, 6, 9):
+        assert np.array_equal(sobol_points(dim, 0, 2**m),
+                              qmc.Sobol(dim, scramble=False).random_base2(m))
+
+
+def test_sobol_directions_are_built_per_dimension():
+    from carnot_hardy.zfield import SOBOL_MAX_DIM, _sobol_directions
+    full = _sobol_directions(SOBOL_MAX_DIM)
+    for dim in range(1, SOBOL_MAX_DIM + 1):
+        assert np.array_equal(_sobol_directions(dim), full[:, :dim])
+    assert _sobol_directions(5) is _sobol_directions(5)
+
+
+def test_sobol_draw_beyond_its_range_is_a_typed_error():
+    from carnot_hardy.zfield import (SOBOL_BITS, SOBOL_MAX_DIM, ScanRangeError,
+                                     scan_unit_sphere, sobol_points)
+    with pytest.raises(ScanRangeError):
+        sobol_points(SOBOL_MAX_DIM + 1, 0, 1)
+    with pytest.raises(ScanRangeError):
+        sobol_points(3, 0, 2**SOBOL_BITS + 1)
+    with pytest.raises(ScanRangeError):
+        sobol_points(3, 5, 5)
+    with pytest.raises(ScanRangeError):
+        scan_unit_sphere(lambda z, t: z[:, 0], koranyi(H1), SOBOL_BITS + 1)
+
+
+def _one_batch_scan(objective, norm, m, width, sweeps):
+    """The scan with all 2^m of scipy's Sobol points in one batch."""
+    from scipy.stats import qmc
+    from carnot_hardy.zfield import _coordinate_refine
+    nz = 2 * norm.group.n
+
+    def to_sphere(z, t):
+        d = norm.value(z, t)
+        return z / d[:, None], t / d[:, None] ** 2
+
+    pts = 1.5 * (2.0 * qmc.Sobol(d=norm.group.dim, scramble=False).random_base2(m) - 1.0)
+    z, t = pts[:, :nz], pts[:, nz:]
+    keep = np.sum(z * z, axis=1) > 1e-6
+    z, t = to_sphere(z[keep], t[keep])
+    vals = objective(z, t)
+    i = int(np.argmax(vals))
+
+    def f(x):
+        zz, tt = x[:, :nz], x[:, nz:]
+        out = np.full(len(x), -np.inf)
+        ok = np.sum(zz * zz, axis=1) >= 1e-10
+        out[ok] = objective(zz[ok], tt[ok])
+        return out
+
+    x, best = _coordinate_refine(f, np.concatenate([z[i], t[i]]), float(vals[i]),
+                                 width, sweeps)
+    arg_z, arg_t = to_sphere(x[None, :nz], x[None, nz:])
+    return best, (arg_z[0], arg_t[0]), vals
+
+
+def _scan_cases():
+    from carnot_hardy.verify.checks import _vertical_excess
+    g = nonisotropic([0.5, 1.0])
+    bt = ZFieldSpec(g, balogh_tyson(g), 2.0, 1.0)
+    gp = heisenberg_product(1, 2)
+    prod = ZFieldSpec(gp, koranyi(gp), 2.0, 6.0, variant="product")
+    return [(bt.norm, lambda z, t: _vertical_excess(bt, z, t), 0.2, 5),
+            (prod.norm, lambda z, t: np.linalg.norm(z_field_components(prod, z, t), axis=-1),
+             0.2, 6)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["counterexample", "product"])
+def test_blocked_scan_matches_one_batch(case):
+    from carnot_hardy.zfield import _SCAN_BLOCK, scan_unit_sphere
+    norm, objective, width, sweeps = _scan_cases()[case]
+    m = 15                      # four blocks
+    assert 2**m > _SCAN_BLOCK
+    rows = []
+
+    def recorded(z, t):
+        rows.append(len(z))
+        return objective(z, t)
+
+    best, (arg_z, arg_t), vals = scan_unit_sphere(recorded, norm, m, width, sweeps)
+    ref_best, (ref_z, ref_t), ref_vals = _one_batch_scan(objective, norm, m, width, sweeps)
+    assert best == ref_best
+    assert np.array_equal(arg_z, ref_z) and np.array_equal(arg_t, ref_t)
+    assert np.array_equal(vals, ref_vals)
+    assert max(rows) <= _SCAN_BLOCK and sum(rows[:4]) == vals.size
+
+
+@pytest.mark.parametrize("marks", [
+    {},                                             # every value tied
+    {100: 2.0, 8197: 2.0, 24585: 2.0},              # first maximum in block 0
+    {8197: 2.0, 24585: 2.0},                        # ... in block 1, tied in block 3
+    {10: 5.0, 16385: np.nan, 24576: np.nan},        # a later NaN beats a larger value
+    {0: np.nan, 9000: 7.0},                         # a NaN on the first row
+], ids=["all tied", "tie block 0", "tie block 1", "nan", "nan first"])
+def test_scan_starts_from_the_row_argmax_picks(marks, monkeypatch):
+    from carnot_hardy import zfield
+    values = np.ones(2**15)
+    for k, v in marks.items():
+        values[k] = v
+    seen, start = [], {}
+
+    def objective(z, t):
+        k = sum(len(b) for b in seen)
+        seen.append(np.concatenate([z, t], axis=1))
+        return values[k:k + len(z)].copy()
+
+    def refine(f, x0, value0, width, sweeps):
+        start.update(x0=x0, value0=value0)
+        return x0, value0
+
+    monkeypatch.setattr(zfield, "_coordinate_refine", refine)
+    _, _, vals = zfield.scan_unit_sphere(objective, koranyi(H1), 15)
+    i = int(np.argmax(vals))
+    assert np.array_equal(start["x0"], np.concatenate(seen)[i])
+    assert np.array_equal([start["value0"]], [vals[i]], equal_nan=True)
