@@ -400,8 +400,9 @@ def cmd_verify(args) -> int:
             reports.append(counterexample_scan(isotropic_control=True,
                                                samples_log2=args.samples_log2))
     elif args.check == "product":
-        with _scan_limits(f"--n {args.n} --N {args.N}"):
+        with _scan_limits(f"--n {args.n} --N {args.N} --samples-log2 {args.samples_log2}"):
             reports.append(product_check(args.n, args.N, args.p, args.theta_value,
+                                         samples_log2=args.samples_log2,
                                          seed=args.seed, mc_samples=args.samples))
     else:
         raise UsageError(f"unknown verify check {args.check!r}")

@@ -3,7 +3,7 @@
 from .quadrature import IntegralResult, Nodes, QuadratureSpec, integrate, integrate_many
 from .testfuncs import (BumpProfile, TestFunction, extremal_power, g_cutoff,
                         g_cutoff_d, radial_bump, random_bump, sharpness_function,
-                        smoothstep, smoothstep_d)
+                        smoothstep_jet)
 from .checks import (Report, SharpnessPoint, check_ibp_identity, check_w_identity,
                      counterexample_scan, euler_adjoint_defect, extremal_residual,
                      fit_log_excess, hardy_quotient, product_check,
@@ -12,7 +12,7 @@ from .checks import (Report, SharpnessPoint, check_ibp_identity, check_w_identit
 __all__ = [
     "IntegralResult", "Nodes", "QuadratureSpec", "integrate", "integrate_many",
     "BumpProfile", "TestFunction", "extremal_power", "g_cutoff", "g_cutoff_d",
-    "radial_bump", "random_bump", "sharpness_function", "smoothstep", "smoothstep_d",
+    "radial_bump", "random_bump", "sharpness_function", "smoothstep_jet",
     "Report", "SharpnessPoint", "check_ibp_identity", "check_w_identity",
     "counterexample_scan", "euler_adjoint_defect", "extremal_residual",
     "fit_log_excess", "hardy_quotient", "product_check", "sharpness_sequence",

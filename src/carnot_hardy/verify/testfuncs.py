@@ -4,9 +4,11 @@ logarithmic cut-off family.
 Everything is built from one C-infinity step S: [0, 1] -> [0, 1], the
 normalized antiderivative of exp(-1/(x(1-x))).  The step is represented by a
 degree-160 Chebyshev fit (computed once at import, accurate to ~1e-13).  The
-Chebyshev sum runs only on points strictly inside (0, 1); the constant parts
-of the step are filled in directly, so a quadrature grid pays for the
-transition layers of a bump and not for its plateau or its outside.
+Chebyshev sums of the step and of its derivative run together, in one
+recurrence over a two-column table (``smoothstep_jet``), and only on points
+strictly inside (0, 1); the constant parts of the step are filled in
+directly, so a quadrature grid pays for the transition layers of a bump and
+not for its plateau or its outside.
 
 Bumps and the cut-off family are evaluated through one jet,
 ``jet(nodes) -> (value, hgrad, euler)`` on a quadrature node record, which
@@ -57,15 +59,23 @@ def _fit_step(degree: int = 160):
 _STEP_COEFFS, _STEP_LO, _STEP_HI = _fit_step()
 _STEP_SCALE = _STEP_HI - _STEP_LO
 _STEP_DERIV = _cheb.chebder(_STEP_COEFFS) * 2.0 / _STEP_SCALE
+# the step and its derivative as the two columns of one table, each row shaped
+# (2, 1) so that the points lie along the last axis, where NumPy's inner loop
+# runs; the zero that pads the derivative's leading (degree-160) coefficient
+# leaves the recurrence state after the first step at chebval's starting state
+_STEP_TABLE = np.stack([_STEP_COEFFS, np.append(_STEP_DERIV, 0.0)], axis=-1)[..., None]
 
 
 def _clenshaw(x: Array, coeffs: Array) -> Array:
-    """Chebyshev sum at x in [-1, 1]: numpy's chebval recurrence, operation
-    for operation (so the same bits), with its temporaries updated in place."""
+    """Chebyshev sums at the points x in [-1, 1], one row of the result per
+    column of coeffs (shape (degree + 1, k, 1)): numpy's chebval recurrence,
+    operation for operation (so the same bits), with its temporaries updated
+    in place."""
     x2 = 2.0 * x
-    c0 = np.full(x.shape, coeffs[-2])
-    c1 = np.full(x.shape, coeffs[-1])
-    tmp = np.empty(x.shape)
+    shape = (coeffs.shape[1], x.shape[0])
+    c0 = np.full(shape, coeffs[-2])
+    c1 = np.full(shape, coeffs[-1])
+    tmp = np.empty(shape)
     for c in coeffs[-3::-1]:
         tmp, c0 = c0, tmp
         np.subtract(c, c1, out=c0)
@@ -74,23 +84,17 @@ def _clenshaw(x: Array, coeffs: Array) -> Array:
     return c0 + c1 * x
 
 
-def smoothstep(x) -> Array:
-    """C-infinity step: 0 for x <= 0, 1 for x >= 1, strictly increasing
-    between; NaN stays NaN."""
+def smoothstep_jet(x):
+    """(S(x), S'(x)) for the C-infinity step S: 0 for x <= 0, 1 for x >= 1,
+    strictly increasing between.  A NaN gives S = NaN and S' = 0."""
     x = np.asarray(x, dtype=float)
-    out = np.where(x >= 1.0, 1.0, np.where(np.isnan(x), np.nan, 0.0))
+    val = np.where(x >= 1.0, 1.0, np.where(np.isnan(x), np.nan, 0.0))
+    der = np.zeros(x.shape)
     inside = (x > 0.0) & (x < 1.0)
-    out[inside] = (_clenshaw(2.0 * x[inside] - 1.0, _STEP_COEFFS) - _STEP_LO) / _STEP_SCALE
-    return out
-
-
-def smoothstep_d(x) -> Array:
-    """Derivative of the step: 0 outside (0, 1), NaN included."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape)
-    inside = (x > 0.0) & (x < 1.0)
-    out[inside] = _clenshaw(2.0 * x[inside] - 1.0, _STEP_DERIV)
-    return out
+    both = _clenshaw(2.0 * x[inside] - 1.0, _STEP_TABLE)
+    val[inside] = (both[0] - _STEP_LO) / _STEP_SCALE
+    der[inside] = both[1]
+    return val, der
 
 
 def g_cutoff_jet(lam, eps: float, derivs: bool = True):
@@ -102,15 +106,13 @@ def g_cutoff_jet(lam, eps: float, derivs: bool = True):
     pos = lam > 0.0
     lv = np.log(np.where(pos, lam, 1.0))
     le = np.log(eps)
-    x1 = (lv - le) / LOG2
-    x2 = (-le - lv) / LOG2
-    s1, s2 = smoothstep(x1), smoothstep(x2)
+    (s1, s2), (d1, d2) = smoothstep_jet(np.stack([(lv - le) / LOG2, (-le - lv) / LOG2]))
     g = np.zeros(lam.shape)
     g[pos] = (s1 * s2)[pos]
     if not derivs:
         return g, None
     gd = np.zeros(lam.shape)
-    gd[pos] = (smoothstep_d(x1) * s2 - s1 * smoothstep_d(x2))[pos] / (lam[pos] * LOG2)
+    gd[pos] = (d1 * s2 - s1 * d2)[pos] / (lam[pos] * LOG2)
     return g, gd
 
 
@@ -137,13 +139,12 @@ class BumpProfile:
 
     def jet(self, s):
         """(eta(s), eta'(s)); the rising and the falling step go through one
-        call of the step and one of its derivative."""
+        call of the step's jet."""
         s = np.asarray(s, float)
         w_up = self.r1 - self.r2
         w_dn = self.R2 - self.R1
         x = np.stack([(s - self.r2) / w_up, (self.R2 - s) / w_dn])
-        up, dn = smoothstep(x)
-        d_up, d_dn = smoothstep_d(x)
+        (up, dn), (d_up, d_dn) = smoothstep_jet(x)
         return up * dn, d_up / w_up * dn - up * d_dn / w_dn
 
     def __call__(self, s) -> Array:

@@ -175,6 +175,14 @@ def test_counterexample_ignores_group(capsys):
     assert json.loads(grouped)["results"] == json.loads(plain)["results"]
 
 
+def test_product_scan_size_follows_samples_log2(capsys):
+    # 2^6 Sobol points, less the one at z = 0 (point 1, 1/2 in every
+    # coordinate); (H^1)^3 has no Monte Carlo identity, so only the scan runs
+    code, out = run_cli(["verify", "product", "--N", "3", "--samples-log2", "6"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"][0]["diagnostics"]["samples"] == 63
+
+
 @pytest.mark.parametrize("argv", [["verify", "product", "--n", "0"],
                                   ["verify", "product", "--N", "0"]])
 def test_product_sizes_have_their_own_usage_message(argv, capsys):
@@ -192,6 +200,7 @@ def test_product_sizes_have_their_own_usage_message(argv, capsys):
     ["bounds", "--group", "nonisotropic", "--lambdas", ",".join(["1"] * 32),
      "--norm", "koranyi"],
     ["verify", "counterexample", "--samples-log2", "31"],
+    ["verify", "product", "--samples-log2", "31"],
 ])
 def test_scans_beyond_the_sobol_draw_are_usage_errors(argv, capsys):
     # 65 dimensions and more, or more than 2^30 points: rejected before any draw
@@ -337,10 +346,17 @@ def run_fresh(code):
 
 
 def test_package_and_readme_commands_do_not_import_scipy():
-    # scipy.stats takes about a second to import; only the p != 2 weight
-    # identity loads scipy, on first use
+    # SciPy is a test-only dependency: with every scipy import refused, the
+    # package, the README commands and the p != 2 weight identity still run
     proc = run_fresh("""
 import contextlib, io, sys
+import numpy as np
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+        return None
+sys.meta_path.insert(0, RefuseScipy())
 import carnot_hardy, carnot_hardy.verify, carnot_hardy.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -353,13 +369,20 @@ for argv in (["bounds", "--group", "heisenberg", "--n", "1", "--norm", "all",
     with contextlib.redirect_stdout(io.StringIO()):
         assert carnot_hardy.cli.main(argv) == 0, argv
     assert scipy_modules() == [], (argv, scipy_modules())
+rng = np.random.default_rng(9)
+f = rng.normal(size=200)
+# random pairs, and near-equal ones, most of them on the weight's series branch
+for g in (rng.normal(size=200), f * (1.0 + 1e-3 * rng.normal(size=200))):
+    for p in (2.5, 3.0, 4.0):
+        rep = carnot_hardy.verify.check_w_identity(p, f, g)
+        assert rep.passed and rep.tol == 1e-10, (p, rep.values)
+assert scipy_modules() == [], scipy_modules()
 """)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_scans_do_not_load_scipy():
-    # the Sobol points come from the package's own generator; only the p != 2
-    # weight identity imports scipy
+    # the Sobol points come from the package's own generator
     proc = run_fresh("""
 import contextlib, io, json, sys
 from carnot_hardy import ZFieldSpec, balogh_tyson, cli, nonisotropic

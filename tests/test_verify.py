@@ -13,7 +13,7 @@ from carnot_hardy.verify import (BumpProfile, IntegralResult, Nodes, QuadratureS
                                  fit_log_excess, g_cutoff, g_cutoff_d,
                                  hardy_quotient, integrate, integrate_many,
                                  product_check, radial_bump, random_bump,
-                                 sharpness_sequence, smoothstep, smoothstep_d,
+                                 sharpness_sequence, smoothstep_jet,
                                  weak_divergence_defect)
 
 H1 = heisenberg(1)
@@ -25,14 +25,14 @@ H1 = heisenberg(1)
 
 def test_smoothstep_shape():
     x = np.linspace(-0.5, 1.5, 401)
-    s = smoothstep(x)
+    s = smoothstep_jet(x)[0]
     assert np.all(s[x <= 0] == 0.0) and np.all(s[x >= 1] == 1.0)
     assert np.all(np.diff(s) >= -1e-12)
-    assert smoothstep(np.array(0.5)) == pytest.approx(0.5, abs=1e-12)
+    assert smoothstep_jet(np.array(0.5))[0] == pytest.approx(0.5, abs=1e-12)
     # derivative consistent with central differences
     xs = np.linspace(0.05, 0.95, 19)
-    fd = (smoothstep(xs + 1e-6) - smoothstep(xs - 1e-6)) / 2e-6
-    assert np.max(np.abs(fd - smoothstep_d(xs))) < 1e-8
+    fd = (smoothstep_jet(xs + 1e-6)[0] - smoothstep_jet(xs - 1e-6)[0]) / 2e-6
+    assert np.max(np.abs(fd - smoothstep_jet(xs)[1])) < 1e-8
 
 
 def _same_bits(a, b) -> bool:
@@ -60,14 +60,15 @@ def test_masked_smoothstep_matches_full_clenshaw():
                          np.inf, -np.inf, np.nan],
                         np.linspace(-0.5, 1.5, 1001), rng.uniform(-1.0, 2.0, 5000)])
     nan = np.isnan(x)
-    for got, ref in ((smoothstep(x), full_step(x)), (smoothstep_d(x), full_step_d(x))):
+    for got, ref in zip(smoothstep_jet(x), (full_step(x), full_step_d(x))):
         assert np.array_equal(np.isnan(got), np.isnan(ref))
         assert _same_bits(got[~nan], ref[~nan])
-    assert np.isnan(smoothstep(np.nan)) and smoothstep_d(np.nan) == 0.0
-    assert smoothstep(-np.inf) == 0.0 and smoothstep(np.inf) == 1.0
-    assert _same_bits(smoothstep(np.array(0.25)), full_step(np.array(0.25)))
+    s_nan, d_nan = smoothstep_jet(np.nan)
+    assert np.isnan(s_nan) and d_nan == 0.0
+    assert smoothstep_jet(-np.inf)[0] == 0.0 and smoothstep_jet(np.inf)[0] == 1.0
+    assert _same_bits(smoothstep_jet(np.array(0.25))[0], full_step(np.array(0.25)))
     x2 = x[~nan][:6000].reshape(-1, 3)
-    assert _same_bits(smoothstep(x2), full_step(x2))
+    assert _same_bits(smoothstep_jet(x2)[0], full_step(x2))
 
 
 def _jet_points(rng, n=4000):
@@ -90,10 +91,10 @@ def test_bump_jet_matches_separate_formulas():
         u = radial_bump(H1, prof, modulation=a, modulation2=b)
         with np.errstate(invalid="ignore", divide="ignore"):
             d = rho.value(z, t)
-            up, dn = smoothstep((d - prof.r2) / a_up), smoothstep((prof.R2 - d) / a_dn)
+            up, d_up = smoothstep_jet((d - prof.r2) / a_up)
+            dn, d_dn = smoothstep_jet((prof.R2 - d) / a_dn)
             eta = up * dn
-            deta = (smoothstep_d((d - prof.r2) / a_up) / a_up * dn
-                    - up * smoothstep_d((prof.R2 - d) / a_dn) / a_dn)
+            deta = d_up / a_up * dn - up * d_dn / a_dn
             gr = rho.hgrad(z, t)
             s = t[:, 0] / d**2
             mod = 1.0 + a * s + b * s * s
@@ -412,17 +413,26 @@ def test_w_identity_p3_random_vectors():
 
 
 def test_w_weight_against_mpmath():
-    # independent high-precision route for the weight integral itself
+    # independent high-precision route: quadrature of the weight's definition,
+    # against the closed antiderivative and, for |g - f| <= 1e-2 max(|f|, |g|),
+    # the binomial series
     import mpmath
     from carnot_hardy.verify.checks import _w_sq
     mpmath.mp.dps = 30
-    for p, f, g in ((2.5, 1.3, -0.7), (3.0, -0.2, 0.9), (4.0, 2.0, 2.5)):
+    closed = [(2.5, 1.3, -0.7), (3.0, -0.2, 0.9), (4.0, 2.0, 2.5),
+              (4.5, 0.6, -1.1), (6.0, -0.9, 0.4),      # sign crossings
+              (3.3, 0.0, 0.7), (5.2, -1.4, 0.0),       # f = 0, g = 0
+              (3.7, 1.0, 1.0102), (6.0, -0.8, -0.85)]
+    series = [(3.7, 1.0, 1.005), (5.5, -0.8, -0.8004), (2.5, 1.2, 1.2),
+              (6.0, 1.1, 1.1 - 1e-9), (2.2, -0.3, -0.303), (4.0, 0.7, 0.7 * (1 + 1e-5))]
+    for p, f, g in closed + series:
         pieces = [0, 1]
         if f != g and 0 < f / (f - g) < 1:
             pieces = [0, f / (f - g), 1]   # split at the |.|^{p-2} kink
         ref = mpmath.quad(lambda s: s * abs(s * g + (1 - s) * f) ** (p - 2), pieces)
         ref *= p * (p - 1)
-        assert _w_sq(p, f, g) == pytest.approx(float(ref), rel=1e-10)
+        got = _w_sq(p, np.array([f]), np.array([g]))[0]
+        assert got == pytest.approx(float(ref), rel=1e-10), (p, f, g)
 
 
 def test_w_identity_rejects_bad_input():
