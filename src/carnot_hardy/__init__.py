@@ -1,15 +1,14 @@
 """Horizontal vector fields, homogeneous gauges and explicit Hardy-constant
 lower bounds on step-two Carnot groups."""
 
-from .groups import (CenterError, HVector, Point, StepTwoGroup, dilate, euler_apply,
+from .groups import (CenterError, Point, StepTwoGroup, dilate, euler_apply,
                      general_group, group_inverse, group_law, heisenberg,
                      heisenberg_product, horizontal_divergence, horizontal_gradient,
-                     lambda_min, nonisotropic)
+                     nonisotropic)
 from .norms import (CCPolar, ConvergenceError, NormModel, balogh_tyson, cc,
                     cc_from_polar, cc_invert, koranyi, koranyi_b, make_norm)
 from .zfield import (SupResult, ZFieldSpec, bracket_zoom_max, g_cc,
-                     koranyi_profile_max, sup_z_norm, symplectic_norm, z_field_at,
-                     z_profile_koranyi)
+                     koranyi_profile_max, sup_z_norm, z_profile_koranyi)
 from .bounds import (BoundReport, bound_cc, bound_generic, bound_koranyi,
                      bound_koranyi_B, bound_product)
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import StepTwoGroup, lambda_min
+from .groups import StepTwoGroup
 
 # first-branch window for the Koranyi bound: p theta in [(1-sqrt(3/2))Q, (1+sqrt(3/2))Q]
 WINDOW_LO = 1.0 - np.sqrt(1.5)
@@ -54,13 +54,19 @@ class BoundReport:
         }
 
 
+def hardy_target(Q: float, p: float, theta: float) -> float:
+    """|(Q - p theta)/p|^p: the numerator of every bound here, and the value
+    that the Hardy quotients dominate and the sharpness quotients approach."""
+    return abs((Q - p * theta) / p) ** p
+
+
 def bound_generic(sup_z: float, Q: float, p: float, theta: float) -> float:
     """|(Q - p theta)/p|^p / sup_z^p from any upper bound sup_z for |Z_d|."""
     if not sup_z > 0:
         raise ValueError("sup_z must be positive")
     if p < 2:
         raise ValueError("p must be >= 2")
-    return abs((Q - p * theta) / p) ** p / sup_z**p
+    return hardy_target(Q, p, theta) / sup_z**p
 
 
 def koranyi_window(Q: float):
@@ -82,7 +88,7 @@ def bound_koranyi(Q: float, p: float, theta: float):
     pt = p * theta
     lo, hi = koranyi_window(Q)
     if lo <= pt <= hi:
-        return abs((Q - pt) / p) ** p * abs((Q - 2.0) / Q) ** p, "first"
+        return hardy_target(Q, p, theta) * abs((Q - 2.0) / Q) ** p, "first"
     disc = pt * (pt - 2.0 * Q)      # at least Q^2/2 outside the window
     return ((1.5) ** (p / 2.0) * (3.0 * disc) ** (p / 4.0) / abs(pt - Q) ** (p / 2.0)
             * abs((Q - 2.0) / p) ** p), "second"
@@ -99,10 +105,10 @@ def bound_cc(Q: float, p: float, theta: float, g_sup: Optional[float] = None):
         raise ValueError("bound needs Q > 2")
     pt = p * theta
     if theta >= 0 and Q >= CC_COEFF * pt:
-        return ((Q - 2.0) / Q) ** p * abs((Q - pt) / p) ** p, "closed"
+        return ((Q - 2.0) / Q) ** p * hardy_target(Q, p, theta), "closed"
     if g_sup is None or not g_sup > 0:
         raise ValueError("the fallback branch needs a positive g_sup")
-    return abs((Q - pt) / p) ** p / g_sup ** (p / 2.0), "numeric"
+    return hardy_target(Q, p, theta) / g_sup ** (p / 2.0), "numeric"
 
 
 def bound_koranyi_B(g: StepTwoGroup, p: float, theta: float):
@@ -110,7 +116,7 @@ def bound_koranyi_B(g: StepTwoGroup, p: float, theta: float):
     if g.h != 1:
         raise ValueError("the generalized Koranyi bound needs one vertical direction")
     Q = float(g.Q)
-    prefactor = (lambda_min(g) / 4.0) ** (p / 2.0)
+    prefactor = (float(g.lambdas.min()) / 4.0) ** (p / 2.0)
     value, branch = bound_koranyi(Q, p, theta)
     return prefactor * value, branch
 
@@ -128,7 +134,7 @@ def bound_product(n: int, N: int, p: float, theta: float) -> float:
     if n < (p * theta - 4.0) / 4.0:
         raise ValueError("hypothesis n >= (p theta - 4)/4 violated; no bound emitted")
     Q = 2.0 * N * (n + 1)
-    return (n / (n + 1.0)) ** p * abs((Q - p * theta) / p) ** p
+    return (n / (n + 1.0)) ** p * hardy_target(Q, p, theta)
 
 
 def product_conditions(n: int, N: int, p: float, theta: float) -> dict:

@@ -24,13 +24,13 @@ import numpy as np
 
 from . import __version__
 from .bounds import (BoundReport, bound_cc, bound_generic, bound_koranyi,
-                     bound_koranyi_B, bound_product, koranyi_window, CC_COEFF,
-                     product_conditions)
+                     bound_koranyi_B, bound_product, hardy_target, koranyi_window,
+                     CC_COEFF, product_conditions)
 from .groups import Point, heisenberg, heisenberg_product, nonisotropic
 from .norms import cc_invert, make_norm
 from .zfield import (ScanRangeError, ZFieldSpec, cc_profile_max, g_cc,
                      koranyi_profile_max, sup_z_norm, z_profile_koranyi)
-from .verify import (QuadratureSpec, check_ibp_identity, counterexample_scan,
+from .verify import (QuadratureSpec, Report, check_ibp_identity, counterexample_scan,
                      hardy_quotient, product_check, radial_bump, random_bump,
                      sharpness_sequence, fit_log_excess)
 
@@ -116,7 +116,10 @@ def _make_spec(group, norm, p, theta, variant="single"):
 
 def _theta_grid(args, Q):
     if args.theta is not None:
-        return _parse_floats(args.theta, "--theta")
+        thetas = _parse_floats(args.theta, "--theta")
+        if not thetas:
+            raise UsageError(f"--theta {args.theta!r}: give at least one value")
+        return thetas
     return [0.0, 0.5, 1.0, 2.0, Q / args.p]
 
 
@@ -366,13 +369,12 @@ def cmd_verify(args) -> int:
         rng = np.random.default_rng(args.seed)
         norm = _make_norm(args.norm, group, args)
         spec = _make_spec(group, norm, args.p, args.theta_value)
-        target = abs((group.Q - args.p * args.theta_value) / args.p) ** args.p
+        target = hardy_target(group.Q, args.p, args.theta_value)
         worst = np.inf
         for _ in range(args.bumps):
             u = random_bump(group, rng)
             q = hardy_quotient(spec, u, _quad_from_args(args, u.support))
             worst = min(worst, q)
-        from .verify import Report
         reports.append(Report("hardy_dominance", worst >= target - 1e-3, 1e-3,
                               values={"worst_quotient": worst, "target": target},
                               diagnostics={"bumps": args.bumps, "norm": args.norm}))
@@ -384,10 +386,9 @@ def cmd_verify(args) -> int:
         spec = _make_spec(group, norm, args.p, args.theta_value)
         eps = _parse_floats(args.eps, "--eps")
         pts = sharpness_sequence(spec, eps, QuadratureSpec(n_sigma=args.nodes))
-        target = abs((group.Q - args.p * args.theta_value) / args.p) ** args.p
+        target = hardy_target(group.Q, args.p, args.theta_value)
         c_fit, resid = fit_log_excess(pts, target)
         decreasing = all(b.quotient <= a.quotient + 1e-3 for a, b in zip(pts, pts[1:]))
-        from .verify import Report
         reports.append(Report(
             "sharpness", decreasing and resid <= 0.2, 0.2,
             values={"quotients": [[sp.eps, sp.quotient] for sp in pts],
@@ -432,8 +433,8 @@ def cmd_cc(args) -> int:
     result.update(nu=polar.nu, r=polar.r)
     if not x.on_center():
         grad = model.hgrad_at(x)
-        result["hgrad"] = grad.components.tolist()
-        result["hgrad_norm"] = grad.norm()
+        result["hgrad"] = grad.tolist()
+        result["hgrad_norm"] = float(np.linalg.norm(grad))
         result["dt"] = float(model.dt_at(x)[0])
     _emit({"meta": _meta(args, "cc"), "results": [result]}, args)
     return 0

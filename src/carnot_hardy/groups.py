@@ -178,20 +178,6 @@ class Point:
         return self.on_center() and not np.any(self.t)
 
 
-@dataclass(frozen=True, eq=False)
-class HVector:
-    """A horizontal vector by its components in the orthonormal X-frame."""
-
-    components: Array
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.components, dtype=float))
-        object.__setattr__(self, "components", _readonly(c))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
-
-
 def _check_dims(g: StepTwoGroup, x: Point):
     if x.z.shape[0] != 2 * g.n or x.t.shape[0] != g.h:
         raise ValueError(f"point of shape ({x.z.shape[0]}, {x.t.shape[0]}) "
@@ -304,11 +290,11 @@ def hgrad_batch(g: StepTwoGroup, value, z: Array, t: Array, step: float) -> Arra
 
 
 def horizontal_gradient(g: StepTwoGroup, value, x: Point,
-                        step: Optional[float] = None) -> HVector:
-    """Horizontal gradient (X_1 u, ..., X_{2n} u) of a batched ``value(z, t)``
-    at a point, by central differences."""
+                        step: Optional[float] = None) -> Array:
+    """Horizontal gradient (X_1 u, ..., X_{2n} u), shape (2n,), of a batched
+    ``value(z, t)`` at a point, by central differences."""
     _check_dims(g, x)
-    return HVector(hgrad_batch(g, value, x.z[None], x.t[None], _step_at(x, step))[0])
+    return hgrad_batch(g, value, x.z[None], x.t[None], _step_at(x, step))[0]
 
 
 def euler_apply(g: StepTwoGroup, value, x: Point, step: Optional[float] = None) -> float:
@@ -328,14 +314,6 @@ def horizontal_divergence(g: StepTwoGroup, V, x: Point,
     z, t = x.z[None], x.t[None]
     return float(sum(hgrad_batch(g, lambda z, t, i=i: V(z, t)[..., i], z, t, h)[0, i]
                      for i in range(2 * g.n)))
-
-
-def lambda_min(g: StepTwoGroup) -> float:
-    """Smallest block eigenvalue; block form makes (-B^2)^{1/2} diagonal."""
-    lams = g.lambdas
-    if lams.size == 0:
-        raise ValueError("empty eigenvalue list")
-    return float(lams.min())
 
 
 def commutator_vertical(g: StepTwoGroup, value, x: Point, i: int,

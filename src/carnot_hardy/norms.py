@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import Array, CenterError, HVector, Point, StepTwoGroup, frame
+from .groups import Array, CenterError, Point, StepTwoGroup, frame
 
 TWO_PI = 2.0 * np.pi
 
@@ -236,12 +236,13 @@ class NormModel:
     def value_at(self, x: Point) -> float:
         return float(_at_scale(self.value, x, 1))
 
-    def hgrad_at(self, x: Point) -> HVector:
+    def hgrad_at(self, x: Point) -> Array:
+        """The frame gradient (X_1 d, ..., X_{2n} d) at a point, shape (2n,)."""
         if self.kind == "cc" and x.on_center():
             raise CenterError("the cc distance is not differentiable on the center")
         if x.is_origin():
             raise CenterError("gauge gradients are undefined at the origin")
-        return HVector(_at_scale(self.hgrad, x, 0))
+        return _at_scale(self.hgrad, x, 0)
 
     def dt_at(self, x: Point) -> Array:
         if self.kind == "cc" and x.on_center():
@@ -521,53 +522,3 @@ def cc_invert(x: Point) -> CCPolar:
         zn = np.linalg.norm(x.z)
         return CCPolar(x.z[0::2] / zn, x.z[1::2] / zn, float(nu[0]), float(r[0]))
     return CCPolar(a[0], b[0], float(nu[0]), float(r[0]))
-
-
-# ---------------------------------------------------------------------------
-# structural checks shared by the test-suite and the verification module
-# ---------------------------------------------------------------------------
-
-def rotation_defect_arrays(norm: NormModel, z: Array, t: Array) -> Array:
-    """<z, B^{-1} grad_z d> with the Euclidean z-gradient, from frame data.
-
-    Vanishes identically for gauges invariant under blockwise rotations.
-    """
-    g = norm.hgrad(z, t)
-    dt = norm.dt(z, t)
-    # ambient z-partials: d_{z_i} = X_i - (Bz)_i . d_t / 2
-    bz = norm.group.bz(z)
-    dz = g - 0.5 * np.einsum("...jk,...j->...k", bz, dt)
-    lam = norm.group.lambdas
-    zper = np.asarray(z, float)
-    num = (zper[..., 1::2] * dz[..., 0::2] - zper[..., 0::2] * dz[..., 1::2]) / lam
-    return np.sum(num, axis=-1)
-
-
-def reconstruction_defect_arrays(norm: NormModel, z: Array, t: Array) -> Array:
-    """4 (t/|z|^2) <B^{-1} grad d, z> + <z, grad d> - d, zero off the center
-    for blockwise rotation-invariant gauges (single vertical direction)."""
-    z = np.asarray(z, float)
-    t1 = np.asarray(t, float)[..., 0]
-    g = norm.hgrad(z, t)
-    lam = norm.group.lambdas
-    binv_dot_z = np.sum((z[..., 1::2] * g[..., 0::2] - z[..., 0::2] * g[..., 1::2]) / lam,
-                        axis=-1)
-    zn2 = np.sum(z * z, axis=-1)
-    zdotg = np.sum(z * g, axis=-1)
-    return 4.0 * (t1 / zn2) * binv_dot_z + zdotg - norm.value(z, t)
-
-
-def equivalence_ratio_range(norm_a: NormModel, norm_b: NormModel,
-                            n_samples: int = 4096, seed: int = 0):
-    """Empirical (min, max) of norm_a / norm_b over the unit Koranyi sphere."""
-    if norm_a.group is not norm_b.group and norm_a.group.dim != norm_b.group.dim:
-        raise ValueError("norms live on incompatible groups")
-    rng = np.random.default_rng(seed)
-    g = norm_a.group
-    z = rng.normal(size=(n_samples, 2 * g.n))
-    t = rng.normal(size=(n_samples, g.h))
-    rho = koranyi(g).value(z, t)
-    z /= rho[:, None]
-    t /= rho[:, None] ** 2
-    ratio = norm_a.value(z, t) / norm_b.value(z, t)
-    return float(ratio.min()), float(ratio.max())

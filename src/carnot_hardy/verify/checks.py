@@ -13,13 +13,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..groups import (Array, CenterError, Nodes, Point, StepTwoGroup, heisenberg,
-                      heisenberg_product, nonisotropic)
-from ..norms import NormModel, balogh_tyson, koranyi
-from ..zfield import ZFieldSpec, _block_perp, scan_unit_sphere, z_field_components
+from ..groups import Array, heisenberg, heisenberg_product, nonisotropic
+from ..norms import balogh_tyson, koranyi
+from ..zfield import ZFieldSpec, scan_unit_sphere, z_field_components
 from .quadrature import QuadratureSpec, integrate_many
-from .testfuncs import (BumpProfile, TestFunction, extremal_power, radial_bump,
-                        sharpness_function)
+from .testfuncs import BumpProfile, TestFunction, radial_bump, sharpness_function
 
 
 @dataclass
@@ -142,13 +140,17 @@ def _circle_rule(spec: ZFieldSpec, u: TestFunction, quad: QuadratureSpec) -> Qua
     return quad
 
 
+# pairwise relative tolerance of the three-way identity
+IBP_REL_TOL = 2e-3
+
+
 def check_ibp_identity(spec: ZFieldSpec, u: TestFunction,
                        quad: Optional[QuadratureSpec] = None) -> Report:
     """I1 = int |u|^{p-2} u <grad u, Z_d> / d^{pt-1},
     I2 = int |u|^{p-2} u (Eu) / d^{pt},
     I3 = -((Q - pt)/p) int |u|^p / d^{pt};  all three must agree.
 
-    Pass criterion: pairwise relative differences within quad.rel_tol, or
+    Pass criterion: pairwise relative differences within IBP_REL_TOL, or
     absolute smallness (1e-4, normalized by the mass integral) when pt = Q
     makes I3 vanish identically.
     """
@@ -164,12 +166,11 @@ def check_ibp_identity(spec: ZFieldSpec, u: TestFunction,
     if abs(Q - pt) > 1e-12:
         scale = abs(I3)
         defect = max(abs(I1 - I3), abs(I2 - I3), abs(I1 - I2)) / scale
-        passed = defect <= quad.rel_tol
-        tol = quad.rel_tol
+        tol = IBP_REL_TOL
     else:
         defect = max(abs(I1), abs(I2)) / max(1.0, mass)
         tol = 1e-4
-        passed = defect <= tol
+    passed = defect <= tol
     return Report("ibp_identity", passed, tol,
                   values={"I1": I1, "I2": I2, "I3": I3, "p": p, "theta": theta,
                           "defect": defect},
@@ -276,30 +277,6 @@ def fit_log_excess(points: Sequence[SharpnessPoint], target: float):
 
 
 # ---------------------------------------------------------------------------
-# the extremal residual
-# ---------------------------------------------------------------------------
-
-def extremal_residual(spec: ZFieldSpec, x: Point) -> float:
-    """|<grad u, Z_d>/d^{theta-1} + ((Q - p theta)/p) u / d^theta| for the
-    extremal u = (|t|/|z|^2)^{(Q-2)/(2p)}, from its closed jet.
-
-    Vanishes when the gauge is blockwise rotation-invariant; at p theta = Q
-    the second term drops and the pairing itself must vanish.
-    """
-    if not spec.norm.rotation_invariant:
-        raise ValueError("the extremal profile needs <z, B^-1 grad_z d> = 0")
-    if x.on_center() or abs(float(x.t[0])) == 0.0:
-        raise CenterError("evaluate the residual off the center and off {t = 0}")
-    z, t = x.z[None], x.t[None]
-    uval, gu, _ = extremal_power(spec.group, spec.p).jet(Nodes(z, t))
-    zc = z_field_components(spec, z, t)[0]
-    d = spec.norm.value(z, t)[0]
-    pair = float(gu[0] @ zc)
-    return abs(pair / d ** (spec.theta - 1.0)
-               + (spec.group.Q - spec.ptheta) / spec.p * uval[0] / d**spec.theta)
-
-
-# ---------------------------------------------------------------------------
 # the non-isotropic scan and the product checks
 # ---------------------------------------------------------------------------
 
@@ -310,16 +287,21 @@ def _vertical_excess(spec: ZFieldSpec, z: Array, t: Array) -> Array:
     return sq[0] - sq[1]
 
 
+# the excess B(z, t) that counts as a point off {t = 0} beating the plane
+COUNTEREXAMPLE_TOL = 1e-6
+
+
 def counterexample_scan(p_theta: float = 2.0, samples_log2: int = 17,
-                        isotropic_control: bool = False, tol: float = 1e-6) -> Report:
+                        isotropic_control: bool = False) -> Report:
     """Search for points where |Z_rho| exceeds its value on {t = 0}.
 
     On the (1/2, 1) group with the Balogh-Tyson gauge (closed frame
-    gradient) the scan looks for B(z, t) > tol over quasi-random points on
-    the unit gauge sphere, polished by coordinate bracket-zoom sweeps; it
-    passes when such a point is found.  With isotropic_control=True the same
-    scan runs on H^2 with the Koranyi gauge, where the profile argument
-    forces B <= 0, and passes when no positive value is found.
+    gradient) the scan looks for B(z, t) > COUNTEREXAMPLE_TOL over
+    quasi-random points on the unit gauge sphere, polished by coordinate
+    bracket-zoom sweeps; it passes when such a point is found.  With
+    isotropic_control=True the same scan runs on H^2 with the Koranyi gauge,
+    where the profile argument forces B <= 0, and passes when no positive
+    value is found.
     """
     if isotropic_control:
         group = heisenberg(2)
@@ -333,9 +315,9 @@ def counterexample_scan(p_theta: float = 2.0, samples_log2: int = 17,
     spec = ZFieldSpec(group, norm, 2.0, p_theta / 2.0)
     best, (arg_z, arg_t), vals = scan_unit_sphere(
         lambda z, t: _vertical_excess(spec, z, t), norm, samples_log2, width=0.2, sweeps=5)
-    found = best > tol
+    found = best > COUNTEREXAMPLE_TOL
     passed = (not found) if isotropic_control else found
-    return Report(name, passed, tol,
+    return Report(name, passed, COUNTEREXAMPLE_TOL,
                   values={"max_excess": best, "p_theta": p_theta,
                           "arg_z": arg_z.tolist(), "arg_t": arg_t.tolist()},
                   diagnostics={"samples": int(vals.size),
@@ -343,9 +325,13 @@ def counterexample_scan(p_theta: float = 2.0, samples_log2: int = 17,
                                "norm": norm.kind})
 
 
+# relative tolerance of the Monte Carlo product identity
+PRODUCT_IDENTITY_TOL = 5e-3
+
+
 def product_check(n: int, N: int, p: float, theta: float,
                   samples_log2: int = 17, seed: int = 2024,
-                  mc_samples: int = 10**7, identity_rel_tol: float = 5e-3) -> Report:
+                  mc_samples: int = 10**7) -> Report:
     """Scan |Z_rho| on (H^n)^N and, on (H^1)^2, verify the product identity.
 
     When theta >= 0 and n + 1 >= p theta / 4 the vertical contribution to
@@ -357,7 +343,7 @@ def product_check(n: int, N: int, p: float, theta: float,
         int |u|^{p-2} u <grad u, Z_rho> / rho^{p theta - 1}
 
     is checked by Monte Carlo, seeded by ``seed``, for one radial bump on
-    (H^1)^2.
+    (H^1)^2 when p theta <= 4; otherwise the diagnostics say why it was not.
     """
     if theta < 0:
         raise ValueError("the product scan needs theta >= 0")
@@ -382,85 +368,22 @@ def product_check(n: int, N: int, p: float, theta: float,
     diagnostics = {"samples": int(zvals.size)}
     # the identity holds for every theta, but box Monte Carlo only resolves
     # moderate gauge powers; large p theta concentrates 1/rho^{pt} too hard
-    if (n, N) == (1, 2) and p * theta <= 4.0:
+    if (n, N) != (1, 2):
+        diagnostics["identity_not_checked"] = "the Monte Carlo identity runs on (H^1)^2 only"
+    elif p * theta > 4.0:
+        diagnostics["identity_not_checked"] = f"p theta = {p * theta:g} > 4: beyond box Monte Carlo"
+    else:
         u = radial_bump(group)
-        pt = p * theta
-
-        def sides(nodes):
-            v, gu, eu = u.jet(nodes)
-            d, g = norm.jet(nodes)
-            sv = _sgn_pow(v, p)
-            pair = _pairing(gu, z_field_components(spec, nodes.z, nodes.t, d, g))
-            return np.stack([sv * eu / d**pt, sv * pair / d ** (pt - 1.0)])
-
         R2 = u.support[1]
         quad = QuadratureSpec(method="monte_carlo", samples=mc_samples, seed=seed,
                               sigma_range=u.support, box=(R2, R2**2))
-        rl, rr = integrate_many(group, [sides], quad)
+        # the <grad u, Z> row and the Eu row of the three-way identity
+        rr, rl, _ = integrate_many(group, [_ibp_integrands(spec, u)], quad)
         rel = abs(rl.value - rr.value) / max(abs(rl.value), 1e-300)
         values.update(identity_lhs=rl.value, identity_rhs=rr.value,
                       identity_rel_defect=rel)
         diagnostics.update(mc_samples=mc_samples,
                            mc_stderr=max(rl.error, rr.error))
-        passed = passed and rel <= identity_rel_tol
-    return Report("product_check", passed, identity_rel_tol, values, diagnostics)
+        passed = passed and rel <= PRODUCT_IDENTITY_TOL
+    return Report("product_check", passed, PRODUCT_IDENTITY_TOL, values, diagnostics)
 
-
-# ---------------------------------------------------------------------------
-# auxiliary weak-form and adjoint checks used by the test-suite
-# ---------------------------------------------------------------------------
-
-def weak_divergence_defect(norm: NormModel, p_theta: float, phi: TestFunction,
-                           which: str, quad: Optional[QuadratureSpec] = None):
-    """Relative defect in int <V, grad phi> = -int RHS phi for the two
-    distributional divergence identities of the vertical construction:
-
-    (i)  V = (t/d^{pt+1}) B^{-1} grad d,
-         RHS = -<z, grad d>/(2 d^{pt+1}) + n (t/d^{pt+1}) d_t d;
-    (ii) V = z/d^{pt},     RHS = 2n/d^{pt} - pt <z, grad d>/d^{pt+1}.
-    """
-    group = norm.group
-    if group.h != 1:
-        raise ValueError("the divergence identities are stated for h = 1")
-    if which not in ("i", "ii"):
-        raise ValueError("which must be 'i' or 'ii'")
-    quad = _quad_for(phi, quad)
-    nblocks = group.n
-    lam2 = np.repeat(group.lambdas, 2)
-
-    def sides(nodes):
-        z, t = np.asarray(nodes.z, float), nodes.t
-        v, gphi, _ = phi.jet(nodes)
-        d, g = norm.jet(nodes)
-        zdotg = np.sum(z * g, axis=-1)
-        if which == "i":
-            t1 = np.asarray(t, float)[..., 0]
-            V = (t1 / d ** (p_theta + 1.0))[..., None] * (_block_perp(g) / lam2)
-            dt = norm.dt(z, t)[..., 0]
-            rhs = (-0.5 * zdotg / d ** (p_theta + 1.0)
-                   + nblocks * t1 / d ** (p_theta + 1.0) * dt)
-        else:
-            V = z / (d**p_theta)[..., None]
-            rhs = 2.0 * nblocks / d**p_theta - p_theta * zdotg / d ** (p_theta + 1.0)
-        return np.stack([np.sum(V * gphi, axis=-1), rhs * v])
-
-    rl, rr = integrate_many(group, [sides], quad)
-    scale = max(abs(rl.value), abs(rr.value), 1e-300)
-    return abs(rl.value + rr.value) / scale, rl.value, -rr.value
-
-
-def euler_adjoint_defect(group: StepTwoGroup, u: TestFunction, v: TestFunction,
-                         quad: Optional[QuadratureSpec] = None):
-    """Relative defect in int (Eu) v + int u (Ev) + Q int u v = 0."""
-    quad = quad or QuadratureSpec(
-        sigma_range=(min(u.support[0], v.support[0]), max(u.support[1], v.support[1])))
-
-    def products(nodes):
-        uv, _, ue = u.jet(nodes)
-        vv, _, ve = v.jet(nodes)
-        return np.stack([ue * vv, uv * ve, uv * vv])
-
-    r1, r2, r3 = integrate_many(group, [products], quad)
-    total = r1.value + r2.value + group.Q * r3.value
-    scale = max(abs(r1.value), abs(r2.value), abs(group.Q * r3.value), 1e-300)
-    return abs(total) / scale

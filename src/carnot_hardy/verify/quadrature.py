@@ -41,6 +41,8 @@ from ..groups import Array, Nodes, StepTwoGroup
 from ..norms import koranyi
 
 LOG2 = float(np.log(2.0))
+# dyadic grading depth of the psi panels toward psi = +-pi/2
+PSI_LEVELS = 10
 
 
 @dataclass
@@ -52,11 +54,9 @@ class QuadratureSpec:
     n_sigma: int = 80                    # Gauss nodes in sigma (and per ambient axis)
     n_angle: int = 16                    # circle nodes (1: one node at angle 0)
     psi_nodes: int = 12                  # Gauss nodes per psi panel
-    psi_levels: int = 10                 # dyadic grading depth toward psi = pi/2
     log_nodes: int = 16                  # Gauss nodes per log-lambda panel
     samples: int = 1 << 20               # Monte Carlo sample count
     seed: int = 2024
-    rel_tol: float = 2e-3                # target relative tolerance for checks
     # gauge support of the integrand: the open Koranyi annulus outside which
     # every integrand must vanish.  The phi chart and Monte Carlo integrate
     # only over it; Monte Carlo evaluates integrands, and checks their samples
@@ -173,7 +173,7 @@ def chart_tables(quad: QuadratureSpec, coarse: bool = False) -> ChartTables:
     """
     shrink = 2 if coarse else 1
     if quad.lambda_range is None:
-        lam_rule = ("psi", quad.psi_levels, max(quad.psi_nodes // shrink, 4))
+        lam_rule = ("psi", PSI_LEVELS, max(quad.psi_nodes // shrink, 4))
     else:
         lam_rule = ("log", *map(float, quad.lambda_range),
                     max(quad.log_nodes // shrink, 4))
@@ -332,7 +332,3 @@ def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: Quadrature
     return [IntegralResult(float(vol * mu), float(e), quad.samples, "monte_carlo")
             for mu, e in zip(mean, err)]
 
-
-def integrate(group: StepTwoGroup, f: Callable, quad: QuadratureSpec) -> IntegralResult:
-    """Integral of a batched scalar integrand f(nodes) over the group."""
-    return integrate_many(group, [f], quad)[0]

@@ -116,14 +116,6 @@ def g_cutoff_jet(lam, eps: float, derivs: bool = True):
     return g, gd
 
 
-def g_cutoff(lam, eps: float) -> Array:
-    return g_cutoff_jet(lam, eps, derivs=False)[0]
-
-
-def g_cutoff_d(lam, eps: float) -> Array:
-    return g_cutoff_jet(lam, eps)[1]
-
-
 @dataclass(frozen=True)
 class BumpProfile:
     """Radial plateau profile: 1 on [r1, R1], supported on [r2, R2]."""
@@ -146,12 +138,6 @@ class BumpProfile:
         x = np.stack([(s - self.r2) / w_up, (self.R2 - s) / w_dn])
         (up, dn), (d_up, d_dn) = smoothstep_jet(x)
         return up * dn, d_up / w_up * dn - up * d_dn / w_dn
-
-    def __call__(self, s) -> Array:
-        return self.jet(s)[0]
-
-    def deriv(self, s) -> Array:
-        return self.jet(s)[1]
 
 
 @dataclass(frozen=True, eq=False)

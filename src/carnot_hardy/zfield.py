@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import Array, HVector, Nodes, Point, StepTwoGroup
-from .norms import NormModel, symplectic_norm_sq_arrays
+from .groups import Array, Nodes, StepTwoGroup
+from .norms import NormModel
 
 _VARIANTS = ("single", "product", "general")
 
@@ -128,14 +128,6 @@ def z_field_components(spec: ZFieldSpec, z: Array, t: Array,
     return out
 
 
-def z_field_at(spec: ZFieldSpec, x: Point) -> HVector:
-    """Z_d at a point, as components in the horizontal frame."""
-    if spec.norm.kind == "cc" and x.on_center():
-        from .groups import CenterError
-        raise CenterError("Z_d for the cc distance is undefined on the center")
-    return HVector(z_field_components(spec, x.z[None], x.t[None])[0])
-
-
 # ---------------------------------------------------------------------------
 # closed profiles
 # ---------------------------------------------------------------------------
@@ -215,18 +207,22 @@ def koranyi_profile_max(Q: float, p: float, theta: float):
     return float(alpha), 0.0, "endpoint"
 
 
-def cc_profile_max(Q: float, p: float, theta: float, scan_nodes: int = 10**4):
+# nodes of the dense scan of g on [-2pi, 2pi] before the bracket zoom
+CC_SCAN_NODES = 10**4
+
+
+def cc_profile_max(Q: float, p: float, theta: float):
     """Maximum of g over [-2pi, 2pi]: dense scan plus a bracket zoom.
 
     Returns (max g, argmax nu).  Under theta >= 0 and Q >= 4 p theta/(12-pi^2)
     the maximum sits at nu = 0 with value (Q/(Q-2))^2; outside that regime no
     closed form is asserted and the scanned value stands on its own.
     """
-    nus = np.linspace(-2.0 * np.pi, 2.0 * np.pi, scan_nodes)
+    nus = np.linspace(-2.0 * np.pi, 2.0 * np.pi, CC_SCAN_NODES)
     vals = g_cc(Q, p, theta, nus)
     i = int(np.argmax(vals))
     lo = nus[max(i - 1, 0)]
-    hi = nus[min(i + 1, scan_nodes - 1)]
+    hi = nus[min(i + 1, CC_SCAN_NODES - 1)]
     nu_hat, g_hat = bracket_zoom_max(lambda v: g_cc(Q, p, theta, v), lo, hi, tol=1e-9)
     if vals[i] > g_hat:
         nu_hat, g_hat = float(nus[i]), float(vals[i])
@@ -258,11 +254,6 @@ def bracket_zoom_max(f, lo: float, hi: float, tol: float = 1e-12):
         if (b - a) / (ZOOM_POINTS - 1) <= tol or b_next - a_next >= b - a:
             return best_s, best_v
         a, b = a_next, b_next
-
-
-def symplectic_norm(g: StepTwoGroup, z) -> float:
-    """|z|_B = sqrt(sum_i lam_i (z_{2i-1}^2 + z_{2i}^2) / 4)."""
-    return float(np.sqrt(symplectic_norm_sq_arrays(g, np.asarray(z, float)[None])[0]))
 
 
 def _coordinate_refine(f, x0: Array, value0: float, width: float, sweeps: int):
@@ -447,7 +438,7 @@ def multistart_sup(spec: ZFieldSpec, m: int = 17) -> SupResult:
     return SupResult(best, arg, "multistart", samples=int(vals.size))
 
 
-def sup_z_norm(spec: ZFieldSpec, scan_nodes: int = 10**4) -> SupResult:
+def sup_z_norm(spec: ZFieldSpec) -> SupResult:
     """sup |Z_d|, by closed profile, dense scan, or multistart sampling.
 
     * Koranyi on isotropic H^n (and its products under the nonpositivity
@@ -473,8 +464,8 @@ def sup_z_norm(spec: ZFieldSpec, scan_nodes: int = 10**4) -> SupResult:
         return SupResult(float(factor * np.sqrt(sup_sq)), lam_star, "closed_form")
 
     if kind == "cc":
-        g_hat, nu_hat = cc_profile_max(Q, p, theta, scan_nodes)
-        return SupResult(float(np.sqrt(g_hat)), nu_hat, "scan_golden", samples=scan_nodes)
+        g_hat, nu_hat = cc_profile_max(Q, p, theta)
+        return SupResult(float(np.sqrt(g_hat)), nu_hat, "scan_golden", samples=CC_SCAN_NODES)
 
     if kind == "koranyi" and spec.variant == "product":
         fn = spec.factor_blocks()

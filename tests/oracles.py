@@ -1,0 +1,154 @@
+"""Structural and weak-form oracles that only the tests evaluate.
+
+Each one restates an identity of the paper through the package's batched
+evaluators: the rotation and reconstruction defects of a gauge, the
+empirical equivalence constants of two gauges, the two distributional
+divergence identities of the vertical construction, the adjointness of the
+generator of dilations, and the pointwise residual of the extremal profile.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from carnot_hardy.groups import Array, CenterError, Nodes, Point, StepTwoGroup
+from carnot_hardy.norms import NormModel, koranyi
+from carnot_hardy.verify.quadrature import QuadratureSpec, integrate_many
+from carnot_hardy.verify.testfuncs import TestFunction, extremal_power
+from carnot_hardy.zfield import ZFieldSpec, _block_perp, z_field_components
+
+
+# ---------------------------------------------------------------------------
+# gauges
+# ---------------------------------------------------------------------------
+
+def rotation_defect_arrays(norm: NormModel, z: Array, t: Array) -> Array:
+    """<z, B^{-1} grad_z d> with the Euclidean z-gradient, from frame data.
+
+    Vanishes identically for gauges invariant under blockwise rotations.
+    """
+    g = norm.hgrad(z, t)
+    dt = norm.dt(z, t)
+    # ambient z-partials: d_{z_i} = X_i - (Bz)_i . d_t / 2
+    bz = norm.group.bz(z)
+    dz = g - 0.5 * np.einsum("...jk,...j->...k", bz, dt)
+    lam = norm.group.lambdas
+    zper = np.asarray(z, float)
+    num = (zper[..., 1::2] * dz[..., 0::2] - zper[..., 0::2] * dz[..., 1::2]) / lam
+    return np.sum(num, axis=-1)
+
+
+def reconstruction_defect_arrays(norm: NormModel, z: Array, t: Array) -> Array:
+    """4 (t/|z|^2) <B^{-1} grad d, z> + <z, grad d> - d, zero off the center
+    for blockwise rotation-invariant gauges (single vertical direction)."""
+    z = np.asarray(z, float)
+    t1 = np.asarray(t, float)[..., 0]
+    g = norm.hgrad(z, t)
+    lam = norm.group.lambdas
+    binv_dot_z = np.sum((z[..., 1::2] * g[..., 0::2] - z[..., 0::2] * g[..., 1::2]) / lam,
+                        axis=-1)
+    zn2 = np.sum(z * z, axis=-1)
+    zdotg = np.sum(z * g, axis=-1)
+    return 4.0 * (t1 / zn2) * binv_dot_z + zdotg - norm.value(z, t)
+
+
+def equivalence_ratio_range(norm_a: NormModel, norm_b: NormModel,
+                            n_samples: int = 4096, seed: int = 0):
+    """Empirical (min, max) of norm_a / norm_b over the unit Koranyi sphere."""
+    if norm_a.group is not norm_b.group and norm_a.group.dim != norm_b.group.dim:
+        raise ValueError("norms live on incompatible groups")
+    rng = np.random.default_rng(seed)
+    g = norm_a.group
+    z = rng.normal(size=(n_samples, 2 * g.n))
+    t = rng.normal(size=(n_samples, g.h))
+    rho = koranyi(g).value(z, t)
+    z /= rho[:, None]
+    t /= rho[:, None] ** 2
+    ratio = norm_a.value(z, t) / norm_b.value(z, t)
+    return float(ratio.min()), float(ratio.max())
+
+
+# ---------------------------------------------------------------------------
+# the extremal residual
+# ---------------------------------------------------------------------------
+
+def extremal_residual(spec: ZFieldSpec, x: Point) -> float:
+    """|<grad u, Z_d>/d^{theta-1} + ((Q - p theta)/p) u / d^theta| for the
+    extremal u = (|t|/|z|^2)^{(Q-2)/(2p)}, from its closed jet.
+
+    Vanishes when the gauge is blockwise rotation-invariant; at p theta = Q
+    the second term drops and the pairing itself must vanish.
+    """
+    if not spec.norm.rotation_invariant:
+        raise ValueError("the extremal profile needs <z, B^-1 grad_z d> = 0")
+    if x.on_center() or abs(float(x.t[0])) == 0.0:
+        raise CenterError("evaluate the residual off the center and off {t = 0}")
+    z, t = x.z[None], x.t[None]
+    uval, gu, _ = extremal_power(spec.group, spec.p).jet(Nodes(z, t))
+    zc = z_field_components(spec, z, t)[0]
+    d = spec.norm.value(z, t)[0]
+    pair = float(gu[0] @ zc)
+    return abs(pair / d ** (spec.theta - 1.0)
+               + (spec.group.Q - spec.ptheta) / spec.p * uval[0] / d**spec.theta)
+
+
+# ---------------------------------------------------------------------------
+# weak-form and adjoint identities
+# ---------------------------------------------------------------------------
+
+def weak_divergence_defect(norm: NormModel, p_theta: float, phi: TestFunction,
+                           which: str, quad: Optional[QuadratureSpec] = None):
+    """Relative defect in int <V, grad phi> = -int RHS phi for the two
+    distributional divergence identities of the vertical construction:
+
+    (i)  V = (t/d^{pt+1}) B^{-1} grad d,
+         RHS = -<z, grad d>/(2 d^{pt+1}) + n (t/d^{pt+1}) d_t d;
+    (ii) V = z/d^{pt},     RHS = 2n/d^{pt} - pt <z, grad d>/d^{pt+1}.
+    """
+    group = norm.group
+    if group.h != 1:
+        raise ValueError("the divergence identities are stated for h = 1")
+    if which not in ("i", "ii"):
+        raise ValueError("which must be 'i' or 'ii'")
+    quad = quad or QuadratureSpec(sigma_range=phi.support)
+    nblocks = group.n
+    lam2 = np.repeat(group.lambdas, 2)
+
+    def sides(nodes):
+        z, t = np.asarray(nodes.z, float), nodes.t
+        v, gphi, _ = phi.jet(nodes)
+        d, g = norm.jet(nodes)
+        zdotg = np.sum(z * g, axis=-1)
+        if which == "i":
+            t1 = np.asarray(t, float)[..., 0]
+            V = (t1 / d ** (p_theta + 1.0))[..., None] * (_block_perp(g) / lam2)
+            dt = norm.dt(z, t)[..., 0]
+            rhs = (-0.5 * zdotg / d ** (p_theta + 1.0)
+                   + nblocks * t1 / d ** (p_theta + 1.0) * dt)
+        else:
+            V = z / (d**p_theta)[..., None]
+            rhs = 2.0 * nblocks / d**p_theta - p_theta * zdotg / d ** (p_theta + 1.0)
+        return np.stack([np.sum(V * gphi, axis=-1), rhs * v])
+
+    rl, rr = integrate_many(group, [sides], quad)
+    scale = max(abs(rl.value), abs(rr.value), 1e-300)
+    return abs(rl.value + rr.value) / scale, rl.value, -rr.value
+
+
+def euler_adjoint_defect(group: StepTwoGroup, u: TestFunction, v: TestFunction,
+                         quad: Optional[QuadratureSpec] = None):
+    """Relative defect in int (Eu) v + int u (Ev) + Q int u v = 0."""
+    quad = quad or QuadratureSpec(
+        sigma_range=(min(u.support[0], v.support[0]), max(u.support[1], v.support[1])))
+
+    def products(nodes):
+        uv, _, ue = u.jet(nodes)
+        vv, _, ve = v.jet(nodes)
+        return np.stack([ue * vv, uv * ve, uv * vv])
+
+    r1, r2, r3 = integrate_many(group, [products], quad)
+    total = r1.value + r2.value + group.Q * r3.value
+    scale = max(abs(r1.value), abs(r2.value), abs(group.Q * r3.value), 1e-300)
+    return abs(total) / scale

@@ -16,15 +16,15 @@ from carnot_hardy import (Point, ZFieldSpec, bound_generic,
                           bound_koranyi, bound_koranyi_B, bound_product, cc,
                           g_cc, heisenberg, koranyi, koranyi_b,
                           koranyi_profile_max, nonisotropic, sup_z_norm,
-                          z_field_at, z_profile_koranyi)
+                          z_profile_koranyi)
 from carnot_hardy.groups import commutator_vertical, hgrad_batch
 from carnot_hardy.norms import cc_polar_arrays, symplectic_norm_sq_arrays
 from carnot_hardy.zfield import bracket_zoom_max, z_field_components
 from carnot_hardy.verify import (BumpProfile, QuadratureSpec, check_ibp_identity,
-                                 check_w_identity, counterexample_scan,
-                                 euler_adjoint_defect, fit_log_excess,
+                                 check_w_identity, counterexample_scan, fit_log_excess,
                                  hardy_quotient, product_check, radial_bump,
                                  random_bump, sharpness_sequence)
+from oracles import euler_adjoint_defect
 
 H1 = heisenberg(1)
 
@@ -52,7 +52,8 @@ def test_criterion_01_koranyi_heisenberg_bound():
 
 def test_criterion_02_cc_scan_maximum():
     t0 = time.time()
-    sup = sup_z_norm(ZFieldSpec(H1, cc(H1), 2.0, 1.0), scan_nodes=10**4)
+    sup = sup_z_norm(ZFieldSpec(H1, cc(H1), 2.0, 1.0))
+    assert sup.samples == 10**4                           # the dense scan's nodes
     assert 4.0 >= 4.0 * 2.0 / (12.0 - np.pi**2)          # closed-branch condition
     assert abs(sup.sup_sq - 4.0) <= 1e-7
     assert abs(sup.arg) <= 1e-3

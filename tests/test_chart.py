@@ -8,12 +8,12 @@ import pytest
 
 from carnot_hardy import ZFieldSpec, cc, heisenberg, koranyi
 from carnot_hardy.verify import (BumpProfile, Nodes, QuadratureSpec, check_ibp_identity,
-                                 euler_adjoint_defect, hardy_quotient, integrate,
-                                 integrate_many, product_check, radial_bump, random_bump,
-                                 sharpness_function, sharpness_sequence,
-                                 weak_divergence_defect)
+                                 hardy_quotient, integrate_many, product_check, radial_bump,
+                                 random_bump, sharpness_function, sharpness_sequence)
 from carnot_hardy.verify import checks, testfuncs
 from carnot_hardy.verify.quadrature import chart_tables
+import oracles
+from oracles import euler_adjoint_defect, weak_divergence_defect
 
 H1 = heisenberg(1)
 PROFILE = BumpProfile(0.3, 0.6, 1.3, 1.8)
@@ -96,7 +96,8 @@ def integrals(run, withhold: bool) -> np.ndarray:
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(checks, "integrate_many", recording)
+        for module in (checks, oracles):
+            mp.setattr(module, "integrate_many", recording)
         run()
     return np.array(seen)
 
@@ -238,11 +239,12 @@ def test_integrate_keeps_the_full_circle():
         z2 = nodes.z[:, i] ** 2 if i is not None else np.sum(nodes.z**2, axis=-1)
         return u.jet(nodes, derivs=False)[0] * z2
 
-    first = integrate(H1, lambda n: weighted(n, 0), quad).value
-    whole = integrate(H1, lambda n: weighted(n, None), quad).value
+    first, whole = (r.value for r in integrate_many(
+        H1, [lambda n: weighted(n, 0), lambda n: weighted(n, None)], quad))
     assert abs(first - whole / 2) <= 1e-12 * whole
     one = replace(quad, n_angle=1)
-    assert integrate(H1, lambda n: weighted(n, 0), one).value == pytest.approx(whole, rel=1e-12)
+    (on_node,) = integrate_many(H1, [lambda n: weighted(n, 0)], one)
+    assert on_node.value == pytest.approx(whole, rel=1e-12)
 
 
 def test_undeclared_test_functions_keep_the_full_circle():

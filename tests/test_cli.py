@@ -217,6 +217,8 @@ def test_scans_beyond_the_sobol_draw_are_usage_errors(argv, capsys):
     ["verify", "counterexample", "--samples-log2", "-1"],
     ["supz", "--nodes", "0"],
     ["supz", "--nodes", "1"],
+    ["bounds", "--theta", ","],
+    ["bounds", "--theta="],
 ])
 def test_degenerate_counts_are_usage_errors(argv, capsys):
     # left through, each of these would check nothing and pass, report a grid

@@ -4,7 +4,7 @@ import pytest
 from carnot_hardy import (Point, dilate, euler_apply, group_inverse,
                           group_law, heisenberg, heisenberg_product,
                           horizontal_divergence, horizontal_gradient, koranyi,
-                          lambda_min, nonisotropic)
+                          nonisotropic)
 from carnot_hardy.groups import (StepTwoGroup, commutator_vertical, default_step,
                                  hgrad_batch)
 
@@ -89,10 +89,10 @@ def test_horizontal_gradient_coordinate_fields():
     fz1, ft = _coordinate_fields(g)
     x = Point([0.7, -0.3], 0.4)
     gv = horizontal_gradient(g, fz1, x)
-    assert np.allclose(gv.components, [1.0, 0.0], atol=1e-9)
+    assert np.allclose(gv, [1.0, 0.0], atol=1e-9)
     # u = t: X_i t = (Bz)_i / 2 = (2 z2, -2 z1)
     gt = horizontal_gradient(g, ft, x)
-    assert np.allclose(gt.components, [2 * x.z[1], -2 * x.z[0]], atol=1e-8)
+    assert np.allclose(gt, [2 * x.z[1], -2 * x.z[0]], atol=1e-8)
 
 
 def test_horizontal_gradient_analytic_vs_fd():
@@ -100,13 +100,13 @@ def test_horizontal_gradient_analytic_vs_fd():
     rho = koranyi(g)
     x = Point([1.0, 0.0], 0.0)
     ana = rho.hgrad_at(x)
-    assert np.allclose(ana.components, [1.0, 0.0], atol=1e-12)
+    assert np.allclose(ana, [1.0, 0.0], atol=1e-12)
     fd = horizontal_gradient(g, rho.value, x, step=1e-5)
-    assert np.allclose(fd.components, ana.components, atol=1e-9)
+    assert np.allclose(fd, ana, atol=1e-9)
 
 
 def test_frame_orthonormality_against_fd():
-    # |HVector| from analytic components vs finite-difference horizontal norm
+    # |grad rho| from analytic components vs finite-difference horizontal norm
     g = heisenberg(1)
     rho = koranyi(g)
     rng = np.random.default_rng(1)
@@ -213,11 +213,11 @@ def test_euler_apply_returns_the_degree_of_homogeneous_polynomials(g):
 
 
 def test_lambda_min():
-    assert lambda_min(heisenberg(2)) == 4.0
-    assert lambda_min(nonisotropic([1.0, 2.0])) == 1.0
-    assert lambda_min(nonisotropic([0.5, 1.0])) == 0.5
+    assert heisenberg(2).lambdas.min() == 4.0
+    assert nonisotropic([1.0, 2.0]).lambdas.min() == 1.0
+    assert nonisotropic([0.5, 1.0]).lambdas.min() == 0.5
     with pytest.raises(ValueError):
-        lambda_min(heisenberg_product(1, 2))
+        heisenberg_product(1, 2).lambdas
 
 
 def test_commutators_at_random_points():

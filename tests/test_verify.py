@@ -7,14 +7,12 @@ from carnot_hardy import (Point, ZFieldSpec, cc, euler_apply, heisenberg,
 from carnot_hardy.groups import hgrad_batch
 from carnot_hardy.verify import (BumpProfile, IntegralResult, Nodes, QuadratureSpec,
                                  check_ibp_identity,
-                                 check_w_identity, counterexample_scan,
-                                 euler_adjoint_defect, extremal_power,
-                                 extremal_residual,
-                                 fit_log_excess, g_cutoff, g_cutoff_d,
-                                 hardy_quotient, integrate, integrate_many,
+                                 check_w_identity, counterexample_scan, extremal_power,
+                                 fit_log_excess, g_cutoff_jet,
+                                 hardy_quotient, integrate_many,
                                  product_check, radial_bump, random_bump,
-                                 sharpness_sequence, smoothstep_jet,
-                                 weak_divergence_defect)
+                                 sharpness_sequence, smoothstep_jet)
+from oracles import euler_adjoint_defect, extremal_residual, weak_divergence_defect
 
 H1 = heisenberg(1)
 
@@ -113,8 +111,9 @@ def test_bump_jet_matches_separate_formulas():
         for got, field in zip(jet, (u.value, u.hgrad, u.euler)):
             assert _same_bits(got, field(z, t))
         assert _same_bits(u.jet(Nodes(z, t), derivs=False)[0], jet[0])
-        assert _same_bits(prof(d[inside]), eta[inside])
-        assert _same_bits(prof.deriv(d[inside]), deta[inside])
+        eta_in, deta_in = prof.jet(d[inside])
+        assert _same_bits(eta_in, eta[inside])
+        assert _same_bits(deta_in, deta[inside])
 
 
 def test_sharpness_jet_matches_separate_formulas():
@@ -132,15 +131,16 @@ def test_sharpness_jet_matches_separate_formulas():
     lam = t[:, 0] / zn2
     inside = (lam > eps) & (lam < 1.0 / eps)
     lam_s = np.where(inside, lam, 1.0)
-    w = np.where(inside, lam_s**kappa * g_cutoff(lam_s, eps), 0.0)
-    wd = np.where(inside, kappa * lam_s ** (kappa - 1.0) * g_cutoff(lam_s, eps)
-                  + lam_s**kappa * g_cutoff_d(lam_s, eps), 0.0)
+    g, gd = g_cutoff_jet(lam_s, eps)
+    w = np.where(inside, lam_s**kappa * g, 0.0)
+    wd = np.where(inside, kappa * lam_s ** (kappa - 1.0) * g + lam_s**kappa * gd, 0.0)
     d = rho.value(z, t)
+    eta, deta = prof.jet(d)
     glam = (-2.0 * (t[:, 0] / zn2**2)[:, None] * z
             + 0.5 * H1.bz(z)[:, 0, :] / zn2[:, None])
-    ref = (w * prof(d),
-           (wd * prof(d))[:, None] * glam + (w * prof.deriv(d))[:, None] * rho.hgrad(z, t),
-           w * prof.deriv(d) * d)
+    ref = (w * eta,
+           (wd * eta)[:, None] * glam + (w * deta)[:, None] * rho.hgrad(z, t),
+           w * deta * d)
     jet = u.jet(Nodes(z, t))
     assert np.count_nonzero(jet[0]) > 100
     for got, want, field in zip(jet, ref, (u.value, u.hgrad, u.euler)):
@@ -172,7 +172,7 @@ def test_stacked_integrand_matches_separate_callables():
 def test_g_cutoff_plateau_and_derivative_bounds():
     eps = 1e-3
     lam = np.array([eps / 2, eps, 2 * eps, 0.1, 1.0, 1 / (2 * eps), 1 / eps, 2 / eps])
-    g = g_cutoff(lam, eps)
+    g, _ = g_cutoff_jet(lam, eps, derivs=False)
     assert g[0] == 0.0 and g[1] == 0.0 and g[-2] == pytest.approx(0.0, abs=1e-15)
     assert g[-1] == 0.0
     assert np.all(g[2:6] == pytest.approx(1.0, abs=1e-12))
@@ -180,19 +180,19 @@ def test_g_cutoff_plateau_and_derivative_bounds():
     # |g'| <= c/eps on [eps, 2 eps] and <= c eps on [1/(2 eps), 1/eps]
     lam_in = np.linspace(eps, 2 * eps, 200)
     lam_out = np.linspace(1 / (2 * eps), 1 / eps, 200)
-    c_in = np.max(np.abs(g_cutoff_d(lam_in, eps))) * eps
-    c_out = np.max(np.abs(g_cutoff_d(lam_out, eps))) / eps
+    c_in = np.max(np.abs(g_cutoff_jet(lam_in, eps)[1])) * eps
+    c_out = np.max(np.abs(g_cutoff_jet(lam_out, eps)[1])) / eps
     assert 0 < c_in < 10 and 0 < c_out < 10
     # the same constant works for a different eps (c independent of eps)
     eps2 = 1e-5
-    c_in2 = np.max(np.abs(g_cutoff_d(np.linspace(eps2, 2 * eps2, 200), eps2))) * eps2
+    c_in2 = np.max(np.abs(g_cutoff_jet(np.linspace(eps2, 2 * eps2, 200), eps2)[1])) * eps2
     assert c_in2 == pytest.approx(c_in, rel=1e-6)
 
 
 def test_bump_profile_support():
     prof = BumpProfile(0.25, 0.5, 1.5, 2.0)
     s = np.array([0.2, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5])
-    v = prof(s)
+    v, _ = prof.jet(s)
     assert v[0] == 0 and v[1] == 0 and v[5] == 0 and v[6] == 0
     assert v[2] == pytest.approx(1.0) and v[3] == 1.0 and v[4] == pytest.approx(1.0)
     with pytest.raises(ValueError):
@@ -205,7 +205,7 @@ def test_bump_profile_support():
 
 def test_integrate_zero_and_mass_oracle():
     quad = QuadratureSpec(sigma_range=(0.25, 2.0))
-    zero = integrate(H1, lambda n: np.zeros(n.z.shape[0]), quad)
+    (zero,) = integrate_many(H1, [lambda n: np.zeros(n.z.shape[0])], quad)
     assert zero.value == 0.0
 
     # radial mass integral against its separable 1-D reduction:
@@ -218,8 +218,8 @@ def test_integrate_zero_and_mass_oracle():
         d = koranyi(H1).value(nodes.z, nodes.t)
         return u.value(nodes.z, nodes.t) ** 2 / d**2
 
-    got = integrate(H1, f, quad)
-    oracle, est_err = scipy_quad(lambda s: s * prof(np.array(s)) ** 2, 0.25, 2.0,
+    (got,) = integrate_many(H1, [f], quad)
+    oracle, est_err = scipy_quad(lambda s: s * prof.jet(np.array(s))[0] ** 2, 0.25, 2.0,
                                  epsabs=1e-13, epsrel=1e-13)
     oracle *= 2 * np.pi * np.pi
     # the mollifier is smooth but not analytic; 80 Gauss nodes reach ~1e-7
@@ -260,8 +260,9 @@ def test_dilation_scaling_of_integral():
     def f_dil(nodes):
         return u.value(gam * np.asarray(nodes.z), gam**2 * np.asarray(nodes.t))
 
-    base = integrate(H1, f, QuadratureSpec(sigma_range=(0.25, 2.0)))
-    scaled = integrate(H1, f_dil, QuadratureSpec(sigma_range=(0.25 / gam, 2.0 / gam)))
+    (base,) = integrate_many(H1, [f], QuadratureSpec(sigma_range=(0.25, 2.0)))
+    (scaled,) = integrate_many(H1, [f_dil],
+                               QuadratureSpec(sigma_range=(0.25 / gam, 2.0 / gam)))
     assert scaled.value == pytest.approx(base.value / gam**4, rel=1e-3)
 
 
@@ -274,17 +275,17 @@ def test_monte_carlo_deterministic_and_consistent():
 
     quad = QuadratureSpec(method="monte_carlo", samples=200_000, seed=7,
                           box=(2.0, 4.0))
-    a = integrate(H1, f, quad)
-    b = integrate(H1, f, quad)
+    (a,) = integrate_many(H1, [f], quad)
+    (b,) = integrate_many(H1, [f], quad)
     assert a.value == b.value          # bit-identical for a fixed seed
-    grid = integrate(H1, f, QuadratureSpec(sigma_range=(0.25, 2.0)))
+    (grid,) = integrate_many(H1, [f], QuadratureSpec(sigma_range=(0.25, 2.0)))
     assert abs(a.value - grid.value) < 5 * a.error + 1e-3 * abs(grid.value)
 
 
 def test_integrate_flags_nonfinite():
     quad = QuadratureSpec(sigma_range=(0.25, 2.0))
     with pytest.raises(ValueError):
-        integrate(H1, lambda n: np.full(n.z.shape[0], np.nan), quad)
+        integrate_many(H1, [lambda n: np.full(n.z.shape[0], np.nan)], quad)
 
 
 def _full_box(group, fs, quad):
@@ -342,7 +343,7 @@ def test_monte_carlo_evaluates_only_inside_the_window(group):
     lo, hi = 0.5, 1.5
     quad = QuadratureSpec(method="monte_carlo", samples=20_000, chunk=7001, seed=5,
                           sigma_range=(lo, hi), box=(2.0, 4.0))
-    integrate(group, recorded, quad)
+    integrate_many(group, [recorded], quad)
     rho = np.concatenate(seen)
     assert len(seen) == 3 and 0 < rho.size < quad.samples
     assert np.all((rho > lo) & (rho < hi))
@@ -718,6 +719,7 @@ def test_product_check_small():
     assert rep.values["sampled_sup"] <= 2.0 + 1e-9
     assert rep.values["argmax_t_norm"] <= 1e-4
     assert rep.values["identity_rel_defect"] <= 5e-3
+    assert "identity_not_checked" not in rep.diagnostics
     # on the slice {t = 0} the field reduces to (n+1)/n z/rho exactly
     from carnot_hardy import heisenberg_product, koranyi
     from carnot_hardy.zfield import z_field_components
@@ -735,6 +737,14 @@ def test_product_check_hypothesis_violated():
     assert rep.values["hypothesis_holds"] is False
     assert rep.values["sampled_sup"] > 2.0 + 1e-9
     assert rep.passed
+
+
+@pytest.mark.parametrize("n, N, theta, reason", [(1, 2, 3.0, "p theta = 6 > 4"),
+                                                 (1, 3, 1.0, "(H^1)^2 only")])
+def test_product_check_says_why_the_identity_is_not_checked(n, N, theta, reason):
+    rep = product_check(n, N, 2.0, theta, samples_log2=8)
+    assert reason in rep.diagnostics["identity_not_checked"]
+    assert "identity_rel_defect" not in rep.values and "mc_stderr" not in rep.diagnostics
 
 
 def test_report_serialization():

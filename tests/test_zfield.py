@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
-from carnot_hardy import (Point, ZFieldSpec, balogh_tyson, cc, g_cc, heisenberg,
-                          heisenberg_product, koranyi, koranyi_b,
+from carnot_hardy import (CenterError, Point, ZFieldSpec, balogh_tyson, cc, g_cc,
+                          heisenberg, heisenberg_product, koranyi, koranyi_b,
                           koranyi_profile_max, nonisotropic, sup_z_norm,
-                          symplectic_norm, z_field_at, z_profile_koranyi)
+                          z_profile_koranyi)
 from carnot_hardy.norms import cc_from_polar, CCPolar, symplectic_norm_sq_arrays
 from carnot_hardy.zfield import bracket_zoom_max, z_field_components
 
 H1 = heisenberg(1)
+
+
+def z_at(spec, x):
+    """Z_d at a point: the batched field on one row."""
+    return z_field_components(spec, x.z[None], x.t[None])[0]
 
 
 def test_z_field_on_horizontal_plane():
@@ -16,9 +21,9 @@ def test_z_field_on_horizontal_plane():
     spec = ZFieldSpec(H1, koranyi(H1), 2.0, 1.0)
     for zvec in ([1.0, 0.0], [0.3, -0.4], [-2.0, 1.0]):
         x = Point(zvec, 0.0)
-        v = z_field_at(spec, x)
-        assert v.norm() == pytest.approx(2.0, rel=1e-14)
-        assert np.allclose(v.components, 2.0 * x.z / np.linalg.norm(x.z), rtol=1e-14)
+        v = z_at(spec, x)
+        assert np.linalg.norm(v) == pytest.approx(2.0, rel=1e-14)
+        assert np.allclose(v, 2.0 * x.z / np.linalg.norm(x.z), rtol=1e-14)
 
 
 def test_z_field_profile_consistency_koranyi():
@@ -42,9 +47,12 @@ def test_z_field_gradient_free_when_ptheta_zero():
         z = rng.normal(size=2)
         t = rng.normal(size=1)
         x = Point(z, t)
-        v = z_field_at(spec, x)
+        v = z_at(spec, x)
         d = cc(H1).value_at(x)
-        assert np.allclose(v.components, 2.0 * z / d, rtol=1e-10)
+        assert np.allclose(v, 2.0 * z / d, rtol=1e-10)
+    # the cc jet has no gradient on the center, and Z_d none there either
+    with pytest.raises(CenterError):
+        z_at(spec, Point([0.0, 0.0], 1.0))
 
 
 def test_z_field_degree_zero_homogeneity():
@@ -113,7 +121,7 @@ def test_cc_profile_consistency():
         nu = rng.uniform(-2 * np.pi + 0.1, 2 * np.pi - 0.1)
         r = rng.uniform(0.2, 5.0)
         x = cc_from_polar(CCPolar(a, b, nu, r))
-        val = z_field_at(spec, x).norm() ** 2
+        val = np.linalg.norm(z_at(spec, x)) ** 2
         assert abs(val - float(g_cc(4.0, 2.0, 1.0, nu))) < 1e-7
 
 
@@ -172,7 +180,7 @@ def test_sup_z_norm_multistart_balogh_tyson():
     assert sup.samples > 10**5
     # a sampled lower bound dominates any sampled value, here at t = 0
     probe = Point([1.0, 0.0, 0.0, 0.0], 0.0)
-    spot = z_field_at(spec, probe).norm()
+    spot = np.linalg.norm(z_at(spec, probe))
     assert sup.sup_value >= spot - 1e-12
 
 
@@ -216,10 +224,10 @@ def test_general_variant_bounded_on_two_vertical():
 
 
 def test_symplectic_norm():
-    assert symplectic_norm(heisenberg(1), [0.6, 0.8]) == pytest.approx(1.0)
+    assert np.sqrt(symplectic_norm_sq_arrays(heisenberg(1), [0.6, 0.8])) == pytest.approx(1.0)
     g = nonisotropic([1.0, 2.0])
-    assert symplectic_norm(g, [1.0, 0.0, 0.0, 0.0]) == pytest.approx(0.5)
-    assert symplectic_norm(g, [3.0, 0.0, 0.0, 0.0]) == pytest.approx(1.5)
+    z = np.array([[1.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0]])
+    assert np.sqrt(symplectic_norm_sq_arrays(g, z)) == pytest.approx([0.5, 1.5])
 
 
 def test_spec_validation():
