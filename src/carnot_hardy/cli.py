@@ -32,11 +32,16 @@ from .zfield import (ScanRangeError, ZFieldSpec, cc_profile_max, g_cc,
                      koranyi_profile_max, sup_z_norm, z_profile_koranyi)
 from .verify import (QuadratureSpec, Report, check_ibp_identity, counterexample_scan,
                      hardy_quotient, product_check, radial_bump, random_bump,
-                     sharpness_sequence, fit_log_excess)
+                     sharpness_function, sharpness_sequence, fit_log_excess)
+from .verify.quadrature import NonFiniteIntegrandError
 
 DEFAULT_SEED = 2024
 # each bounds row lists the group's lambdas, so its size grows with --n
 MAX_BOUNDS_N = 1000
+# the Gauss rule of n sigma nodes is built from an n x n matrix, and the
+# supz profile holds and prints every node
+MAX_VERIFY_NODES = 2000
+MAX_SUPZ_NODES = 10**6
 
 
 class UsageError(Exception):
@@ -65,6 +70,53 @@ def _not_finite(context):
 def _check_finite(context, *values):
     if not all(np.all(np.isfinite(v)) for v in values):
         raise _not_finite(context)
+
+
+def _gauge_range(norm, group, support):
+    """The least and the largest value of the gauge on the Koranyi annulus
+    support = (r, R): by homogeneity, r and R times its extremes on the
+    Koranyi unit sphere, sampled along each horizontal axis at 65 slopes
+    (the center included)."""
+    psi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 65)
+    m = 2 * group.n
+    z = np.zeros((m, psi.size, m))
+    z[np.arange(m), :, np.arange(m)] = np.sqrt(np.cos(psi))
+    t = np.zeros((m, psi.size, group.h))
+    t[..., 0] = np.sin(psi)
+    d = norm.value(z.reshape(-1, m), t.reshape(-1, group.h))
+    return support[0] * d.min(), support[1] * d.max()
+
+
+def _check_powers(context, spec, u, u_max, lam=None):
+    """Usage error unless the powers that the integrands of verify identity,
+    hardy and sharpness take stay finite on the support window of u, checked
+    up front as the closed profiles check their coefficients: the gauge's
+    d^(p theta), d^(p theta - 1) and d^(p (theta - 1)), finite and nonzero at
+    both ends of its range on the window, and |u|^p at u_max >= |u|; for the
+    cut-off family also lam^2, lam^kappa and lam^(kappa - 1) at both ends of
+    its slope window lam."""
+    p, theta = spec.p, spec.theta
+    bases = [np.array(_gauge_range(spec.norm, spec.group, u.support))[:, None]]
+    exponents = [np.array([p * theta, p * theta - 1.0, p * (theta - 1.0)])]
+    if lam is not None:
+        kappa = u.params["exponent"]
+        bases.append(np.array(lam)[:, None])
+        exponents.append(np.array([2.0, kappa, kappa - 1.0]))
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        powers = [b**e for b, e in zip(bases, exponents)]
+        u_p = np.float64(u_max) ** p
+    if not (np.isfinite(u_p) and all(np.all(np.isfinite(w) & (w > 0.0)) for w in powers)):
+        raise _not_finite(context)
+
+
+@contextmanager
+def _finite_integrands(context):
+    """Usage errors for integrands whose samples leave double precision
+    beyond what _check_powers sees, such as |grad u|^p at a large --p."""
+    try:
+        yield
+    except NonFiniteIntegrandError:
+        raise _not_finite(context) from None
 
 
 @contextmanager
@@ -267,8 +319,8 @@ def cmd_supz(args) -> int:
     p, theta = args.p, args.theta
     if p < 2:
         raise UsageError(f"--p {p:g}: the profiles are stated for p >= 2, as the bounds are")
-    if args.nodes < 2:
-        raise UsageError(f"--nodes {args.nodes}: the profile needs at least 2 nodes")
+    if not 2 <= args.nodes <= MAX_SUPZ_NODES:
+        raise UsageError(f"--nodes {args.nodes}: the profile takes 2 to {MAX_SUPZ_NODES} nodes")
     context = f"--Q {Q:g} --p {p:g} --theta {theta:g}"
     try:
         if args.norm == "cc":
@@ -276,7 +328,7 @@ def cmd_supz(args) -> int:
             ys = g_cc(Q, p, theta, xs)
             xname = "nu"
             sup_sq, arg = cc_profile_max(Q, p, theta)
-            method = "scan_golden"
+            method = "scan_zoom"
         else:
             psi = np.linspace(-np.pi / 2 * (1 - 1e-9), np.pi / 2 * (1 - 1e-9), args.nodes)
             xs = np.tan(psi)
@@ -329,6 +381,8 @@ def _check_verify_args(args, group):
                                ("--samples-log2", args.samples_log2, 0)):
         if value < least:
             raise UsageError(f"{flag} {value}: must be at least {least}")
+    if args.nodes > MAX_VERIFY_NODES:
+        raise UsageError(f"--nodes {args.nodes}: verify takes at most {MAX_VERIFY_NODES}")
     if group is not None:
         if group.h != 1:
             raise UsageError(f"--group {args.group} has {group.h} vertical directions; "
@@ -359,12 +413,16 @@ def cmd_verify(args) -> int:
     uses_group = args.check in ("identity", "hardy", "sharpness")
     group = _make_group(args) if uses_group else None
     _check_verify_args(args, group)
+    context = f"--p {args.p:g} --theta {args.theta_value:g}"
     reports = []
     if args.check == "identity":
         norm = _make_norm(args.norm, group, args)
         spec = _make_spec(group, norm, args.p, args.theta_value)
-        u = radial_bump(group, modulation=0.25 if group.h == 1 else 0.0)
-        reports.append(check_ibp_identity(spec, u, _quad_from_args(args, u.support)))
+        modulation = 0.25 if group.h == 1 else 0.0
+        u = radial_bump(group, modulation=modulation)
+        _check_powers(context, spec, u, 1.0 + modulation)
+        with _finite_integrands(context):
+            reports.append(check_ibp_identity(spec, u, _quad_from_args(args, u.support)))
     elif args.check == "hardy":
         rng = np.random.default_rng(args.seed)
         norm = _make_norm(args.norm, group, args)
@@ -373,7 +431,9 @@ def cmd_verify(args) -> int:
         worst = np.inf
         for _ in range(args.bumps):
             u = random_bump(group, rng)
-            q = hardy_quotient(spec, u, _quad_from_args(args, u.support))
+            _check_powers(context, spec, u, 1.0 + abs(u.params["modulation"][0]))
+            with _finite_integrands(context):
+                q = hardy_quotient(spec, u, _quad_from_args(args, u.support))
             worst = min(worst, q)
         reports.append(Report("hardy_dominance", worst >= target - 1e-3, 1e-3,
                               values={"worst_quotient": worst, "target": target},
@@ -385,7 +445,14 @@ def cmd_verify(args) -> int:
         norm = _make_norm(args.norm, group, args)
         spec = _make_spec(group, norm, args.p, args.theta_value)
         eps = _parse_floats(args.eps, "--eps")
-        pts = sharpness_sequence(spec, eps, QuadratureSpec(n_sigma=args.nodes))
+        context = f"{context} --eps {args.eps}"
+        # u_eps <= lam^kappa on its slope window (eps, 1/eps), widest at the
+        # last eps
+        u = sharpness_function(group, args.p, eps[-1])
+        lam = (eps[-1], 1.0 / eps[-1])
+        _check_powers(context, spec, u, np.float64(lam[1]) ** u.params["exponent"], lam=lam)
+        with _finite_integrands(context):
+            pts = sharpness_sequence(spec, eps, QuadratureSpec(n_sigma=args.nodes))
         target = hardy_target(group.Q, args.p, args.theta_value)
         c_fit, resid = fit_log_excess(pts, target)
         decreasing = all(b.quotient <= a.quotient + 1e-3 for a, b in zip(pts, pts[1:]))

@@ -45,6 +45,11 @@ LOG2 = float(np.log(2.0))
 PSI_LEVELS = 10
 
 
+class NonFiniteIntegrandError(ValueError):
+    """An integrand sample is not finite: the support window meets a
+    singularity of the integrand, or its powers leave double precision."""
+
+
 @dataclass
 class QuadratureSpec:
     """Integration method, chart, resolution and support window."""
@@ -262,7 +267,7 @@ def _rows(fs, nodes: Nodes, where: str) -> list:
     for f in fs:
         vals = np.asarray(f(nodes))
         if not np.all(np.isfinite(vals)):
-            raise ValueError(f"non-finite integrand sample {where}")
+            raise NonFiniteIntegrandError(f"non-finite integrand sample {where}")
         rows.extend(vals.reshape(len(vals) if vals.ndim == 2 else 1, nodes.z.shape[0]))
     return rows
 

@@ -2,13 +2,17 @@
 logarithmic cut-off family.
 
 Everything is built from one C-infinity step S: [0, 1] -> [0, 1], the
-normalized antiderivative of exp(-1/(x(1-x))).  The step is represented by a
-degree-160 Chebyshev fit (computed once at import, accurate to ~1e-13).  The
-Chebyshev sums of the step and of its derivative run together, in one
-recurrence over a two-column table (``smoothstep_jet``), and only on points
-strictly inside (0, 1); the constant parts of the step are filled in
-directly, so a quadrature grid pays for the transition layers of a bump and
-not for its plateau or its outside.
+normalized antiderivative of exp(-1/(x(1-x))).  Its derivative is that closed
+form over the normalizer Z.  The step itself is tabulated once at import: on
+each of STEP_PANELS (32) equal panels of [0, 1], its values at the panel's
+Chebyshev-Lobatto points (by a 96-point Gauss rule, like Z) become the
+coefficients of the interpolant of degree STEP_DEGREE (14) through one cosine
+matrix.  ``smoothstep_jet`` evaluates S by one Clenshaw recurrence over the
+column of each point's panel, within 1e-14 of the definition and continuous
+across the panel edges to rounding.  Both run only on points strictly inside
+(0, 1); the constant parts of the step are filled in directly, so a quadrature
+grid pays for the transition layers of a bump and not for its plateau or its
+outside.
 
 Bumps and the cut-off family are evaluated through one jet,
 ``jet(nodes) -> (value, hgrad, euler)`` on a quadrature node record, which
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial.legendre import leggauss
 
 from ..groups import Array, Nodes, StepTwoGroup
@@ -34,54 +37,54 @@ from ..norms import koranyi
 LOG2 = float(np.log(2.0))
 
 
-def _mollifier(x: Array) -> Array:
-    out = np.zeros_like(x)
-    inside = (x > 0.0) & (x < 1.0)
-    xi = x[inside]
-    out[inside] = np.exp(-1.0 / (xi * (1.0 - xi)))
-    return out
+# the step is tabulated on STEP_PANELS equal panels of [0, 1], each by the
+# Chebyshev interpolant of degree STEP_DEGREE through its Chebyshev-Lobatto
+# points (the panel's ends included, so neighbouring panels agree there); a
+# power of two, so that x * STEP_PANELS is exact and below STEP_PANELS for x < 1
+STEP_PANELS = 32
+STEP_DEGREE = 14
 
 
-def _fit_step(degree: int = 160):
-    # antiderivative of the mollifier at the Chebyshev points, by Gauss quadrature
+def _mollifier_integral(x: Array) -> Array:
+    """int_0^x exp(-1/(s(1-s))) ds at the points x in [0, 1], by the 96-point
+    Gauss rule on [0, x]."""
     gx, gw = leggauss(96)
-    u = 0.5 * (gx + 1.0)
-    w = 0.5 * gw
-    pts = np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1))
-    x = 0.5 * (pts + 1.0)
-    vals = x * np.sum(w * _mollifier(x[:, None] * u), axis=1)
-    coeffs = _cheb.chebfit(pts, vals, degree)
-    c0 = _cheb.chebval(-1.0, coeffs)
-    c1 = _cheb.chebval(1.0, coeffs)
-    return coeffs, float(c0), float(c1)
+    s = x[:, None] * (0.5 * (gx + 1.0))
+    inside = s > 0.0
+    f = np.zeros(s.shape)
+    f[inside] = np.exp(-1.0 / (s[inside] * (1.0 - s[inside])))
+    return x * np.sum(f * (0.5 * gw), axis=1)
 
 
-_STEP_COEFFS, _STEP_LO, _STEP_HI = _fit_step()
-_STEP_SCALE = _STEP_HI - _STEP_LO
-_STEP_DERIV = _cheb.chebder(_STEP_COEFFS) * 2.0 / _STEP_SCALE
-# the step and its derivative as the two columns of one table, each row shaped
-# (2, 1) so that the points lie along the last axis, where NumPy's inner loop
-# runs; the zero that pads the derivative's leading (degree-160) coefficient
-# leaves the recurrence state after the first step at chebval's starting state
-_STEP_TABLE = np.stack([_STEP_COEFFS, np.append(_STEP_DERIV, 0.0)], axis=-1)[..., None]
+def _step_table():
+    """The normalizer Z = int_0^1 exp(-1/(s(1-s))) ds, and the Chebyshev
+    coefficients of S on each panel as the columns of a (degree + 1, panels)
+    table: the values of S at the panel's Lobatto points, times one cosine
+    matrix."""
+    d = STEP_DEGREE
+    k = np.arange(d + 1)
+    theta = np.pi * k / d
+    cosines = (2.0 / d) * np.cos(np.outer(k, theta))
+    cosines[:, [0, d]] *= 0.5
+    cosines[[0, d]] *= 0.5
+    x = (np.arange(STEP_PANELS)[:, None] + 0.5 * (1.0 + np.cos(theta))) / STEP_PANELS
+    integrals = _mollifier_integral(np.append(x, 1.0))
+    z = float(integrals[-1])
+    values = integrals[:-1].reshape(x.shape) / z
+    return z, np.ascontiguousarray(cosines @ values.T)
 
 
-def _clenshaw(x: Array, coeffs: Array) -> Array:
-    """Chebyshev sums at the points x in [-1, 1], one row of the result per
-    column of coeffs (shape (degree + 1, k, 1)): numpy's chebval recurrence,
-    operation for operation (so the same bits), with its temporaries updated
-    in place."""
-    x2 = 2.0 * x
-    shape = (coeffs.shape[1], x.shape[0])
-    c0 = np.full(shape, coeffs[-2])
-    c1 = np.full(shape, coeffs[-1])
-    tmp = np.empty(shape)
-    for c in coeffs[-3::-1]:
-        tmp, c0 = c0, tmp
-        np.subtract(c, c1, out=c0)
-        np.multiply(c1, x2, out=c1)
-        np.add(tmp, c1, out=c1)
-    return c0 + c1 * x
+_STEP_Z, _STEP_TABLE = _step_table()
+
+
+def _clenshaw(s: Array, coeffs: Array) -> Array:
+    """Chebyshev sums at the points s in [-1, 1], with the coefficients of
+    each point in its column of coeffs (shape (degree + 1, points))."""
+    s2 = 2.0 * s
+    b1, b2 = coeffs[-1], np.zeros(s.shape)
+    for c in coeffs[-2:0:-1]:
+        b1, b2 = c + s2 * b1 - b2, b1
+    return coeffs[0] + s * b1 - b2
 
 
 def smoothstep_jet(x):
@@ -91,9 +94,13 @@ def smoothstep_jet(x):
     val = np.where(x >= 1.0, 1.0, np.where(np.isnan(x), np.nan, 0.0))
     der = np.zeros(x.shape)
     inside = (x > 0.0) & (x < 1.0)
-    both = _clenshaw(2.0 * x[inside] - 1.0, _STEP_TABLE)
-    val[inside] = (both[0] - _STEP_LO) / _STEP_SCALE
-    der[inside] = both[1]
+    xi = x[inside]
+    y = xi * STEP_PANELS
+    panel = y.astype(np.intp)
+    val[inside] = _clenshaw(2.0 * (y - panel) - 1.0, _STEP_TABLE[:, panel])
+    # 1/(x(1-x)) overflows to inf at subnormal x, where S' is 0
+    with np.errstate(over="ignore"):
+        der[inside] = np.exp(-1.0 / (xi * (1.0 - xi))) / _STEP_Z
     return val, der
 
 

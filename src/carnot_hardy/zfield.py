@@ -465,7 +465,7 @@ def sup_z_norm(spec: ZFieldSpec) -> SupResult:
 
     if kind == "cc":
         g_hat, nu_hat = cc_profile_max(Q, p, theta)
-        return SupResult(float(np.sqrt(g_hat)), nu_hat, "scan_golden", samples=CC_SCAN_NODES)
+        return SupResult(float(np.sqrt(g_hat)), nu_hat, "scan_zoom", samples=CC_SCAN_NODES)
 
     if kind == "koranyi" and spec.variant == "product":
         fn = spec.factor_blocks()

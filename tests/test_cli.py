@@ -121,11 +121,34 @@ def assert_usage_error(argv, capsys):
     ["bounds", "--p", "400", "--theta", "300"],
     ["cc", "--point", "1e200,0,1"],
     ["cc", "--point", "1e-160,0,1"],
+    # node counts beyond what a Gauss rule or a profile dump can hold
+    ["verify", "identity", "--nodes", "100000"],
+    ["supz", "--nodes", "100000000"],
+    # powers of the gauge, of u or of the slope that leave double precision
+    # on the support window
+    ["verify", "identity", "--p", "1e6"],
+    ["verify", "identity", "--theta", "1e6"],
+    ["verify", "hardy", "--norm", "cc", "--p", "1e6"],
+    ["verify", "sharpness", "--p", "1e6"],
+    ["verify", "sharpness", "--eps", "1e-300"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_out_of_range_numbers_are_usage_errors(argv, capsys):
-    # the closed profiles check their coefficients before evaluating anything,
-    # so no NumPy warning precedes the usage error
+    # the closed profiles and the verify integrands check their coefficients
+    # and powers before evaluating anything, so no NumPy warning precedes the
+    # usage error
+    assert_usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "hardy", "--p", "300", "--bumps", "1", "--nodes", "16"],
+    ["verify", "sharpness", "--p", "400", "--eps", "1e-2,1e-3", "--nodes", "16"],
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_integrands_are_usage_errors(argv, capsys):
+    # |grad u|^p overflows although the powers of the gauge and of u do not:
+    # the quadrature finds the non-finite sample, and the usage error names
+    # the flags
     assert_usage_error(argv, capsys)
 
 

@@ -38,35 +38,70 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def test_masked_smoothstep_matches_full_clenshaw():
-    # the Chebyshev sum once ran on every point, clipped to [0, 1]; masking it
-    # to 0 < x < 1 must leave every output bit as it was
-    from numpy.polynomial.chebyshev import chebval
+def _smoothstep_reference(x):
+    """S and S' at the sorted points x in (0, 1) from their definition, by
+    30-digit mpmath: the integral of exp(-1/(s(1-s))) accumulated over the
+    gaps between neighbouring points, over its integral on [0, 1]."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        def f(s):
+            return mpmath.exp(-1 / (s * (1 - s)))
+
+        xm = [mpmath.mpf(float(v)) for v in x]
+        z = mpmath.quad(f, [0, 0.5, 1])
+        total, s_ref = mpmath.mpf(0), []
+        for a, b in zip([mpmath.mpf(0)] + xm[:-1], xm):
+            total += mpmath.quad(f, [a, b])
+            s_ref.append(float(total / z))
+        return np.array(s_ref), np.array([float(f(v) / z) for v in xm])
+
+
+def test_smoothstep_matches_mpmath_definition():
+    # the panel table and the closed derivative against the definition, near
+    # both ends of the step, at the panel edges and on either side of them;
+    # each bound is at most twice the worst error measured on these points
     from carnot_hardy.verify import testfuncs as tf
 
-    def full_step(x):
-        xc = np.clip(x, 0.0, 1.0)
-        v = (chebval(2.0 * xc - 1.0, tf._STEP_COEFFS) - tf._STEP_LO) / tf._STEP_SCALE
-        return np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, v))
-
-    def full_step_d(x):
-        inside = (x > 0.0) & (x < 1.0)
-        return np.where(inside, chebval(2.0 * np.clip(x, 0.0, 1.0) - 1.0, tf._STEP_DERIV), 0.0)
-
+    edges = np.arange(1, tf.STEP_PANELS) / tf.STEP_PANELS
+    near = np.geomspace(1e-4, 0.1, 30)
     rng = np.random.default_rng(70)
+    x = np.unique(np.concatenate([near, 1.0 - near, edges, np.nextafter(edges, 0.0),
+                                  np.nextafter(edges, 1.0), np.linspace(0.0, 1.0, 101)[1:-1],
+                                  rng.uniform(0.0, 1.0, 40)]))
+    assert x.size >= 200
+    s_ref, d_ref = _smoothstep_reference(x)
+    s, d = smoothstep_jet(x)
+    assert np.max(np.abs(s - s_ref)) <= 8e-15                       # measured 4.2e-15
+    assert np.max(np.abs(d - d_ref)) <= 2.2e-14                     # measured 1.1e-14
+    # S' = exp(-1/(x(1-x)))/Z loses about (1/(x(1-x))) ulps to the rounding
+    # of its exponent; the points below the normal range are compared above
+    normal = d_ref >= np.finfo(float).tiny
+    assert np.max(np.abs(d - d_ref)[normal] / d_ref[normal]) <= 7.8e-14  # measured 3.9e-14
+    # symmetry S(x) + S(1 - x) = 1, and no jump across a panel edge
+    assert np.max(np.abs(s + smoothstep_jet(1.0 - x)[0] - 1.0)) <= 1.1e-14  # measured 5.9e-15
+    left, right = smoothstep_jet(np.nextafter(edges, 0.0))[0], smoothstep_jet(edges)[0]
+    assert np.max(np.abs(left - right)) <= 3.5e-15                  # measured 1.8e-15
+
+    # the constant parts, NaN and +-inf are filled in, and shapes are kept
     x = np.concatenate([[0.0, -0.0, 1.0, 1e-300, -1e-300, 1.0 - 1e-16, -0.3, 1.7,
                          np.inf, -np.inf, np.nan],
                         np.linspace(-0.5, 1.5, 1001), rng.uniform(-1.0, 2.0, 5000)])
-    nan = np.isnan(x)
-    for got, ref in zip(smoothstep_jet(x), (full_step(x), full_step_d(x))):
-        assert np.array_equal(np.isnan(got), np.isnan(ref))
-        assert _same_bits(got[~nan], ref[~nan])
+    s, d = smoothstep_jet(x)
+    assert np.all(s[x <= 0.0] == 0.0) and np.all(s[x >= 1.0] == 1.0)
+    assert np.all(d[(x <= 0.0) | (x >= 1.0) | np.isnan(x)] == 0.0)
+    inside = (x > 0.0) & (x < 1.0)
+    assert np.all(np.isfinite(s[inside])) and np.all(d[inside] >= 0.0)
+    assert np.array_equal(np.isnan(s), np.isnan(x))
     s_nan, d_nan = smoothstep_jet(np.nan)
     assert np.isnan(s_nan) and d_nan == 0.0
     assert smoothstep_jet(-np.inf)[0] == 0.0 and smoothstep_jet(np.inf)[0] == 1.0
-    assert _same_bits(smoothstep_jet(np.array(0.25))[0], full_step(np.array(0.25)))
-    x2 = x[~nan][:6000].reshape(-1, 3)
-    assert _same_bits(smoothstep_jet(x2)[0], full_step(x2))
+    s0, d0 = smoothstep_jet(0.25)
+    assert s0.shape == d0.shape == ()
+    assert _same_bits(s0, smoothstep_jet(np.array([0.25]))[0][0])
+    x2 = x[~np.isnan(x)][:6000].reshape(-1, 3)
+    for got, flat in zip(smoothstep_jet(x2), smoothstep_jet(x2.ravel())):
+        assert _same_bits(got, flat.reshape(x2.shape))
 
 
 def _jet_points(rng, n=4000):

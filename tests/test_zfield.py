@@ -155,7 +155,7 @@ def test_sup_z_norm_koranyi():
 
 def test_sup_z_norm_cc():
     sup = sup_z_norm(ZFieldSpec(H1, cc(H1), 2.0, 1.0))
-    assert sup.method == "scan_golden"
+    assert sup.method == "scan_zoom"
     assert abs(sup.sup_sq - 4.0) < 1e-7
     assert abs(sup.arg) < 1e-3
     # outside the closed-branch condition the max moves off nu = 0
