@@ -22,9 +22,16 @@ WINDOW_HI = 1.0 + np.sqrt(1.5)
 CC_COEFF = 4.0 / (12.0 - np.pi**2)
 
 
+# the branches whose bound divides by a sampled sup: the generic bound from
+# the multistart scan and the cc fallback on the scanned max g.  A sampled sup
+# is a lower bound of the true one, so these bounds may overstate c.
+HEURISTIC_BRANCHES = ("generic", "numeric")
+
+
 @dataclass
 class BoundReport:
-    """One row of a bound table, serializable for the CLI."""
+    """One row of a bound table, serializable for the CLI; ``to_dict`` marks
+    the rows of HEURISTIC_BRANCHES ``"heuristic": true``."""
 
     group: dict
     norm_kind: str
@@ -47,6 +54,7 @@ class BoundReport:
             "Q": self.Q,
             "bound": self.bound,
             "branch": self.branch,
+            "heuristic": self.branch in HEURISTIC_BRANCHES,
             "sup_value": self.sup_value,
             "sup_method": self.sup_method,
             "condition_checks": self.condition_checks,

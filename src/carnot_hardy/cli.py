@@ -112,9 +112,12 @@ def _check_powers(context, spec, u, u_max, lam=None):
 @contextmanager
 def _finite_integrands(context):
     """Usage errors for integrands whose samples leave double precision
-    beyond what _check_powers sees, such as |grad u|^p at a large --p."""
+    beyond what _check_powers sees, such as |grad u|^p at a large --p.  Their
+    overflow is not warned about: the quadrature's check of every sample
+    turns it into the usage error."""
     try:
-        yield
+        with np.errstate(over="ignore"):
+            yield
     except NonFiniteIntegrandError:
         raise _not_finite(context) from None
 

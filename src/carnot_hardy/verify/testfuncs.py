@@ -97,7 +97,8 @@ def smoothstep_jet(x):
     xi = x[inside]
     y = xi * STEP_PANELS
     panel = y.astype(np.intp)
-    val[inside] = _clenshaw(2.0 * (y - panel) - 1.0, _STEP_TABLE[:, panel])
+    # the table's rounding would step out of [0, 1] next to its ends
+    val[inside] = np.clip(_clenshaw(2.0 * (y - panel) - 1.0, _STEP_TABLE[:, panel]), 0.0, 1.0)
     # 1/(x(1-x)) overflows to inf at subnormal x, where S' is 0
     with np.errstate(over="ignore"):
         der[inside] = np.exp(-1.0 / (xi * (1.0 - xi))) / _STEP_Z

@@ -256,25 +256,34 @@ def bracket_zoom_max(f, lo: float, hi: float, tol: float = 1e-12):
         a, b = a_next, b_next
 
 
+# each sweep of the coordinate refinement brackets at this fraction of the
+# previous sweep's half-width
+SWEEP_SHRINK = 0.35
+
+
 def _coordinate_refine(f, x0: Array, value0: float, width: float, sweeps: int):
     """Bracket-zoom sweeps along coordinate axes around a candidate max.
 
     ``f`` is batched over rows; each zoom step moves one coordinate of x
-    through its bracket in one call.
+    through its bracket in one call.  Sweeps run coarse to fine: the bracket
+    of the next sweep reopens around the point found, so each sweep but the
+    last zooms only to cells of SWEEP_SHRINK w / (ZOOM_POINTS - 1), half the
+    next sweep's first grid spacing, and the last zooms to 1e-10.
     """
     x = np.array(x0, dtype=float)
     best = value0
     w = width
-    for _ in range(sweeps):
+    for sweep in range(sweeps):
+        tol = 1e-10 if sweep == sweeps - 1 else SWEEP_SHRINK * w / (ZOOM_POINTS - 1)
         for i in range(x.size):
             def slice_f(s, i=i):
                 y = np.repeat(x[None], s.size, axis=0)
                 y[:, i] = s
                 return f(y)
-            s, v = bracket_zoom_max(slice_f, x[i] - w, x[i] + w, tol=1e-10)
+            s, v = bracket_zoom_max(slice_f, x[i] - w, x[i] + w, tol=tol)
             if v > best:
                 best, x[i] = v, s
-        w *= 0.35
+        w *= SWEEP_SHRINK
     return x, best
 
 

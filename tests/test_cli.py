@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carnot_hardy import cli
+from carnot_hardy import (bound_cc, bound_koranyi, bound_koranyi_B, bound_product, cli,
+                          nonisotropic)
+from carnot_hardy.bounds import hardy_target
 from carnot_hardy.verify import Report
 
 
@@ -144,11 +146,11 @@ def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     ["verify", "hardy", "--p", "300", "--bumps", "1", "--nodes", "16"],
     ["verify", "sharpness", "--p", "400", "--eps", "1e-2,1e-3", "--nodes", "16"],
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_non_finite_integrands_are_usage_errors(argv, capsys):
     # |grad u|^p overflows although the powers of the gauge and of u do not:
     # the quadrature finds the non-finite sample, and the usage error names
-    # the flags
+    # the flags, with no NumPy warning before it
     assert_usage_error(argv, capsys)
 
 
@@ -177,6 +179,53 @@ def test_product_row_whose_hypothesis_fails_has_no_bound(capsys):
     held, failed = json.loads(out, parse_constant=_reject_non_finite)["results"]
     assert held["branch"] == "product" and held["bound"] > 0.0
     assert failed["branch"] == "condition_failed" and failed["bound"] is None
+
+
+def _closed_bound(norm, Q, p, theta, group):
+    """The bound of a row from its closed formula, which needs no sup; a
+    ValueError where none applies."""
+    if group == "product":
+        return bound_product(1, 2, p, theta)
+    if norm == "koranyi":
+        return bound_koranyi(Q, p, theta)[0]
+    if norm == "cc":
+        return bound_cc(Q, p, theta)[0]
+    if norm == "koranyi_b":
+        return bound_koranyi_B(nonisotropic([1.0, 2.0]), p, theta)[0]
+    raise ValueError(f"no closed bound for {norm}")
+
+
+@pytest.mark.parametrize("argv, labels", [
+    # the cc rows at theta 3 and 5 take the numeric branch
+    (["bounds", "--group", "heisenberg", "--n", "1", "--norm", "all", "--p", "2",
+      "--theta", "1,3,5"], {False, True}),
+    (["bounds", "--group", "nonisotropic", "--lambdas", "0.5,1", "--norm", "balogh_tyson",
+      "--p", "2", "--theta", "0.5,1"], {True}),
+    (["bounds", "--group", "nonisotropic", "--lambdas", "1,2", "--norm", "koranyi_b",
+      "--p", "2", "--theta", "1,5"], {False}),
+    # theta 10 fails the product hypothesis: no bound, on a multistart sup
+    (["bounds", "--group", "product", "--n", "1", "--N", "2", "--p", "2",
+      "--theta", "1,10"], {False}),
+])
+def test_bounds_from_sampled_sups_are_heuristic(argv, labels, capsys):
+    # a row whose bound is not its closed formula divides the target by a
+    # sampled sup, which may be below the true one: it must say so
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    rows = json.loads(out)["results"]
+    for row in rows:
+        Q, p, theta = row["Q"], row["p"], row["theta"]
+        try:
+            closed = _closed_bound(row["norm"], Q, p, theta, argv[2])
+        except ValueError:
+            closed = None
+        if row["heuristic"]:
+            assert closed is None and row["sup_method"] in ("multistart", "scan_zoom")
+            assert row["bound"] == pytest.approx(hardy_target(Q, p, theta)
+                                                 / row["sup_value"] ** p, rel=1e-12)
+        else:
+            assert row["bound"] == closed
+    assert {row["heuristic"] for row in rows} == labels
 
 
 def test_bounds_n_has_a_stated_maximum(monkeypatch, capsys):

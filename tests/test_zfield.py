@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -287,9 +289,33 @@ def test_coordinate_refinement_never_returns_less_than_its_start():
     assert best == 1.0 and np.array_equal(x, x0)
 
 
+def test_coordinate_refinement_zooms_coarse_to_fine():
+    # each sweep but the last stops at the next sweep's grid: two zoom steps
+    # per coordinate, from cells of w/16 to w/256, below 0.35 w/32
+    from carnot_hardy.zfield import _coordinate_refine
+    centre = np.array([0.2, -0.1, 0.4])
+    moved = []
+
+    def f(x):
+        varies = np.flatnonzero(np.ptp(x, axis=0) > 0.0)
+        assert varies.size == 1
+        moved.append(int(varies[0]))
+        return -np.sum((x - centre) ** 2, axis=1)
+
+    x0 = np.array([0.35, 0.05, 0.2])
+    sweeps = 6
+    x, _ = _coordinate_refine(f, x0, -np.sum((x0 - centre) ** 2), width=0.3, sweeps=sweeps)
+    # one run of zoom steps per coordinate and sweep
+    runs = [len(list(steps)) for _, steps in itertools.groupby(moved)]
+    assert len(runs) == sweeps * x0.size
+    assert max(runs[:-x0.size]) <= 2
+    assert np.max(np.abs(x - centre)) <= 1e-10
+
+
 def test_multistart_refines_in_batches(monkeypatch):
     # the Sobol batch plus one call per zoom step, each with its 33 rows;
-    # the one-row golden-section refinement took 808 calls here
+    # the one-row golden-section refinement took 808 calls here, and the
+    # batched zoom to 1e-10 in every sweep 126
     from carnot_hardy import zfield
     calls, rows = [], []
 
@@ -300,7 +326,7 @@ def test_multistart_refines_in_batches(monkeypatch):
 
     monkeypatch.setattr(zfield, "z_field_components", counted)
     res = zfield.multistart_sup(ZFieldSpec(H1, koranyi(H1), 2.0, 6.0), m=10)
-    assert len(calls) <= 150
+    assert len(calls) <= 60
     assert calls[0] == res.samples and set(calls[1:]) <= {zfield.ZOOM_POINTS}
     assert min(rows) >= 1e-10
     sup = np.sqrt(koranyi_profile_max(4.0, 2.0, 6.0)[0])
