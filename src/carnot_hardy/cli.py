@@ -369,7 +369,7 @@ def _quad_from_args(args, support):
     """Quadrature overrides from the command line for one test function."""
     if args.quad_method == "monte_carlo":
         return QuadratureSpec(method="monte_carlo", samples=args.samples, seed=args.seed,
-                              sigma_range=support, box=(support[1], support[1] ** 2))
+                              sigma_range=support)
     return QuadratureSpec(n_sigma=args.nodes, sigma_range=support)
 
 

@@ -239,8 +239,8 @@ class Nodes(NamedTuple):
     its nodes and the slope table ``lam`` (n_lam,): its nodes are laid out
     (k, n_angle, n_lam) in C order, the Koranyi gauge of a node is its sigma
     and t/|z|^2 its lam.  A function of (sigma, lam) is then evaluated on the
-    (k, n_lam) tables and spread onto the nodes.  Ambient and Monte Carlo
-    chunks carry no tables (``sigma`` and ``lam`` are None).
+    (k, n_lam) tables and spread onto the nodes.  Monte Carlo chunks and
+    plain (z, t) batches carry no tables (``sigma`` and ``lam`` are None).
     """
 
     z: Array

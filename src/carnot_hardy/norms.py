@@ -221,8 +221,9 @@ class NormModel:
     H^1, the radius table ``sigma`` and the slope table ``lam``; see
     ``groups.Nodes``); ``hgrad`` is None when derivs is False.
 
-    rotation_invariant records whether <z, B^{-1} grad_z d> = 0, the
-    hypothesis under which the sharp constant is attained.
+    Every gauge here is invariant under the rotations of z in each
+    horizontal 2-plane, so <z, B^{-1} grad_z d> = 0, the hypothesis under
+    which the sharp constant is attained.
     """
 
     kind: str
@@ -231,7 +232,6 @@ class NormModel:
     hgrad: Callable[[Array, Array], Array]
     dt: Callable[[Array, Array], Array]
     jet: Callable
-    rotation_invariant: bool = True
 
     def value_at(self, x: Point) -> float:
         return float(_at_scale(self.value, x, 1))
@@ -322,8 +322,7 @@ def koranyi(group: StepTwoGroup) -> NormModel:
         c_sig = 1.0 / np.sqrt(1.0 + nodes.lam**2) / nodes.radii
         return rho, nodes.frame(c_sig, c_sig * (nodes.lam * L[0, 0] / 4.0))
 
-    return NormModel("koranyi", group, value, lambda z, t: value_hgrad(z, t)[1], dt, jet,
-                     rotation_invariant=True)
+    return NormModel("koranyi", group, value, lambda z, t: value_hgrad(z, t)[1], dt, jet)
 
 
 def symplectic_norm_sq_arrays(group: StepTwoGroup, z: Array) -> Array:
@@ -355,7 +354,7 @@ def koranyi_b(group: StepTwoGroup) -> NormModel:
         return t / (2.0 * value(z, t)[..., None] ** 3)
 
     return NormModel("koranyi_b", group, value, lambda z, t: value_hgrad(z, t)[1], dt,
-                     _plain_jet(value, value_hgrad), rotation_invariant=True)
+                     _plain_jet(value, value_hgrad))
 
 
 def cc(group: StepTwoGroup) -> NormModel:
@@ -391,8 +390,7 @@ def cc(group: StepTwoGroup) -> NormModel:
         qs = q * nodes.radii
         return r, nodes.frame((x * s + cot * c) / qs, (cot * s - x * c) / qs)
 
-    return NormModel("cc", group, value, lambda z, t: value_hgrad(z, t)[1], dt, jet,
-                     rotation_invariant=True)
+    return NormModel("cc", group, value, lambda z, t: value_hgrad(z, t)[1], dt, jet)
 
 
 def balogh_tyson(group: StepTwoGroup) -> NormModel:
@@ -443,7 +441,7 @@ def balogh_tyson(group: StepTwoGroup) -> NormModel:
         return (rho * lt)[..., None]
 
     return NormModel("balogh_tyson", group, value, lambda z, t: value_hgrad(z, t)[1], dt,
-                     _plain_jet(value, value_hgrad), rotation_invariant=True)
+                     _plain_jet(value, value_hgrad))
 
 
 def make_norm(kind: str, group: StepTwoGroup) -> NormModel:

@@ -127,15 +127,15 @@ def _quad_for(u: TestFunction, quad: Optional[QuadratureSpec]) -> QuadratureSpec
     return QuadratureSpec(sigma_range=u.support)
 
 
-def _circle_rule(spec: ZFieldSpec, u: TestFunction, quad: QuadratureSpec) -> QuadratureSpec:
-    """quad, with one circle node when the integrand is rotation-invariant.
+def _circle_rule(u: TestFunction, quad: QuadratureSpec) -> QuadratureSpec:
+    """quad, with one circle node when u is declared rotation-invariant.
 
-    The gauge, u and hence Z_d, <grad u, Z_d>, |grad u| and Eu are then
-    invariant under rotations of z, so every integrand of the checks is a
+    Every gauge is invariant under rotations of z, so with u so are Z_d,
+    <grad u, Z_d>, |grad u| and Eu: every integrand of the checks is then a
     function of (sigma, lam) on the phi chart, and one node at angle 0 with
     the weight 2 pi integrates it exactly on the fine and the coarse grid.
     """
-    if spec.norm.rotation_invariant and u.rotation_invariant:
+    if u.rotation_invariant:
         return replace(quad, n_angle=1)
     return quad
 
@@ -159,7 +159,7 @@ def check_ibp_identity(spec: ZFieldSpec, u: TestFunction,
     pt = spec.ptheta
     Q = float(spec.group.Q)
     r1, r2, r3 = integrate_many(spec.group, [_ibp_integrands(spec, u)],
-                                _circle_rule(spec, u, quad))
+                                _circle_rule(u, quad))
     I1, I2 = r1.value, r2.value
     mass = r3.value
     I3 = -(Q - pt) / p * mass
@@ -207,7 +207,7 @@ def hardy_quotient(spec: ZFieldSpec, u: TestFunction,
     or with the full |grad u| in the numerator when projected is False."""
     quad = _quad_for(u, quad)
     rnum, rden = integrate_many(spec.group, [_quotient_integrands(spec, u, projected)],
-                                _circle_rule(spec, u, quad))
+                                _circle_rule(u, quad))
     if rden.value <= 0.0:
         raise ValueError("vanishing denominator: test function is zero on the grid")
     return rnum.value / rden.value
@@ -250,19 +250,15 @@ def sharpness_sequence(spec: ZFieldSpec, eps_list: Sequence[float],
     eps_arr = list(map(float, eps_list))
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])) or not eps_arr:
         raise ValueError("eps_list must be strictly decreasing")
-    if not spec.norm.rotation_invariant:
-        raise ValueError("the sharpness family needs a blockwise rotation-invariant gauge")
     if spec.norm.kind not in ("koranyi", "cc"):
         raise ValueError("sharpness is computed for the Koranyi or cc gauges")
     out = []
     for eps in eps_arr:
         u = sharpness_function(spec.group, spec.p, eps, profile)
-        q = QuadratureSpec(sigma_range=(profile.r2, profile.R2),
-                           lambda_range=(eps, 1.0 / eps),
-                           n_sigma=(quad.n_sigma if quad else 80),
-                           log_nodes=(quad.log_nodes if quad else 16))
+        q = replace(quad or QuadratureSpec(), sigma_range=(profile.r2, profile.R2),
+                    lambda_range=(eps, 1.0 / eps))
         rnum, rden = integrate_many(spec.group, [_quotient_integrands(spec, u, True)],
-                                    _circle_rule(spec, u, q))
+                                    _circle_rule(u, q))
         out.append(SharpnessPoint(eps, rnum.value / rden.value, rden.value))
     return out
 
@@ -374,9 +370,8 @@ def product_check(n: int, N: int, p: float, theta: float,
         diagnostics["identity_not_checked"] = f"p theta = {p * theta:g} > 4: beyond box Monte Carlo"
     else:
         u = radial_bump(group)
-        R2 = u.support[1]
         quad = QuadratureSpec(method="monte_carlo", samples=mc_samples, seed=seed,
-                              sigma_range=u.support, box=(R2, R2**2))
+                              sigma_range=u.support)
         # the <grad u, Z> row and the Eu row of the three-way identity
         rr, rl, _ = integrate_many(group, [_ibp_integrands(spec, u)], quad)
         rel = abs(rl.value - rr.value) / max(abs(rl.value), 1e-300)

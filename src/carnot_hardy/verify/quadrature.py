@@ -1,28 +1,25 @@
 """Quadrature over step-two groups.
 
-Two charts are supported:
+The tensor grid lives on the phi chart of H^1: the change of variables
+(omega, lam) -> (z, t) with z = omega (1 + lam^2)^{-1/4},
+t = lam |omega|^2 (1 + lam^2)^{-1/2}, under which Lebesgue measure becomes
+|omega|^2 (1 + lam^2)^{-(n+1)/2} domega dlam and |omega| equals the Koranyi
+gauge of the image point.  It uses Gauss-Legendre in sigma = |omega|, a
+uniform circle rule in the angle (one node at angle 0 when n_angle is 1:
+exact for integrands invariant under rotations of z), and either graded
+Gauss panels in psi = arctan(lam) (whole line) or log-spaced panels in
+log(lam) when a positive lambda window is requested (the cut-off family of
+the sharpness test lives on such windows).  Its 1-D tables are built once
+per resolution, and integrands receive them with each chunk of whole sigma
+slabs (see ``Nodes``), so that a function of the radius or of
+lam = t/|z|^2 alone is evaluated on its table.
 
-* ``phi_polar`` - the change of variables (omega, lam) -> (z, t) with
-  z = omega (1 + lam^2)^{-1/4}, t = lam |omega|^2 (1 + lam^2)^{-1/2}, under
-  which Lebesgue measure becomes |omega|^2 (1 + lam^2)^{-(n+1)/2} domega dlam
-  and |omega| equals the Koranyi gauge of the image point.  The tensor grid
-  uses Gauss-Legendre in sigma = |omega|, a uniform circle rule in the
-  angle (one node at angle 0 when n_angle is 1: exact for integrands
-  invariant under rotations of z), and either graded Gauss panels in
-  psi = arctan(lam) (whole line) or log-spaced panels in log(lam) when a
-  positive lambda window is requested (the cut-off family of the sharpness
-  test lives on such windows).  Its 1-D tables are built once per
-  resolution, and integrands receive them with each chunk of whole sigma
-  slabs (see ``Nodes``), so that a function of the radius or of
-  lam = t/|z|^2 alone is evaluated on its table.
-
-* ``ambient`` - a plain tensor Gauss grid on a coordinate box, as a cross
-  check of the chart above.
-
-Monte Carlo integration over a coordinate box covers the product and
-five-dimensional non-isotropic cases, with a fixed seed and chunked,
-order-deterministic accumulation.  Integrands are evaluated only on the
-samples whose Koranyi gauge lies inside the support window ``sigma_range``;
+Monte Carlo integration covers the product and five-dimensional
+non-isotropic cases, with a fixed seed and chunked, order-deterministic
+accumulation.  It draws uniform samples from the box |z_i| < hi,
+|t_j| < hi^2, the smallest box that holds the Koranyi ball of radius hi,
+the outer end of the support window ``sigma_range``.  Integrands are
+evaluated only on the samples whose Koranyi gauge lies inside the window;
 the others enter the sums as exact zeros, so each sum sees the vector that a
 full-box evaluation of an integrand vanishing outside the window gives, bit
 for bit.
@@ -52,23 +49,22 @@ class NonFiniteIntegrandError(ValueError):
 
 @dataclass
 class QuadratureSpec:
-    """Integration method, chart, resolution and support window."""
+    """Integration method, resolution and support window."""
 
     method: str = "tensor_grid"          # tensor_grid | monte_carlo
-    coordinates: str = "phi_polar"       # phi_polar | ambient
-    n_sigma: int = 80                    # Gauss nodes in sigma (and per ambient axis)
+    n_sigma: int = 80                    # Gauss nodes in sigma
     n_angle: int = 16                    # circle nodes (1: one node at angle 0)
     psi_nodes: int = 12                  # Gauss nodes per psi panel
     log_nodes: int = 16                  # Gauss nodes per log-lambda panel
     samples: int = 1 << 20               # Monte Carlo sample count
     seed: int = 2024
     # gauge support of the integrand: the open Koranyi annulus outside which
-    # every integrand must vanish.  The phi chart and Monte Carlo integrate
-    # only over it; Monte Carlo evaluates integrands, and checks their samples
-    # for finiteness, on the samples inside it alone
+    # every integrand must vanish.  The phi chart integrates only over it;
+    # Monte Carlo draws from the box that holds its outer ball, and evaluates
+    # integrands, and checks their samples for finiteness, on the samples
+    # inside it alone
     sigma_range: tuple = (0.25, 2.0)
     lambda_range: Optional[tuple] = None  # positive (lo, hi): one-sided log grid
-    box: Optional[tuple] = None          # (z_half, t_half) for ambient / MC
     chunk: int = 1 << 17
 
 
@@ -207,53 +203,19 @@ def phi_polar_nodes(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool = Fa
     return z.reshape(-1, 2), t.reshape(-1, 1), np.broadcast_to(w, shape).reshape(-1)
 
 
-def ambient_nodes(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool = False):
-    """Tensor Gauss nodes on a coordinate box, for groups of ambient dim <= 3."""
-    if group.dim > 3:
-        raise ValueError("ambient tensor grids are limited to 3 ambient dimensions")
-    if quad.box is None:
-        raise ValueError("ambient integration needs a (z_half, t_half) box")
-    z_half, t_half = quad.box
-    n = max(quad.n_sigma // (2 if coarse else 1), 8)
-    n += n % 2      # an odd Gauss count would place a node at the origin
-    axes, wts = [], []
-    for _ in range(2 * group.n):
-        x, w = _gauss_on(-z_half, z_half, n)
-        axes.append(x)
-        wts.append(w)
-    for _ in range(group.h):
-        x, w = _gauss_on(-t_half, t_half, n)
-        axes.append(x)
-        wts.append(w)
-    grids = np.meshgrid(*axes, indexing="ij")
-    wgrids = np.meshgrid(*wts, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    w = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-    return pts[:, :2 * group.n], pts[:, 2 * group.n:], w
-
-
 def _chunks(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool):
-    """(nodes, weights) of the tensor grid, chunk by chunk.
+    """(nodes, weights) of the phi chart's tensor grid, chunk by chunk.
 
-    The phi chart is cut in whole sigma slabs of at most quad.chunk nodes,
-    each carrying its chart tables; a slab larger than quad.chunk is cut
-    like the ambient grid, into plain chunks.
+    Each chunk holds whole sigma slabs, as many as fit in quad.chunk nodes
+    and at least one, and carries its chart tables.
     """
-    if quad.coordinates == "phi_polar":
-        z, t, w = phi_polar_nodes(group, quad, coarse)
-        tab = chart_tables(quad, coarse)
-        slab = z.shape[0] // tab.sigma.size
-        if slab <= quad.chunk:
-            per = quad.chunk // slab
-            for i in range(0, tab.sigma.size, per):
-                lo, hi = i * slab, min(i + per, tab.sigma.size) * slab
-                yield Nodes(z[lo:hi], t[lo:hi], tab.sigma[i:i + per], tab.lam), w[lo:hi]
-            return
-    else:
-        z, t, w = ambient_nodes(group, quad, coarse)
-    for lo in range(0, z.shape[0], quad.chunk):
-        hi = lo + quad.chunk
-        yield Nodes(z[lo:hi], t[lo:hi]), w[lo:hi]
+    z, t, w = phi_polar_nodes(group, quad, coarse)
+    tab = chart_tables(quad, coarse)
+    slab = z.shape[0] // tab.sigma.size
+    per = max(quad.chunk // slab, 1)
+    for i in range(0, tab.sigma.size, per):
+        lo, hi = i * slab, min(i + per, tab.sigma.size) * slab
+        yield Nodes(z[lo:hi], t[lo:hi], tab.sigma[i:i + per], tab.lam), w[lo:hi]
 
 
 def _rows(fs, nodes: Nodes, where: str) -> list:
@@ -303,15 +265,16 @@ def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: Quadrature
 
     if quad.method != "monte_carlo":
         raise ValueError(f"unknown quadrature method {quad.method!r}")
-    if quad.box is None:
-        raise ValueError("monte_carlo integration needs a (z_half, t_half) box")
     if quad.samples < 1:
         raise ValueError("monte_carlo integration needs at least one sample")
-    z_half, t_half = quad.box
+    lo, hi = quad.sigma_range
+    if not np.isfinite(hi):
+        raise ValueError("monte_carlo integration needs a bounded support window")
+    # the smallest box that holds the Koranyi ball of radius hi
+    z_half, t_half = hi, hi**2
     dim_z, dim_t = 2 * group.n, group.h
     vol = (2.0 * z_half) ** dim_z * (2.0 * t_half) ** dim_t
     gauge = koranyi(group).value
-    lo, hi = quad.sigma_range
     rng = np.random.default_rng(quad.seed)
     sums = sq = None
     done = 0

@@ -1,5 +1,5 @@
-"""Admissible test functions: smooth bumps, the extremal profile, and the
-logarithmic cut-off family.
+"""Admissible test functions: smooth bumps and the logarithmic cut-off
+family.
 
 Everything is built from one C-infinity step S: [0, 1] -> [0, 1], the
 normalized antiderivative of exp(-1/(x(1-x))).  Its derivative is that closed
@@ -276,29 +276,6 @@ def _slope_grad(group: StepTwoGroup, z: Array, t1: Array, zn2: Array) -> Array:
     """grad(t/|z|^2) = -2 t z / |z|^4 + Bz / (2 |z|^2), for h = 1."""
     return (-2.0 * (t1 / zn2**2)[..., None] * z
             + 0.5 * group.bz(z)[..., 0, :] / zn2[..., None])
-
-
-def extremal_power(group: StepTwoGroup, p: float) -> TestFunction:
-    """u = (|t|/|z|^2)^{(Q-2)/(2p)}, the profile attaining equality.
-
-    With lam = t/|z|^2, grad u = kappa |lam|^{kappa-1} sgn(lam) grad lam, and
-    E u = 0 since lam is homogeneous of degree zero.  The jet reads the
-    coordinates only, chart tables or not.
-    """
-    kappa = (group.Q - 2.0) / (2.0 * p)
-
-    def jet(nodes, derivs=True):
-        z = np.asarray(nodes.z, float)
-        t1 = np.asarray(nodes.t, float)[..., 0]
-        zn2 = np.sum(z * z, axis=-1)
-        val = (np.abs(t1) / zn2) ** kappa
-        if not derivs:
-            return val, None, None
-        lam = t1 / zn2
-        coef = kappa * np.abs(lam) ** (kappa - 1.0) * np.sign(lam)
-        return val, coef[..., None] * _slope_grad(group, z, t1, zn2), np.zeros(val.shape)
-
-    return _from_jet("extremal", {"exponent": kappa}, jet, support=(0.0, np.inf))
 
 
 def sharpness_function(group: StepTwoGroup, p: float, eps: float,

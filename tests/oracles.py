@@ -4,19 +4,23 @@ Each one restates an identity of the paper through the package's batched
 evaluators: the rotation and reconstruction defects of a gauge, the
 empirical equivalence constants of two gauges, the two distributional
 divergence identities of the vertical construction, the adjointness of the
-generator of dilations, and the pointwise residual of the extremal profile.
+generator of dilations, and the extremal profile with its pointwise
+residual.  A plain tensor Gauss rule on a coordinate box cross-checks the
+phi chart of the quadrature.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import reduce
+from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from carnot_hardy.groups import Array, CenterError, Nodes, Point, StepTwoGroup
 from carnot_hardy.norms import NormModel, koranyi
 from carnot_hardy.verify.quadrature import QuadratureSpec, integrate_many
-from carnot_hardy.verify.testfuncs import TestFunction, extremal_power
+from carnot_hardy.verify.testfuncs import TestFunction, _from_jet, _slope_grad
 from carnot_hardy.zfield import ZFieldSpec, _block_perp, z_field_components
 
 
@@ -71,18 +75,39 @@ def equivalence_ratio_range(norm_a: NormModel, norm_b: NormModel,
 
 
 # ---------------------------------------------------------------------------
-# the extremal residual
+# the extremal profile and its residual
 # ---------------------------------------------------------------------------
+
+def extremal_power(group: StepTwoGroup, p: float) -> TestFunction:
+    """u = (|t|/|z|^2)^{(Q-2)/(2p)}, the profile attaining equality.
+
+    With lam = t/|z|^2, grad u = kappa |lam|^{kappa-1} sgn(lam) grad lam, and
+    E u = 0 since lam is homogeneous of degree zero.  The jet reads the
+    coordinates only, chart tables or not.
+    """
+    kappa = (group.Q - 2.0) / (2.0 * p)
+
+    def jet(nodes, derivs=True):
+        z = np.asarray(nodes.z, float)
+        t1 = np.asarray(nodes.t, float)[..., 0]
+        zn2 = np.sum(z * z, axis=-1)
+        val = (np.abs(t1) / zn2) ** kappa
+        if not derivs:
+            return val, None, None
+        lam = t1 / zn2
+        coef = kappa * np.abs(lam) ** (kappa - 1.0) * np.sign(lam)
+        return val, coef[..., None] * _slope_grad(group, z, t1, zn2), np.zeros(val.shape)
+
+    return _from_jet("extremal", {"exponent": kappa}, jet, support=(0.0, np.inf))
+
 
 def extremal_residual(spec: ZFieldSpec, x: Point) -> float:
     """|<grad u, Z_d>/d^{theta-1} + ((Q - p theta)/p) u / d^theta| for the
     extremal u = (|t|/|z|^2)^{(Q-2)/(2p)}, from its closed jet.
 
-    Vanishes when the gauge is blockwise rotation-invariant; at p theta = Q
-    the second term drops and the pairing itself must vanish.
+    Vanishes since every gauge is blockwise rotation-invariant; at
+    p theta = Q the second term drops and the pairing itself must vanish.
     """
-    if not spec.norm.rotation_invariant:
-        raise ValueError("the extremal profile needs <z, B^-1 grad_z d> = 0")
     if x.on_center() or abs(float(x.t[0])) == 0.0:
         raise CenterError("evaluate the residual off the center and off {t = 0}")
     z, t = x.z[None], x.t[None]
@@ -152,3 +177,42 @@ def euler_adjoint_defect(group: StepTwoGroup, u: TestFunction, v: TestFunction,
     total = r1.value + r2.value + group.Q * r3.value
     scale = max(abs(r1.value), abs(r2.value), abs(group.Q * r3.value), 1e-300)
     return abs(total) / scale
+
+
+# ---------------------------------------------------------------------------
+# a coordinate-box rule
+# ---------------------------------------------------------------------------
+
+def box_gauss_integrals(group: StepTwoGroup, fs: Sequence, box: tuple, n: int) -> list:
+    """Integrals over the box |z_i| < z_half, |t_j| < t_half by the tensor
+    product of n-point Gauss rules, one per coordinate axis.
+
+    A cross-check of the phi chart that shares none of its nodes.  n must be
+    even, so that no node sits at the origin.  Each integrand f(nodes)
+    returns m samples or a (k, m) stack of k integrals, as for
+    ``integrate_many``; the grid is evaluated in chunks of whole slabs of
+    the first axis, of about 2^17 nodes each.
+    """
+    if n % 2:
+        raise ValueError("an odd Gauss count would place a node at the origin")
+    x, w = leggauss(n)
+    z_half, t_half = box
+    halves = [z_half] * (2 * group.n) + [t_half] * group.h
+    # the other axes once: (n^(dim-1), dim-1) points and their weights
+    rest = np.stack(np.meshgrid(*(h * x for h in halves[1:]), indexing="ij"),
+                    axis=-1).reshape(-1, len(halves) - 1)
+    w_rest = reduce(np.multiply.outer, [h * w for h in halves[1:]]).ravel()
+    per = max((1 << 17) // len(rest), 1)
+    totals = None
+    for i in range(0, n, per):
+        x0, w0 = halves[0] * x[i:i + per], halves[0] * w[i:i + per]
+        pts = np.concatenate([np.repeat(x0, len(rest))[:, None],
+                              np.tile(rest, (len(x0), 1))], axis=1)
+        wts = np.outer(w0, w_rest).ravel()
+        nodes = Nodes(pts[:, :2 * group.n], pts[:, 2 * group.n:])
+        rows = [row for f in fs for row in np.asarray(f(nodes)).reshape(-1, len(wts))]
+        if totals is None:
+            totals = np.zeros(len(rows))
+        for k, row in enumerate(rows):
+            totals[k] += float(np.sum(wts * row))
+    return totals.tolist()

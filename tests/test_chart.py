@@ -57,9 +57,11 @@ def test_chunks_are_whole_sigma_slabs_with_tables():
         assert rel_gap(n.spread(n.radii), rho) <= 1e-15
         slope = n.t[:, 0] / np.sum(n.z * n.z, axis=-1)
         assert np.max(np.abs(n.spread(n.lam) - slope) / np.abs(slope)) <= 1e-15
-    # a slab larger than a chunk is cut into plain chunks
-    plain = chunks(QuadratureSpec(sigma_range=(0.3, 1.8), n_angle=4, psi_nodes=6, chunk=100))
-    assert all(n.sigma is None and n.z.shape[0] <= 100 for n in plain)
+    # a slab larger than a chunk is a chunk of its own, with its tables
+    small = QuadratureSpec(sigma_range=(0.3, 1.8), n_angle=4, psi_nodes=6, chunk=100)
+    fine = chunks(small)[:small.n_sigma]
+    assert all(n.sigma.size == 1 and n.z.shape[0] == slab > small.chunk for n in fine)
+    assert [n.sigma[0] for n in fine] == list(chart_tables(small).sigma)
 
 
 @pytest.mark.parametrize("chart", list(QUADS))

@@ -7,12 +7,13 @@ from carnot_hardy import (Point, ZFieldSpec, cc, euler_apply, heisenberg,
 from carnot_hardy.groups import hgrad_batch
 from carnot_hardy.verify import (BumpProfile, IntegralResult, Nodes, QuadratureSpec,
                                  check_ibp_identity,
-                                 check_w_identity, counterexample_scan, extremal_power,
+                                 check_w_identity, counterexample_scan,
                                  fit_log_excess, g_cutoff_jet,
                                  hardy_quotient, integrate_many,
                                  product_check, radial_bump, random_bump,
                                  sharpness_sequence, smoothstep_jet)
-from oracles import euler_adjoint_defect, extremal_residual, weak_divergence_defect
+from oracles import (box_gauss_integrals, euler_adjoint_defect, extremal_power,
+                     extremal_residual, weak_divergence_defect)
 
 H1 = heisenberg(1)
 
@@ -207,8 +208,7 @@ def test_stacked_integrand_matches_separate_callables():
         return np.stack([f(nodes) for f in fs])
 
     quads = (QuadratureSpec(sigma_range=(0.25, 2.0), n_angle=4, psi_nodes=6, chunk=7001),
-             QuadratureSpec(method="monte_carlo", samples=50_001, chunk=7001, seed=3,
-                            box=(2.0, 4.0)))
+             QuadratureSpec(method="monte_carlo", samples=50_001, chunk=7001, seed=3))
     for quad in quads:
         separate = integrate_many(H1, fs, quad)
         assert integrate_many(H1, [stacked], quad) == separate
@@ -276,23 +276,24 @@ def test_integrate_zero_and_mass_oracle():
 
 def test_chart_equivalence_ambient_vs_phi_polar():
     # ten integrands sharing the same support: bumps times gauge powers and
-    # vertical modulations
+    # vertical modulations, stacked so that each bump and the gauge are
+    # evaluated once per chunk
     rho = koranyi(H1)
     bumps = [radial_bump(H1, BumpProfile(), modulation=a, modulation2=b)
              for a, b in ((0.0, 0.0), (0.3, 0.0), (-0.4, 0.25))]
-    fs = []
-    for u in bumps:
-        for power in (0.0, 1.0, 2.0):
-            def f(n, u=u, power=power):
-                return u.value(n.z, n.t) ** 2 / rho.value(n.z, n.t) ** power
-            fs.append(f)
-    fs.append(lambda n: bumps[0].value(n.z, n.t) * np.asarray(n.t)[..., 0] ** 2)
-    assert len(fs) == 10
-    chart = integrate_many(H1, fs, QuadratureSpec(sigma_range=(0.25, 2.0)))
-    box = integrate_many(H1, fs, QuadratureSpec(coordinates="ambient", n_sigma=140,
-                                                box=(2.0, 4.0)))
+
+    def integrands(n):
+        d = rho.value(n.z, n.t)
+        vals = [u.value(n.z, n.t) for u in bumps]
+        rows = [v**2 / d**power for v in vals for power in (0.0, 1.0, 2.0)]
+        return np.stack(rows + [vals[0] * np.asarray(n.t)[..., 0] ** 2])
+
+    chart = integrate_many(H1, [integrands], QuadratureSpec(sigma_range=(0.25, 2.0)))
+    # 140 Gauss nodes per axis of the box that holds the gauge ball of radius 2
+    box = box_gauss_integrals(H1, [integrands], (2.0, 4.0), 140)
+    assert len(chart) == len(box) == 10
     for rc, rb in zip(chart, box):
-        assert abs(rc.value - rb.value) / abs(rc.value) < 1e-3
+        assert abs(rc.value - rb) / abs(rc.value) < 1e-3
 
 
 def test_dilation_scaling_of_integral():
@@ -313,19 +314,21 @@ def test_dilation_scaling_of_integral():
     assert scaled.value == pytest.approx(base.value / gam**4, rel=1e-3)
 
 
-def test_monte_carlo_deterministic_and_consistent():
-    prof = BumpProfile()
+@pytest.mark.parametrize("prof", [BumpProfile(), BumpProfile(0.5, 0.75, 1.25, 1.5)],
+                         ids=["bump (0.25, 2)", "bump (0.5, 1.5)"])
+def test_monte_carlo_deterministic_and_consistent(prof):
+    # the Monte Carlo box is the one that holds the window's outer ball
     u = radial_bump(H1, prof)
 
     def f(nodes):
         return u.value(nodes.z, nodes.t)
 
     quad = QuadratureSpec(method="monte_carlo", samples=200_000, seed=7,
-                          box=(2.0, 4.0))
+                          sigma_range=u.support)
     (a,) = integrate_many(H1, [f], quad)
     (b,) = integrate_many(H1, [f], quad)
     assert a.value == b.value          # bit-identical for a fixed seed
-    (grid,) = integrate_many(H1, [f], QuadratureSpec(sigma_range=(0.25, 2.0)))
+    (grid,) = integrate_many(H1, [f], QuadratureSpec(sigma_range=u.support))
     assert abs(a.value - grid.value) < 5 * a.error + 1e-3 * abs(grid.value)
 
 
@@ -335,11 +338,19 @@ def test_integrate_flags_nonfinite():
         integrate_many(H1, [lambda n: np.full(n.z.shape[0], np.nan)], quad)
 
 
+def test_monte_carlo_needs_a_bounded_window():
+    # the box is derived from the window's outer radius
+    quad = QuadratureSpec(method="monte_carlo", samples=10, sigma_range=(0.0, np.inf))
+    with pytest.raises(ValueError, match="bounded"):
+        integrate_many(H1, [lambda n: np.zeros(n.z.shape[0])], quad)
+
+
 def _full_box(group, fs, quad):
     """The Monte Carlo estimate with every integrand evaluated on every sample
     of the box: the draws, sums and error formula of ``integrate_many``
     without its support window."""
-    z_half, t_half = quad.box
+    hi = quad.sigma_range[1]
+    z_half, t_half = hi, hi**2
     vol = (2.0 * z_half) ** (2 * group.n) * (2.0 * t_half) ** group.h
     rng = np.random.default_rng(quad.seed)
     sums = sq = None
@@ -389,7 +400,7 @@ def test_monte_carlo_evaluates_only_inside_the_window(group):
 
     lo, hi = 0.5, 1.5
     quad = QuadratureSpec(method="monte_carlo", samples=20_000, chunk=7001, seed=5,
-                          sigma_range=(lo, hi), box=(2.0, 4.0))
+                          sigma_range=(lo, hi))
     integrate_many(group, [recorded], quad)
     rho = np.concatenate(seen)
     assert len(seen) == 3 and 0 < rho.size < quad.samples
@@ -403,7 +414,7 @@ def test_monte_carlo_window_keeps_the_full_box_bits(group):
     u, plain, stacked = _bump_integrands(group)
     fs = [plain, stacked]
     quad = QuadratureSpec(method="monte_carlo", samples=50_001, chunk=7001, seed=3,
-                          sigma_range=u.support, box=(2.0, 4.0))
+                          sigma_range=u.support)
     got = integrate_many(group, fs, quad)
     assert got == _full_box(group, fs, quad)
     assert all(r.value != 0.0 for r in got)
@@ -423,7 +434,7 @@ def test_monte_carlo_chunks_outside_the_window(group, samples, chunk, seed):
         return stacked(nodes)
 
     quad = QuadratureSpec(method="monte_carlo", samples=samples, chunk=chunk, seed=seed,
-                          sigma_range=u.support, box=(2.0, 4.0))
+                          sigma_range=u.support)
     for fs in ([plain], [recorded], [plain, recorded]):
         want = _full_box(group, fs, quad)
         sizes.clear()
