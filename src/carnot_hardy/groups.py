@@ -230,6 +230,20 @@ def frame(z: Array, P: Array, R: Array) -> Array:
     return g
 
 
+def pairing(a: Array, b: Array) -> Array:
+    """sum_i a_i b_i over the last axis, as slot products added from the left.
+
+    Below 8 slots this is np.sum(a * b, axis=-1) bit for bit, up to the sign
+    of a zero sum (NumPy adds so few terms in order, starting from +0.0),
+    without the cost of a reduction over a short axis; a square sum
+    pairing(a, a) has no negative zero, so it matches without exception.
+    """
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
 class Nodes(NamedTuple):
     """A batch of points as gauge and test-function jets read it: one chunk
     of quadrature nodes, or any (z, t) batch.
@@ -241,12 +255,18 @@ class Nodes(NamedTuple):
     and t/|z|^2 its lam.  A function of (sigma, lam) is then evaluated on the
     (k, n_lam) tables and spread onto the nodes.  Monte Carlo chunks and
     plain (z, t) batches carry no tables (``sigma`` and ``lam`` are None).
+
+    ``rho`` (m,) is the Koranyi gauge of each node, when the caller already
+    has it: a Monte Carlo chunk carries the gauge its support window was
+    selected by, and the Koranyi jets read it instead of forming it again.
+    Chart chunks and plain batches leave it None.
     """
 
     z: Array
     t: Array
     sigma: Optional[Array] = None
     lam: Optional[Array] = None
+    rho: Optional[Array] = None
 
     @property
     def radii(self) -> Array:

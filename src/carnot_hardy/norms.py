@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import Array, CenterError, Point, StepTwoGroup, frame
+from .groups import Array, CenterError, Point, StepTwoGroup, frame, pairing
 
 TWO_PI = 2.0 * np.pi
 
@@ -219,7 +219,9 @@ class NormModel:
     ``jet(nodes, derivs=True) -> (value, hgrad)`` evaluates both from one
     pass over a node record (flat ``z``, ``t`` and, on phi-chart chunks of
     H^1, the radius table ``sigma`` and the slope table ``lam``; see
-    ``groups.Nodes``); ``hgrad`` is None when derivs is False.
+    ``groups.Nodes``); ``hgrad`` is None when derivs is False.  The Koranyi
+    jet takes the gauge from ``rho`` when the record carries it; the other
+    gauges ignore it.
 
     Every gauge here is invariant under the rotations of z in each
     horizontal 2-plane, so <z, B^{-1} grad_z d> = 0, the hypothesis under
@@ -289,16 +291,21 @@ def koranyi(group: StepTwoGroup) -> NormModel:
     """
     L = group.couplings  # (h, n)
 
-    def value(z, t):
-        zn2 = np.sum(np.asarray(z, float)**2, axis=-1)
-        tn2 = np.sum(np.asarray(t, float)**2, axis=-1)
-        return (zn2**2 + tn2) ** 0.25
+    def gauge(zn2, t):
+        return (zn2**2 + pairing(t, t)) ** 0.25
 
-    def value_hgrad(z, t):
+    def value(z, t):
+        z = np.asarray(z, float)
+        return gauge(pairing(z, z), np.asarray(t, float))
+
+    def value_hgrad(z, t, rho=None):
+        """rho and its frame gradient; a known rho (the gauge of these very
+        points, as ``value`` gives it) is taken as it is."""
         z = np.asarray(z, float)
         t = np.asarray(t, float)
-        rho = value(z, t)
-        zn2 = np.sum(z * z, axis=-1)
+        zn2 = pairing(z, z)
+        if rho is None:
+            rho = gauge(zn2, t)
         lt4 = (t @ L) / 4.0                      # (..., n): sum_j lam^(j)_i t_j / 4
         g = frame(z, zn2[..., None], lt4)
         g /= (rho ** 3)[..., None]
@@ -308,14 +315,14 @@ def koranyi(group: StepTwoGroup) -> NormModel:
         t = np.asarray(t, float)
         return t / (2.0 * value(z, t)[..., None] ** 3)
 
-    plain = _plain_jet(value, value_hgrad)
-
     # on the phi chart (H^1) rho = sigma, |z|^2 = sigma^2 c and t = lam sigma^2 c
     # with c = (1 + lam^2)^{-1/2}, so with k = L/4 the frame gradient is
     # (c/sigma) (z_1 + k lam z_2, z_2 - k lam z_1)
     def jet(nodes, derivs=True):
         if nodes.sigma is None:
-            return plain(nodes, derivs)
+            if derivs:
+                return value_hgrad(nodes.z, nodes.t, nodes.rho)
+            return (value(nodes.z, nodes.t) if nodes.rho is None else nodes.rho), None
         rho = nodes.spread(nodes.radii)
         if not derivs:
             return rho, None

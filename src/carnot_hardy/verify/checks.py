@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..groups import Array, heisenberg, heisenberg_product, nonisotropic
+from ..groups import Array, heisenberg, heisenberg_product, nonisotropic, pairing
 from ..norms import balogh_tyson, koranyi
 from ..zfield import ZFieldSpec, scan_unit_sphere, z_field_components
 from .quadrature import QuadratureSpec, integrate_many
@@ -108,19 +108,6 @@ def _sgn_pow(x: Array, p: float) -> Array:
     return np.abs(x) ** (p - 2.0) * x
 
 
-def _pairing(a: Array, b: Array) -> Array:
-    """sum_i a_i b_i over the frame axis, as slot products added from the left.
-
-    Below 8 slots this is np.sum(a * b, axis=-1) bit for bit, up to the sign
-    of a zero sum (NumPy adds so few terms in order, starting from +0.0),
-    without the cost of a reduction over a short axis.
-    """
-    out = a[..., 0] * b[..., 0]
-    for i in range(1, a.shape[-1]):
-        out += a[..., i] * b[..., i]
-    return out
-
-
 def _quad_for(u: TestFunction, quad: Optional[QuadratureSpec]) -> QuadratureSpec:
     if quad is not None:
         return quad
@@ -188,7 +175,7 @@ def _ibp_integrands(spec: ZFieldSpec, u: TestFunction):
         v, gu, eu = u.jet(nodes)
         d, g = norm.jet(nodes)        # the spec's gauge, not the bump's own rho
         sv = _sgn_pow(v, p)
-        pair = _pairing(gu, z_field_components(spec, nodes.z, nodes.t, d, g))
+        pair = pairing(gu, z_field_components(spec, nodes.z, nodes.t, d, g))
         d_pt = d**pt
         return np.stack([sv * pair / d ** (pt - 1.0), sv * eu / d_pt,
                          np.abs(v) ** p / d_pt])
@@ -223,9 +210,9 @@ def _quotient_integrands(spec: ZFieldSpec, u: TestFunction, projected: bool):
         d, g = norm.jet(nodes, derivs=projected)
         if projected:
             zc = z_field_components(spec, nodes.z, nodes.t, d, g)
-            top = np.abs(_pairing(gu, zc)) ** p
+            top = np.abs(pairing(gu, zc)) ** p
         else:
-            top = _pairing(gu, gu) ** (p / 2.0)
+            top = pairing(gu, gu) ** (p / 2.0)
         return np.stack([top / d ** (p * (theta - 1.0)), np.abs(v) ** p / d ** (p * theta)])
 
     return integrands

@@ -22,7 +22,11 @@ the outer end of the support window ``sigma_range``.  Integrands are
 evaluated only on the samples whose Koranyi gauge lies inside the window;
 the others enter the sums as exact zeros, so each sum sees the vector that a
 full-box evaluation of an integrand vanishing outside the window gives, bit
-for bit.
+for bit.  The chunk handed to the integrands carries the gauge the window
+was selected by (``Nodes.rho``), so that the Koranyi jets do not form it
+again; it is the value their own evaluator gives, so no bit moves.
+
+Both methods take a window 0 <= lo < hi and reject any other.
 """
 
 from __future__ import annotations
@@ -257,6 +261,10 @@ def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: Quadrature
     integrals), so that integrals sharing a gauge or test-function evaluation
     compute it once per chunk.
     """
+    lo, hi = quad.sigma_range
+    if not 0 <= lo < hi:
+        raise ValueError(f"the support window sigma_range must satisfy 0 <= lo < hi, "
+                         f"not {quad.sigma_range!r}")
     if quad.method == "tensor_grid":
         totals, n = _accumulate(fs, group, quad, coarse=False)
         coarse, _ = _accumulate(fs, group, quad, coarse=True)
@@ -267,7 +275,6 @@ def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: Quadrature
         raise ValueError(f"unknown quadrature method {quad.method!r}")
     if quad.samples < 1:
         raise ValueError("monte_carlo integration needs at least one sample")
-    lo, hi = quad.sigma_range
     if not np.isfinite(hi):
         raise ValueError("monte_carlo integration needs a bounded support window")
     # the smallest box that holds the Koranyi ball of radius hi
@@ -283,14 +290,18 @@ def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: Quadrature
         z = rng.uniform(-z_half, z_half, size=(m, dim_z))
         t = rng.uniform(-t_half, t_half, size=(m, dim_t))
         rho = gauge(z, t)
-        keep = (rho > lo) & (rho < hi)
-        rows = _rows(fs, Nodes(z[keep], t[keep]), "in the Monte Carlo box")
+        idx = np.flatnonzero((rho > lo) & (rho < hi))
+        # read-only: the jets hand it on, and one integrand must not alter
+        # what the next one reads
+        rho_in = rho[idx]
+        rho_in.flags.writeable = False
+        rows = _rows(fs, Nodes(z[idx], t[idx], rho=rho_in), "in the Monte Carlo box")
         if sums is None:
             sums, sq = np.zeros(len(rows)), np.zeros(len(rows))
         full = np.zeros(m)
         for k, row in enumerate(rows):
             # the samples outside the window are the zeros of the full chunk
-            full[keep] = row
+            full[idx] = row
             sums[k] += float(full.sum())
             sq[k] += float(full @ full)
         done += m

@@ -20,7 +20,8 @@ computes the gauge, its gradient and the radial profile once per batch of
 points; their ``value``, ``hgrad`` and ``euler`` are views of that jet.  On
 a phi-chart chunk the jet evaluates the radial profile on the chunk's
 distinct radii and the vertical factor on its slope table, and spreads them
-onto the nodes.
+onto the nodes.  Elsewhere a bump takes the gauge and its gradient from one
+call of the Koranyi jet, which reads the gauge a Monte Carlo chunk carries.
 """
 
 from __future__ import annotations
@@ -232,9 +233,11 @@ def radial_bump(group: StepTwoGroup, profile: BumpProfile = BumpProfile(),
         if nodes.sigma is not None:
             return chart_jet(nodes, derivs)
         z, t = np.asarray(nodes.z, float), nodes.t
-        d = rho.value(z, t)
-        inside = (d > profile.r2) & (d < profile.R2)
         with np.errstate(invalid="ignore", divide="ignore"):
+            # the gauge and its gradient from one pass (the gradient divides
+            # 0 by 0 at the origin, which the support mask drops)
+            d, gr = rho.jet(nodes, derivs)
+            inside = (d > profile.r2) & (d < profile.R2)
             eta, deta = profile.jet(d)
             val = eta
             if modulated:
@@ -245,7 +248,6 @@ def radial_bump(group: StepTwoGroup, profile: BumpProfile = BumpProfile(),
             val = np.where(inside, val, 0.0)
             if not derivs:
                 return val, None, None
-            gr = rho.hgrad(z, t)
             grad = deta[..., None] * gr
             eul = deta * d
             if modulated:

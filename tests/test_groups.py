@@ -6,7 +6,7 @@ from carnot_hardy import (Point, dilate, euler_apply, group_inverse,
                           horizontal_divergence, horizontal_gradient, koranyi,
                           nonisotropic)
 from carnot_hardy.groups import (StepTwoGroup, commutator_vertical, default_step,
-                                 hgrad_batch)
+                                 hgrad_batch, pairing)
 
 
 def test_group_invariants():
@@ -258,3 +258,29 @@ def test_dilation_scaling_of_gradient():
 def test_default_step_scales():
     assert default_step(Point([1.0, 0.0], 0.0)) == pytest.approx(1e-5)
     assert default_step(Point([100.0, 0.0], 0.0)) == pytest.approx(1e-3)
+
+
+@pytest.mark.parametrize("slots", [2, 4, 6])
+def test_pairing_is_the_frame_sum_bit_for_bit(slots):
+    # H^1 and H^2 frames, (H^1)^2 and (H^1)^3 products: numpy sums fewer than
+    # 8 terms from the left, as the slot products do
+    rng = np.random.default_rng(62)
+    a = rng.normal(size=(4096, slots)) * 10.0 ** rng.uniform(-8, 8, size=(4096, slots))
+    b = rng.normal(size=(4096, slots))
+    assert np.array_equal(pairing(a, b), np.sum(a * b, axis=-1))
+    assert np.array_equal(pairing(a, a), np.sum(a * a, axis=-1))
+
+
+@pytest.mark.parametrize("slots", range(1, 8))
+def test_square_pairing_is_the_slot_sum_bit_for_bit(slots):
+    # |z|^2 and |t|^2 of the Koranyi gauge: every width below 8, with signed
+    # zeros, tiny and huge entries; a sum of squares has no negative zero, so
+    # the bits agree with no exception, sign included
+    rng = np.random.default_rng(63)
+    x = rng.normal(size=(4096, slots)) * 10.0 ** rng.uniform(-170, 150, size=(4096, slots))
+    x[:64] = 0.0
+    x[:32] *= -1.0
+    x[64:96, 0] = -0.0
+    got, want = pairing(x, x), np.sum(x * x, axis=-1)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(pairing(x, x), np.sum(x**2, axis=-1))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -117,9 +119,9 @@ def test_smoothstep_stays_in_the_unit_interval():
         assert np.all((s >= 0.0) & (s <= 1.0))
 
 
-def _jet_points(rng, n=4000):
-    z = rng.normal(scale=1.2, size=(n, 2))
-    t = rng.normal(scale=1.5, size=(n, 1))
+def _jet_points(rng, n=4000, group=H1):
+    z = rng.normal(scale=1.2, size=(n, 2 * group.n))
+    t = rng.normal(scale=1.5, size=(n, group.h))
     z[:3] = 0.0                  # the center and the origin
     t[:2] = 0.0
     return z, t
@@ -194,6 +196,56 @@ def test_sharpness_jet_matches_separate_formulas():
     for got, want, field in zip(jet, ref, (u.value, u.hgrad, u.euler)):
         assert _same_bits(got, want)
         assert _same_bits(field(z, t), want)
+
+
+@pytest.mark.parametrize("group", [H1, heisenberg_product(1, 2)], ids=["H1", "H1xH1"])
+def test_koranyi_jets_read_the_carried_gauge_to_the_bit(group):
+    # a record carrying its Koranyi gauge, as a Monte Carlo chunk carries it
+    # (from the gauge's own evaluator), against the plain record; the batch
+    # holds the origin, the center, and points well inside and well outside
+    # the default bump's support (0.25, 2)
+    model = koranyi(group)
+    z, t = _jet_points(np.random.default_rng(73), 3000, group)
+    rho = model.value(z, t)
+    rho.flags.writeable = False
+    plain, carried = Nodes(z, t), Nodes(z, t, rho=rho)
+    assert np.any(rho == 0.0) and np.any(rho > 2.0) and np.any((rho > 0.25) & (rho < 2.0))
+    # the gauge's gradient is 0/0 at the origin either way
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for got, want in zip(model.jet(carried), model.jet(plain)):
+            assert _same_bits(got, want)
+    assert model.jet(carried, derivs=False)[0] is rho
+    assert _same_bits(model.jet(plain, derivs=False)[0], rho)
+
+    bumps = [radial_bump(group)]
+    if group.h == 1:
+        bumps += [radial_bump(group, modulation=0.3), radial_bump(group, modulation=-0.4,
+                                                                  modulation2=0.25)]
+    for u in bumps:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for derivs in (True, False):
+                got, want = u.jet(carried, derivs), u.jet(plain, derivs)
+                for a, b in zip(got, want):
+                    assert (a is None and b is None) or _same_bits(a, b)
+                assert np.count_nonzero(got[0]) > 100
+
+
+def test_other_gauge_jets_ignore_a_carried_gauge():
+    # a record carrying a gauge that is not theirs: cc, koranyi_b and
+    # Balogh-Tyson read (z, t) alone, so the bits do not move
+    from carnot_hardy import balogh_tyson, koranyi_b
+    rng = np.random.default_rng(74)
+    for model in (cc(H1), koranyi_b(nonisotropic([1.0, 2.0])),
+                  balogh_tyson(nonisotropic([0.5, 1.0]))):
+        g = model.group
+        z = rng.normal(size=(500, 2 * g.n))
+        t = rng.normal(size=(500, g.h))
+        plain, carried = Nodes(z, t), Nodes(z, t, rho=np.full(500, np.nan))
+        for derivs in (True, False):
+            for got, want in zip(model.jet(carried, derivs), model.jet(plain, derivs)):
+                assert (got is None and want is None) or _same_bits(got, want)
+                assert got is None or np.all(np.isfinite(got))
 
 
 def test_stacked_integrand_matches_separate_callables():
@@ -345,6 +397,17 @@ def test_monte_carlo_needs_a_bounded_window():
         integrate_many(H1, [lambda n: np.zeros(n.z.shape[0])], quad)
 
 
+@pytest.mark.parametrize("method", ["tensor_grid", "monte_carlo"])
+@pytest.mark.parametrize("window", [(2.0, 0.5), (-1.0, 1.0), (1.0, 1.0), (np.nan, 1.0)],
+                         ids=["reversed", "negative", "empty", "nan"])
+def test_integrate_rejects_a_window_it_cannot_integrate(method, window):
+    # the constant 1 read -78.6 on the grid and 0.0 by Monte Carlo over the
+    # reversed window, and 0.0 and 4.94 over (-1, 1), with the default spec
+    quad = QuadratureSpec(method=method, samples=1000, sigma_range=window)
+    with pytest.raises(ValueError, match="0 <= lo < hi"):
+        integrate_many(H1, [lambda n: np.ones(n.z.shape[0])], quad)
+
+
 def _full_box(group, fs, quad):
     """The Monte Carlo estimate with every integrand evaluated on every sample
     of the box: the draws, sums and error formula of ``integrate_many``
@@ -396,6 +459,8 @@ def test_monte_carlo_evaluates_only_inside_the_window(group):
 
     def recorded(nodes):
         seen.append(koranyi(group).value(nodes.z, nodes.t))
+        # the chunk carries the gauge its window was selected by, bit for bit
+        assert _same_bits(nodes.rho, seen[-1])
         return plain(nodes)
 
     lo, hi = 0.5, 1.5
@@ -746,18 +811,6 @@ def test_scan_argmax_lies_on_the_unit_sphere(monkeypatch):
 
     res = multistart_sup(ZFieldSpec(bt.group, bt, 2.0, 1.0), m=10)
     assert on_sphere(bt, *res.arg)
-
-
-@pytest.mark.parametrize("slots", [2, 4, 6])
-def test_pairing_is_the_frame_sum_bit_for_bit(slots):
-    # H^1 and H^2 frames, (H^1)^2 and (H^1)^3 products: numpy sums fewer than
-    # 8 terms from the left, as the slot products do
-    from carnot_hardy.verify.checks import _pairing
-    rng = np.random.default_rng(62)
-    a = rng.normal(size=(4096, slots)) * 10.0 ** rng.uniform(-8, 8, size=(4096, slots))
-    b = rng.normal(size=(4096, slots))
-    assert np.array_equal(_pairing(a, b), np.sum(a * b, axis=-1))
-    assert np.array_equal(_pairing(a, a), np.sum(a * a, axis=-1))
 
 
 def test_vertical_excess_stack_matches_separate_fields():
