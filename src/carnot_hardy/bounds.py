@@ -1,9 +1,11 @@
-"""Closed-form lower bounds for the Hardy constant c(d, p, theta).
+"""Lower bounds for the Hardy constant c(d, p, theta) and the rows that
+report them.
 
 Every bound has the generic shape |(Q - p theta)/p|^p / sup|Z_d|^p; the
 functions below also evaluate the explicit two-branch formulas obtained by
 maximizing the profile of |Z_d| for the Koranyi gauge, the cc distance, the
-generalized Koranyi gauge and products of Heisenberg groups.
+generalized Koranyi gauge and products of Heisenberg groups.  ``bound_row``
+is the one place that picks among them for a Z-field.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import StepTwoGroup
+from .zfield import ZFieldSpec, product_hypothesis, sup_z_norm
 
 # first-branch window for the Koranyi bound: p theta in [(1-sqrt(3/2))Q, (1+sqrt(3/2))Q]
 WINDOW_LO = 1.0 - np.sqrt(1.5)
@@ -135,18 +138,46 @@ def bound_product(n: int, N: int, p: float, theta: float) -> float:
     Requires theta >= 0 and n >= (p theta - 4)/4, the regime where |Z_rho|
     peaks on {t = 0}; the condition is void whenever 0 <= p theta <= 4.
     """
-    if theta < 0:
-        raise ValueError("the product bound needs theta >= 0")
     if n < 1 or N < 1:
         raise ValueError("n and N must be >= 1")
-    if n < (p * theta - 4.0) / 4.0:
-        raise ValueError("hypothesis n >= (p theta - 4)/4 violated; no bound emitted")
+    if not all(product_hypothesis(n, p, theta).values()):
+        raise ValueError("hypothesis theta >= 0, n >= (p theta - 4)/4 violated; "
+                         "no bound emitted")
     Q = 2.0 * N * (n + 1)
     return (n / (n + 1.0)) ** p * hardy_target(Q, p, theta)
 
 
-def product_conditions(n: int, N: int, p: float, theta: float) -> dict:
-    return {
-        "theta_nonnegative": theta >= 0,
-        "n_ge_(ptheta-4)/4": n >= (p * theta - 4.0) / 4.0,
-    }
+def bound_row(spec: ZFieldSpec) -> BoundReport:
+    """The bounds row of a Z-field: ``bound_cc`` (which picks closed or
+    numeric itself) for the cc distance, else a closed formula exactly where
+    ``sup_z_norm`` finds a closed sup, no bound for a Koranyi product without
+    one, and the generic bound on the sampled sup otherwise.  Each condition
+    check is the boolean that chose the branch.  OverflowError when the sup
+    or the bound leaves double precision."""
+    group, kind, p, theta = spec.group, spec.norm.kind, spec.p, spec.theta
+    Q = float(group.Q)
+    sup = sup_z_norm(spec)
+    if not np.isfinite(sup.sup_value):
+        raise OverflowError("sup|Z| is not finite in double precision")
+    closed = sup.method == "closed_form"
+    if kind == "cc":
+        value, branch = bound_cc(Q, p, theta, g_sup=sup.sup_sq)
+        checks = {"closed_branch": branch == "closed"}
+    elif spec.variant == "product" and kind == "koranyi":
+        checks = product_hypothesis(spec.factor_blocks(), p, theta)
+        value, branch = ((bound_product(spec.factor_blocks(), group.h, p, theta), "product")
+                         if closed else (None, "condition_failed"))
+    elif closed:
+        value, branch = (bound_koranyi_B(group, p, theta) if kind == "koranyi_b"
+                         else bound_koranyi(Q, p, theta))
+        checks = {"ptheta_in_window": branch == "first"}
+    else:
+        value, branch = bound_generic(sup.sup_value, Q, p, theta), "generic"
+        checks = {}
+    if value is not None and not np.isfinite(value):
+        raise OverflowError("the bound is not finite in double precision")
+    return BoundReport(group.describe(), kind, p, theta, Q,
+                       None if value is None else float(value), branch,
+                       sup_value=sup.sup_value, sup_method=sup.method,
+                       condition_checks=checks,
+                       upper_remark=(Q - 2.0)**2 / 4.0 if (p, theta) == (2.0, 1.0) else None)

@@ -23,13 +23,11 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .bounds import (BoundReport, bound_cc, bound_generic, bound_koranyi,
-                     bound_koranyi_B, bound_product, hardy_target, koranyi_window,
-                     CC_COEFF, product_conditions)
+from .bounds import bound_row, hardy_target
 from .groups import Point, heisenberg, heisenberg_product, nonisotropic
 from .norms import cc_invert, make_norm
 from .zfield import (ScanRangeError, ZFieldSpec, cc_profile_max, g_cc,
-                     koranyi_profile_max, sup_z_norm, z_profile_koranyi)
+                     koranyi_profile_max, z_profile_koranyi)
 from .verify import (QuadratureSpec, Report, check_ibp_identity, counterexample_scan,
                      hardy_quotient, product_check, radial_bump, random_bump,
                      sharpness_function, sharpness_sequence, fit_log_excess)
@@ -216,6 +214,11 @@ def _emit(payload, args, rows=None):
         for flat in flat_rows:
             writer.writerow(flat)
         text = buf.getvalue()
+    _write(text, args)
+
+
+def _write(text, args):
+    """Write text to the --out file, or to stdout without one."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -245,42 +248,6 @@ def _meta(args, command):
             "config": cfg}
 
 
-def _bound_row(args, group, kind, p, theta, context):
-    """(sup, bound value, branch, condition checks) of one bounds row; the
-    value is None where the hypothesis of the product bound fails."""
-    Q = float(group.Q)
-    checks = {}
-    if args.group == "product":
-        checks = product_conditions(args.n, args.N, p, theta)
-        spec = _make_spec(group, make_norm(kind, group), p, theta, variant="product")
-        sup = sup_z_norm(spec)
-        _check_finite(context, sup.sup_value)
-        try:
-            value = bound_product(args.n, args.N, p, theta)
-        except ValueError:
-            return sup, None, "condition_failed", checks
-        _check_finite(context, value)
-        return sup, value, "product", checks
-    spec = _make_spec(group, _make_norm(kind, group, args), p, theta)
-    sup = sup_z_norm(spec)
-    _check_finite(context, sup.sup_value)
-    if kind == "koranyi":
-        value, branch = bound_koranyi(Q, p, theta)
-        lo, hi = koranyi_window(Q)
-        checks = {"ptheta_in_window": lo <= p * theta <= hi}
-    elif kind == "cc":
-        checks = {"closed_branch": theta >= 0 and Q >= CC_COEFF * p * theta}
-        value, branch = bound_cc(Q, p, theta, g_sup=sup.sup_sq)
-    elif kind == "koranyi_b":
-        value, branch = bound_koranyi_B(group, p, theta)
-        lo, hi = koranyi_window(Q)
-        checks = {"ptheta_in_window": lo <= p * theta <= hi}
-    else:  # no closed formula: generic bound from the sampled sup
-        value, branch = bound_generic(sup.sup_value, Q, p, theta), "generic"
-    _check_finite(context, value)
-    return sup, value, branch, checks
-
-
 def cmd_bounds(args) -> int:
     if args.n > MAX_BOUNDS_N:
         raise UsageError(f"--n {args.n}: bounds tabulates at most {MAX_BOUNDS_N} blocks")
@@ -295,24 +262,17 @@ def cmd_bounds(args) -> int:
         norms = [args.norm]
     else:
         norms = ["koranyi", "cc"] if group.is_isotropic_heisenberg() else ["koranyi_b"]
+    variant = "product" if args.group == "product" else "single"
     rows = []
     for theta in _theta_grid(args, Q):
         for kind in norms:
-            p = args.p
-            context = f"--p {p:g} --theta {theta:g} --norm {kind}"
+            context = f"--p {args.p:g} --theta {theta:g} --norm {kind}"
+            spec = _make_spec(group, _make_norm(kind, group, args), args.p, theta, variant)
             try:
                 with _scan_limits(f"--group {args.group} {context}"):
-                    sup, value, branch, checks = _bound_row(args, group, kind, p, theta,
-                                                            context)
+                    rows.append(bound_row(spec).to_dict())
             except OverflowError:
                 raise _not_finite(context) from None
-            report = BoundReport(group.describe(), kind, p, theta, Q,
-                                 None if value is None else float(value), branch,
-                                 sup_value=sup.sup_value, sup_method=sup.method,
-                                 condition_checks=checks,
-                                 upper_remark=((Q - 2.0)**2 / 4.0
-                                               if (p, theta) == (2.0, 1.0) else None))
-            rows.append(report.to_dict())
     _emit({"meta": _meta(args, "bounds"), "results": rows}, args)
     return 0
 
@@ -349,12 +309,7 @@ def cmd_supz(args) -> int:
         lines = [f"# sup_sq={sup_sq!r} arg={arg!r} method={method}",
                  f"{xname},z_sq"]
         lines += [f"{x!r},{y!r}" for x, y in zip(xs, ys)]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args)
     else:
         payload = {"meta": _meta(args, "supz"),
                    "results": [{"x_name": xname, "x": xs.tolist(), "z_sq": ys.tolist(),

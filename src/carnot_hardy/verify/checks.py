@@ -15,7 +15,7 @@ import numpy as np
 
 from ..groups import Array, heisenberg, heisenberg_product, nonisotropic, pairing
 from ..norms import balogh_tyson, koranyi
-from ..zfield import ZFieldSpec, scan_unit_sphere, z_field_components
+from ..zfield import ZFieldSpec, product_hypothesis, scan_unit_sphere, z_field_components
 from .quadrature import QuadratureSpec, integrate_many
 from .testfuncs import BumpProfile, TestFunction, radial_bump, sharpness_function
 
@@ -192,12 +192,18 @@ def hardy_quotient(spec: ZFieldSpec, u: TestFunction,
                    projected: bool = True) -> float:
     """(int |<grad u, Z_d>|^p / d^{p(theta-1)}) / (int |u|^p / d^{p theta}),
     or with the full |grad u| in the numerator when projected is False."""
-    quad = _quad_for(u, quad)
+    num, den = _quotient_parts(spec, u, _quad_for(u, quad), projected)
+    return num / den
+
+
+def _quotient_parts(spec: ZFieldSpec, u: TestFunction, quad: QuadratureSpec,
+                    projected: bool = True):
+    """(numerator, denominator) of the Hardy quotient; ValueError if the latter vanishes."""
     rnum, rden = integrate_many(spec.group, [_quotient_integrands(spec, u, projected)],
                                 _circle_rule(u, quad))
     if rden.value <= 0.0:
         raise ValueError("vanishing denominator: test function is zero on the grid")
-    return rnum.value / rden.value
+    return rnum.value, rden.value
 
 
 def _quotient_integrands(spec: ZFieldSpec, u: TestFunction, projected: bool):
@@ -244,9 +250,8 @@ def sharpness_sequence(spec: ZFieldSpec, eps_list: Sequence[float],
         u = sharpness_function(spec.group, spec.p, eps, profile)
         q = replace(quad or QuadratureSpec(), sigma_range=(profile.r2, profile.R2),
                     lambda_range=(eps, 1.0 / eps))
-        rnum, rden = integrate_many(spec.group, [_quotient_integrands(spec, u, True)],
-                                    _circle_rule(u, q))
-        out.append(SharpnessPoint(eps, rnum.value / rden.value, rden.value))
+        num, den = _quotient_parts(spec, u, q)
+        out.append(SharpnessPoint(eps, num / den, den))
     return out
 
 
@@ -317,10 +322,11 @@ def product_check(n: int, N: int, p: float, theta: float,
                   mc_samples: int = 10**7) -> Report:
     """Scan |Z_rho| on (H^n)^N and, on (H^1)^2, verify the product identity.
 
-    When theta >= 0 and n + 1 >= p theta / 4 the vertical contribution to
-    |Z_rho|^2 is nonpositive, the sampled sup must stay below (n+1)/n (plus
-    tolerance) and the maximizer must sit on {t = 0}.  When the hypothesis
-    fails the scan instead reports points exceeding (n+1)/n.  The identity
+    Under ``product_hypothesis`` (theta >= 0 and n >= (p theta - 4)/4) the
+    vertical contribution to |Z_rho|^2 is nonpositive, the sampled sup must
+    stay below (n+1)/n (plus tolerance) and the maximizer must sit on
+    {t = 0}.  When the hypothesis fails the scan instead reports points
+    exceeding (n+1)/n.  The identity
 
         int |u|^{p-2} u (Eu) / rho^{p theta} =
         int |u|^{p-2} u <grad u, Z_rho> / rho^{p theta - 1}
@@ -333,7 +339,7 @@ def product_check(n: int, N: int, p: float, theta: float,
     group = heisenberg_product(n, N)
     norm = koranyi(group)
     spec = ZFieldSpec(group, norm, p, theta, variant="product")
-    hypothesis = (n + 1) >= p * theta / 4.0
+    hypothesis = all(product_hypothesis(n, p, theta).values())
     target = (n + 1) / n
 
     best, (_, arg_t), zvals = scan_unit_sphere(

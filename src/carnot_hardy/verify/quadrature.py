@@ -94,17 +94,17 @@ def _gauss_on(a: float, b: float, n: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
+def _gauss_panels(edges, nodes: int):
+    """Gauss rules of ``nodes`` points on each panel between consecutive edges."""
+    xs, ws = zip(*(_gauss_on(a, b, nodes) for a, b in zip(edges[:-1], edges[1:])))
+    return np.concatenate(xs), np.concatenate(ws)
+
+
 def _graded_psi(levels: int, nodes: int):
     """Symmetric Gauss panels on (-pi/2, pi/2), dyadically graded at the ends."""
     edges = [0.0] + [np.pi / 2 * (1.0 - 2.0 ** (-j)) for j in range(1, levels + 1)]
     edges.append(np.pi / 2)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = _gauss_on(a, b, nodes)
-        xs.append(x)
-        ws.append(w)
-    x = np.concatenate(xs)
-    w = np.concatenate(ws)
+    x, w = _gauss_panels(edges, nodes)
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
@@ -126,12 +126,7 @@ def _log_lambda(lo: float, hi: float, nodes: int):
             v = min(v + 2.0, body_end)
             edges.append(v)
     edges.append(vb)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = _gauss_on(a, b, nodes)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    return _gauss_panels(edges, nodes)
 
 
 class ChartTables(NamedTuple):

@@ -326,12 +326,11 @@ def sharpness_function(group: StepTwoGroup, p: float, eps: float,
         t1 = np.asarray(nodes.t, float)[..., 0]
         zn2 = np.sum(z * z, axis=-1)
         w, wd = cutoff(t1 / zn2, derivs)
-        d = rho.value(z, nodes.t)
+        d, gr = rho.jet(nodes, derivs)
         eta, deta = profile.jet(d)
         if not derivs:
             return w * eta, None, None
         glam = _slope_grad(group, z, t1, zn2)
-        gr = rho.hgrad(z, nodes.t)
         return (w * eta, (wd * eta)[..., None] * glam + (w * deta)[..., None] * gr,
                 w * deta * d)
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import Array, Nodes, StepTwoGroup
+from .groups import Array, Nodes, StepTwoGroup, heisenberg_product
 from .norms import NormModel
 
 _VARIANTS = ("single", "product", "general")
@@ -45,9 +45,10 @@ class ZFieldSpec:
             raise ValueError(f"variant must be one of {_VARIANTS}")
         if self.variant == "single" and self.group.h != 1:
             raise ValueError("single variant needs one vertical direction")
-        if self.variant == "product":
-            if self.group.n % self.group.h != 0:
-                raise ValueError("product variant needs h | n")
+        g = self.group      # the product formula hard-codes the coupling 4
+        if self.variant == "product" and (g.n % g.h or not np.array_equal(
+                g.couplings, heisenberg_product(g.n // g.h, g.h).couplings)):
+            raise ValueError("product variant needs a product of Heisenberg groups")
         if self.variant == "general" and self.group.selected is None:
             raise ValueError("general variant needs selected blocks")
 
@@ -126,6 +127,13 @@ def z_field_components(spec: ZFieldSpec, z: Array, t: Array,
         out[..., sl] += z[..., sl] / d[..., None]
         out[..., sl] -= 2.0 * spec.ptheta * (coef[..., k] / d**2)[..., None] * pg[..., sl]
     return out
+
+
+def product_hypothesis(n: int, p: float, theta: float) -> dict:
+    """The product hypothesis, by condition; where both hold, |Z_rho| on
+    (H^n)^N peaks on {t = 0}, at (n+1)/n."""
+    return {"theta_nonnegative": theta >= 0,
+            "n_ge_(ptheta-4)/4": n >= (p * theta - 4.0) / 4.0}
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +486,7 @@ def sup_z_norm(spec: ZFieldSpec) -> SupResult:
 
     if kind == "koranyi" and spec.variant == "product":
         fn = spec.factor_blocks()
-        if theta >= 0 and fn + 1 >= spec.ptheta / 4.0:
+        if all(product_hypothesis(fn, p, theta).values()):
             return SupResult((fn + 1) / fn, 0.0, "closed_form")
 
     return multistart_sup(spec)

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from carnot_hardy import (ZFieldSpec, bound_cc, bound_generic, bound_koranyi,
-                          bound_koranyi_B, bound_product, cc, heisenberg,
+                          bound_koranyi_B, bound_product, bound_row, cc, heisenberg,
                           heisenberg_product, koranyi, koranyi_b, nonisotropic,
                           sup_z_norm)
-from carnot_hardy.bounds import CC_COEFF, koranyi_window
+from carnot_hardy.bounds import CC_COEFF, hardy_target, koranyi_window
+
+
+H1 = heisenberg(1)
 
 
 def test_bound_generic():
@@ -129,3 +132,37 @@ def test_bounds_nonnegative_and_vanish_at_ptheta_q():
     # p theta = Q kills every bound (any positive g_sup in the fallback)
     assert bound_koranyi(5.0, 2.5, 2.0)[0] == 0.0
     assert bound_cc(5.0, 2.5, 2.0, g_sup=4.0)[0] == 0.0
+
+
+@pytest.mark.parametrize("lambdas, theta", [((1.0, 2.0), 2.0), ((1.0, 2.0), 1.0),
+                                            ((0.5, 8.0), 1.0)])
+def test_koranyi_row_off_heisenberg_divides_by_its_sampled_sup(lambdas, theta):
+    # the isotropic formula assumes sup|Z| = Q/(Q-2); off H^n the Koranyi
+    # field exceeds it, so the formula would overstate the bound
+    g = nonisotropic(lambdas)
+    Q = float(g.Q)
+    row = bound_row(ZFieldSpec(g, koranyi(g), 2.0, theta)).to_dict()
+    assert row["branch"] == "generic" and row["heuristic"] is True
+    assert row["sup_method"] == "multistart" and row["sup_value"] > Q / (Q - 2.0)
+    assert row["bound"] == hardy_target(Q, 2.0, theta) / row["sup_value"] ** 2.0
+    assert row["bound"] < bound_koranyi(Q, 2.0, theta)[0]
+
+
+@pytest.mark.parametrize("p, theta, branch", [(3.0, 0.7101318663035474, "closed"),
+                                              (11.0, 0.19367232717369476, "numeric")])
+def test_cc_row_checks_the_condition_that_chose_its_branch(p, theta, branch):
+    # inputs where CC_COEFF * p * theta and CC_COEFF * (p * theta) round to
+    # opposite sides of Q = 4
+    assert (4.0 >= CC_COEFF * p * theta) != (4.0 >= CC_COEFF * (p * theta))
+    row = bound_row(ZFieldSpec(H1, cc(H1), p, theta))
+    assert row.branch == branch
+    assert row.condition_checks == {"closed_branch": branch == "closed"}
+
+
+def test_product_row_of_another_gauge_divides_by_its_sampled_sup():
+    # the closed product sup is that of the Koranyi gauge; with koranyi_b the
+    # hypothesis holds and the row is the generic bound, not condition_failed
+    g = heisenberg_product(1, 1)
+    row = bound_row(ZFieldSpec(g, koranyi_b(g), 2.0, 1.0, variant="product"))
+    assert row.branch == "generic" and row.sup_method == "multistart"
+    assert row.bound == bound_generic(row.sup_value, 4.0, 2.0, 1.0)

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carnot_hardy import (bound_cc, bound_koranyi, bound_koranyi_B, bound_product, cli,
-                          nonisotropic)
+from carnot_hardy import (ZFieldSpec, balogh_tyson, bound_cc, bound_koranyi,
+                          bound_koranyi_B, bound_product, bound_row, cc, cli, heisenberg,
+                          heisenberg_product, koranyi, koranyi_b, nonisotropic)
 from carnot_hardy.bounds import hardy_target
 from carnot_hardy.verify import Report
 
@@ -186,7 +187,7 @@ def _closed_bound(norm, Q, p, theta, group):
     ValueError where none applies."""
     if group == "product":
         return bound_product(1, 2, p, theta)
-    if norm == "koranyi":
+    if norm == "koranyi" and group == "heisenberg":
         return bound_koranyi(Q, p, theta)[0]
     if norm == "cc":
         return bound_cc(Q, p, theta)[0]
@@ -203,6 +204,9 @@ def _closed_bound(norm, Q, p, theta, group):
       "--p", "2", "--theta", "0.5,1"], {True}),
     (["bounds", "--group", "nonisotropic", "--lambdas", "1,2", "--norm", "koranyi_b",
       "--p", "2", "--theta", "1,5"], {False}),
+    # the Koranyi gauge off H^n has no closed sup
+    (["bounds", "--group", "nonisotropic", "--lambdas", "1,2", "--norm", "koranyi",
+      "--p", "2", "--theta", "0,1,2"], {True}),
     # theta 10 fails the product hypothesis: no bound, on a multistart sup
     (["bounds", "--group", "product", "--n", "1", "--N", "2", "--p", "2",
       "--theta", "1,10"], {False}),
@@ -226,6 +230,39 @@ def test_bounds_from_sampled_sups_are_heuristic(argv, labels, capsys):
         else:
             assert row["bound"] == closed
     assert {row["heuristic"] for row in rows} == labels
+
+
+H1 = heisenberg(1)
+NONISO = nonisotropic([1.0, 2.0])
+BT = nonisotropic([0.5, 1.0])
+H1xH1 = heisenberg_product(1, 2)
+
+
+@pytest.mark.parametrize("argv, spec, branch", [
+    (["--n", "1", "--norm", "koranyi", "--theta", "1"],
+     ZFieldSpec(H1, koranyi(H1), 2.0, 1.0), "first"),
+    (["--n", "1", "--norm", "koranyi", "--theta", "6"],
+     ZFieldSpec(H1, koranyi(H1), 2.0, 6.0), "second"),
+    (["--n", "1", "--norm", "cc", "--theta", "1"],
+     ZFieldSpec(H1, cc(H1), 2.0, 1.0), "closed"),
+    (["--n", "1", "--norm", "cc", "--theta", "3"],
+     ZFieldSpec(H1, cc(H1), 2.0, 3.0), "numeric"),
+    (["--group", "nonisotropic", "--lambdas", "1,2", "--norm", "koranyi_b", "--theta", "7"],
+     ZFieldSpec(NONISO, koranyi_b(NONISO), 2.0, 7.0), "second"),
+    (["--group", "nonisotropic", "--lambdas", "0.5,1", "--norm", "balogh_tyson",
+      "--theta", "1"], ZFieldSpec(BT, balogh_tyson(BT), 2.0, 1.0), "generic"),
+    (["--group", "product", "--n", "1", "--N", "2", "--theta", "1"],
+     ZFieldSpec(H1xH1, koranyi(H1xH1), 2.0, 1.0, variant="product"), "product"),
+    (["--group", "product", "--n", "1", "--N", "2", "--theta", "10"],
+     ZFieldSpec(H1xH1, koranyi(H1xH1), 2.0, 10.0, variant="product"), "condition_failed"),
+])
+def test_bounds_rows_are_bound_row(argv, spec, branch, capsys):
+    # the command emits bound_row's report of the spec it builds, unchanged
+    code, out = run_cli(["bounds", "--p", "2", *argv], capsys)
+    assert code == 0
+    (row,) = json.loads(out)["results"]
+    assert row["branch"] == branch
+    assert row == cli._jsonable(bound_row(spec).to_dict())
 
 
 def test_bounds_n_has_a_stated_maximum(monkeypatch, capsys):

@@ -231,6 +231,29 @@ def test_koranyi_jets_read_the_carried_gauge_to_the_bit(group):
                 assert np.count_nonzero(got[0]) > 100
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_sharpness_jet_reads_the_carried_gauge_to_the_bit(n):
+    # the plain jet of the cut-off family divides by |z|^2, so the rows are
+    # off the center; a record carrying its Koranyi gauge gives the same bits
+    from carnot_hardy.verify import sharpness_function
+    group = heisenberg(n)
+    z, t = _jet_points(np.random.default_rng(75), 3000, group)
+    z[:3] = 1.0
+    t = np.abs(t) + 1e-3
+    rho = koranyi(group).value(z, t)
+    u = sharpness_function(group, 2.0, 1e-2)
+    plain, carried = Nodes(z, t), Nodes(z, t, rho=rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for derivs in (True, False):
+            got, want = u.jet(carried, derivs), u.jet(plain, derivs)
+            for a, b in zip(got, want):
+                assert (a is None and b is None) or _same_bits(a, b)
+            assert np.count_nonzero(got[0]) > 100
+    # the gauge is read from the record, not formed a second time
+    assert not np.array_equal(u.jet(Nodes(z, t, rho=0.5 * rho))[0], want[0])
+
+
 def test_other_gauge_jets_ignore_a_carried_gauge():
     # a record carrying a gauge that is not theirs: cc, koranyi_b and
     # Balogh-Tyson read (z, t) alone, so the bits do not move

@@ -242,6 +242,10 @@ def test_spec_validation():
         ZFieldSpec(H1, koranyi(H1), 2.0, 1.0, variant="bogus")
     with pytest.raises(ValueError):
         ZFieldSpec(heisenberg(1), koranyi(heisenberg(1)), 2.0, 1.0, variant="general")
+    # the product formula is that of Heisenberg factors, coupling 4 on every block
+    g = nonisotropic([1.0, 2.0])
+    with pytest.raises(ValueError):
+        ZFieldSpec(g, koranyi(g), 2.0, 1.0, variant="product")
     with pytest.raises(ValueError):
         z_field_components(ZFieldSpec(H1, koranyi(H1), 2.0, 1.0),
                            np.zeros((1, 2)), np.zeros((1, 1)))
