@@ -19,6 +19,7 @@ import io
 import json
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -243,7 +244,7 @@ def _meta(args, command):
     # the output path is not part of the run semantics; dropping it keeps
     # byte-identical payloads for identical configurations
     cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func", "out") and v is not None}
+           if k != "out" and v is not None}
     return {"version": __version__, "seed": args.seed, "command": command,
             "config": cfg}
 
@@ -308,7 +309,8 @@ def cmd_supz(args) -> int:
     if args.format == "csv":
         lines = [f"# sup_sq={sup_sq!r} arg={arg!r} method={method}",
                  f"{xname},z_sq"]
-        lines += [f"{x!r},{y!r}" for x, y in zip(xs, ys)]
+        # Python floats: the repr of a NumPy 2 scalar is np.float64(...)
+        lines += [f"{x!r},{y!r}" for x, y in zip(xs.tolist(), ys.tolist())]
         _write("\n".join(lines) + "\n", args)
     else:
         payload = {"meta": _meta(args, "supz"),
@@ -486,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--p", type=_finite("--p"), default=2.0)
     b.add_argument("--theta", default=None, help="comma list; default grid incl. Q/p")
     common(b)
-    b.set_defaults(func=cmd_bounds)
 
     s = sub.add_parser("supz", help="dump the |Z_d|^2 profile for plotting")
     s.add_argument("--norm", choices=("koranyi", "cc"), default="koranyi")
@@ -495,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--theta", type=_finite("--theta"), default=1.0)
     s.add_argument("--nodes", type=int, default=2001)
     common(s)
-    s.set_defaults(func=cmd_supz)
 
     v = sub.add_parser("verify", help="run a verification check")
     v.add_argument("check", choices=("identity", "hardy", "sharpness",
@@ -518,20 +518,23 @@ def build_parser() -> argparse.ArgumentParser:
                    default="tensor_grid")
     v.add_argument("--nodes", type=int, default=80)
     common(v)
-    v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("cc", help="evaluate the cc distance and its derivatives")
     c.add_argument("--point", required=True, help="z_1,...,z_2n,t")
     common(c)
-    c.set_defaults(func=cmd_cc)
     return ap
 
 
+# parse_args keeps no state in the parser, so one parser serves every call
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # cmd_<command> is looked up at call time, so that a rebound one runs
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         parser.error(str(exc))
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from ..groups import Array, heisenberg, heisenberg_product, nonisotropic, pairing
 from ..norms import balogh_tyson, koranyi
-from ..zfield import ZFieldSpec, product_hypothesis, scan_unit_sphere, z_field_components
+from ..zfield import (ZFieldSpec, product_hypothesis, scan_unit_sphere,
+                      z_field_components, z_field_norm)
 from .quadrature import QuadratureSpec, integrate_many
 from .testfuncs import BumpProfile, TestFunction, radial_bump, sharpness_function
 
@@ -343,8 +344,7 @@ def product_check(n: int, N: int, p: float, theta: float,
     target = (n + 1) / n
 
     best, (_, arg_t), zvals = scan_unit_sphere(
-        lambda z, t: np.linalg.norm(z_field_components(spec, z, t), axis=-1), norm,
-        samples_log2, width=0.2, sweeps=6)
+        lambda z, t: z_field_norm(spec, z, t), norm, samples_log2, width=0.2, sweeps=6)
     values = {"sampled_sup": best, "target": target,
               "argmax_t_norm": float(np.linalg.norm(arg_t)),
               "hypothesis_holds": bool(hypothesis)}

@@ -295,10 +295,11 @@ def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: Quadrature
             sums, sq = np.zeros(len(rows)), np.zeros(len(rows))
         full = np.zeros(m)
         for k, row in enumerate(rows):
-            # the samples outside the window are the zeros of the full chunk
+            # the samples outside the window are the zeros of the full chunk;
+            # numpy's pairwise sums, not a BLAS dot, as on the grid
             full[idx] = row
             sums[k] += float(full.sum())
-            sq[k] += float(full @ full)
+            sq[k] += float(np.sum(full * full))
         done += m
     mean = sums / quad.samples
     var = np.maximum(sq / quad.samples - mean**2, 0.0)

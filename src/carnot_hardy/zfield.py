@@ -105,18 +105,28 @@ def z_field_components(spec: ZFieldSpec, z: Array, t: Array,
     pg = _block_perp(g)
     n = spec.group.n
 
+    # the single and product fields are built in place, in the order of
+    # operations of radial - coef * pg (lam2 or t_slot)
     if spec.variant == "single":
         lam2 = np.repeat(spec.group.lambdas, 2)
-        radial = (n + 1) / n * z / d[..., None]
+        radial = (n + 1) / n * z
+        radial /= d[..., None]
         t1 = t[..., 0]
-        return radial - (2.0 * spec.ptheta / n) * (t1 / d**2)[..., None] * (pg / lam2)
+        pg /= lam2
+        pg *= (2.0 * spec.ptheta / n) * (t1 / d**2)[..., None]
+        radial -= pg
+        return radial
 
     if spec.variant == "product":
         fn = spec.factor_blocks()
-        radial = (fn + 1) / fn * z / d[..., None]
+        radial = (fn + 1) / fn * z
+        radial /= d[..., None]
         # slot -> owning factor: t_j multiplies the perp gradient of factor j
         t_slot = np.repeat(t, 2 * fn, axis=-1)
-        return radial - (spec.ptheta / (2.0 * fn)) * (1.0 / d**2)[..., None] * t_slot * pg
+        t_slot *= (spec.ptheta / (2.0 * fn)) * (1.0 / d**2)[..., None]
+        t_slot *= pg
+        radial -= t_slot
+        return radial
 
     # general: z/d + sum_k z^(i_k)/d - 2 p theta sum_{j,k} (A^-1)_{jk} t_j/d^2 P grad d on block i_k
     a_inv = np.linalg.inv(spec.group.a_matrix())
@@ -127,6 +137,13 @@ def z_field_components(spec: ZFieldSpec, z: Array, t: Array,
         out[..., sl] += z[..., sl] / d[..., None]
         out[..., sl] -= 2.0 * spec.ptheta * (coef[..., k] / d**2)[..., None] * pg[..., sl]
     return out
+
+
+def z_field_norm(spec: ZFieldSpec, z: Array, t: Array) -> Array:
+    """|Z_d| at each row (z, t): np.linalg.norm's own arithmetic on real rows,
+    without its dispatch."""
+    v = z_field_components(spec, z, t)
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
 
 
 def product_hypothesis(n: int, p: float, theta: float) -> dict:
@@ -170,6 +187,37 @@ def z_profile_koranyi(Q: float, p: float, theta: float, lam) -> Array:
 TWO_PI_TOL = 2.0 * np.pi + 1e-12
 
 
+def _cc_coeffs(Q: float, p: float, theta: float):
+    """(c_f, c_g, c_x) = (2 (Q/(Q-2))^2, (2 p theta/(Q-2))^2, 4 p theta Q/(Q-2)^2)."""
+    if Q <= 2:
+        raise ValueError("g needs Q > 2")
+    pt = p * theta
+    return _finite_coeffs(2.0 * (Q / (Q - 2.0))**2, (2.0 * pt / (Q - 2.0))**2,
+                          4.0 * pt * Q / (Q - 2.0)**2)
+
+
+def _cc_basis(nu: Array):
+    """(f, g, nu f) at nu, with f = (1 - cos nu)/nu^2 and g = (nu - sin nu)/nu^2,
+    by series below |nu| = 1e-4; the series run only where some |nu| is that
+    small."""
+    small = np.abs(nu) < 1e-4
+    any_small = bool(small.any())
+    nus = np.where(small, 1.0, nu) if any_small else nu
+    f = 2.0 * np.sin(nus / 2.0) ** 2 / nus**2   # (1 - cos nu)/nu^2, no cancellation
+    gg = (nus - np.sin(nus)) / nus**2
+    if any_small:
+        f = np.where(small, 0.5 - nu**2 / 24.0 + nu**4 / 720.0, f)
+        gg = np.where(small, nu / 6.0 - nu**3 / 120.0 + nu**5 / 5040.0, gg)
+    return f, gg, nu * f
+
+
+def _cc_combine(coeffs, f: Array, gg: Array, nu_f: Array) -> Array:
+    """g from its coefficients and its basis at the same nodes."""
+    c_f, c_g, c_x = coeffs
+    # np.square is gg**2 on arrays, and a plain multiply on NumPy scalars too
+    return c_f * f + c_g * np.square(gg) - c_x * gg * nu_f
+
+
 def g_cc(Q: float, p: float, theta: float, nu) -> Array:
     """|Z_cc|^2 as a function of the polar angle nu in [-2pi, 2pi]:
 
@@ -178,23 +226,11 @@ def g_cc(Q: float, p: float, theta: float, nu) -> Array:
     with f = (1 - cos nu)/nu^2 and g = (nu - sin nu)/nu^2, evaluated by series
     below |nu| = 1e-4 to dodge cancellation; the nu = 0 value is (Q/(Q-2))^2.
     """
-    if Q <= 2:
-        raise ValueError("g needs Q > 2")
-    pt = p * theta
-    c_f, c_g, c_x = _finite_coeffs(2.0 * (Q / (Q - 2.0))**2, (2.0 * pt / (Q - 2.0))**2,
-                                   4.0 * pt * Q / (Q - 2.0)**2)
+    coeffs = _cc_coeffs(Q, p, theta)
     nu = np.asarray(nu, dtype=float)
     if np.any(np.abs(nu) > TWO_PI_TOL):
         raise ValueError("nu must lie in [-2pi, 2pi]")
-    small = np.abs(nu) < 1e-4
-    nus = np.where(small, 1.0, nu)
-    f_dir = 2.0 * np.sin(nus / 2.0) ** 2 / nus**2   # (1 - cos nu)/nu^2, no cancellation
-    g_dir = (nus - np.sin(nus)) / nus**2
-    f_ser = 0.5 - nu**2 / 24.0 + nu**4 / 720.0
-    g_ser = nu / 6.0 - nu**3 / 120.0 + nu**5 / 5040.0
-    f = np.where(small, f_ser, f_dir)
-    gg = np.where(small, g_ser, g_dir)
-    return c_f * f + c_g * gg**2 - c_x * gg * (nu * f)
+    return _cc_combine(coeffs, *_cc_basis(nu))
 
 
 def koranyi_profile_max(Q: float, p: float, theta: float):
@@ -219,6 +255,17 @@ def koranyi_profile_max(Q: float, p: float, theta: float):
 CC_SCAN_NODES = 10**4
 
 
+@lru_cache(maxsize=None)
+def _cc_scan_table():
+    """The dense scan's nodes and the basis of g on them, built on first use
+    and read-only; no node lies within 1e-4 of 0."""
+    nus = np.linspace(-2.0 * np.pi, 2.0 * np.pi, CC_SCAN_NODES)
+    table = (nus, *_cc_basis(nus))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
 def cc_profile_max(Q: float, p: float, theta: float):
     """Maximum of g over [-2pi, 2pi]: dense scan plus a bracket zoom.
 
@@ -226,18 +273,35 @@ def cc_profile_max(Q: float, p: float, theta: float):
     the maximum sits at nu = 0 with value (Q/(Q-2))^2; outside that regime no
     closed form is asserted and the scanned value stands on its own.
     """
-    nus = np.linspace(-2.0 * np.pi, 2.0 * np.pi, CC_SCAN_NODES)
-    vals = g_cc(Q, p, theta, nus)
+    coeffs = _cc_coeffs(Q, p, theta)
+    nus, *basis = _cc_scan_table()
+    vals = _cc_combine(coeffs, *basis)
     i = int(np.argmax(vals))
     lo = nus[max(i - 1, 0)]
     hi = nus[min(i + 1, CC_SCAN_NODES - 1)]
-    nu_hat, g_hat = bracket_zoom_max(lambda v: g_cc(Q, p, theta, v), lo, hi, tol=1e-9)
+    nu_hat, g_hat = bracket_zoom_max(lambda v: _cc_combine(coeffs, *_cc_basis(v)),
+                                     lo, hi, tol=1e-9)
     if vals[i] > g_hat:
         nu_hat, g_hat = float(nus[i]), float(vals[i])
     return float(g_hat), float(nu_hat)
 
 
 ZOOM_POINTS = 33
+# 0, 1, ..., ZOOM_POINTS - 1: np.linspace's own multipliers of the step
+_ZOOM_STEPS = np.arange(ZOOM_POINTS, dtype=float)
+_ZOOM_STEPS.flags.writeable = False
+
+
+def _zoom_grid(a: float, b: float) -> Array:
+    """np.linspace(a, b, ZOOM_POINTS), bit for bit, by its own arithmetic;
+    a zero step (a = b, or a denormal width) is left to np.linspace."""
+    step = (b - a) / (ZOOM_POINTS - 1)
+    if step == 0:
+        return np.linspace(a, b, ZOOM_POINTS)
+    s = _ZOOM_STEPS * step
+    s += a
+    s[-1] = b
+    return s
 
 
 def bracket_zoom_max(f, lo: float, hi: float, tol: float = 1e-12):
@@ -253,7 +317,7 @@ def bracket_zoom_max(f, lo: float, hi: float, tol: float = 1e-12):
     a, b = float(lo), float(hi)
     best_s, best_v = a, -np.inf
     while True:
-        s = np.linspace(a, b, ZOOM_POINTS)
+        s = _zoom_grid(a, b)
         v = f(s)
         i = int(np.argmax(v))
         if v[i] > best_v:
@@ -423,7 +487,11 @@ def scan_unit_sphere(objective, norm: NormModel, m: int, width: float = 0.3,
 
     vals, x0, v0 = [], None, None
     for lo in range(0, 2**m, _SCAN_BLOCK):
-        pts = 1.5 * (2.0 * sobol_points(dim, lo, min(lo + _SCAN_BLOCK, 2**m)) - 1.0)
+        # 1.5 (2 x - 1), in place
+        pts = sobol_points(dim, lo, min(lo + _SCAN_BLOCK, 2**m))
+        pts *= 2.0
+        pts -= 1.0
+        pts *= 1.5
         z, t = pts[:, :nz], pts[:, nz:]
         keep = np.sum(z * z, axis=1) > 1e-6
         z, t = to_sphere(z[keep], t[keep])
@@ -438,8 +506,10 @@ def scan_unit_sphere(objective, norm: NormModel, m: int, width: float = 0.3,
 
     def f(x):
         zz, tt = x[:, :nz], x[:, nz:]
-        out = np.full(len(x), -np.inf)
         ok = np.sum(zz * zz, axis=1) >= 1e-10
+        if ok.all():
+            return objective(zz, tt)
+        out = np.full(len(x), -np.inf)
         out[ok] = objective(zz[ok], tt[ok])
         return out
 
@@ -450,8 +520,7 @@ def scan_unit_sphere(objective, norm: NormModel, m: int, width: float = 0.3,
 
 def multistart_sup(spec: ZFieldSpec, m: int = 17) -> SupResult:
     """Quasi-random lower bound for sup |Z_d| over the unit gauge sphere."""
-    best, arg, vals = scan_unit_sphere(
-        lambda z, t: np.linalg.norm(z_field_components(spec, z, t), axis=-1), spec.norm, m)
+    best, arg, vals = scan_unit_sphere(lambda z, t: z_field_norm(spec, z, t), spec.norm, m)
     return SupResult(best, arg, "multistart", samples=int(vals.size))
 
 

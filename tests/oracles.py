@@ -6,7 +6,9 @@ empirical equivalence constants of two gauges, the two distributional
 divergence identities of the vertical construction, the adjointness of the
 generator of dilations, and the extremal profile with its pointwise
 residual.  A plain tensor Gauss rule on a coordinate box cross-checks the
-phi chart of the quadrature.
+phi chart of the quadrature, and the cc profile's dense scan, written out
+with np.linspace and the series on every call, pins the bits of the
+package's table-driven scan.
 """
 
 from __future__ import annotations
@@ -216,3 +218,55 @@ def box_gauss_integrals(group: StepTwoGroup, fs: Sequence, box: tuple, n: int) -
         for k, row in enumerate(rows):
             totals[k] += float(np.sum(wts * row))
     return totals.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the cc profile's dense scan, every node and basis formed on each call
+# ---------------------------------------------------------------------------
+
+def g_cc_reference(Q: float, p: float, theta: float, nu) -> Array:
+    """|Z_cc|^2 at nu, the series and the direct branch both evaluated
+    everywhere and picked by np.where."""
+    pt = p * theta
+    c_f, c_g, c_x = (2.0 * (Q / (Q - 2.0))**2, (2.0 * pt / (Q - 2.0))**2,
+                     4.0 * pt * Q / (Q - 2.0)**2)
+    nu = np.asarray(nu, dtype=float)
+    small = np.abs(nu) < 1e-4
+    nus = np.where(small, 1.0, nu)
+    f_dir = 2.0 * np.sin(nus / 2.0) ** 2 / nus**2
+    g_dir = (nus - np.sin(nus)) / nus**2
+    f_ser = 0.5 - nu**2 / 24.0 + nu**4 / 720.0
+    g_ser = nu / 6.0 - nu**3 / 120.0 + nu**5 / 5040.0
+    f = np.where(small, f_ser, f_dir)
+    gg = np.where(small, g_ser, g_dir)
+    return c_f * f + c_g * gg**2 - c_x * gg * (nu * f)
+
+
+def bracket_zoom_reference(f, lo: float, hi: float, tol: float, points: int = 33):
+    """The bracket zoom with each grid from np.linspace."""
+    a, b = float(lo), float(hi)
+    best_s, best_v = a, -np.inf
+    while True:
+        s = np.linspace(a, b, points)
+        v = f(s)
+        i = int(np.argmax(v))
+        if v[i] > best_v:
+            best_s, best_v = float(s[i]), float(v[i])
+        a_next, b_next = s[max(i - 1, 0)], s[min(i + 1, points - 1)]
+        if (b - a) / (points - 1) <= tol or b_next - a_next >= b - a:
+            return best_s, best_v
+        a, b = a_next, b_next
+
+
+def cc_profile_max_reference(Q: float, p: float, theta: float, nodes: int = 10**4):
+    """(max g, argmax nu): g on np.linspace(-2 pi, 2 pi, nodes), then the
+    bracket zoom around the best node."""
+    nus = np.linspace(-2.0 * np.pi, 2.0 * np.pi, nodes)
+    vals = g_cc_reference(Q, p, theta, nus)
+    i = int(np.argmax(vals))
+    lo, hi = nus[max(i - 1, 0)], nus[min(i + 1, nodes - 1)]
+    nu_hat, g_hat = bracket_zoom_reference(lambda v: g_cc_reference(Q, p, theta, v),
+                                           lo, hi, tol=1e-9)
+    if vals[i] > g_hat:
+        nu_hat, g_hat = float(nus[i]), float(vals[i])
+    return float(g_hat), float(nu_hat)

@@ -374,6 +374,22 @@ def test_supz_cc_profile(capsys):
     assert res["sup"]["sup_sq"] == pytest.approx(4.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("norm", ["cc", "koranyi"])
+def test_supz_csv_rows_are_two_floats(norm, capsys):
+    code, out = run_cli(["supz", "--norm", norm, "--Q", "4", "--p", "2", "--theta", "1",
+                         "--nodes", "301", "--format", "csv"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("# sup_sq=") and "np." not in lines[0]
+    assert lines[1] in ("nu,z_sq", "lambda,z_sq")
+    rows = lines[2:]
+    assert len(rows) == 301
+    for row in rows:
+        x, y = row.split(",")
+        # each field is the repr of a Python float, so it reads back to itself
+        assert repr(float(x)) == x and repr(float(y)) == y, row
+
+
 def test_supz_koranyi_profile_csv(tmp_path):
     f = tmp_path / "prof.csv"
     code = cli.main(["supz", "--norm", "koranyi", "--Q", "4", "--p", "2",
@@ -454,6 +470,64 @@ def run_fresh(code):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=300)
+
+
+def run_cli_fresh(argv, **env):
+    """(exit code, stdout, stderr) of the CLI in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "carnot_hardy.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_back_to_back_calls_print_what_separate_runs_print(capsys):
+    # main() reuses one parser: flags, defaults and errors of a call must not
+    # reach the next one
+    sequence = [
+        ["bounds", "--group", "nonisotropic", "--lambdas", "1,2", "--norm", "koranyi_b",
+         "--p", "3", "--theta", "2", "--format", "csv", "--seed", "7"],
+        ["bounds", "--theta", "1"],
+        ["supz", "--norm", "cc", "--Q", "6", "--theta", "3", "--nodes", "40",
+         "--format", "csv"],
+        ["supz", "--p", "1"],
+        ["supz", "--nodes", "30"],
+        ["cc", "--point", "1,0,0.5"],
+        ["bounds", "--theta", "1"],
+    ]
+    in_process = []
+    for argv in sequence:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        in_process.append((code, out, err))
+    assert [r[0] for r in in_process] == [0, 0, 0, 2, 0, 0, 0]
+    assert in_process[1] == in_process[-1]
+    for argv, got in zip(sequence, in_process):
+        assert got == run_cli_fresh(argv), argv
+
+
+def test_main_runs_a_rebound_command(monkeypatch, capsys):
+    # the parser outlives the call, but a cmd_* rebound on the module (a
+    # wrapper, a mock) is the one that runs
+    assert run_cli(["cc", "--point", "1,0,0.5"], capsys)[0] == 0
+    monkeypatch.setattr(cli, "cmd_cc", lambda args: 7)
+    assert cli.main(["cc", "--point", "1,0,0.5"]) == 7
+
+
+def test_monte_carlo_output_does_not_depend_on_blas_threads():
+    # the second moment is a pairwise sum over 2^17-sample chunks, as the
+    # first is; a BLAS dot of them printed mc_stderr 8.70442156501716 at
+    # one OpenBLAS 0.3.31 thread and 8.704421565017158 at two for this seed
+    argv = ["verify", "product", "--samples", "300000", "--samples-log2", "4",
+            "--seed", "6"]
+    runs = [run_cli_fresh(argv, OMP_NUM_THREADS=k, OPENBLAS_NUM_THREADS=k,
+                          MKL_NUM_THREADS=k) for k in ("1", "2")]
+    assert runs[0][0] in (0, 1) and runs[0][2] == ""
+    assert "mc_stderr" in runs[0][1]
+    assert runs[0] == runs[1]
 
 
 def test_package_and_readme_commands_do_not_import_scipy():

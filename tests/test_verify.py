@@ -450,7 +450,7 @@ def _full_box(group, fs, quad):
             sums, sq = np.zeros(len(rows)), np.zeros(len(rows))
         for k, row in enumerate(rows):
             sums[k] += float(row.sum())
-            sq[k] += float(row @ row)
+            sq[k] += float(np.sum(row * row))
         done += m
     mean = sums / quad.samples
     err = vol * np.sqrt(np.maximum(sq / quad.samples - mean**2, 0.0) / quad.samples)

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +131,81 @@ def test_cc_profile_consistency():
         assert abs(val - float(g_cc(4.0, 2.0, 1.0, nu))) < 1e-7
 
 
+def _same_bits(got, ref):
+    """Equal type, shape and bytes: -0.0 and 0.0 differ, equal NaNs agree."""
+    return (type(got) is type(ref) and np.shape(got) == np.shape(ref)
+            and np.asarray(got).tobytes() == np.asarray(ref).tobytes())
+
+
+@pytest.mark.parametrize("Q", [2.5, 3.0, 4.0, 6.0, 10.0, 30.0])
+def test_cc_profile_max_is_the_dense_scan_to_the_bit(Q):
+    # the table-driven scan and the lean zoom against np.linspace and the
+    # series at every node, across both sides of the closed regime
+    from oracles import cc_profile_max_reference
+    from carnot_hardy.zfield import cc_profile_max
+    for p, theta in itertools.product((2.0, 2.5, 3.0, 7.0),
+                                      (-3.0, -1.0, 0.0, 0.5, 1.0, 2.0, 5.0, 9.0, 40.0)):
+        got = cc_profile_max(Q, p, theta)
+        ref = cc_profile_max_reference(Q, p, theta)
+        assert all(_same_bits(g, r) for g, r in zip(got, ref)), (Q, p, theta, got, ref)
+
+
+def test_g_cc_is_its_reference_to_the_bit():
+    from oracles import g_cc_reference
+    rng = np.random.default_rng(35)
+    tiny = np.array([0.0, -0.0, 1e-300, -3e-9, 5e-5, -9.99e-5, 1e-4, -1e-4, 1.0001e-4])
+    inputs = [0.0, -0.0, 3e-5, 0.3, -2.0 * np.pi, np.float64(1e-6), np.float64(4.0),
+              np.array(2e-5), np.array(-1.7), tiny,
+              np.concatenate([tiny, rng.uniform(-2 * np.pi, 2 * np.pi, 64)]),
+              rng.uniform(-2 * np.pi, 2 * np.pi, (5, 7)), np.linspace(-1e-3, 1e-3, 101)]
+    for Q, p, theta in [(4.0, 2.0, 1.0), (3.0, 3.0, 5.0), (10.0, 2.5, -1.0)]:
+        for nu in inputs:
+            got, ref = g_cc(Q, p, theta, nu), g_cc_reference(Q, p, theta, nu)
+            assert _same_bits(got, ref), (Q, p, theta, nu)
+
+
+def test_cc_scan_table_is_read_only_and_has_no_series_node():
+    from carnot_hardy.zfield import CC_SCAN_NODES, _cc_scan_table
+    table = _cc_scan_table()
+    assert table is _cc_scan_table()
+    nus = table[0]
+    assert nus.shape == (CC_SCAN_NODES,) and np.min(np.abs(nus)) >= 1e-4
+    assert np.array_equal(nus, np.linspace(-2.0 * np.pi, 2.0 * np.pi, CC_SCAN_NODES))
+    for arr in table:
+        assert not arr.flags.writeable
+
+
+def test_zoom_grid_is_linspace_to_the_bit():
+    from carnot_hardy.zfield import ZOOM_POINTS, _zoom_grid
+    rng = np.random.default_rng(36)
+    a = rng.uniform(-10.0, 10.0, 200) * 10.0 ** rng.integers(-8, 8, 200)
+    brackets = list(zip(a, a + rng.uniform(0.0, 1.0, 200) * 10.0 ** rng.integers(-12, 3, 200)))
+    # a few ulps wide, denormal widths (a zero step), zero width
+    brackets += [(x, np.nextafter(x, np.inf)) for x in (1.0, -3.5, 1e6, 0.0)]
+    brackets += [(x, np.nextafter(np.nextafter(x, np.inf), np.inf)) for x in (0.7, -1e-3)]
+    brackets += [(0.0, 5e-324), (-1e-310, 1e-310), (0.0, 0.0), (2.5, 2.5), (-0.0, 0.0)]
+    for lo, hi in brackets:
+        lo, hi = float(lo), float(hi)
+        got = _zoom_grid(lo, hi)
+        assert _same_bits(got, np.linspace(lo, hi, ZOOM_POINTS)), (lo, hi)
+        # the zoom hands its later brackets over as NumPy scalars
+        got = _zoom_grid(np.float64(lo), np.float64(hi))
+        assert _same_bits(got, np.linspace(np.float64(lo), np.float64(hi), ZOOM_POINTS))
+
+
+def test_importing_the_package_builds_no_cc_table():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import carnot_hardy, carnot_hardy.cli, carnot_hardy.verify\n"
+            "from carnot_hardy import zfield\n"
+            "assert zfield._cc_scan_table.cache_info().currsize == 0\n"
+            "zfield.cc_profile_max(4.0, 2.0, 1.0)\n"
+            "assert zfield._cc_scan_table.cache_info().currsize == 1\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_koranyi_b_profile():
     # |Z_{rho_B}|_B^2 on t = lam |z|_B^2 equals the same closed profile
     g = nonisotropic([1.0, 2.0])
@@ -223,6 +302,21 @@ def test_general_variant_bounded_on_two_vertical():
     sup = sup_z_norm(spec)
     assert sup.method == "multistart"
     assert 0 < sup.sup_value < 50
+
+
+def test_z_field_norm_is_linalg_norm_to_the_bit():
+    from carnot_hardy import general_group
+    from carnot_hardy.zfield import z_field_norm
+    rng = np.random.default_rng(37)
+    gn, gp = nonisotropic([0.5, 1.0]), heisenberg_product(1, 3)
+    gg = general_group([[2.0, 1.0], [1.0, 3.0]], selected=(0, 1))
+    for spec in (ZFieldSpec(H1, cc(H1), 2.0, 3.0), ZFieldSpec(gn, balogh_tyson(gn), 3.0, 1.0),
+                 ZFieldSpec(gp, koranyi(gp), 2.0, 1.5, variant="product"),
+                 ZFieldSpec(gg, koranyi(gg), 2.0, 1.0, variant="general")):
+        z = rng.normal(size=(257, 2 * spec.group.n))
+        t = rng.normal(size=(257, spec.group.h))
+        ref = np.linalg.norm(z_field_components(spec, z, t), axis=-1)
+        assert z_field_norm(spec, z, t).tobytes() == ref.tobytes()
 
 
 def test_symplectic_norm():
