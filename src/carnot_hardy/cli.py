@@ -252,6 +252,9 @@ def _meta(args, command):
 def cmd_bounds(args) -> int:
     if args.n > MAX_BOUNDS_N:
         raise UsageError(f"--n {args.n}: bounds tabulates at most {MAX_BOUNDS_N} blocks")
+    if not args.p >= 2.0:
+        # checked here because the default theta grid divides Q by p
+        raise UsageError(f"--p {args.p:g}: p must be >= 2")
     group = _make_group(args)
     Q = float(group.Q)
     if args.group == "product":

@@ -107,8 +107,10 @@ class StepTwoGroup:
             raise ValueError("group has no selected blocks")
         return self.couplings[:, list(self.selected)].T
 
+    # exact: the closed Koranyi and cc formulas hold on H^n alone, and
+    # heisenberg(n) builds its couplings as exact 4.0s
     def is_isotropic_heisenberg(self) -> bool:
-        return self.h == 1 and np.allclose(self.couplings[0], 4.0)
+        return self.h == 1 and bool(np.all(self.couplings[0] == 4.0))
 
     def bz(self, z: Array) -> Array:
         """B^(j) z for every vertical direction, shape (..., h, 2n)."""
@@ -205,19 +207,6 @@ def dilate(g: StepTwoGroup, gamma: float, x: Point) -> Point:
     return Point(gamma * x.z, gamma * gamma * x.t)
 
 
-def default_step(x: Point) -> float:
-    """Central-difference step 1e-5 * max(1, |x|), balancing truncation and roundoff."""
-    scale = np.sqrt(np.sum(x.z**2) + np.sum(x.t**2))
-    return 1e-5 * max(1.0, float(scale))
-
-
-def _step_at(x: Point, step: Optional[float]) -> float:
-    h = default_step(x) if step is None else float(step)
-    if not h > 0:
-        raise ValueError("step must be positive")
-    return h
-
-
 def frame(z: Array, P: Array, R: Array) -> Array:
     """Frame components (z_{2i-1} P + z_{2i} R, z_{2i} P - z_{2i-1} R) on each
     block, with P and R broadcast against (..., n): the form that the
@@ -285,75 +274,3 @@ class Nodes(NamedTuple):
         (sigma, lam) spread onto the nodes: the horizontal gradient of every
         function of (|z|, t) on H^1."""
         return frame(self.z, self.spread(p)[:, None], self.spread(r)[:, None])
-
-
-def fd_partials(value, z: Array, t: Array, step: float):
-    """Central-difference ambient partials of a batched scalar evaluator.
-
-    Returns (dz, dt) of shapes (..., 2n) and (..., h).  Every derivative
-    oracle of this module is built on this one kernel.
-    """
-    z = np.asarray(z, dtype=float)
-    t = np.asarray(t, dtype=float)
-    dz = [(value(z + step * e, t) - value(z - step * e, t)) / (2.0 * step)
-          for e in np.eye(z.shape[-1])]
-    dt = [(value(z, t + step * e) - value(z, t - step * e)) / (2.0 * step)
-          for e in np.eye(t.shape[-1])]
-    return np.stack(dz, axis=-1), np.stack(dt, axis=-1)
-
-
-def hgrad_batch(g: StepTwoGroup, value, z: Array, t: Array, step: float) -> Array:
-    """Central-difference horizontal gradient of a batched evaluator:
-    X_i u = d_{z_i} u + (Bz)_i . d_t u / 2."""
-    dz, dt = fd_partials(value, z, t, step)
-    return dz + 0.5 * np.einsum("...jk,...j->...k", g.bz(z), dt)
-
-
-def horizontal_gradient(g: StepTwoGroup, value, x: Point,
-                        step: Optional[float] = None) -> Array:
-    """Horizontal gradient (X_1 u, ..., X_{2n} u), shape (2n,), of a batched
-    ``value(z, t)`` at a point, by central differences."""
-    _check_dims(g, x)
-    return hgrad_batch(g, value, x.z[None], x.t[None], _step_at(x, step))[0]
-
-
-def euler_apply(g: StepTwoGroup, value, x: Point, step: Optional[float] = None) -> float:
-    """Generator of dilations: E u = <z, grad_z u> + 2 <t, d_t u>, by central
-    differences of a batched ``value(z, t)``."""
-    _check_dims(g, x)
-    dz, dt = fd_partials(value, x.z[None], x.t[None], _step_at(x, step))
-    return float(x.z @ dz[0] + 2.0 * (x.t @ dt[0]))
-
-
-def horizontal_divergence(g: StepTwoGroup, V, x: Point,
-                          step: Optional[float] = None) -> float:
-    """sum_i X_i(V_i) of a batched field ``V(z, t) -> (..., 2n)`` at a point,
-    by central differences on each component."""
-    _check_dims(g, x)
-    h = _step_at(x, step)
-    z, t = x.z[None], x.t[None]
-    return float(sum(hgrad_batch(g, lambda z, t, i=i: V(z, t)[..., i], z, t, h)[0, i]
-                     for i in range(2 * g.n)))
-
-
-def commutator_vertical(g: StepTwoGroup, value, x: Point, i: int,
-                        step: Optional[float] = None) -> float:
-    """(X_{2i} X_{2i-1} - X_{2i-1} X_{2i}) u of a batched ``value(z, t)`` by
-    nested central differences.
-
-    Should equal sum_j lam^(j)_i d_{t_j} u up to O(step^2).
-    """
-    _check_dims(g, x)
-    if not 0 <= i < g.n:
-        raise ValueError("block index out of range")
-    h = _step_at(x, step)
-    z, t = x.z[None], x.t[None]
-
-    def xx(outer, inner):
-        """X_outer (X_inner u) at x."""
-        def x_inner(z, t):
-            return hgrad_batch(g, value, z, t, h)[..., inner]
-        return hgrad_batch(g, x_inner, z, t, h)[0, outer]
-
-    a, b = 2 * i, 2 * i + 1
-    return float(xx(b, a) - xx(a, b))

@@ -411,7 +411,7 @@ def balogh_tyson(group: StepTwoGroup) -> NormModel:
     closed derivatives follow from ds = (w dw + t dt)/s, with
     dh = z1 dz1 + z2 dz2 and dw = dh + 2 z3 dz3 + 2 z4 dz4.
     """
-    if group.h != 1 or group.n != 2 or not np.allclose(group.lambdas, [0.5, 1.0]):
+    if group.h != 1 or group.n != 2 or not np.array_equal(group.lambdas, [0.5, 1.0]):
         raise ValueError("the Balogh-Tyson gauge lives on the (1/2, 1) group")
     lam = group.lambdas
 

@@ -1,6 +1,10 @@
 """Structural and weak-form oracles that only the tests evaluate.
 
-Each one restates an identity of the paper through the package's batched
+The package computes every derivative in closed form; the central-difference
+operators here (horizontal gradient, divergence, generator of dilations and
+the commutator of two frame fields, on one kernel, fd_partials) are the
+references the suite checks those closed derivatives against.  Each other
+oracle restates an identity of the paper through the package's batched
 evaluators: the rotation and reconstruction defects of a gauge, the
 empirical equivalence constants of two gauges, the two distributional
 divergence identities of the vertical construction, the adjointness of the
@@ -19,11 +23,101 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from carnot_hardy.groups import Array, CenterError, Nodes, Point, StepTwoGroup
+from carnot_hardy.groups import (Array, CenterError, Nodes, Point, StepTwoGroup,
+                                 _check_dims)
 from carnot_hardy.norms import NormModel, koranyi
 from carnot_hardy.verify.quadrature import QuadratureSpec, integrate_many
 from carnot_hardy.verify.testfuncs import TestFunction, _from_jet, _slope_grad
 from carnot_hardy.zfield import ZFieldSpec, _block_perp, z_field_components
+
+
+# ---------------------------------------------------------------------------
+# central differences of batched value(z, t) evaluators
+# ---------------------------------------------------------------------------
+
+def default_step(x: Point) -> float:
+    """Central-difference step 1e-5 * max(1, |x|), balancing truncation and roundoff."""
+    scale = np.sqrt(np.sum(x.z**2) + np.sum(x.t**2))
+    return 1e-5 * max(1.0, float(scale))
+
+
+def _step_at(x: Point, step: Optional[float]) -> float:
+    h = default_step(x) if step is None else float(step)
+    if not h > 0:
+        raise ValueError("step must be positive")
+    return h
+
+
+def fd_partials(value, z: Array, t: Array, step: float):
+    """Central-difference ambient partials of a batched scalar evaluator.
+
+    Returns (dz, dt) of shapes (..., 2n) and (..., h).  Every
+    central-difference oracle below is built on this one kernel.
+    """
+    z = np.asarray(z, dtype=float)
+    t = np.asarray(t, dtype=float)
+    dz = [(value(z + step * e, t) - value(z - step * e, t)) / (2.0 * step)
+          for e in np.eye(z.shape[-1])]
+    dt = [(value(z, t + step * e) - value(z, t - step * e)) / (2.0 * step)
+          for e in np.eye(t.shape[-1])]
+    return np.stack(dz, axis=-1), np.stack(dt, axis=-1)
+
+
+def hgrad_batch(g: StepTwoGroup, value, z: Array, t: Array, step: float) -> Array:
+    """Central-difference horizontal gradient of a batched evaluator:
+    X_i u = d_{z_i} u + (Bz)_i . d_t u / 2."""
+    dz, dt = fd_partials(value, z, t, step)
+    return dz + 0.5 * np.einsum("...jk,...j->...k", g.bz(z), dt)
+
+
+def horizontal_gradient(g: StepTwoGroup, value, x: Point,
+                        step: Optional[float] = None) -> Array:
+    """Horizontal gradient (X_1 u, ..., X_{2n} u), shape (2n,), of a batched
+    ``value(z, t)`` at a point, by central differences."""
+    _check_dims(g, x)
+    return hgrad_batch(g, value, x.z[None], x.t[None], _step_at(x, step))[0]
+
+
+def euler_apply(g: StepTwoGroup, value, x: Point, step: Optional[float] = None) -> float:
+    """Generator of dilations: E u = <z, grad_z u> + 2 <t, d_t u>, by central
+    differences of a batched ``value(z, t)``."""
+    _check_dims(g, x)
+    dz, dt = fd_partials(value, x.z[None], x.t[None], _step_at(x, step))
+    return float(x.z @ dz[0] + 2.0 * (x.t @ dt[0]))
+
+
+def horizontal_divergence(g: StepTwoGroup, V, x: Point,
+                          step: Optional[float] = None) -> float:
+    """sum_i X_i(V_i) of a batched field ``V(z, t) -> (..., 2n)`` at a point,
+    by central differences on each component."""
+    _check_dims(g, x)
+    h = _step_at(x, step)
+    z, t = x.z[None], x.t[None]
+    return float(sum(hgrad_batch(g, lambda z, t, i=i: V(z, t)[..., i], z, t, h)[0, i]
+                     for i in range(2 * g.n)))
+
+
+def commutator_vertical(g: StepTwoGroup, value, x: Point, i: int,
+                        step: Optional[float] = None) -> float:
+    """(X_{2i} X_{2i-1} - X_{2i-1} X_{2i}) u of a batched ``value(z, t)`` by
+    nested central differences.
+
+    Should equal sum_j lam^(j)_i d_{t_j} u up to O(step^2).
+    """
+    _check_dims(g, x)
+    if not 0 <= i < g.n:
+        raise ValueError("block index out of range")
+    h = _step_at(x, step)
+    z, t = x.z[None], x.t[None]
+
+    def xx(outer, inner):
+        """X_outer (X_inner u) at x."""
+        def x_inner(z, t):
+            return hgrad_batch(g, value, z, t, h)[..., inner]
+        return hgrad_batch(g, x_inner, z, t, h)[0, outer]
+
+    a, b = 2 * i, 2 * i + 1
+    return float(xx(b, a) - xx(a, b))
 
 
 # ---------------------------------------------------------------------------

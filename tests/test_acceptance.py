@@ -17,14 +17,13 @@ from carnot_hardy import (Point, ZFieldSpec, bound_generic,
                           g_cc, heisenberg, koranyi, koranyi_b,
                           koranyi_profile_max, nonisotropic, sup_z_norm,
                           z_profile_koranyi)
-from carnot_hardy.groups import commutator_vertical, hgrad_batch
 from carnot_hardy.norms import cc_polar_arrays, symplectic_norm_sq_arrays
 from carnot_hardy.zfield import bracket_zoom_max, z_field_components
 from carnot_hardy.verify import (BumpProfile, QuadratureSpec, check_ibp_identity,
                                  check_w_identity, counterexample_scan, fit_log_excess,
                                  hardy_quotient, product_check, radial_bump,
                                  random_bump, sharpness_sequence)
-from oracles import euler_adjoint_defect
+from oracles import commutator_vertical, euler_adjoint_defect, hgrad_batch
 
 H1 = heisenberg(1)
 

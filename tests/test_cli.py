@@ -275,6 +275,17 @@ def test_bounds_n_has_a_stated_maximum(monkeypatch, capsys):
         assert_usage_error(["bounds", "--n", str(n)], capsys)
 
 
+def test_couplings_near_four_are_not_heisenberg(capsys):
+    # the closed Koranyi and cc formulas hold on H^n alone, not on groups
+    # whose couplings round to 4
+    base = ["bounds", "--group", "nonisotropic", "--lambdas", "4.00003,4"]
+    assert_usage_error(base + ["--norm", "cc"], capsys)
+    code, out = run_cli(base + ["--norm", "all"], capsys)
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert rows and all(r["norm"] == "koranyi_b" for r in rows)
+
+
 def test_counterexample_ignores_group(capsys):
     # the scan runs on its own (1/2, 1) group; --group is not built for it
     base = ["verify", "counterexample", "--samples-log2", "6"]

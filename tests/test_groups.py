@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from carnot_hardy import (Point, dilate, euler_apply, group_inverse,
-                          group_law, heisenberg, heisenberg_product,
-                          horizontal_divergence, horizontal_gradient, koranyi,
-                          nonisotropic)
-from carnot_hardy.groups import (StepTwoGroup, commutator_vertical, default_step,
-                                 hgrad_batch, pairing)
+from carnot_hardy import (Point, dilate, group_inverse, group_law, heisenberg,
+                          heisenberg_product, koranyi, nonisotropic)
+from carnot_hardy.groups import StepTwoGroup, pairing
+from oracles import (commutator_vertical, default_step, euler_apply, hgrad_batch,
+                     horizontal_divergence, horizontal_gradient)
 
 
 def test_group_invariants():
@@ -218,6 +217,13 @@ def test_lambda_min():
     assert nonisotropic([0.5, 1.0]).lambdas.min() == 0.5
     with pytest.raises(ValueError):
         heisenberg_product(1, 2).lambdas
+
+
+def test_isotropic_heisenberg_means_couplings_of_exactly_four():
+    assert heisenberg(2).is_isotropic_heisenberg()
+    assert nonisotropic([4.0, 4.0]).is_isotropic_heisenberg()
+    assert not nonisotropic([4.00003, 4.0]).is_isotropic_heisenberg()
+    assert not heisenberg_product(1, 2).is_isotropic_heisenberg()
 
 
 def test_commutators_at_random_points():

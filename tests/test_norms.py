@@ -4,10 +4,9 @@ import pytest
 from carnot_hardy import (CCPolar, CenterError, Point, balogh_tyson, cc,
                           cc_from_polar, cc_invert, heisenberg, heisenberg_product,
                           koranyi, koranyi_b, nonisotropic)
-from carnot_hardy.groups import hgrad_batch
 from carnot_hardy.norms import cc_polar_arrays, solve_mu_inverse, symplectic_norm_sq_arrays
 from carnot_hardy.verify.quadrature import Nodes, QuadratureSpec, _chunks
-from oracles import (equivalence_ratio_range, reconstruction_defect_arrays,
+from oracles import (equivalence_ratio_range, hgrad_batch, reconstruction_defect_arrays,
                      rotation_defect_arrays)
 
 H1 = heisenberg(1)
@@ -129,6 +128,12 @@ def test_mu_inverse_monotone_and_exact():
     assert np.max(np.abs(back - m) / np.maximum(1.0, np.abs(m))) < 1e-12
     with pytest.raises(ValueError):
         solve_mu_inverse(np.array([np.inf]))
+
+
+def test_balogh_tyson_lives_on_exactly_the_half_one_group():
+    assert balogh_tyson(nonisotropic([0.5, 1.0])).kind == "balogh_tyson"
+    with pytest.raises(ValueError):
+        balogh_tyson(nonisotropic([0.500004, 1.0]))
 
 
 def test_mu_inverse_near_the_pole():

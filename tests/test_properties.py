@@ -12,8 +12,8 @@ from carnot_hardy import (CCPolar, Point, ZFieldSpec, balogh_tyson, cc, cc_from_
                           cc_invert, dilate, group_inverse, group_law, heisenberg,
                           heisenberg_product, koranyi, koranyi_b, nonisotropic)
 from carnot_hardy.bounds import bound_koranyi, koranyi_window
-from carnot_hardy.groups import fd_partials, hgrad_batch
 from carnot_hardy.zfield import z_field_components
+from oracles import fd_partials, hgrad_batch
 
 H1 = heisenberg(1)
 BT_GROUP = nonisotropic([0.5, 1.0])

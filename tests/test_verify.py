@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from carnot_hardy import (Point, ZFieldSpec, cc, euler_apply, heisenberg,
-                          heisenberg_product, koranyi, nonisotropic)
-from carnot_hardy.groups import hgrad_batch
+from carnot_hardy import (Point, ZFieldSpec, cc, heisenberg, heisenberg_product, koranyi,
+                          nonisotropic)
 from carnot_hardy.verify import (BumpProfile, IntegralResult, Nodes, QuadratureSpec,
                                  check_ibp_identity,
                                  check_w_identity, counterexample_scan,
@@ -14,8 +13,8 @@ from carnot_hardy.verify import (BumpProfile, IntegralResult, Nodes, QuadratureS
                                  hardy_quotient, integrate_many,
                                  product_check, radial_bump, random_bump,
                                  sharpness_sequence, smoothstep_jet)
-from oracles import (box_gauss_integrals, euler_adjoint_defect, extremal_power,
-                     extremal_residual, weak_divergence_defect)
+from oracles import (box_gauss_integrals, euler_adjoint_defect, euler_apply, extremal_power,
+                     extremal_residual, hgrad_batch, weak_divergence_defect)
 
 H1 = heisenberg(1)
 
