@@ -11,16 +11,14 @@ Values are ordinary floats and integers, and the extremes 0, +-1e-320,
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import io
 import json
 import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carnot_hardy import cli
+from test_golden import run
 
 EXTREMES = ["0", "1e-320", "-1e-320", "1e300", "-1e300", "nan", "inf", "-inf", "", "x"]
 
@@ -61,13 +59,7 @@ def _finite_cell(cell: str) -> bool:
 
 
 def check(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    text = out.getvalue()
+    code, text = run(argv)
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
         assert text == "", argv

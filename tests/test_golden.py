@@ -50,12 +50,12 @@ def fingerprint() -> dict:
             "cpu_dispatch": sorted(f for f in umath.__cpu_dispatch__ if features.get(f))}
 
 
-def run(command: str):
+def run(argv: list):
     """(exit code, stdout) of one in-process CLI run."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         try:
-            code = cli.main(command.split())
+            code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue()
@@ -101,7 +101,7 @@ ENTRIES = MANIFEST_DATA["outputs"]
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=[e["name"] for e in ENTRIES])
 def test_readme_command_output_is_golden(entry):
-    code, text = run(entry["command"])
+    code, text = run(entry["command"].split())
     assert code == entry["exit"], entry["command"]
     got, want = parse(text), parse((GOLDEN / entry["file"]).read_text())
     bitwise = fingerprint() == MANIFEST_DATA["fingerprint"]
@@ -123,7 +123,7 @@ def test_readme_command_output_is_golden(entry):
 def regenerate() -> None:
     """Rewrite every output file and the fingerprint from this checkout."""
     for entry in ENTRIES:
-        code, text = run(entry["command"])
+        code, text = run(entry["command"].split())
         entry["exit"] = code
         entry["file"] = entry["name"] + (".json" if text.startswith("{") else ".csv")
         (GOLDEN / entry["file"]).write_text(text)
