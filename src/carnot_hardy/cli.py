@@ -32,6 +32,7 @@ from .zfield import (ScanRangeError, ZFieldSpec, cc_profile_max, g_cc,
 from .verify import (QuadratureSpec, Report, check_ibp_identity, counterexample_scan,
                      hardy_quotient, product_check, radial_bump, random_bump,
                      sharpness_function, sharpness_sequence, fit_log_excess)
+from .verify.checks import TooFewSamplesError
 from .verify.quadrature import NonFiniteIntegrandError
 
 DEFAULT_SEED = 2024
@@ -395,8 +396,11 @@ def cmd_verify(args) -> int:
         for _ in range(args.bumps):
             u = random_bump(group, rng)
             _check_powers(context, spec, u, 1.0 + abs(u.params["modulation"][0]))
-            with _finite_integrands(context):
-                q = hardy_quotient(spec, u, _quad_from_args(args, u.support))
+            try:
+                with _finite_integrands(context):
+                    q = hardy_quotient(spec, u, _quad_from_args(args, u.support))
+            except TooFewSamplesError as exc:
+                raise UsageError(f"--samples {args.samples}: {exc}") from None
             worst = min(worst, q)
         reports.append(Report("hardy_dominance", worst >= target - 1e-3, 1e-3,
                               values={"worst_quotient": worst, "target": target},
@@ -514,7 +518,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--theta", dest="theta_value", type=_finite("--theta"), default=1.0)
     v.add_argument("--eps", default="1e-2,1e-3,1e-4")
     v.add_argument("--bumps", type=int, default=5)
-    v.add_argument("--samples", type=int, default=10**6, help="Monte Carlo samples")
+    v.add_argument("--samples", type=int, default=10**6,
+                   help="Monte Carlo samples N, counted as uniform draws from the box "
+                        "that holds the gauge ball B; only the Binomial(N, |B|/|box|) "
+                        "draws that land in B are generated")
     v.add_argument("--samples-log2", type=int, default=15,
                    help="log2 of quasi-random scan points")
     v.add_argument("--quad-method", choices=("tensor_grid", "monte_carlo"),

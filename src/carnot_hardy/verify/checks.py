@@ -17,7 +17,7 @@ from ..groups import Array, heisenberg, heisenberg_product, nonisotropic, pairin
 from ..norms import balogh_tyson, koranyi
 from ..zfield import (ZFieldSpec, product_hypothesis, scan_unit_sphere,
                       z_field_components, z_field_norm)
-from .quadrature import QuadratureSpec, integrate_many
+from .quadrature import IntegralResult, QuadratureSpec, integrate_many
 from .testfuncs import BumpProfile, TestFunction, radial_bump, sharpness_function
 
 
@@ -128,6 +128,21 @@ def _circle_rule(u: TestFunction, quad: QuadratureSpec) -> QuadratureSpec:
     return quad
 
 
+class TooFewSamplesError(ValueError):
+    """A Monte Carlo integral saw fewer than two samples inside its support
+    window, so there is nothing to compare it with."""
+
+
+def _window_shortfall(result: IntegralResult, quad: QuadratureSpec) -> Optional[str]:
+    """Why a Monte Carlo integral cannot be compared, or None.  With fewer
+    than two samples inside the support window it has no sample variance,
+    and with none it evaluated no integrand."""
+    if quad.method == "monte_carlo" and result.n_evals < 2:
+        return (f"{result.n_evals} of {quad.samples} Monte Carlo samples in the support "
+                "window: at least 2 are needed")
+    return None
+
+
 # pairwise relative tolerance of the three-way identity
 IBP_REL_TOL = 2e-3
 
@@ -140,7 +155,9 @@ def check_ibp_identity(spec: ZFieldSpec, u: TestFunction,
 
     Pass criterion: pairwise relative differences within IBP_REL_TOL, or
     absolute smallness (1e-4, normalized by the mass integral) when pt = Q
-    makes I3 vanish identically.
+    makes I3 vanish identically.  A Monte Carlo run with fewer than two
+    samples inside the support window does not pass, and its diagnostics
+    say why the identity was not checked.
     """
     quad = _quad_for(u, quad)
     p, theta = spec.p, spec.theta
@@ -151,20 +168,21 @@ def check_ibp_identity(spec: ZFieldSpec, u: TestFunction,
     I1, I2 = r1.value, r2.value
     mass = r3.value
     I3 = -(Q - pt) / p * mass
-    if abs(Q - pt) > 1e-12:
-        scale = abs(I3)
-        defect = max(abs(I1 - I3), abs(I2 - I3), abs(I1 - I2)) / scale
-        tol = IBP_REL_TOL
-    else:
+    values = {"I1": I1, "I2": I2, "I3": I3, "p": p, "theta": theta}
+    diagnostics = {"norm": spec.norm.kind, "mass": mass,
+                   "grid_error": max(r1.error, r2.error, r3.error), "n_evals": r1.n_evals}
+    vanishing = abs(Q - pt) <= 1e-12
+    tol = 1e-4 if vanishing else IBP_REL_TOL
+    short = _window_shortfall(r1, quad)
+    if short:
+        diagnostics["identity_not_checked"] = short
+        return Report("ibp_identity", False, tol, values, diagnostics)
+    if vanishing:
         defect = max(abs(I1), abs(I2)) / max(1.0, mass)
-        tol = 1e-4
-    passed = defect <= tol
-    return Report("ibp_identity", passed, tol,
-                  values={"I1": I1, "I2": I2, "I3": I3, "p": p, "theta": theta,
-                          "defect": defect},
-                  diagnostics={"norm": spec.norm.kind, "mass": mass,
-                               "grid_error": max(r1.error, r2.error, r3.error),
-                               "n_evals": r1.n_evals})
+    else:
+        defect = max(abs(I1 - I3), abs(I2 - I3), abs(I1 - I2)) / abs(I3)
+    values["defect"] = defect
+    return Report("ibp_identity", defect <= tol, tol, values, diagnostics)
 
 
 def _ibp_integrands(spec: ZFieldSpec, u: TestFunction):
@@ -199,9 +217,13 @@ def hardy_quotient(spec: ZFieldSpec, u: TestFunction,
 
 def _quotient_parts(spec: ZFieldSpec, u: TestFunction, quad: QuadratureSpec,
                     projected: bool = True):
-    """(numerator, denominator) of the Hardy quotient; ValueError if the latter vanishes."""
+    """(numerator, denominator) of the Hardy quotient; ValueError if the latter
+    vanishes, TooFewSamplesError if Monte Carlo left it fewer than two samples."""
     rnum, rden = integrate_many(spec.group, [_quotient_integrands(spec, u, projected)],
                                 _circle_rule(u, quad))
+    short = _window_shortfall(rden, quad)
+    if short:
+        raise TooFewSamplesError(short)
     if rden.value <= 0.0:
         raise ValueError("vanishing denominator: test function is zero on the grid")
     return rnum.value, rden.value
@@ -333,7 +355,10 @@ def product_check(n: int, N: int, p: float, theta: float,
         int |u|^{p-2} u <grad u, Z_rho> / rho^{p theta - 1}
 
     is checked by Monte Carlo, seeded by ``seed``, for one radial bump on
-    (H^1)^2 when p theta <= 4; otherwise the diagnostics say why it was not.
+    (H^1)^2 when p theta <= 4; ``mc_samples`` counts box-equivalent draws,
+    and ``mc_window_samples`` those that fell inside the bump's support.
+    Otherwise, or when fewer than two samples fell inside the support (the
+    report then fails), the diagnostics say why the identity was not checked.
     """
     if theta < 0:
         raise ValueError("the product scan needs theta >= 0")
@@ -355,23 +380,30 @@ def product_check(n: int, N: int, p: float, theta: float,
         values["exceeding_samples"] = int(np.sum(zvals > target + 1e-9))
 
     diagnostics = {"samples": int(zvals.size)}
-    # the identity holds for every theta, but box Monte Carlo only resolves
-    # moderate gauge powers; large p theta concentrates 1/rho^{pt} too hard
+    # the identity holds for every theta, but uniform Monte Carlo on the gauge
+    # ball only resolves moderate gauge powers; large p theta concentrates
+    # 1/rho^{pt} too hard
     if (n, N) != (1, 2):
         diagnostics["identity_not_checked"] = "the Monte Carlo identity runs on (H^1)^2 only"
     elif p * theta > 4.0:
-        diagnostics["identity_not_checked"] = f"p theta = {p * theta:g} > 4: beyond box Monte Carlo"
+        diagnostics["identity_not_checked"] = (f"p theta = {p * theta:g} > 4: beyond uniform "
+                                               "Monte Carlo")
     else:
         u = radial_bump(group)
         quad = QuadratureSpec(method="monte_carlo", samples=mc_samples, seed=seed,
                               sigma_range=u.support)
         # the <grad u, Z> row and the Eu row of the three-way identity
         rr, rl, _ = integrate_many(group, [_ibp_integrands(spec, u)], quad)
-        rel = abs(rl.value - rr.value) / max(abs(rl.value), 1e-300)
-        values.update(identity_lhs=rl.value, identity_rhs=rr.value,
-                      identity_rel_defect=rel)
-        diagnostics.update(mc_samples=mc_samples,
-                           mc_stderr=max(rl.error, rr.error))
-        passed = passed and rel <= PRODUCT_IDENTITY_TOL
+        diagnostics.update(mc_samples=mc_samples, mc_window_samples=rl.n_evals)
+        short = _window_shortfall(rl, quad)
+        if short:
+            diagnostics["identity_not_checked"] = short
+            passed = False
+        else:
+            rel = abs(rl.value - rr.value) / max(abs(rl.value), 1e-300)
+            values.update(identity_lhs=rl.value, identity_rhs=rr.value,
+                          identity_rel_defect=rel)
+            diagnostics["mc_stderr"] = max(rl.error, rr.error)
+            passed = passed and rel <= PRODUCT_IDENTITY_TOL
     return Report("product_check", passed, PRODUCT_IDENTITY_TOL, values, diagnostics)
 

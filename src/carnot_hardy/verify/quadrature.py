@@ -16,21 +16,27 @@ lam = t/|z|^2 alone is evaluated on its table.
 
 Monte Carlo integration covers the product and five-dimensional
 non-isotropic cases, with a fixed seed and chunked, order-deterministic
-accumulation.  It draws uniform samples from the box |z_i| < hi,
-|t_j| < hi^2, the smallest box that holds the Koranyi ball of radius hi,
-the outer end of the support window ``sigma_range``.  Integrands are
-evaluated only on the samples whose Koranyi gauge lies inside the window;
-the others enter the sums as exact zeros, so each sum sees the vector that a
-full-box evaluation of an integrand vanishing outside the window gives, bit
-for bit.  The chunk handed to the integrands carries the gauge the window
-was selected by (``Nodes.rho``), so that the Koranyi jets do not form it
-again; it is the value their own evaluator gives, so no bit moves.
+accumulation.  ``samples`` counts box-equivalent draws: uniform draws from
+the box |z_i| < hi, |t_j| < hi^2, the smallest box that holds the Koranyi
+ball B(hi) of radius hi, the outer end of the support window
+``sigma_range``.  Only the draws that land in the ball are generated: their
+number M ~ Binomial(samples, |B|/|box|) is drawn first, then M points
+uniform in B(hi) directly (``koranyi_ball_draws``).  Integrands are
+evaluated only on the draws whose Koranyi gauge lies inside the window, and
+the estimate is |B(hi)| times their sum over M, with the standard error
+|B(hi)| sqrt(var / M): the ball's volume is known in closed form
+(``koranyi_ball_volume``), so the box draws that miss it are neither made
+nor summed as zeros, and the estimate does not carry the variance of their
+count.  The chunk handed to the integrands carries the gauge the window was
+selected by (``Nodes.rho``), so that the Koranyi jets do not form it again;
+it is the value their own evaluator gives, so no bit moves.
 
 Both methods take a window 0 <= lo < hi and reject any other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -38,7 +44,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ..groups import Array, Nodes, StepTwoGroup
+from ..groups import Array, Nodes, StepTwoGroup, pairing
 from ..norms import koranyi
 
 LOG2 = float(np.log(2.0))
@@ -60,13 +66,12 @@ class QuadratureSpec:
     n_angle: int = 16                    # circle nodes (1: one node at angle 0)
     psi_nodes: int = 12                  # Gauss nodes per psi panel
     log_nodes: int = 16                  # Gauss nodes per log-lambda panel
-    samples: int = 1 << 20               # Monte Carlo sample count
+    samples: int = 1 << 20               # Monte Carlo box-equivalent draws
     seed: int = 2024
     # gauge support of the integrand: the open Koranyi annulus outside which
     # every integrand must vanish.  The phi chart integrates only over it;
-    # Monte Carlo draws from the box that holds its outer ball, and evaluates
-    # integrands, and checks their samples for finiteness, on the samples
-    # inside it alone
+    # Monte Carlo draws from its outer ball, and evaluates integrands, and
+    # checks their samples for finiteness, on the draws inside it alone
     sigma_range: tuple = (0.25, 2.0)
     lambda_range: Optional[tuple] = None  # positive (lo, hi): one-sided log grid
     chunk: int = 1 << 17
@@ -76,7 +81,7 @@ class QuadratureSpec:
 class IntegralResult:
     value: float
     error: float          # grid-refinement difference or MC standard error
-    n_evals: int
+    n_evals: int          # nodes, or Monte Carlo draws inside the window
     method: str
 
 
@@ -248,6 +253,45 @@ def _accumulate(fs, group: StepTwoGroup, quad: QuadratureSpec, coarse: bool):
     return totals, n
 
 
+def koranyi_ball_volume(group: StepTwoGroup) -> float:
+    """|B_1|, the volume of the unit Koranyi ball {|z|^4 + |t|^2 < 1}.
+
+    Over each |z| = r < 1 the ball is the h-ball of radius sqrt(1 - r^4), so
+    with u = r^4
+
+        |B_1| = |S^{2n-1}| V_h int_0^1 r^{2n-1} (1 - r^4)^{h/2} dr
+              = |S^{2n-1}| V_h B(n/2, h/2 + 1) / 4,
+
+    pi^2/2 on H^1 and pi^3/4 on (H^1)^2; the ball of radius r has volume
+    |B_1| r^Q.  Formed from log-gammas, so that no factor overflows.
+    """
+    n, h = group.n, group.h
+    log_sphere = math.log(2.0) + n * math.log(math.pi) - math.lgamma(n)
+    log_ball_h = h / 2.0 * math.log(math.pi) - math.lgamma(h / 2.0 + 1.0)
+    log_beta = (math.lgamma(n / 2.0) + math.lgamma(h / 2.0 + 1.0)
+                - math.lgamma(n / 2.0 + h / 2.0 + 1.0))
+    return math.exp(log_sphere + log_ball_h + log_beta) / 4.0
+
+
+def koranyi_ball_draws(group: StepTwoGroup, radius: float, m: int, rng):
+    """m points (z, t) uniform in the Koranyi ball of the given radius.
+
+    By the volume formula u = |z|^4 / radius^4 has the density
+    u^{n/2-1} (1 - u)^{h/2} / B(n/2, h/2 + 1), so u ~ Beta(n/2, h/2 + 1); z
+    points along a normalized Gaussian, and t is uniform in the h-ball of
+    radius radius^2 sqrt(1 - u): a normalized Gaussian direction with the
+    radius fraction U^{1/h}.
+    """
+    u = rng.beta(group.n / 2.0, group.h / 2.0 + 1.0, size=m)
+    z = rng.standard_normal((m, 2 * group.n))
+    t = rng.standard_normal((m, group.h))
+    frac = rng.random(m)
+    z *= (radius * u**0.25 / np.sqrt(pairing(z, z)))[:, None]
+    t *= (radius**2 * np.sqrt(1.0 - u) * frac ** (1.0 / group.h)
+          / np.sqrt(pairing(t, t)))[:, None]
+    return z, t
+
+
 def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: QuadratureSpec):
     """Integrate several integrands on shared nodes; returns IntegralResults.
 
@@ -272,38 +316,36 @@ def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: Quadrature
         raise ValueError("monte_carlo integration needs at least one sample")
     if not np.isfinite(hi):
         raise ValueError("monte_carlo integration needs a bounded support window")
-    # the smallest box that holds the Koranyi ball of radius hi
-    z_half, t_half = hi, hi**2
-    dim_z, dim_t = 2 * group.n, group.h
-    vol = (2.0 * z_half) ** dim_z * (2.0 * t_half) ** dim_t
+    unit = koranyi_ball_volume(group)
+    vol = unit * hi**group.Q
     gauge = koranyi(group).value
     rng = np.random.default_rng(quad.seed)
+    # how many of the box-equivalent draws land in the ball: the box
+    # |z_i| < hi, |t_j| < hi^2 has the volume 2^(2n + h) hi^Q
+    inside = int(rng.binomial(quad.samples, unit / 2.0 ** (2 * group.n + group.h)))
     sums = sq = None
-    done = 0
-    while done < quad.samples:
-        m = min(quad.chunk, quad.samples - done)
-        z = rng.uniform(-z_half, z_half, size=(m, dim_z))
-        t = rng.uniform(-t_half, t_half, size=(m, dim_t))
+    evals = 0
+    # one chunk at least, even an empty one, tells the number of rows
+    for start in range(0, max(inside, 1), quad.chunk):
+        z, t = koranyi_ball_draws(group, hi, min(quad.chunk, inside - start), rng)
         rho = gauge(z, t)
         idx = np.flatnonzero((rho > lo) & (rho < hi))
         # read-only: the jets hand it on, and one integrand must not alter
         # what the next one reads
         rho_in = rho[idx]
         rho_in.flags.writeable = False
-        rows = _rows(fs, Nodes(z[idx], t[idx], rho=rho_in), "in the Monte Carlo box")
+        rows = _rows(fs, Nodes(z[idx], t[idx], rho=rho_in), "in the Monte Carlo ball")
         if sums is None:
             sums, sq = np.zeros(len(rows)), np.zeros(len(rows))
-        full = np.zeros(m)
         for k, row in enumerate(rows):
-            # the samples outside the window are the zeros of the full chunk;
-            # numpy's pairwise sums, not a BLAS dot, as on the grid
-            full[idx] = row
-            sums[k] += float(full.sum())
-            sq[k] += float(np.sum(full * full))
-        done += m
-    mean = sums / quad.samples
-    var = np.maximum(sq / quad.samples - mean**2, 0.0)
-    err = vol * np.sqrt(var / quad.samples)
-    return [IntegralResult(float(vol * mu), float(e), quad.samples, "monte_carlo")
+            # the draws outside the window add nothing; numpy's pairwise
+            # sums, not a BLAS dot, as on the grid
+            sums[k] += float(row.sum())
+            sq[k] += float(np.sum(row * row))
+        evals += idx.size
+    draws = max(inside, 1)
+    mean = sums / draws
+    var = np.maximum(sq / draws - mean**2, 0.0)
+    err = vol * np.sqrt(var / draws)
+    return [IntegralResult(float(vol * mu), float(e), evals, "monte_carlo")
             for mu, e in zip(mean, err)]
-

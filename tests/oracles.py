@@ -10,7 +10,9 @@ empirical equivalence constants of two gauges, the two distributional
 divergence identities of the vertical construction, the adjointness of the
 generator of dilations, and the extremal profile with its pointwise
 residual.  A plain tensor Gauss rule on a coordinate box cross-checks the
-phi chart of the quadrature, and the cc profile's dense scan, written out
+phi chart of the quadrature, the Monte Carlo estimate with every integrand
+evaluated on every draw of the gauge ball pins the bits of the package's
+windowed sums, and the cc profile's dense scan, written out
 with np.linspace and the series on every call, pins the bits of the
 package's table-driven scan.
 """
@@ -26,7 +28,8 @@ from numpy.polynomial.legendre import leggauss
 from carnot_hardy.groups import (Array, CenterError, Nodes, Point, StepTwoGroup,
                                  _check_dims)
 from carnot_hardy.norms import NormModel, koranyi
-from carnot_hardy.verify.quadrature import QuadratureSpec, integrate_many
+from carnot_hardy.verify.quadrature import (IntegralResult, QuadratureSpec, integrate_many,
+                                           koranyi_ball_draws, koranyi_ball_volume)
 from carnot_hardy.verify.testfuncs import TestFunction, _from_jet, _slope_grad
 from carnot_hardy.zfield import ZFieldSpec, _block_perp, z_field_components
 
@@ -312,6 +315,63 @@ def box_gauss_integrals(group: StepTwoGroup, fs: Sequence, box: tuple, n: int) -
         for k, row in enumerate(rows):
             totals[k] += float(np.sum(wts * row))
     return totals.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo on the gauge ball, every draw evaluated
+# ---------------------------------------------------------------------------
+
+def _ball_count(group: StepTwoGroup, quad: QuadratureSpec):
+    """(generator, count): quad's seeded generator after its first draw, the
+    number of quad.samples uniform draws from the box |z_i| < hi,
+    |t_j| < hi^2 that land in the Koranyi ball B(hi),
+    Binomial(samples, |B_1| / 2^(2n + h))."""
+    rng = np.random.default_rng(quad.seed)
+    box_share = koranyi_ball_volume(group) / 2.0 ** (2 * group.n + group.h)
+    return rng, int(rng.binomial(quad.samples, box_share))
+
+
+def ball_draw_count(group: StepTwoGroup, quad: QuadratureSpec) -> int:
+    """How many of quad.samples box draws land in the Koranyi ball."""
+    return _ball_count(group, quad)[1]
+
+
+def ball_monte_carlo(group: StepTwoGroup, fs: Sequence, quad: QuadratureSpec) -> list:
+    """The Monte Carlo estimate of ``integrate_many`` with every integrand
+    evaluated on every draw of the ball B(hi), hi = quad.sigma_range[1].
+
+    The same seeded ball count and draws, chunk by chunk; each chunk is
+    evaluated whole, as plain (z, t) nodes, and its samples whose Koranyi
+    gauge lies outside the window are dropped afterwards.  The estimate is
+    |B(hi)| times the sum over the count of ball draws (at least 1), its
+    error |B(hi)| sqrt(var / count).
+    """
+    lo, hi = quad.sigma_range
+    vol = koranyi_ball_volume(group) * hi**group.Q
+    rng, inside = _ball_count(group, quad)
+    sums = sq = None
+    evals = start = 0
+    while True:
+        m = min(quad.chunk, inside - start)
+        z, t = koranyi_ball_draws(group, hi, m, rng)
+        rho = koranyi(group).value(z, t)
+        keep = (rho > lo) & (rho < hi)
+        rows = [row[keep] for f in fs
+                for row in np.atleast_2d(np.asarray(f(Nodes(z, t))))]
+        if sums is None:
+            sums, sq = np.zeros(len(rows)), np.zeros(len(rows))
+        for k, row in enumerate(rows):
+            sums[k] += float(row.sum())
+            sq[k] += float(np.sum(row * row))
+        evals += int(np.count_nonzero(keep))
+        start += m
+        if start >= inside:
+            break
+    draws = max(inside, 1)
+    mean = sums / draws
+    err = vol * np.sqrt(np.maximum(sq / draws - mean**2, 0.0) / draws)
+    return [IntegralResult(float(vol * mu), float(e), evals, "monte_carlo")
+            for mu, e in zip(mean, err)]
 
 
 # ---------------------------------------------------------------------------

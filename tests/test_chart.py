@@ -146,11 +146,11 @@ def test_product_monte_carlo_is_unchanged():
     # no chart tables on the Monte Carlo branch: its sums are pinned bit for
     # bit
     rep = product_check(1, 2, 2.0, 1.0, samples_log2=10, mc_samples=200_000, seed=11)
-    assert rep.values["identity_lhs"] == -777.6926080047587
-    assert rep.values["identity_rhs"] == -768.5298664532376
+    assert rep.values["identity_lhs"] == -792.2280007286432
+    assert rep.values["identity_rhs"] == -787.8029823692283
     # the standard error sums squares through BLAS, whose thread count may
     # move its last bits
-    assert rep.diagnostics["mc_stderr"] == pytest.approx(10.598635319379323, rel=1e-12)
+    assert rep.diagnostics["mc_stderr"] == pytest.approx(9.686867994679307, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

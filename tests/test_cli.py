@@ -303,6 +303,40 @@ def test_product_scan_size_follows_samples_log2(capsys):
     assert json.loads(out)["results"][0]["diagnostics"]["samples"] == 63
 
 
+def test_product_identity_with_no_window_sample_is_not_checked(capsys):
+    # one box-equivalent draw: at most one sample in the support window, no
+    # integrand to compare and no variance, so the report fails
+    code, out = run_cli(["verify", "product", "--samples", "1", "--samples-log2", "1"],
+                        capsys)
+    assert code == 1
+    res = json.loads(out)["results"][0]
+    diag = res["diagnostics"]
+    assert res["passed"] is False and diag["mc_samples"] == 1
+    assert diag["mc_window_samples"] < 2
+    assert diag["identity_not_checked"] == (f"{diag['mc_window_samples']} of 1 Monte Carlo "
+                                            "samples in the support window: at least 2 "
+                                            "are needed")
+    assert "identity_lhs" not in res["values"] and "mc_stderr" not in diag
+
+
+@pytest.mark.parametrize("seed", ["2024", "1"])
+def test_monte_carlo_checks_with_too_few_window_samples(seed, capsys):
+    # one box-equivalent draw: with it outside the window (seed 2024) the
+    # identity divided by a zero I3 and the quotient met a zero denominator,
+    # both tracebacks; with it inside (seed 1) there is no variance
+    mc = ["--quad-method", "monte_carlo", "--samples", "1", "--seed", seed]
+    code, out = run_cli(["verify", "identity", *mc], capsys)
+    assert code == 1
+    res = json.loads(out)["results"][0]
+    assert res["passed"] is False and "defect" not in res["values"]
+    assert res["diagnostics"]["identity_not_checked"].endswith(
+        "of 1 Monte Carlo samples in the support window: at least 2 are needed")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "hardy", "--bumps", "1", *mc])
+    assert exc.value.code == 2
+    assert "--samples 1:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["verify", "product", "--n", "0"],
                                   ["verify", "product", "--N", "0"]])
 def test_product_sizes_have_their_own_usage_message(argv, capsys):
@@ -529,7 +563,7 @@ def test_main_runs_a_rebound_command(monkeypatch, capsys):
 
 
 def test_monte_carlo_output_does_not_depend_on_blas_threads():
-    # the second moment is a pairwise sum over 2^17-sample chunks, as the
+    # the second moment is a pairwise sum over 2^17-draw chunks, as the
     # first is; a BLAS dot of them printed mc_stderr 8.70442156501716 at
     # one OpenBLAS 0.3.31 thread and 8.704421565017158 at two for this seed
     argv = ["verify", "product", "--samples", "300000", "--samples-log2", "4",

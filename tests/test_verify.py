@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from carnot_hardy import (Point, ZFieldSpec, cc, heisenberg, heisenberg_product, koranyi,
-                          nonisotropic)
-from carnot_hardy.verify import (BumpProfile, IntegralResult, Nodes, QuadratureSpec,
+from carnot_hardy import (Point, ZFieldSpec, cc, general_group, heisenberg,
+                          heisenberg_product, koranyi, nonisotropic)
+from carnot_hardy.verify import (BumpProfile, Nodes, QuadratureSpec,
                                  check_ibp_identity,
                                  check_w_identity, counterexample_scan,
                                  fit_log_excess, g_cutoff_jet,
                                  hardy_quotient, integrate_many,
                                  product_check, radial_bump, random_bump,
                                  sharpness_sequence, smoothstep_jet)
-from oracles import (box_gauss_integrals, euler_adjoint_defect, euler_apply, extremal_power,
-                     extremal_residual, hgrad_batch, weak_divergence_defect)
+from carnot_hardy.verify.quadrature import koranyi_ball_draws, koranyi_ball_volume
+from oracles import (ball_draw_count, ball_monte_carlo, box_gauss_integrals,
+                     euler_adjoint_defect, euler_apply, extremal_power, extremal_residual,
+                     hgrad_batch, weak_divergence_defect)
 
 H1 = heisenberg(1)
 
@@ -430,37 +432,10 @@ def test_integrate_rejects_a_window_it_cannot_integrate(method, window):
         integrate_many(H1, [lambda n: np.ones(n.z.shape[0])], quad)
 
 
-def _full_box(group, fs, quad):
-    """The Monte Carlo estimate with every integrand evaluated on every sample
-    of the box: the draws, sums and error formula of ``integrate_many``
-    without its support window."""
-    hi = quad.sigma_range[1]
-    z_half, t_half = hi, hi**2
-    vol = (2.0 * z_half) ** (2 * group.n) * (2.0 * t_half) ** group.h
-    rng = np.random.default_rng(quad.seed)
-    sums = sq = None
-    done = 0
-    while done < quad.samples:
-        m = min(quad.chunk, quad.samples - done)
-        nodes = Nodes(rng.uniform(-z_half, z_half, size=(m, 2 * group.n)),
-                      rng.uniform(-t_half, t_half, size=(m, group.h)))
-        rows = [row for f in fs for row in np.asarray(f(nodes)).reshape(-1, m)]
-        if sums is None:
-            sums, sq = np.zeros(len(rows)), np.zeros(len(rows))
-        for k, row in enumerate(rows):
-            sums[k] += float(row.sum())
-            sq[k] += float(np.sum(row * row))
-        done += m
-    mean = sums / quad.samples
-    err = vol * np.sqrt(np.maximum(sq / quad.samples - mean**2, 0.0) / quad.samples)
-    return [IntegralResult(float(vol * mu), float(e), quad.samples, "monte_carlo")
-            for mu, e in zip(mean, err)]
-
-
-def _bump_integrands(group):
+def _bump_integrands(group, profile=BumpProfile()):
     """A plain and a stacked integrand of one bump, both vanishing outside its
     support; the bump's own support test is the window's."""
-    u = radial_bump(group)
+    u = radial_bump(group, profile)
     rho = koranyi(group)
 
     def plain(nodes):
@@ -490,30 +465,47 @@ def test_monte_carlo_evaluates_only_inside_the_window(group):
                           sigma_range=(lo, hi))
     integrate_many(group, [recorded], quad)
     rho = np.concatenate(seen)
-    assert len(seen) == 3 and 0 < rho.size < quad.samples
+    # one chunk per quad.chunk draws of the ball
+    assert len(seen) == -(-ball_draw_count(group, quad) // quad.chunk)
+    assert 0 < rho.size < quad.samples
     assert np.all((rho > lo) & (rho < hi))
+
+
+# a narrow support, (1.7, 1.9): a share (1.7/1.9)^Q of the ball's draws lies
+# inside its inner ball, 0.64 on H^1 and 0.41 on (H^1)^2
+NARROW = BumpProfile(1.7, 1.75, 1.85, 1.9)
 
 
 @pytest.mark.parametrize("group", [H1, heisenberg_product(1, 2)], ids=["H1", "H1xH1"])
 def test_monte_carlo_window_keeps_the_full_box_bits(group):
-    # the samples outside the window enter the sums as zeros, exactly the
-    # values the integrands give there; 7001 does not divide 50_001
-    u, plain, stacked = _bump_integrands(group)
-    fs = [plain, stacked]
-    quad = QuadratureSpec(method="monte_carlo", samples=50_001, chunk=7001, seed=3,
-                          sigma_range=u.support)
-    got = integrate_many(group, fs, quad)
-    assert got == _full_box(group, fs, quad)
-    assert all(r.value != 0.0 for r in got)
+    # the draws outside the window drop out of the sums: every draw of the
+    # ball evaluated, then those outside the window dropped, gives the same
+    # sums bit for bit (on H^1 in five chunks, the last one partial); with
+    # the narrow support 41% or more of the draws are dropped, and summing
+    # them as zeros would move the bits
+    for profile in (BumpProfile(), NARROW):
+        u, plain, stacked = _bump_integrands(group, profile)
+        fs = [plain, stacked]
+        quad = QuadratureSpec(method="monte_carlo", samples=50_001, chunk=7001, seed=3,
+                              sigma_range=u.support)
+        got = integrate_many(group, fs, quad)
+        assert got == ball_monte_carlo(group, fs, quad)
+        assert all(r.value != 0.0 for r in got)
+        drawn = ball_draw_count(group, quad)
+        assert 0 < got[0].n_evals <= drawn
+    # the narrow support's inner ball holds a share 0.41 or more of the draws
+    assert got[0].n_evals < 0.7 * drawn
 
 
-@pytest.mark.parametrize("group, samples, chunk, seed", [
-    (H1, 1, 1 << 17, 1),               # the one sample misses the window
-    (H1, 12, 2, 10),                   # the first chunk misses it, later ones do not
-    (heisenberg_product(1, 2), 12, 2, 2),
-])
-def test_monte_carlo_chunks_outside_the_window(group, samples, chunk, seed):
-    u, plain, stacked = _bump_integrands(group)
+@pytest.mark.parametrize("group, samples, chunk, seed, hit", [
+    (H1, 1, 1 << 17, 4, False),        # the one box draw misses the ball
+    (H1, 1, 1 << 17, 1, False),        # it lands in the ball's inner part
+    (H1, 12, 2, 1, True),              # 7 ball draws: the first chunks miss the window
+    (heisenberg_product(1, 2), 40, 2, 20, True),
+], ids=["H1-no ball draw", "H1-one inner draw", "H1-first chunks miss",
+        "H1xH1-first chunk misses"])
+def test_monte_carlo_chunks_outside_the_window(group, samples, chunk, seed, hit):
+    u, plain, stacked = _bump_integrands(group, NARROW)
     sizes = []
 
     def recorded(nodes):
@@ -523,13 +515,74 @@ def test_monte_carlo_chunks_outside_the_window(group, samples, chunk, seed):
     quad = QuadratureSpec(method="monte_carlo", samples=samples, chunk=chunk, seed=seed,
                           sigma_range=u.support)
     for fs in ([plain], [recorded], [plain, recorded]):
-        want = _full_box(group, fs, quad)
+        want = ball_monte_carlo(group, fs, quad)
         sizes.clear()
         assert integrate_many(group, fs, quad) == want
-    # the chunks the integrands saw: an empty one first, then some samples
-    # unless there was only the one
+    # the chunks the integrands saw: an empty one first, then some draws
+    # when any fell inside the window
     assert sizes[0] == 0
-    assert (sum(sizes) > 0) == (samples > 1)
+    assert (sum(sizes) > 0) == hit
+    assert want[0].n_evals == sum(sizes)
+
+
+# the gauge balls of the sampler tests: n horizontal planes, h vertical directions
+BALL_GROUPS = {"H1": H1, "H2": heisenberg(2), "H1xH1": heisenberg_product(1, 2),
+               "noniso(0.5,1)": nonisotropic([0.5, 1.0]),
+               "general h=2": general_group([[2.0, 1.0], [1.0, 3.0]], selected=(0, 1))}
+ball_groups = pytest.mark.parametrize("group", list(BALL_GROUPS.values()),
+                                      ids=list(BALL_GROUPS))
+
+
+@ball_groups
+def test_koranyi_ball_volume_matches_quadrature(group):
+    import mpmath
+    n, h = group.n, group.h
+    mpmath.mp.dps = 30
+    sphere = 2 * mpmath.pi**n / mpmath.gamma(n)             # |S^{2n-1}|
+    ball_h = mpmath.pi ** (mpmath.mpf(h) / 2) / mpmath.gamma(mpmath.mpf(h) / 2 + 1)
+    radial = mpmath.quad(lambda r: r ** (2 * n - 1) * (1 - r**4) ** (mpmath.mpf(h) / 2),
+                         [0, 1])
+    assert koranyi_ball_volume(group) == pytest.approx(float(sphere * ball_h * radial),
+                                                       rel=1e-13)
+    closed = {H1: np.pi**2 / 2, BALL_GROUPS["H1xH1"]: np.pi**3 / 4}
+    if group in closed:
+        assert koranyi_ball_volume(group) == pytest.approx(closed[group], rel=1e-14)
+
+
+@ball_groups
+def test_box_draws_hit_the_ball_at_its_volume_share(group):
+    # uniform draws from the box |z_i| < r, |t_j| < r^2 that holds B(r)
+    r, m = 1.3, 200_000
+    rng = np.random.default_rng(81)
+    z = rng.uniform(-r, r, size=(m, 2 * group.n))
+    t = rng.uniform(-r**2, r**2, size=(m, group.h))
+    hit = np.mean(koranyi(group).value(z, t) < r)
+    share = koranyi_ball_volume(group) / 2.0 ** (2 * group.n + group.h)
+    assert abs(hit - share) < 5.0 * np.sqrt(share * (1.0 - share) / m)
+
+
+@ball_groups
+def test_ball_draws_are_uniform_in_the_ball(group):
+    from scipy.stats import kstest, ks_2samp
+    r = 1.3
+    z, t = koranyi_ball_draws(group, r, 20_000, np.random.default_rng(82))
+    rho = koranyi(group).value(z, t)
+    # B(s) fills the share (s/r)^Q of B(r)
+    assert kstest((rho / r) ** group.Q, "uniform").pvalue > 1e-3
+    # the split between z and t, against the box draws that hit the ball
+    rng = np.random.default_rng(83)
+    zb = rng.uniform(-r, r, size=(400_000, 2 * group.n))
+    tb = rng.uniform(-r**2, r**2, size=(400_000, group.h))
+    hit = koranyi(group).value(zb, tb) < r
+    for got, ref in ((z, zb[hit]), (t, tb[hit])):
+        assert ks_2samp(np.linalg.norm(got, axis=1), np.linalg.norm(ref, axis=1)).pvalue > 1e-3
+
+
+def test_every_ball_draw_lies_inside_the_ball():
+    for group in BALL_GROUPS.values():
+        for r in (0.25, 1.0, 2.0):
+            z, t = koranyi_ball_draws(group, r, 100_000, np.random.default_rng(84))
+            assert np.all(koranyi(group).value(z, t) < r)
 
 
 # ---------------------------------------------------------------------------
