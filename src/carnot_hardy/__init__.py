@@ -1,9 +1,8 @@
 """Horizontal vector fields, homogeneous gauges and explicit Hardy-constant
 lower bounds on step-two Carnot groups."""
 
-from .groups import (CenterError, Point, StepTwoGroup, dilate, general_group,
-                     group_inverse, group_law, heisenberg, heisenberg_product,
-                     nonisotropic)
+from .groups import (CenterError, Point, StepTwoGroup, dilate, group_inverse,
+                     group_law, heisenberg, heisenberg_product, nonisotropic)
 from .norms import (CCPolar, ConvergenceError, NormModel, balogh_tyson, cc,
                     cc_from_polar, cc_invert, koranyi, koranyi_b, make_norm)
 from .zfield import (SupResult, ZFieldSpec, bracket_zoom_max, g_cc,

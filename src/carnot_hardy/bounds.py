@@ -165,7 +165,7 @@ def bound_row(spec: ZFieldSpec) -> BoundReport:
     if kind == "cc":
         value, branch = bound_cc(Q, p, theta, g_sup=sup.sup_sq)
         checks = {"closed_branch": branch == "closed"}
-    elif spec.variant == "product" and kind == "koranyi":
+    elif group.h > 1 and kind == "koranyi":
         checks = product_hypothesis(spec.factor_blocks(), p, theta)
         value, branch = ((bound_product(spec.factor_blocks(), group.h, p, theta), "product")
                          if closed else (None, "condition_failed"))

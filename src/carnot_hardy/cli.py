@@ -161,10 +161,10 @@ def _make_norm(kind, group, args):
                          f"{exc}") from None
 
 
-def _make_spec(group, norm, p, theta, variant="single"):
+def _make_spec(group, norm, p, theta):
     """The Z-field of (group, norm, p, theta), or a usage error for --p < 2."""
     try:
-        return ZFieldSpec(group, norm, p, theta, variant=variant)
+        return ZFieldSpec(group, norm, p, theta)
     except ValueError as exc:
         raise UsageError(f"--p {p:g} --theta {theta:g}: {exc}") from None
 
@@ -267,12 +267,11 @@ def cmd_bounds(args) -> int:
         norms = [args.norm]
     else:
         norms = ["koranyi", "cc"] if group.is_isotropic_heisenberg() else ["koranyi_b"]
-    variant = "product" if args.group == "product" else "single"
     rows = []
     for theta in _theta_grid(args, Q):
         for kind in norms:
             context = f"--p {args.p:g} --theta {theta:g} --norm {kind}"
-            spec = _make_spec(group, _make_norm(kind, group, args), args.p, theta, variant)
+            spec = _make_spec(group, _make_norm(kind, group, args), args.p, theta)
             try:
                 with _scan_limits(f"--group {args.group} {context}"):
                     rows.append(bound_row(spec).to_dict())
@@ -365,6 +364,9 @@ def _check_verify_args(args, group):
         if args.p < 2:
             raise UsageError(f"--p {args.p:g}: verify product needs p >= 2")
     if args.check == "sharpness":
+        if args.quad_method != "tensor_grid":
+            raise UsageError(f"--quad-method {args.quad_method}: verify sharpness "
+                             "integrates the cut-off family on the tensor grid")
         eps = _parse_floats(args.eps, "--eps")
         if not (eps and all(0.0 < e < 1.0 for e in eps)
                 and all(b < a for a, b in zip(eps, eps[1:]))):
@@ -521,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=10**6,
                    help="Monte Carlo samples N, counted as uniform draws from the box "
                         "that holds the gauge ball B; only the Binomial(N, |B|/|box|) "
-                        "draws that land in B are generated")
+                        "draws that land in B are generated; read by the Monte Carlo "
+                        "integrals only: verify product and --quad-method monte_carlo")
     v.add_argument("--samples-log2", type=int, default=15,
                    help="log2 of quasi-random scan points")
     v.add_argument("--quad-method", choices=("tensor_grid", "monte_carlo"),

@@ -50,14 +50,9 @@ class StepTwoGroup:
     the row of block eigenvalues lam_1..lam_n, all strictly positive.  For
     h > 1 individual entries may vanish but every 2-plane must couple to at
     least one vertical direction (trivial kernel).
-
-    ``selected`` lists one block index per vertical direction; the square
-    matrix A[k, j] = couplings[j, selected[k]] must be invertible.  It is
-    only needed by the general multi-vertical vector-field construction.
     """
 
     couplings: Array
-    selected: Optional[tuple] = None
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.couplings, dtype=float))
@@ -71,13 +66,6 @@ class StepTwoGroup:
         elif np.any(c.max(axis=0) <= 0):
             raise ValueError("every horizontal 2-plane must couple to some vertical direction")
         object.__setattr__(self, "couplings", _readonly(c))
-        if self.selected is not None:
-            sel = tuple(int(i) for i in self.selected)
-            if len(sel) != c.shape[0] or any(i < 0 or i >= c.shape[1] for i in sel):
-                raise ValueError("selected must pick one block per vertical direction")
-            object.__setattr__(self, "selected", sel)
-            if abs(np.linalg.det(self.a_matrix())) < 1e-12:
-                raise ValueError("selected blocks give a singular coupling matrix A")
 
     @property
     def n(self) -> int:
@@ -102,11 +90,6 @@ class StepTwoGroup:
             raise ValueError("lambdas is only defined for a single vertical direction")
         return self.couplings[0]
 
-    def a_matrix(self) -> Array:
-        if self.selected is None:
-            raise ValueError("group has no selected blocks")
-        return self.couplings[:, list(self.selected)].T
-
     # exact: the closed Koranyi and cc formulas hold on H^n alone, and
     # heisenberg(n) builds its couplings as exact 4.0s
     def is_isotropic_heisenberg(self) -> bool:
@@ -122,11 +105,8 @@ class StepTwoGroup:
         return out * lam
 
     def describe(self) -> dict:
-        d = {"n": self.n, "h": self.h, "Q": self.Q,
-             "couplings": self.couplings.tolist()}
-        if self.selected is not None:
-            d["selected"] = list(self.selected)
-        return d
+        return {"n": self.n, "h": self.h, "Q": self.Q,
+                "couplings": self.couplings.tolist()}
 
 
 def heisenberg(n: int = 1) -> StepTwoGroup:
@@ -145,13 +125,7 @@ def heisenberg_product(n: int, N: int) -> StepTwoGroup:
     """The N-fold product of H^n: h = N vertical directions, nN blocks."""
     if n < 1 or N < 1:
         raise ValueError("n and N must be >= 1")
-    c = np.kron(np.eye(N), np.full((1, n), 4.0))
-    return StepTwoGroup(c, selected=tuple(j * n for j in range(N)))
-
-
-def general_group(couplings, selected) -> StepTwoGroup:
-    """Step-two group with several vertical directions and selected blocks."""
-    return StepTwoGroup(np.asarray(couplings, dtype=float), selected=tuple(selected))
+    return StepTwoGroup(np.kron(np.eye(N), np.full((1, n), 4.0)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -300,16 +300,18 @@ def _vertical_excess(spec: ZFieldSpec, z: Array, t: Array) -> Array:
 
 # the excess B(z, t) that counts as a point off {t = 0} beating the plane
 COUNTEREXAMPLE_TOL = 1e-6
+# the p theta of the scanned fields; p and theta enter only through it
+COUNTEREXAMPLE_P_THETA = 2.0
 
 
-def counterexample_scan(p_theta: float = 2.0, samples_log2: int = 17,
-                        isotropic_control: bool = False) -> Report:
+def counterexample_scan(samples_log2: int = 17, isotropic_control: bool = False) -> Report:
     """Search for points where |Z_rho| exceeds its value on {t = 0}.
 
     On the (1/2, 1) group with the Balogh-Tyson gauge (closed frame
-    gradient) the scan looks for B(z, t) > COUNTEREXAMPLE_TOL over
-    quasi-random points on the unit gauge sphere, polished by coordinate
-    bracket-zoom sweeps; it passes when such a point is found.  With
+    gradient), at p theta = COUNTEREXAMPLE_P_THETA, the scan looks for
+    B(z, t) > COUNTEREXAMPLE_TOL over quasi-random points on the unit gauge
+    sphere, polished by coordinate bracket-zoom sweeps; it passes when such
+    a point is found.  With
     isotropic_control=True the same scan runs on H^2 with the Koranyi gauge,
     where the profile argument forces B <= 0, and passes when no positive
     value is found.
@@ -322,14 +324,13 @@ def counterexample_scan(p_theta: float = 2.0, samples_log2: int = 17,
         group = nonisotropic([0.5, 1.0])
         norm = balogh_tyson(group)
         name = "counterexample_scan"
-    # p, theta only enter through the product p*theta
-    spec = ZFieldSpec(group, norm, 2.0, p_theta / 2.0)
+    spec = ZFieldSpec(group, norm, 2.0, COUNTEREXAMPLE_P_THETA / 2.0)
     best, (arg_z, arg_t), vals = scan_unit_sphere(
         lambda z, t: _vertical_excess(spec, z, t), norm, samples_log2, width=0.2, sweeps=5)
     found = best > COUNTEREXAMPLE_TOL
     passed = (not found) if isotropic_control else found
     return Report(name, passed, COUNTEREXAMPLE_TOL,
-                  values={"max_excess": best, "p_theta": p_theta,
+                  values={"max_excess": best, "p_theta": COUNTEREXAMPLE_P_THETA,
                           "arg_z": arg_z.tolist(), "arg_t": arg_t.tolist()},
                   diagnostics={"samples": int(vals.size),
                                "found_positive": bool(found),
@@ -364,7 +365,7 @@ def product_check(n: int, N: int, p: float, theta: float,
         raise ValueError("the product scan needs theta >= 0")
     group = heisenberg_product(n, N)
     norm = koranyi(group)
-    spec = ZFieldSpec(group, norm, p, theta, variant="product")
+    spec = ZFieldSpec(group, norm, p, theta)
     hypothesis = all(product_hypothesis(n, p, theta).values())
     target = (n + 1) / n
 

@@ -5,11 +5,12 @@ For a homogeneous gauge d on a single-vertical group the field is
     Z_d = (n+1)/n * z/d - (2 p theta / n) * (t/d^2) * sum_i (1/lam_i) P_i grad d,
 
 where P_i is the quarter-turn on the i-th horizontal 2-plane sending
-(X_{2i-1} d, X_{2i} d) to (-X_{2i} d, X_{2i-1} d).  Products of Heisenberg
-groups and general multi-vertical groups use their own combinations (see
-``z_field_components``).  |Z_d| is homogeneous of degree zero, so its
-supremum is a profile maximum in one scalar parameter wherever the gauge has
-enough symmetry, and a sampled lower bound otherwise.
+(X_{2i-1} d, X_{2i} d) to (-X_{2i} d, X_{2i-1} d).  The group picks the
+formula: one vertical direction takes the one above, and several take that
+of a product of Heisenberg groups (see ``z_field_components``); no other
+multi-vertical group has a field here.  |Z_d| is homogeneous of degree zero,
+so its supremum is a profile maximum in one scalar parameter wherever the
+gauge has enough symmetry, and a sampled lower bound otherwise.
 """
 
 from __future__ import annotations
@@ -23,41 +24,35 @@ import numpy as np
 from .groups import Array, Nodes, StepTwoGroup, heisenberg_product
 from .norms import NormModel
 
-_VARIANTS = ("single", "product", "general")
-
 
 @dataclass(frozen=True, eq=False)
 class ZFieldSpec:
-    """The tuple (group, norm, p, theta) plus the construction variant."""
+    """The tuple (group, norm, p, theta).  A group with one vertical
+    direction takes the single-vertical field, and one with several must be
+    a product of Heisenberg groups (H^n)^N and takes the product field."""
 
     group: StepTwoGroup
     norm: NormModel
     p: float
     theta: float
-    variant: str = "single"
 
     def __post_init__(self):
         if not (np.isfinite(self.p) and np.isfinite(self.theta)):
             raise ValueError("p and theta must be finite")
         if self.p < 2:
             raise ValueError("p must be >= 2")
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"variant must be one of {_VARIANTS}")
-        if self.variant == "single" and self.group.h != 1:
-            raise ValueError("single variant needs one vertical direction")
         g = self.group      # the product formula hard-codes the coupling 4
-        if self.variant == "product" and (g.n % g.h or not np.array_equal(
+        if g.h > 1 and (g.n % g.h or not np.array_equal(
                 g.couplings, heisenberg_product(g.n // g.h, g.h).couplings)):
-            raise ValueError("product variant needs a product of Heisenberg groups")
-        if self.variant == "general" and self.group.selected is None:
-            raise ValueError("general variant needs selected blocks")
+            raise ValueError("a group with several vertical directions needs to be "
+                             "a product of Heisenberg groups")
 
     @property
     def ptheta(self) -> float:
         return self.p * self.theta
 
     def factor_blocks(self) -> int:
-        """Blocks per Heisenberg factor for the product variant."""
+        """Blocks per Heisenberg factor: the n of (H^n)^N."""
         return self.group.n // self.group.h
 
 
@@ -91,8 +86,11 @@ def z_field_components(spec: ZFieldSpec, z: Array, t: Array,
                        d: Optional[Array] = None, g: Optional[Array] = None) -> Array:
     """Batched frame components of Z_d; z (..., 2n), t (..., h).
 
-    The gauge d and its frame gradient g at (z, t) come from one pass of the
-    gauge's jet unless the caller hands in both.
+    One vertical direction takes the formula of the module docstring.  On
+    (H^n)^N the slots of factor j take
+    (n+1)/n z/d - (p theta/(2n)) (t_j/d^2) P grad d.  The gauge d and its
+    frame gradient g at (z, t) come from one pass of the gauge's jet unless
+    the caller hands in both.
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -103,11 +101,11 @@ def z_field_components(spec: ZFieldSpec, z: Array, t: Array,
     if np.any(d <= 0.0):
         raise ValueError("Z_d needs d > 0 (point away from the origin)")
     pg = _block_perp(g)
-    n = spec.group.n
 
-    # the single and product fields are built in place, in the order of
-    # operations of radial - coef * pg (lam2 or t_slot)
-    if spec.variant == "single":
+    # both fields are built in place, in the order of operations of
+    # radial - coef * pg (lam2 or t_slot)
+    if spec.group.h == 1:
+        n = spec.group.n
         lam2 = np.repeat(spec.group.lambdas, 2)
         radial = (n + 1) / n * z
         radial /= d[..., None]
@@ -117,26 +115,15 @@ def z_field_components(spec: ZFieldSpec, z: Array, t: Array,
         radial -= pg
         return radial
 
-    if spec.variant == "product":
-        fn = spec.factor_blocks()
-        radial = (fn + 1) / fn * z
-        radial /= d[..., None]
-        # slot -> owning factor: t_j multiplies the perp gradient of factor j
-        t_slot = np.repeat(t, 2 * fn, axis=-1)
-        t_slot *= (spec.ptheta / (2.0 * fn)) * (1.0 / d**2)[..., None]
-        t_slot *= pg
-        radial -= t_slot
-        return radial
-
-    # general: z/d + sum_k z^(i_k)/d - 2 p theta sum_{j,k} (A^-1)_{jk} t_j/d^2 P grad d on block i_k
-    a_inv = np.linalg.inv(spec.group.a_matrix())
-    out = z / d[..., None]
-    coef = t @ a_inv.T                               # (..., h): c_k = sum_j (A^-1)_{jk} t_j
-    for k, blk in enumerate(spec.group.selected):
-        sl = slice(2 * blk, 2 * blk + 2)
-        out[..., sl] += z[..., sl] / d[..., None]
-        out[..., sl] -= 2.0 * spec.ptheta * (coef[..., k] / d**2)[..., None] * pg[..., sl]
-    return out
+    fn = spec.factor_blocks()
+    radial = (fn + 1) / fn * z
+    radial /= d[..., None]
+    # slot -> owning factor: t_j multiplies the perp gradient of factor j
+    t_slot = np.repeat(t, 2 * fn, axis=-1)
+    t_slot *= (spec.ptheta / (2.0 * fn)) * (1.0 / d**2)[..., None]
+    t_slot *= pg
+    radial -= t_slot
+    return radial
 
 
 def z_field_norm(spec: ZFieldSpec, z: Array, t: Array) -> Array:
@@ -540,11 +527,11 @@ def sup_z_norm(spec: ZFieldSpec) -> SupResult:
     Q = float(spec.group.Q)
     p, theta = spec.p, spec.theta
 
-    if kind == "koranyi" and spec.variant == "single" and spec.group.is_isotropic_heisenberg():
+    if kind == "koranyi" and spec.group.is_isotropic_heisenberg():
         sup_sq, lam_star, _ = koranyi_profile_max(Q, p, theta)
         return SupResult(float(np.sqrt(sup_sq)), lam_star, "closed_form")
 
-    if kind == "koranyi_b" and spec.variant == "single":
+    if kind == "koranyi_b":
         sup_sq, lam_star, _ = koranyi_profile_max(Q, p, theta)
         factor = 2.0 / np.sqrt(float(spec.group.lambdas.min()))
         return SupResult(float(factor * np.sqrt(sup_sq)), lam_star, "closed_form")
@@ -553,7 +540,7 @@ def sup_z_norm(spec: ZFieldSpec) -> SupResult:
         g_hat, nu_hat = cc_profile_max(Q, p, theta)
         return SupResult(float(np.sqrt(g_hat)), nu_hat, "scan_zoom", samples=CC_SCAN_NODES)
 
-    if kind == "koranyi" and spec.variant == "product":
+    if kind == "koranyi" and spec.group.h > 1:
         fn = spec.factor_blocks()
         if all(product_hypothesis(fn, p, theta).values()):
             return SupResult((fn + 1) / fn, 0.0, "closed_form")

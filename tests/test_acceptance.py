@@ -245,9 +245,9 @@ def test_criterion_10_products():
     # for bit
     assert (rep.values["identity_lhs"], rep.values["identity_rhs"]) == (
         -789.7889953753311, -789.5084455830199)
-    # the standard error sums squares through BLAS, whose thread count may
-    # move its last bits
-    assert rep.diagnostics["mc_stderr"] == pytest.approx(1.3725977033889478, rel=1e-12)
+    # its sums of squares are NumPy pairwise sums too, whatever the BLAS
+    # thread count
+    assert rep.diagnostics["mc_stderr"] == 1.3725977033889478
     assert bound_product(1, 2, 2.0, 1.0) == pytest.approx(2.25)
     elapsed = time.time() - t0
     assert elapsed < 600.0
@@ -258,10 +258,10 @@ def test_criterion_10_products():
 
 def test_criterion_11_counterexample():
     t0 = time.time()
-    rep = counterexample_scan(p_theta=2.0, samples_log2=17)
+    rep = counterexample_scan(samples_log2=17)
     assert rep.passed
     assert rep.values["max_excess"] > 1e-6
-    control = counterexample_scan(p_theta=2.0, samples_log2=17, isotropic_control=True)
+    control = counterexample_scan(samples_log2=17, isotropic_control=True)
     assert control.passed
     assert control.values["max_excess"] <= 1e-6
     elapsed = time.time() - t0

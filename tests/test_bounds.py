@@ -157,12 +157,3 @@ def test_cc_row_checks_the_condition_that_chose_its_branch(p, theta, branch):
     row = bound_row(ZFieldSpec(H1, cc(H1), p, theta))
     assert row.branch == branch
     assert row.condition_checks == {"closed_branch": branch == "closed"}
-
-
-def test_product_row_of_another_gauge_divides_by_its_sampled_sup():
-    # the closed product sup is that of the Koranyi gauge; with koranyi_b the
-    # hypothesis holds and the row is the generic bound, not condition_failed
-    g = heisenberg_product(1, 1)
-    row = bound_row(ZFieldSpec(g, koranyi_b(g), 2.0, 1.0, variant="product"))
-    assert row.branch == "generic" and row.sup_method == "multistart"
-    assert row.bound == bound_generic(row.sup_value, 4.0, 2.0, 1.0)

@@ -173,6 +173,21 @@ def test_outputs_are_strict_json(argv, capsys):
     json.loads(out, parse_constant=_reject_non_finite)
 
 
+def test_product_of_one_factor_prints_the_heisenberg_rows(capsys):
+    # (H^n)^1 is H^n: its rows are H^n's Koranyi rows, the closed second
+    # branch at theta = 10 included
+    argv = ["--n", "1", "--p", "2", "--theta", "1,10"]
+    code, out = run_cli(["bounds", "--group", "product", "--N", "1", *argv], capsys)
+    assert code == 0
+    rows = json.loads(out)["results"]
+    code, out = run_cli(["bounds", "--group", "heisenberg", "--norm", "koranyi", *argv],
+                        capsys)
+    assert code == 0
+    assert rows == json.loads(out)["results"]
+    assert [r["branch"] for r in rows] == ["first", "second"]
+    assert rows[1]["bound"] == 2.5155764746872635 and rows[1]["heuristic"] is False
+
+
 def test_product_row_whose_hypothesis_fails_has_no_bound(capsys):
     code, out = run_cli(["bounds", "--group", "product", "--n", "1", "--N", "2",
                          "--p", "2", "--theta", "2,10"], capsys)
@@ -252,9 +267,9 @@ H1xH1 = heisenberg_product(1, 2)
     (["--group", "nonisotropic", "--lambdas", "0.5,1", "--norm", "balogh_tyson",
       "--theta", "1"], ZFieldSpec(BT, balogh_tyson(BT), 2.0, 1.0), "generic"),
     (["--group", "product", "--n", "1", "--N", "2", "--theta", "1"],
-     ZFieldSpec(H1xH1, koranyi(H1xH1), 2.0, 1.0, variant="product"), "product"),
+     ZFieldSpec(H1xH1, koranyi(H1xH1), 2.0, 1.0), "product"),
     (["--group", "product", "--n", "1", "--N", "2", "--theta", "10"],
-     ZFieldSpec(H1xH1, koranyi(H1xH1), 2.0, 10.0, variant="product"), "condition_failed"),
+     ZFieldSpec(H1xH1, koranyi(H1xH1), 2.0, 10.0), "condition_failed"),
 ])
 def test_bounds_rows_are_bound_row(argv, spec, branch, capsys):
     # the command emits bound_row's report of the spec it builds, unchanged
@@ -350,7 +365,7 @@ def test_product_sizes_have_their_own_usage_message(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "product", "--n", "32", "--N", "1"],
     ["verify", "product", "--n", "1", "--N", "22"],
-    ["bounds", "--group", "product", "--n", "32", "--N", "1", "--p", "2", "--theta", "200"],
+    ["bounds", "--group", "product", "--n", "32", "--N", "2", "--p", "2", "--theta", "200"],
     ["bounds", "--group", "nonisotropic", "--lambdas", ",".join(["1"] * 32),
      "--norm", "koranyi"],
     ["verify", "counterexample", "--samples-log2", "31"],
@@ -373,10 +388,14 @@ def test_scans_beyond_the_sobol_draw_are_usage_errors(argv, capsys):
     ["supz", "--nodes", "1"],
     ["bounds", "--theta", ","],
     ["bounds", "--theta="],
+    # the cut-off family is integrated on the tensor grid only
+    ["verify", "sharpness", "--eps", "1e-2", "--nodes", "16", "--quad-method",
+     "monte_carlo", "--samples", "1"],
 ])
 def test_degenerate_counts_are_usage_errors(argv, capsys):
     # left through, each of these would check nothing and pass, report a grid
-    # error from two identical grids, or end in a traceback
+    # error from two identical grids, ignore a flag it was given and print
+    # what the run without it prints, or end in a traceback
     assert_usage_error(argv, capsys)
 
 

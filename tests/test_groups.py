@@ -14,7 +14,6 @@ def test_group_invariants():
     assert np.allclose(g.lambdas, 4.0)
     gp = heisenberg_product(1, 2)
     assert gp.Q == 8 and gp.h == 2 and gp.n == 2
-    assert np.allclose(gp.a_matrix(), 4.0 * np.eye(2))
     with pytest.raises(ValueError):
         nonisotropic([1.0, 0.0])
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from carnot_hardy import (Point, ZFieldSpec, cc, general_group, heisenberg,
+from carnot_hardy import (Point, StepTwoGroup, ZFieldSpec, cc, heisenberg,
                           heisenberg_product, koranyi, nonisotropic)
 from carnot_hardy.verify import (BumpProfile, Nodes, QuadratureSpec,
                                  check_ibp_identity,
@@ -528,7 +528,7 @@ def test_monte_carlo_chunks_outside_the_window(group, samples, chunk, seed, hit)
 # the gauge balls of the sampler tests: n horizontal planes, h vertical directions
 BALL_GROUPS = {"H1": H1, "H2": heisenberg(2), "H1xH1": heisenberg_product(1, 2),
                "noniso(0.5,1)": nonisotropic([0.5, 1.0]),
-               "general h=2": general_group([[2.0, 1.0], [1.0, 3.0]], selected=(0, 1))}
+               "general h=2": StepTwoGroup([[2.0, 1.0], [1.0, 3.0]])}
 ball_groups = pytest.mark.parametrize("group", list(BALL_GROUPS.values()),
                                       ids=list(BALL_GROUPS))
 
@@ -914,7 +914,7 @@ def test_product_check_small():
     from carnot_hardy import heisenberg_product, koranyi
     from carnot_hardy.zfield import z_field_components
     gp = heisenberg_product(1, 2)
-    spec = ZFieldSpec(gp, koranyi(gp), 2.0, 1.0, variant="product")
+    spec = ZFieldSpec(gp, koranyi(gp), 2.0, 1.0)
     rng = np.random.default_rng(61)
     z = rng.normal(size=(20, 4))
     vals = np.linalg.norm(z_field_components(spec, z, np.zeros((20, 2))), axis=-1)

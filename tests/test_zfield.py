@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carnot_hardy import (CenterError, Point, ZFieldSpec, balogh_tyson, cc, g_cc,
-                          heisenberg, heisenberg_product, koranyi, koranyi_b,
+from carnot_hardy import (CenterError, Point, StepTwoGroup, ZFieldSpec, balogh_tyson,
+                          cc, g_cc, heisenberg, heisenberg_product, koranyi, koranyi_b,
                           koranyi_profile_max, nonisotropic, sup_z_norm,
                           z_profile_koranyi)
 from carnot_hardy.norms import cc_from_polar, CCPolar, symplectic_norm_sq_arrays
@@ -247,7 +247,7 @@ def test_sup_z_norm_cc():
 
 def test_sup_z_norm_product_closed():
     gp = heisenberg_product(1, 2)
-    spec = ZFieldSpec(gp, koranyi(gp), 2.0, 1.0, variant="product")
+    spec = ZFieldSpec(gp, koranyi(gp), 2.0, 1.0)
     sup = sup_z_norm(spec)
     assert sup.method == "closed_form"
     assert sup.sup_value == pytest.approx(2.0)
@@ -266,53 +266,28 @@ def test_sup_z_norm_multistart_balogh_tyson():
 
 
 def test_product_field_reduces_to_single_on_one_factor():
-    # (H^1)^1 with the product construction matches the single construction
-    gp = heisenberg_product(1, 1)
-    g1 = heisenberg(1)
+    # on (H^1)^2 at (z_1, 0; t_1, 0) the product field is (Z_{H^1}(z_1, t_1), 0, 0)
+    gp = heisenberg_product(1, 2)
     rng = np.random.default_rng(36)
-    spec_p = ZFieldSpec(gp, koranyi(gp), 2.0, 1.0, variant="product")
-    spec_s = ZFieldSpec(g1, koranyi(g1), 2.0, 1.0)
-    for _ in range(10):
-        z = rng.normal(size=(1, 2))
-        t = rng.normal(size=(1, 1))
-        assert np.allclose(z_field_components(spec_p, z, t),
-                           z_field_components(spec_s, z, t), rtol=1e-13)
-
-
-def test_general_variant_reduces_on_h1():
-    g1 = heisenberg(1)
-    gg = heisenberg_product(1, 1)  # carries selected = (0,)
-    rng = np.random.default_rng(37)
-    spec_g = ZFieldSpec(gg, koranyi(gg), 2.0, 1.5, variant="general")
-    spec_s = ZFieldSpec(g1, koranyi(g1), 2.0, 1.5)
-    for _ in range(10):
-        z = rng.normal(size=(1, 2))
-        t = rng.normal(size=(1, 1))
-        assert np.allclose(z_field_components(spec_g, z, t),
-                           z_field_components(spec_s, z, t), rtol=1e-13)
-
-
-def test_general_variant_bounded_on_two_vertical():
-    # two vertical directions, invertible A: |Z_d| stays bounded on the slice
-    from carnot_hardy import general_group
-    couplings = [[2.0, 1.0], [1.0, 3.0]]
-    g = general_group(couplings, selected=(0, 1))
-    rho = koranyi(g)
-    spec = ZFieldSpec(g, rho, 2.0, 1.0, variant="general")
-    sup = sup_z_norm(spec)
-    assert sup.method == "multistart"
-    assert 0 < sup.sup_value < 50
+    for theta in (1.0, 6.0):
+        spec_p = ZFieldSpec(gp, koranyi(gp), 2.0, theta)
+        spec_s = ZFieldSpec(H1, koranyi(H1), 2.0, theta)
+        z1 = rng.normal(size=(10, 2))
+        t1 = rng.normal(size=(10, 1))
+        zp = np.concatenate([z1, np.zeros((10, 2))], axis=1)
+        tp = np.concatenate([t1, np.zeros((10, 1))], axis=1)
+        got = z_field_components(spec_p, zp, tp)
+        assert np.allclose(got[:, :2], z_field_components(spec_s, z1, t1),
+                           rtol=1e-13, atol=0.0)
+        assert not np.any(got[:, 2:])
 
 
 def test_z_field_norm_is_linalg_norm_to_the_bit():
-    from carnot_hardy import general_group
     from carnot_hardy.zfield import z_field_norm
     rng = np.random.default_rng(37)
     gn, gp = nonisotropic([0.5, 1.0]), heisenberg_product(1, 3)
-    gg = general_group([[2.0, 1.0], [1.0, 3.0]], selected=(0, 1))
     for spec in (ZFieldSpec(H1, cc(H1), 2.0, 3.0), ZFieldSpec(gn, balogh_tyson(gn), 3.0, 1.0),
-                 ZFieldSpec(gp, koranyi(gp), 2.0, 1.5, variant="product"),
-                 ZFieldSpec(gg, koranyi(gg), 2.0, 1.0, variant="general")):
+                 ZFieldSpec(gp, koranyi(gp), 2.0, 1.5)):
         z = rng.normal(size=(257, 2 * spec.group.n))
         t = rng.normal(size=(257, spec.group.h))
         ref = np.linalg.norm(z_field_components(spec, z, t), axis=-1)
@@ -332,14 +307,11 @@ def test_spec_validation():
     for p, theta in ((np.nan, 1.0), (np.inf, 1.0), (2.0, np.nan), (2.0, -np.inf)):
         with pytest.raises(ValueError):
             ZFieldSpec(H1, koranyi(H1), p, theta)
+    # several vertical directions take the product formula, that of
+    # Heisenberg factors with coupling 4 on every block
+    g = StepTwoGroup([[2.0, 1.0], [1.0, 3.0]])
     with pytest.raises(ValueError):
-        ZFieldSpec(H1, koranyi(H1), 2.0, 1.0, variant="bogus")
-    with pytest.raises(ValueError):
-        ZFieldSpec(heisenberg(1), koranyi(heisenberg(1)), 2.0, 1.0, variant="general")
-    # the product formula is that of Heisenberg factors, coupling 4 on every block
-    g = nonisotropic([1.0, 2.0])
-    with pytest.raises(ValueError):
-        ZFieldSpec(g, koranyi(g), 2.0, 1.0, variant="product")
+        ZFieldSpec(g, koranyi(g), 2.0, 1.0)
     with pytest.raises(ValueError):
         z_field_components(ZFieldSpec(H1, koranyi(H1), 2.0, 1.0),
                            np.zeros((1, 2)), np.zeros((1, 1)))
@@ -507,7 +479,7 @@ def _scan_cases():
     g = nonisotropic([0.5, 1.0])
     bt = ZFieldSpec(g, balogh_tyson(g), 2.0, 1.0)
     gp = heisenberg_product(1, 2)
-    prod = ZFieldSpec(gp, koranyi(gp), 2.0, 6.0, variant="product")
+    prod = ZFieldSpec(gp, koranyi(gp), 2.0, 6.0)
     return [(bt.norm, lambda z, t: _vertical_excess(bt, z, t), 0.2, 5),
             (prod.norm, lambda z, t: np.linalg.norm(z_field_components(prod, z, t), axis=-1),
              0.2, 6)]
