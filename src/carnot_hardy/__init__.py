@@ -3,8 +3,8 @@ lower bounds on step-two Carnot groups."""
 
 from .groups import (CenterError, Point, StepTwoGroup, dilate, group_inverse,
                      group_law, heisenberg, heisenberg_product, nonisotropic)
-from .norms import (CCPolar, ConvergenceError, NormModel, balogh_tyson, cc,
-                    cc_from_polar, cc_invert, koranyi, koranyi_b, make_norm)
+from .norms import (ConvergenceError, NormModel, balogh_tyson, cc, koranyi, koranyi_b,
+                    make_norm)
 from .zfield import (SupResult, ZFieldSpec, bracket_zoom_max, g_cc,
                      koranyi_profile_max, sup_z_norm, z_profile_koranyi)
 from .bounds import (BoundReport, bound_cc, bound_generic, bound_koranyi,

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .bounds import bound_row, hardy_target
 from .groups import Point, heisenberg, heisenberg_product, nonisotropic
-from .norms import cc_invert, make_norm
+from .norms import TWO_PI, cc_polar_arrays, make_norm
 from .zfield import (ScanRangeError, ZFieldSpec, cc_profile_max, g_cc,
                      koranyi_profile_max, z_profile_koranyi)
 from .verify import (QuadratureSpec, Report, check_ibp_identity, counterexample_scan,
@@ -368,10 +368,11 @@ def _check_verify_args(args, group):
             raise UsageError(f"--quad-method {args.quad_method}: verify sharpness "
                              "integrates the cut-off family on the tensor grid")
         eps = _parse_floats(args.eps, "--eps")
-        if not (eps and all(0.0 < e < 1.0 for e in eps)
+        # one point fits C/log(1/eps) exactly, so the fit needs two
+        if not (len(eps) >= 2 and all(0.0 < e < 1.0 for e in eps)
                 and all(b < a for a, b in zip(eps, eps[1:]))):
-            raise UsageError(f"--eps {args.eps}: verify sharpness needs values in (0, 1) "
-                             "that decrease strictly")
+            raise UsageError(f"--eps {args.eps}: verify sharpness needs at least two "
+                             "values in (0, 1) that decrease strictly")
 
 
 def cmd_verify(args) -> int:
@@ -464,14 +465,18 @@ def cmd_cc(args) -> int:
         raise UsageError(f"--point {args.point}: |z|^2 underflows double precision")
     _check_finite(f"--point {args.point}", zn2, slope)
     model = make_norm("cc", heisenberg(x.z.shape[0] // 2))
-    result = {"point": coords, "cc_value": model.value_at(x)}
-    polar = cc_invert(x)
-    result.update(nu=polar.nu, r=polar.r)
-    if not x.on_center():
-        grad = model.hgrad_at(x)
+    z, t = x.z[None], x.t[None]
+    value = float(model.value(z, t)[0])
+    result = {"point": coords, "cc_value": value, "r": value}
+    if x.on_center():
+        # the polar chart degenerates on the center: nu = +-2pi by convention
+        result["nu"] = float(np.copysign(TWO_PI, x.t[0]))
+    else:
+        result["nu"] = float(cc_polar_arrays(z, x.t)[0][0])
+        grad = model.hgrad(z, t)[0]
         result["hgrad"] = grad.tolist()
         result["hgrad_norm"] = float(np.linalg.norm(grad))
-        result["dt"] = float(model.dt_at(x)[0])
+        result["dt"] = float(model.dt(z, t)[0, 0])
     _emit({"meta": _meta(args, "cc"), "results": [result]}, args)
     return 0
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import Array, CenterError, Point, StepTwoGroup, frame, pairing
+from .groups import Array, CenterError, StepTwoGroup, frame, pairing
 
 TWO_PI = 2.0 * np.pi
 
@@ -116,8 +116,10 @@ def solve_mu_inverse(m: Array, tol: float = 1e-10,
         f = (nu - s) - mr * omc
         df = omc - mr * s
         nu = np.clip(nu - f / df, 1e-3, _NU_MAX)
-    resid = np.abs((nu - np.sin(nu)) - mr * 2.0 * np.sin(nu / 2.0) ** 2)
-    scale = np.maximum(1.0, mr * 2.0 * np.sin(nu / 2.0) ** 2)
+    # m (1 - cos nu) with 1 - cos nu formed first: 2 m overflows from m ~ 9e307
+    omc = 2.0 * np.sin(nu / 2.0) ** 2
+    resid = np.abs((nu - np.sin(nu)) - mr * omc)
+    scale = np.maximum(1.0, mr * omc)
     stalled = ~(resid <= tol * scale)
     if np.any(stalled):
         pole = _solve_near_pole(mr[stalled], tol)
@@ -184,6 +186,17 @@ def cc_polar_arrays(z: Array, t: Array):
     return nu, r, a, b
 
 
+def _center_value(t: Array) -> Array:
+    """sqrt(pi |t|), the cc distance of (0, t).  Where pi |t| is not a normal
+    float it is sqrt(pi) sqrt(|t|), which neither overflows nor rounds a
+    subnormal product."""
+    ta = np.abs(t)
+    with np.errstate(over="ignore"):
+        pt = np.pi * ta
+    normal = np.isfinite(pt) & (pt >= np.finfo(float).tiny)
+    return np.where(normal, np.sqrt(pt), np.sqrt(np.pi) * np.sqrt(ta))
+
+
 def cc_value_arrays(z: Array, t: Array) -> Array:
     """Carnot-Caratheodory distance, extended by sqrt(pi |t|) on the center."""
     z = np.asarray(z, dtype=float)
@@ -192,7 +205,7 @@ def cc_value_arrays(z: Array, t: Array) -> Array:
     out = np.empty(np.broadcast(zn2, t).shape)
     center = zn2 == 0.0
     if np.any(center):
-        out[center] = np.sqrt(np.pi * np.abs(np.broadcast_to(t, out.shape)[center]))
+        out[center] = _center_value(np.broadcast_to(t, out.shape)[center])
     off = ~center
     if np.any(off):
         _, r, _, _ = cc_polar_arrays(z[off], np.broadcast_to(t, out.shape)[off])
@@ -234,43 +247,6 @@ class NormModel:
     hgrad: Callable[[Array, Array], Array]
     dt: Callable[[Array, Array], Array]
     jet: Callable
-
-    def value_at(self, x: Point) -> float:
-        return float(_at_scale(self.value, x, 1))
-
-    def hgrad_at(self, x: Point) -> Array:
-        """The frame gradient (X_1 d, ..., X_{2n} d) at a point, shape (2n,)."""
-        if self.kind == "cc" and x.on_center():
-            raise CenterError("the cc distance is not differentiable on the center")
-        if x.is_origin():
-            raise CenterError("gauge gradients are undefined at the origin")
-        return _at_scale(self.hgrad, x, 0)
-
-    def dt_at(self, x: Point) -> Array:
-        if self.kind == "cc" and x.on_center():
-            raise CenterError("the cc distance is not differentiable on the center")
-        return _at_scale(self.dt, x, -1)
-
-
-# a point whose scale max(|z|, |t|^{1/2}) lies in this window keeps every
-# power up to the fourth that the gauges form inside the normal float range
-_SCALE_WINDOW = (2.0**-60, 2.0**60)
-
-
-def _at_scale(fn: Callable, x: Point, degree: int) -> Array:
-    """fn, homogeneous of the given degree under the dilations, at the point x.
-
-    A point whose scale lies outside ``_SCALE_WINDOW`` is evaluated at its
-    exact power-of-two dilation to scale [1/2, 1), and the result is scaled
-    back by 2^(degree e), so that no intermediate underflows or overflows;
-    other points are evaluated as they are.
-    """
-    z, t = x.z, x.t
-    scale = max(np.max(np.abs(z)), np.sqrt(np.max(np.abs(t))))
-    if scale == 0.0 or _SCALE_WINDOW[0] <= scale <= _SCALE_WINDOW[1]:
-        return fn(z[None], t[None])[0]
-    e = int(np.frexp(scale)[1])
-    return np.ldexp(fn(np.ldexp(z, -e)[None], np.ldexp(t, -2 * e)[None])[0], degree * e)
 
 
 def _plain_jet(value: Callable, value_hgrad: Callable) -> Callable:
@@ -457,73 +433,3 @@ def make_norm(kind: str, group: StepTwoGroup) -> NormModel:
     if kind not in factory:
         raise ValueError(f"unknown norm kind {kind!r}")
     return factory[kind](group)
-
-
-# ---------------------------------------------------------------------------
-# point-level operations (Heisenberg conventions where a group is implied)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class CCPolar:
-    """Polar data (a + ib, nu, r) with |a + ib| = 1, nu in [-2pi, 2pi], r > 0."""
-
-    a: Array
-    b: Array
-    nu: float
-    r: float
-
-    def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if a.shape != b.shape:
-            raise ValueError("a and b must have the same length")
-        if abs(float(a @ a + b @ b) - 1.0) > 1e-9:
-            raise ValueError("|a + ib| must equal 1")
-        if not (-TWO_PI - 1e-12 <= self.nu <= TWO_PI + 1e-12):
-            raise ValueError("nu must lie in [-2pi, 2pi]")
-        if not self.r > 0:
-            raise ValueError("r must be positive")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "nu", float(self.nu))
-        object.__setattr__(self, "r", float(self.r))
-
-
-def cc_from_polar(p: CCPolar) -> Point:
-    """Image of the polar chart; its cc distance equals r."""
-    nu, r = p.nu, p.r
-    z = np.empty(2 * p.a.shape[0])
-    if abs(nu) < 1e-14:
-        z[0::2] = p.a * r
-        z[1::2] = p.b * r
-        return Point(z, np.zeros(1))
-    omc = 2.0 * np.sin(nu / 2.0) ** 2
-    s = np.sin(nu)
-    z[0::2] = (p.b * omc + p.a * s) / nu * r
-    z[1::2] = (-p.a * omc + p.b * s) / nu * r
-    if abs(nu) < 1e-2:    # (nu - sin nu)/nu^2 by series: the difference cancels
-        g = nu / 6.0 - nu**3 / 120.0 + nu**5 / 5040.0
-    else:
-        g = (nu - s) / nu**2
-    return Point(z, np.array([2.0 * g * r**2]))
-
-
-def cc_invert(x: Point) -> CCPolar:
-    """Recover polar data from an off-origin point of H^n.
-
-    On the center {z = 0} the chart degenerates: nu = +-2pi, r = sqrt(pi |t|)
-    and the direction (a, b) is set to the first coordinate axis.
-    """
-    if x.is_origin():
-        raise CenterError("the origin has no polar representation")
-    n = x.z.shape[0] // 2
-    t = float(x.t[0])
-    if x.on_center():
-        a = np.zeros(n)
-        a[0] = 1.0
-        return CCPolar(a, np.zeros(n), np.copysign(TWO_PI, t), np.sqrt(np.pi * abs(t)))
-    nu, r, a, b = cc_polar_arrays(x.z[None], np.array([t]))
-    if abs(nu[0]) < 1e-12:
-        zn = np.linalg.norm(x.z)
-        return CCPolar(x.z[0::2] / zn, x.z[1::2] / zn, float(nu[0]), float(r[0]))
-    return CCPolar(a[0], b[0], float(nu[0]), float(r[0]))

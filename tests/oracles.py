@@ -3,9 +3,10 @@
 The package computes every derivative in closed form; the central-difference
 operators here (horizontal gradient, divergence, generator of dilations and
 the commutator of two frame fields, on one kernel, fd_partials) are the
-references the suite checks those closed derivatives against.  Each other
-oracle restates an identity of the paper through the package's batched
-evaluators: the rotation and reconstruction defects of a gauge, the
+references the suite checks those closed derivatives against, and the
+forward polar map of the cc distance is the reference for its inversion.
+Each other oracle restates an identity of the paper through the package's
+batched evaluators: the rotation and reconstruction defects of a gauge, the
 empirical equivalence constants of two gauges, the two distributional
 divergence identities of the vertical construction, the adjointness of the
 generator of dilations, and the extremal profile with its pointwise
@@ -155,6 +156,33 @@ def reconstruction_defect_arrays(norm: NormModel, z: Array, t: Array) -> Array:
     zn2 = np.sum(z * z, axis=-1)
     zdotg = np.sum(z * g, axis=-1)
     return 4.0 * (t1 / zn2) * binv_dot_z + zdotg - norm.value(z, t)
+
+
+def at_point(fn, x: Point) -> Array:
+    """A batched evaluator fn(z, t) at the one point x."""
+    return fn(x.z[None], x.t[None])[0]
+
+
+def cc_from_polar(a, b, nu: float, r: float) -> Point:
+    """The forward polar map of H^n at unit a + ib, nu in [-2pi, 2pi] and
+    r > 0: the point whose cc distance is r, which the inversion
+    (norms.cc_polar_arrays) recovers its polar data from."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    z = np.empty(2 * a.shape[0])
+    if abs(nu) < 1e-14:
+        z[0::2] = a * r
+        z[1::2] = b * r
+        return Point(z, np.zeros(1))
+    omc = 2.0 * np.sin(nu / 2.0) ** 2
+    s = np.sin(nu)
+    z[0::2] = (b * omc + a * s) / nu * r
+    z[1::2] = (-a * omc + b * s) / nu * r
+    if abs(nu) < 1e-2:    # (nu - sin nu)/nu^2 by series: the difference cancels
+        g = nu / 6.0 - nu**3 / 120.0 + nu**5 / 5040.0
+    else:
+        g = (nu - s) / nu**2
+    return Point(z, np.array([2.0 * g * r**2]))
 
 
 def equivalence_ratio_range(norm_a: NormModel, norm_b: NormModel,

@@ -107,8 +107,8 @@ def assert_usage_error(argv, capsys):
     ["cc", "--point", "1,0,abc"],
     ["cc", "--point", "nan,0,0.5"],
     ["verify", "sharpness", "--eps", "abc"],
-    ["verify", "sharpness", "--eps", "0"],
-    ["verify", "sharpness", "--eps", "2"],
+    ["verify", "sharpness", "--eps", "1e-2,0"],
+    ["verify", "sharpness", "--eps", "2,1e-2"],
     ["verify", "sharpness", "--eps", "1e-2,1e-2"],
     ["bounds", "--theta", "abc"],
     ["bounds", "--p", "nan"],
@@ -133,7 +133,7 @@ def assert_usage_error(argv, capsys):
     ["verify", "identity", "--theta", "1e6"],
     ["verify", "hardy", "--norm", "cc", "--p", "1e6"],
     ["verify", "sharpness", "--p", "1e6"],
-    ["verify", "sharpness", "--eps", "1e-300"],
+    ["verify", "sharpness", "--eps", "1e-2,1e-300"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_out_of_range_numbers_are_usage_errors(argv, capsys):
@@ -391,6 +391,8 @@ def test_scans_beyond_the_sobol_draw_are_usage_errors(argv, capsys):
     # the cut-off family is integrated on the tensor grid only
     ["verify", "sharpness", "--eps", "1e-2", "--nodes", "16", "--quad-method",
      "monte_carlo", "--samples", "1"],
+    # one eps fits C/log(1/eps) exactly, with residual 0
+    ["verify", "sharpness", "--eps", "1e-2"],
 ])
 def test_degenerate_counts_are_usage_errors(argv, capsys):
     # left through, each of these would check nothing and pass, report a grid
@@ -524,6 +526,25 @@ def test_cc_point_whose_square_underflows_is_not_the_origin(point, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "underflows" in err and "origin" not in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("point", ["1,0,1e308", "0,0,1e308", "0,0,-1.7976931348623157e308",
+                                   "0,0,5e-324"])
+def test_cc_point_at_the_ends_of_the_float_range(point, capsys):
+    # slopes t/|z|^2 up to DBL_MAX take the pole branch of the inversion, and
+    # sqrt(pi |t|) on the center neither overflows nor rounds a subnormal
+    # product; the distance is printed once as cc_value and once as r
+    code, out = run_cli(["cc", "--point", point], capsys)
+    assert code == 0
+    res = json.loads(out, parse_constant=_reject_non_finite)["results"][0]
+    values = [v for v in res.values() if not isinstance(v, list)] + res.get("hgrad", [])
+    assert np.all(np.isfinite(values))
+    assert res["cc_value"] == res["r"]
+    t = float(point.split(",")[-1])
+    # |d(z, t) - sqrt(pi |t|)| <= |z| = 1 off the center
+    assert res["cc_value"] == pytest.approx(np.sqrt(np.pi) * np.sqrt(abs(t)), rel=1e-14)
+    assert res["nu"] == pytest.approx(np.copysign(2 * np.pi, t), rel=1e-15)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

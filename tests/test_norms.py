@@ -1,13 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
 
-from carnot_hardy import (CCPolar, CenterError, Point, balogh_tyson, cc,
-                          cc_from_polar, cc_invert, heisenberg, heisenberg_product,
-                          koranyi, koranyi_b, nonisotropic)
+from carnot_hardy import (CenterError, Point, balogh_tyson, cc, heisenberg,
+                          heisenberg_product, koranyi, koranyi_b, nonisotropic)
 from carnot_hardy.norms import cc_polar_arrays, solve_mu_inverse, symplectic_norm_sq_arrays
 from carnot_hardy.verify.quadrature import Nodes, QuadratureSpec, _chunks
-from oracles import (equivalence_ratio_range, hgrad_batch, reconstruction_defect_arrays,
-                     rotation_defect_arrays)
+from oracles import (at_point, cc_from_polar, equivalence_ratio_range, hgrad_batch,
+                     reconstruction_defect_arrays, rotation_defect_arrays)
 
 H1 = heisenberg(1)
 H2 = heisenberg(2)
@@ -25,13 +25,13 @@ def rand_points(rng, g, n, scale=2.0):
 
 def test_koranyi_values():
     rho = koranyi(H1)
-    assert rho.value_at(Point([1.0, 0.0], 0.0)) == 1.0
-    assert rho.value_at(Point([0.0, 0.0], 1.0)) == 1.0
-    assert rho.value_at(Point([1.0, 0.0], 1.0)) == pytest.approx(2**0.25, rel=1e-15)
+    assert at_point(rho.value, Point([1.0, 0.0], 0.0)) == 1.0
+    assert at_point(rho.value, Point([0.0, 0.0], 1.0)) == 1.0
+    assert at_point(rho.value, Point([1.0, 0.0], 1.0)) == pytest.approx(2**0.25, rel=1e-15)
 
 
 def test_koranyi_hgrad_identities():
-    g1 = koranyi(H1).hgrad_at(Point([1.0, 0.0], 0.0))
+    g1 = at_point(koranyi(H1).hgrad, Point([1.0, 0.0], 0.0))
     assert np.allclose(g1, [1.0, 0.0], atol=1e-14)
     # |grad rho|^2 = |z|^2 / rho^2 at random points
     rng = np.random.default_rng(10)
@@ -47,7 +47,7 @@ def test_koranyi_hgrad_identities():
 def test_koranyi_perp_pairing():
     # <z, perp grad rho> = |z|^2 t / rho^3, frozen at (1, 0, 1): 2^{-3/4}
     x = Point([1.0, 0.0], 1.0)
-    grad = koranyi(H1).hgrad_at(x)
+    grad = at_point(koranyi(H1).hgrad, x)
     perp = np.array([-grad[1], grad[0]])
     assert float(x.z @ perp) == pytest.approx(2.0**-0.75, rel=1e-13)
     assert float(x.z @ perp) == pytest.approx(0.594604, abs=1e-6)
@@ -92,7 +92,7 @@ def test_koranyi_b_value_example():
     g = nonisotropic([1.0, 2.0])
     x = Point([2.0, 0.0, 0.0, 0.0], 0.0)
     # |z|_B^2 = (1/4) * 1 * 4 = 1
-    assert koranyi_b(g).value_at(x) == pytest.approx(1.0, rel=1e-15)
+    assert at_point(koranyi_b(g).value, x) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_koranyi_b_gradients_vs_fd():
@@ -152,7 +152,7 @@ def test_cc_value_near_the_pole():
     # t/|z|^2 = 1e14: the distance is continuous there, near sqrt(pi |t|)
     d = cc(H1).value(np.array([[1e-7, 0.0]]), np.array([[1.0]]))[0]
     assert abs(d - np.sqrt(np.pi)) <= 1e-6
-    assert cc(H1).value_at(Point([0.0, 1e-7], -1.0)) == pytest.approx(d, rel=1e-12)
+    assert at_point(cc(H1).value, Point([0.0, 1e-7], -1.0)) == pytest.approx(d, rel=1e-12)
 
 
 def test_cc_beyond_float_resolution_of_the_pole():
@@ -170,39 +170,70 @@ def test_cc_beyond_float_resolution_of_the_pole():
     assert np.all(np.isfinite(nu)) and np.allclose(a**2 + b**2, 1.0, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_mu_inverse_at_the_largest_slopes():
+    # 2 m overflows from m ~ 9e307: the residual check must still see that
+    # Newton in nu has not converged there, and hand over to the pole branch
+    m = np.array([9e307, 1e308, np.finfo(float).max])
+    delta = np.empty(m.shape)
+    nu = solve_mu_inverse(m, delta=delta)
+    assert np.all(np.isfinite(delta)) and np.all(nu > 0)
+    assert m * delta**2 == pytest.approx(4 * np.pi, rel=1e-12)
+    # so |d(z, t) - sqrt(pi |t|)| <= |z| at |z| = 1
+    d = cc(H1).value(np.tile([1.0, 0.0], (m.size, 1)), m[:, None])
+    assert d == pytest.approx(np.sqrt(np.pi) * np.sqrt(m), rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cc_center_value_over_the_float_range():
+    model = cc(H1)
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    # where pi |t| is a normal float the distance is sqrt(pi |t|) to the bit
+    t = np.concatenate([np.geomspace(tiny / 3.0, huge / 3.5, 2001), [0.25, 1.0]])
+    t = np.concatenate([t, -t])
+    d = model.value(np.zeros((t.size, 2)), t[:, None])
+    assert np.array_equal(d, np.sqrt(np.pi * np.abs(t)))
+    # elsewhere pi |t| overflows or is subnormal, and the distance stays
+    # within 2 ulps of the exact sqrt(pi |t|)
+    t = np.array([5e-324, 1e-320, 3e-310, tiny / 4.0, huge / 3.0, 1e308, huge])
+    t = np.concatenate([t, -t])
+    d = model.value(np.zeros((t.size, 2)), t[:, None])
+    with mpmath.workdps(50):
+        for tv, dv in zip(t, d):
+            exact = mpmath.sqrt(mpmath.pi * abs(mpmath.mpf(float(tv))))
+            assert float(abs(mpmath.mpf(float(dv)) - exact)) <= 2.0 * np.spacing(dv)
+
+
 def test_cc_from_polar_examples():
-    p = CCPolar(np.array([1.0]), np.array([0.0]), 0.0, 2.0)
-    x = cc_from_polar(p)
+    x = cc_from_polar([1.0], [0.0], 0.0, 2.0)
     assert np.allclose(x.z, [2.0, 0.0]) and np.allclose(x.t, 0.0)
 
-    p = CCPolar(np.array([1.0]), np.array([0.0]), np.pi, np.pi / 2)
-    x = cc_from_polar(p)
+    x = cc_from_polar([1.0], [0.0], np.pi, np.pi / 2)
     assert float(x.z @ x.z) == pytest.approx(1.0, rel=1e-14)
     assert float(x.t[0]) == pytest.approx(np.pi / 2, rel=1e-14)
 
     # nu -> 2pi at fixed r: |z| -> 0 and t -> r^2/pi
     r = 1.3
-    p = CCPolar(np.array([1.0]), np.array([0.0]), 2 * np.pi - 1e-8, r)
-    x = cc_from_polar(p)
+    x = cc_from_polar([1.0], [0.0], 2 * np.pi - 1e-8, r)
     assert np.linalg.norm(x.z) < 1e-7
     assert float(x.t[0]) == pytest.approx(r**2 / np.pi, rel=1e-7)
 
 
 def test_cc_invert_examples():
-    pol = cc_invert(Point([1.0, 0.0], 0.0))
-    assert pol.nu == pytest.approx(0.0, abs=1e-14)
-    assert pol.r == pytest.approx(1.0, rel=1e-14)
+    nu, r, _, _ = cc_polar_arrays(np.array([[1.0, 0.0]]), np.array([0.0]))
+    assert nu[0] == pytest.approx(0.0, abs=1e-14)
+    assert r[0] == pytest.approx(1.0, rel=1e-14)
 
-    pol = cc_invert(Point([1.0, 0.0], np.pi / 2))
-    assert pol.nu == pytest.approx(np.pi, rel=1e-12)
-    assert pol.r == pytest.approx(np.pi / 2, rel=1e-12)
+    nu, r, _, _ = cc_polar_arrays(np.array([[1.0, 0.0]]), np.array([np.pi / 2]))
+    assert nu[0] == pytest.approx(np.pi, rel=1e-12)
+    assert r[0] == pytest.approx(np.pi / 2, rel=1e-12)
 
-    pol = cc_invert(Point([0.0, 0.0], 1.0))
-    assert pol.r == pytest.approx(np.sqrt(np.pi), rel=1e-14)
-    assert abs(pol.nu) == pytest.approx(2 * np.pi)
-
-    with pytest.raises(CenterError):
-        cc_invert(Point([0.0, 0.0], 0.0))
+    # the chart degenerates on the center, where the distance is sqrt(pi |t|)
+    d = at_point(cc(H1).value, Point([0.0, 0.0], 1.0))
+    assert d == pytest.approx(np.sqrt(np.pi), rel=1e-14)
+    for t in (1.0, 0.0):
+        with pytest.raises(CenterError):
+            cc_polar_arrays(np.array([[0.0, 0.0]]), np.array([t]))
 
 
 def test_cc_round_trip():
@@ -215,25 +246,26 @@ def test_cc_round_trip():
         a, b = w[:n], w[n:]
         nu = rng.uniform(-2 * np.pi + 0.05, 2 * np.pi - 0.05)
         r = rng.uniform(0.1, 10.0)
-        x = cc_from_polar(CCPolar(a, b, nu, r))
-        pol = cc_invert(x)
-        y = cc_from_polar(pol)
-        worst = max(worst, abs(pol.nu - nu), abs(pol.r - r),
+        x = cc_from_polar(a, b, nu, r)
+        nu_x, r_x, a_x, b_x = (v[0] for v in cc_polar_arrays(x.z[None], x.t))
+        y = cc_from_polar(a_x, b_x, nu_x, r_x)
+        worst = max(worst, abs(nu_x - nu), abs(r_x - r),
                     float(np.max(np.abs(y.z - x.z))), abs(float(y.t[0] - x.t[0])))
     assert worst < 1e-9
 
 
 def test_cc_values():
     dcc = cc(H1)
-    assert dcc.value_at(Point([1.0, 0.0], 0.0)) == pytest.approx(1.0, rel=1e-14)
-    assert dcc.value_at(Point([0.0, 0.0], 1.0)) == pytest.approx(np.sqrt(np.pi), abs=1e-10)
-    assert dcc.value_at(Point([0.0, 0.0], 0.0)) == 0.0
+    assert at_point(dcc.value, Point([1.0, 0.0], 0.0)) == pytest.approx(1.0, rel=1e-14)
+    assert at_point(dcc.value, Point([0.0, 0.0], 1.0)) == pytest.approx(np.sqrt(np.pi),
+                                                                        abs=1e-10)
+    assert at_point(dcc.value, Point([0.0, 0.0], 0.0)) == 0.0
     # homogeneity at random points
     rng = np.random.default_rng(16)
     for _ in range(50):
         x = Point(rng.normal(size=2), rng.normal(size=1))
-        five = dcc.value_at(Point(5.0 * x.z, 25.0 * x.t))
-        assert five == pytest.approx(5.0 * dcc.value_at(x), rel=1e-11)
+        five = at_point(dcc.value, Point(5.0 * x.z, 25.0 * x.t))
+        assert five == pytest.approx(5.0 * at_point(dcc.value, x), rel=1e-11)
 
 
 def test_cc_gradient_identities():
@@ -263,15 +295,15 @@ def test_cc_gradient_identities():
 
 def test_cc_dt_example():
     dcc = cc(H1)
-    assert dcc.dt_at(Point([1.0, 0.0], np.pi / 2))[0] == pytest.approx(0.5, rel=1e-12)
-    assert dcc.dt_at(Point([1.0, 0.0], 0.0))[0] == pytest.approx(0.0, abs=1e-14)
+    assert at_point(dcc.dt, Point([1.0, 0.0], np.pi / 2))[0] == pytest.approx(0.5, rel=1e-12)
+    assert at_point(dcc.dt, Point([1.0, 0.0], 0.0))[0] == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(CenterError):
-        dcc.hgrad_at(Point([0.0, 0.0], 1.0))
+        at_point(dcc.hgrad, Point([0.0, 0.0], 1.0))
 
 
 def test_cc_hgrad_at_nu_zero():
     # at (1,0,0): nu = 0, (a, b) = ((1), (0)), so the gradient is (1, 0)
-    g = cc(H1).hgrad_at(Point([1.0, 0.0], 0.0))
+    g = at_point(cc(H1).hgrad, Point([1.0, 0.0], 0.0))
     assert np.allclose(g, [1.0, 0.0], atol=1e-12)
 
 
@@ -292,8 +324,8 @@ def test_cc_on_h2():
 def test_balogh_tyson_value():
     x = Point([0.0, 0.0, 1.0, 0.0], 0.0)
     rho = balogh_tyson(nonisotropic([0.5, 1.0]))
-    assert rho.value_at(x) == pytest.approx(2.0**-0.125, rel=1e-14)
-    assert rho.value_at(x) == pytest.approx(0.917004, abs=1e-6)
+    assert at_point(rho.value, x) == pytest.approx(2.0**-0.125, rel=1e-14)
+    assert at_point(rho.value, x) == pytest.approx(0.917004, abs=1e-6)
 
 
 def test_balogh_tyson_positive_on_grid():
@@ -464,60 +496,12 @@ def test_d3_vanishing_toward_center():
 
 
 def test_origin_and_center_guards():
-    with pytest.raises(CenterError):
-        koranyi(H1).hgrad_at(Point([0.0, 0.0], 0.0))
-    with pytest.raises(CenterError):
-        cc(H1).hgrad_at(Point([0.0, 0.0], 0.5))
-    # a point whose gauge powers underflow is not the origin: its gradient
-    # is that of its dilation to unit scale
-    g = koranyi(H1).hgrad_at(Point([1e-200, 0.0], 0.0))
-    assert np.array_equal(g, [1.0, 0.0])
-    bt_group = nonisotropic([0.5, 1.0])
-    with pytest.raises(CenterError):
-        balogh_tyson(bt_group).hgrad_at(Point([0.0] * 4, 0.0))
+    # the cc distance is not differentiable on the center, the origin included
+    for t in (0.5, 0.0):
+        with pytest.raises(CenterError):
+            at_point(cc(H1).hgrad, Point([0.0, 0.0], t))
+        with pytest.raises(CenterError):
+            at_point(cc(H1).dt, Point([0.0, 0.0], t))
     # koranyi is smooth through the center away from the origin
-    g = koranyi(H1).hgrad_at(Point([0.0, 0.0], 0.5))
+    g = at_point(koranyi(H1).hgrad, Point([0.0, 0.0], 0.5))
     assert np.allclose(g, 0.0)
-
-
-def test_point_level_gauges_below_the_normal_float_range():
-    # |z|^4 (Koranyi) and |z|^2 (cc) underflow here; the point-level API
-    # evaluates at a power-of-two dilation and scales back
-    assert koranyi(H1).value_at(Point([1e-100, 0.0], 0.0)) == pytest.approx(1e-100, rel=1e-15)
-    assert koranyi(H1).value_at(Point([1e-80, 0.0], 0.0)) == pytest.approx(1e-80, rel=1e-15)
-    assert cc(H1).value_at(Point([1e-170, 0.0], 0.0)) == pytest.approx(1e-170, rel=1e-15)
-    assert cc(H1).value_at(Point([0.0, 5e-324], 0.0)) == 5e-324
-
-
-# (scale, t at unit scale): scale^2 t must stay a normal float
-_EXTREME = ([(s, 0.4) for s in (1e-80, 1e-100, 1e-150, 1e40, 1e100, 1e150)]
-            + [(s, 0.0) for s in (1e-100, 1e-170, 1e-300, 1e150, 1e300)])
-
-
-@pytest.mark.parametrize("factory", [koranyi, cc])
-@pytest.mark.parametrize("scale, t", _EXTREME)
-def test_point_level_gauges_are_homogeneous_at_extreme_scales(factory, scale, t):
-    model = factory(H1)
-    x = Point([0.6, -0.3], t)
-    y = Point(scale * x.z, scale * (scale * x.t))
-    assert model.value_at(y) == pytest.approx(scale * model.value_at(x), rel=1e-14)
-    assert np.allclose(model.hgrad_at(y), model.hgrad_at(x), rtol=0.0, atol=1e-14)
-    assert model.dt_at(y)[0] == pytest.approx(model.dt_at(x)[0] / scale, rel=1e-14)
-
-
-def test_point_level_gauges_in_the_normal_range_are_evaluated_as_they_are():
-    x = Point([1.0, 0.0], 0.5)
-    for model in (koranyi(H1), cc(H1)):
-        z, t = x.z[None], x.t[None]
-        assert model.value_at(x) == model.value(z, t)[0]
-        assert np.array_equal(model.hgrad_at(x), model.hgrad(z, t)[0])
-        assert np.array_equal(model.dt_at(x), model.dt(z, t)[0])
-
-
-def test_ccpolar_validation():
-    with pytest.raises(ValueError):
-        CCPolar(np.array([1.0]), np.array([1.0]), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        CCPolar(np.array([1.0]), np.array([0.0]), 7.0, 1.0)
-    with pytest.raises(ValueError):
-        CCPolar(np.array([1.0]), np.array([0.0]), 0.0, -1.0)

@@ -8,12 +8,13 @@ import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from carnot_hardy import (CCPolar, Point, ZFieldSpec, balogh_tyson, cc, cc_from_polar,
-                          cc_invert, dilate, group_inverse, group_law, heisenberg,
-                          heisenberg_product, koranyi, koranyi_b, nonisotropic)
+from carnot_hardy import (Point, ZFieldSpec, balogh_tyson, cc, dilate, group_inverse,
+                          group_law, heisenberg, heisenberg_product, koranyi, koranyi_b,
+                          nonisotropic)
 from carnot_hardy.bounds import bound_koranyi, koranyi_window
+from carnot_hardy.norms import cc_polar_arrays
 from carnot_hardy.zfield import z_field_components
-from oracles import fd_partials, hgrad_batch
+from oracles import at_point, cc_from_polar, fd_partials, hgrad_batch
 
 H1 = heisenberg(1)
 BT_GROUP = nonisotropic([0.5, 1.0])
@@ -99,11 +100,12 @@ def test_gauge_derivatives_are_homogeneous(model):
     @given(_off_center(g), scale)
     def check(x, gamma):
         y = dilate(g, gamma, x)
-        assert model.value_at(y) == pytest.approx(gamma * model.value_at(x), rel=1e-12)
-        grad_x = model.hgrad_at(x)
-        grad_y = model.hgrad_at(y)
+        d_x, d_y = at_point(model.value, x), at_point(model.value, y)
+        assert d_y == pytest.approx(gamma * d_x, rel=1e-12)
+        grad_x = at_point(model.hgrad, x)
+        grad_y = at_point(model.hgrad, y)
         assert np.max(np.abs(grad_y - grad_x)) <= 1e-11 * max(1.0, np.linalg.norm(grad_x))
-        dt_x, dt_y = model.dt_at(x), model.dt_at(y)
+        dt_x, dt_y = at_point(model.dt, x), at_point(model.dt, y)
         assert np.max(np.abs(gamma * dt_y - dt_x)) <= 1e-11 * max(1.0, np.max(np.abs(dt_x)))
 
     check()
@@ -134,9 +136,10 @@ def test_z_field_norm_is_degree_zero(model):
 def test_cc_is_homogeneous_with_unit_gradient(x, gamma):
     model = cc(H1)
     y = dilate(H1, gamma, x)
-    assert model.value_at(y) == pytest.approx(gamma * model.value_at(x), rel=1e-12)
-    assert np.linalg.norm(model.hgrad_at(x)) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(model.hgrad_at(y)) == pytest.approx(1.0, abs=1e-12)
+    d_x, d_y = at_point(model.value, x), at_point(model.value, y)
+    assert d_y == pytest.approx(gamma * d_x, rel=1e-12)
+    assert np.linalg.norm(at_point(model.hgrad, x)) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(at_point(model.hgrad, y)) == pytest.approx(1.0, abs=1e-12)
 
 
 @FEW
@@ -144,12 +147,12 @@ def test_cc_is_homogeneous_with_unit_gradient(x, gamma):
        st.floats(0.05, 20.0))
 def test_cc_invert_inverts_cc_from_polar(angle, nu, r):
     assume(abs(nu) > 1e-6)
-    polar = CCPolar([np.cos(angle)], [np.sin(angle)], nu, r)
-    back = cc_invert(cc_from_polar(polar))
-    assert abs(back.nu - nu) <= 1e-9 * abs(nu)
-    assert back.r == pytest.approx(r, rel=1e-12)
-    assert np.allclose(back.a, polar.a, atol=1e-9)
-    assert np.allclose(back.b, polar.b, atol=1e-9)
+    x = cc_from_polar([np.cos(angle)], [np.sin(angle)], nu, r)
+    back_nu, back_r, back_a, back_b = (v[0] for v in cc_polar_arrays(x.z[None], x.t))
+    assert abs(back_nu - nu) <= 1e-9 * abs(nu)
+    assert back_r == pytest.approx(r, rel=1e-12)
+    assert np.allclose(back_a, [np.cos(angle)], atol=1e-9)
+    assert np.allclose(back_b, [np.sin(angle)], atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

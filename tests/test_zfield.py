@@ -11,8 +11,9 @@ from carnot_hardy import (CenterError, Point, StepTwoGroup, ZFieldSpec, balogh_t
                           cc, g_cc, heisenberg, heisenberg_product, koranyi, koranyi_b,
                           koranyi_profile_max, nonisotropic, sup_z_norm,
                           z_profile_koranyi)
-from carnot_hardy.norms import cc_from_polar, CCPolar, symplectic_norm_sq_arrays
+from carnot_hardy.norms import symplectic_norm_sq_arrays
 from carnot_hardy.zfield import bracket_zoom_max, z_field_components
+from oracles import at_point, cc_from_polar
 
 H1 = heisenberg(1)
 
@@ -54,7 +55,7 @@ def test_z_field_gradient_free_when_ptheta_zero():
         t = rng.normal(size=1)
         x = Point(z, t)
         v = z_at(spec, x)
-        d = cc(H1).value_at(x)
+        d = at_point(cc(H1).value, x)
         assert np.allclose(v, 2.0 * z / d, rtol=1e-10)
     # the cc jet has no gradient on the center, and Z_d none there either
     with pytest.raises(CenterError):
@@ -126,7 +127,7 @@ def test_cc_profile_consistency():
         a, b = np.array([np.cos(phi)]), np.array([np.sin(phi)])
         nu = rng.uniform(-2 * np.pi + 0.1, 2 * np.pi - 0.1)
         r = rng.uniform(0.2, 5.0)
-        x = cc_from_polar(CCPolar(a, b, nu, r))
+        x = cc_from_polar(a, b, nu, r)
         val = np.linalg.norm(z_at(spec, x)) ** 2
         assert abs(val - float(g_cc(4.0, 2.0, 1.0, nu))) < 1e-7
 
