@@ -457,13 +457,13 @@ def cmd_cc(args) -> int:
     x = Point(coords[:-1], coords[-1])
     if x.is_origin():
         raise UsageError("the origin has no polar data")
-    # the polar chart reads t/|z|^2 off |z|^2, away from the center
+    # the polar chart reads |z|^2, away from the center; where the slope
+    # t/|z|^2 overflows it takes 2pi - |nu| from |z| and t
     with np.errstate(all="ignore"):
         zn2 = x.z @ x.z
-        slope = x.t[0] / zn2 if not x.on_center() else 0.0
     if not x.on_center() and zn2 < np.finfo(float).tiny:
         raise UsageError(f"--point {args.point}: |z|^2 underflows double precision")
-    _check_finite(f"--point {args.point}", zn2, slope)
+    _check_finite(f"--point {args.point}", zn2)
     model = make_norm("cc", heisenberg(x.z.shape[0] // 2))
     z, t = x.z[None], x.t[None]
     value = float(model.value(z, t)[0])

@@ -178,11 +178,45 @@ def cc_polar_arrays(z: Array, t: Array):
     zn2 = np.sum(z * z, axis=-1)
     if np.any(zn2 == 0.0):
         raise CenterError("polar inversion is undefined on the center {z = 0}")
-    nu, inv_sinc, cot = _cc_slope(t / zn2)
+    try:
+        with np.errstate(over="raise"):
+            m = t / zn2
+    except FloatingPointError:
+        return _cc_polar_steep(z, t, zn2)
+    nu, inv_sinc, cot = _cc_slope(m)
     r = np.sqrt(zn2) * inv_sinc
     x = 0.5 * nu
     a = (cot[..., None] * z[..., 0::2] - x[..., None] * z[..., 1::2]) / r[..., None]
     b = (x[..., None] * z[..., 0::2] + cot[..., None] * z[..., 1::2]) / r[..., None]
+    return nu, r, a, b
+
+
+def _cc_polar_steep(z: Array, t: Array, zn2: Array):
+    """``cc_polar_arrays`` where the slope t/|z|^2 overflows on some entries.
+
+    There |z|^2 < |t|/DBL_MAX, and the pole asymptotics
+    t/|z|^2 = 4pi/delta^2 + pi/3 + O(delta) put delta = 2pi - |nu| =
+    2 sqrt(pi) |z|/sqrt(|t|) below 3e-154.  To double precision nu is then
+    +-2pi, r = |z| (nu/2)/sin(nu/2) is sqrt(pi |t|), the center's value, and
+    cos(nu/2) = -1 in a = cos(nu/2) z_odd/|z| - (nu/2) z_even/r and
+    b = (nu/2) z_odd/r + cos(nu/2) z_even/|z|.
+    """
+    zn2 = np.asarray(zn2)
+    t = np.broadcast_to(t, zn2.shape)
+    with np.errstate(over="ignore"):
+        steep = np.isinf(t / zn2)
+    nu, r = np.empty(zn2.shape), np.empty(zn2.shape)
+    a, b = np.empty(z[..., 0::2].shape), np.empty(z[..., 0::2].shape)
+    rest = ~steep
+    if np.any(rest):
+        nu[rest], r[rest], a[rest], b[rest] = cc_polar_arrays(z[rest], t[rest])
+    ts, zs = t[steep], z[steep]
+    x = np.copysign(np.pi, ts)
+    rs = _center_value(ts)
+    nu[steep], r[steep] = 2.0 * x, rs
+    inv_z, x_r = 1.0 / np.sqrt(zn2[steep])[:, None], (x / rs)[:, None]
+    a[steep] = -zs[:, 0::2] * inv_z - x_r * zs[:, 1::2]
+    b[steep] = x_r * zs[:, 0::2] - zs[:, 1::2] * inv_z
     return nu, r, a, b
 
 

@@ -310,11 +310,10 @@ def counterexample_scan(samples_log2: int = 17, isotropic_control: bool = False)
     On the (1/2, 1) group with the Balogh-Tyson gauge (closed frame
     gradient), at p theta = COUNTEREXAMPLE_P_THETA, the scan looks for
     B(z, t) > COUNTEREXAMPLE_TOL over quasi-random points on the unit gauge
-    sphere, polished by coordinate bracket-zoom sweeps; it passes when such
-    a point is found.  With
-    isotropic_control=True the same scan runs on H^2 with the Koranyi gauge,
-    where the profile argument forces B <= 0, and passes when no positive
-    value is found.
+    sphere, the best of them polished by safeguarded Newton steps; it passes
+    when such a point is found.  With isotropic_control=True the same scan
+    runs on H^2 with the Koranyi gauge, where the profile argument forces
+    B <= 0, and passes when no positive value is found.
     """
     if isotropic_control:
         group = heisenberg(2)
@@ -326,7 +325,7 @@ def counterexample_scan(samples_log2: int = 17, isotropic_control: bool = False)
         name = "counterexample_scan"
     spec = ZFieldSpec(group, norm, 2.0, COUNTEREXAMPLE_P_THETA / 2.0)
     best, (arg_z, arg_t), vals = scan_unit_sphere(
-        lambda z, t: _vertical_excess(spec, z, t), norm, samples_log2, width=0.2, sweeps=5)
+        lambda z, t: _vertical_excess(spec, z, t), norm, samples_log2, width=0.2)
     found = best > COUNTEREXAMPLE_TOL
     passed = (not found) if isotropic_control else found
     return Report(name, passed, COUNTEREXAMPLE_TOL,
@@ -345,6 +344,10 @@ def product_check(n: int, N: int, p: float, theta: float,
                   samples_log2: int = 17, seed: int = 2024,
                   mc_samples: int = 10**7) -> Report:
     """Scan |Z_rho| on (H^n)^N and, on (H^1)^2, verify the product identity.
+
+    The scan is the Sobol scan of ``scan_unit_sphere``, its best point
+    polished by safeguarded Newton steps, which move freely along the plateau
+    {t = 0} where |Z_rho| = (n+1)/n.
 
     Under ``product_hypothesis`` (theta >= 0 and n >= (p theta - 4)/4) the
     vertical contribution to |Z_rho|^2 is nonpositive, the sampled sup must
@@ -370,7 +373,7 @@ def product_check(n: int, N: int, p: float, theta: float,
     target = (n + 1) / n
 
     best, (_, arg_t), zvals = scan_unit_sphere(
-        lambda z, t: z_field_norm(spec, z, t), norm, samples_log2, width=0.2, sweeps=6)
+        lambda z, t: z_field_norm(spec, z, t), norm, samples_log2, width=0.2)
     values = {"sampled_sup": best, "target": target,
               "argmax_t_norm": float(np.linalg.norm(arg_t)),
               "hypothesis_holds": bool(hypothesis)}

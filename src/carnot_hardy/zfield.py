@@ -315,34 +315,128 @@ def bracket_zoom_max(f, lo: float, hi: float, tol: float = 1e-12):
         a, b = a_next, b_next
 
 
-# each sweep of the coordinate refinement brackets at this fraction of the
-# previous sweep's half-width
-SWEEP_SHRINK = 0.35
+# the smallest stencil of the polish: central differences at this size keep
+# gradients of O(1) objectives to about 1e-10, truncation and rounding alike
+POLISH_FLOOR = 1e-5
+# objective calls one polish may make, two per iteration
+POLISH_CALLS = 30
+# the multiples of the step that one call of the polish tries: 2^(k/2) for
+# k = 2, 1, ..., -29, so the full step is one of them
+_LINE_STEPS = 2.0 ** (np.arange(2, -30, -1) / 2.0)
+_LINE_STEPS.flags.writeable = False
+# the rounding of an objective value relative to the largest one on its
+# stencil: a generous bound for the few dozen operations that form one
+_POLISH_NOISE = 64.0 * np.finfo(float).eps
 
 
-def _coordinate_refine(f, x0: Array, value0: float, width: float, sweeps: int):
-    """Bracket-zoom sweeps along coordinate axes around a candidate max.
+@lru_cache(maxsize=None)
+def _stencil(d: int):
+    """The unit offsets of the central-difference stencil in d coordinates and
+    the pairs (i, j), i < j, that it crosses; read-only.
 
-    ``f`` is batched over rows; each zoom step moves one coordinate of x
-    through its bracket in one call.  Sweeps run coarse to fine: the bracket
-    of the next sweep reopens around the point found, so each sweep but the
-    last zooms only to cells of SWEEP_SHRINK w / (ZOOM_POINTS - 1), half the
-    next sweep's first grid spacing, and the last zooms to 1e-10.
+    The 1 + 2d + 2d(d-1) rows are the center, +e_i, -e_i, and for each pair
+    in turn e_i + e_j, e_i - e_j, e_j - e_i and -e_i - e_j.
+    """
+    eye = np.eye(d)
+    i, j = np.triu_indices(d, 1)
+    pairs = np.stack([eye[i] + eye[j], eye[i] - eye[j], eye[j] - eye[i],
+                      -eye[i] - eye[j]], axis=1).reshape(-1, d)
+    table = (np.concatenate([np.zeros((1, d)), eye, -eye, pairs]), i, j)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def _stencil_model(v: Array, h: float, i: Array, j: Array):
+    """(gradient, Hessian) by central differences from the values ``v`` of f
+    on the stencil of size h."""
+    d = (len(v) - 1 - 4 * len(i)) // 2
+    fp, fm = v[1:d + 1], v[d + 1:2 * d + 1]
+    hess = np.empty((d, d))
+    hess[np.arange(d), np.arange(d)] = (fp + fm - 2.0 * v[0]) / h**2
+    q = v[2 * d + 1:].reshape(-1, 4)
+    hess[i, j] = hess[j, i] = (q[:, 0] - q[:, 1] - q[:, 2] + q[:, 3]) / (4.0 * h**2)
+    return (fp - fm) / (2.0 * h), hess
+
+
+def _polish_step(grad: Array, hess: Array, h: float, width: float) -> Array:
+    """The safeguarded ascent step of a local model whose stencil values are
+    at most 1 in size.
+
+    In the eigenbasis of the Hessian it is the Newton step along directions of
+    curvature below -_POLISH_NOISE/h^2, the rounding of a second difference.
+    The other directions are flat: the dilation orbit, the rotations of each
+    block, a plateau such as {t = 0} of the product field, or uphill
+    curvature.  Along them the step moves by h along the gradient, and not at
+    all where the gradient is below _POLISH_NOISE/h, the rounding of a first
+    difference.  No step is longer than ``width``.
+    """
+    lam, vecs = np.linalg.eigh(hess)
+    gk = grad @ vecs
+    curved = lam < -_POLISH_NOISE / h**2
+    step = np.where(curved, gk / np.where(curved, -lam, 1.0), 0.0)
+    flat = np.where(curved, 0.0, gk)
+    flat_norm = np.sqrt(flat @ flat)
+    if flat_norm > _POLISH_NOISE / h:
+        step += (h / flat_norm) * flat
+    s = vecs @ step
+    length = np.sqrt(s @ s)
+    return s * (width / length) if length > width else s
+
+
+def _best_row(rows: Array, v: Array, best: float):
+    """(row, value) of the first largest value above ``best``, NaNs ignored,
+    or None."""
+    k = int(np.argmax(np.where(np.isnan(v), -np.inf, v)))
+    return (rows[k], float(v[k])) if v[k] > best else None
+
+
+def _polish_max(f, x0: Array, value0: float, width: float):
+    """Polish a candidate max of a batched objective by safeguarded Newton
+    steps from central differences.
+
+    ``f`` maps rows to values.  Each iteration makes two calls: one on the
+    stencil of size h around x (``_stencil``), which gives the value, the
+    gradient and the Hessian, and one on the points x + c s for the
+    multiples c of ``_LINE_STEPS`` of the step s of ``_polish_step``.  The
+    best point of both calls that beats the best value so far is taken, and
+    h then shrinks to at most a quarter of itself and the move's length.
+    Where no point beats it, h shrinks sixteen-fold.  h starts at ``width``
+    and never falls below POLISH_FLOOR.  The polish stops after a move
+    shorter than 1e-10, when nothing improves on the floor, or after
+    POLISH_CALLS calls.  A stencil with a non-finite value, or with nothing
+    but zeros, offers only its own points.  Returns (x, f(x)); a start that
+    nothing beats, or a NaN start, comes back as it was given.
     """
     x = np.array(x0, dtype=float)
     best = value0
-    w = width
-    for sweep in range(sweeps):
-        tol = 1e-10 if sweep == sweeps - 1 else SWEEP_SHRINK * w / (ZOOM_POINTS - 1)
-        for i in range(x.size):
-            def slice_f(s, i=i):
-                y = np.repeat(x[None], s.size, axis=0)
-                y[:, i] = s
-                return f(y)
-            s, v = bracket_zoom_max(slice_f, x[i] - w, x[i] + w, tol=tol)
-            if v > best:
-                best, x[i] = v, s
-        w *= SWEEP_SHRINK
+    if np.isnan(best):
+        return x, best
+    offsets, i, j = _stencil(x.size)
+    h = width
+    for _ in range(POLISH_CALLS // 2):
+        rows = x + h * offsets
+        v = f(rows)
+        found = None
+        scale = float(np.max(np.abs(v)))
+        if 0.0 < scale < np.inf:
+            # the model of f / scale takes f's step, and none of its
+            # differences overflows
+            grad, hess = _stencil_model(v / scale, h, i, j)
+            step = _polish_step(grad, hess, h, width)
+            line = x + _LINE_STEPS[:, None] * step
+            found = _best_row(line, f(line), best)
+        found = _best_row(rows, v, best if found is None else found[1]) or found
+        if found is None:
+            if h <= POLISH_FLOOR:
+                break
+            h = max(POLISH_FLOOR, h / 16.0)
+            continue
+        move = float(np.linalg.norm(found[0] - x))
+        x, best = found
+        if move < 1e-10:
+            break
+        h = max(POLISH_FLOOR, min(h / 4.0, move))
     return x, best
 
 
@@ -449,18 +543,17 @@ def sobol_points(dim: int, lo: int, hi: int) -> Array:
 _SCAN_BLOCK = 2**13
 
 
-def scan_unit_sphere(objective, norm: NormModel, m: int, width: float = 0.3,
-                     sweeps: int = 6):
+def scan_unit_sphere(objective, norm: NormModel, m: int, width: float = 0.3):
     """Quasi-random maximization of a dilation-invariant objective on {d = 1}.
 
     ``objective(z, t)`` is batched over rows.  The 2^m unscrambled Sobol
     points of [-1.5, 1.5]^dim, less those with |z|^2 <= 1e-6, are dilated onto
     the unit gauge sphere of ``norm`` and evaluated in blocks of _SCAN_BLOCK
     points; the first best one, as np.argmax picks it from all values, is
-    polished by sweeps of bracket zooms along coordinates.  Returns (best
-    value, (arg_z, arg_t) on the sphere, objective at every sample).  The
-    best value is a sampled lower bound of the supremum, never a
-    certificate.
+    polished by safeguarded Newton steps (``_polish_max``) from a stencil
+    ``width`` wide.  Returns (best value, (arg_z, arg_t) on the sphere,
+    objective at every sample).  The best value is a sampled lower bound of
+    the supremum, never a certificate.
     """
     nz = 2 * norm.group.n
     dim = norm.group.dim
@@ -500,7 +593,7 @@ def scan_unit_sphere(objective, norm: NormModel, m: int, width: float = 0.3,
         out[ok] = objective(zz[ok], tt[ok])
         return out
 
-    x, best = _coordinate_refine(f, x0, v0, width, sweeps)
+    x, best = _polish_max(f, x0, v0, width)
     arg_z, arg_t = to_sphere(x[None, :nz], x[None, nz:])
     return best, (arg_z[0], arg_t[0]), vals
 

@@ -530,11 +530,12 @@ def test_cc_point_whose_square_underflows_is_not_the_origin(point, capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("point", ["1,0,1e308", "0,0,1e308", "0,0,-1.7976931348623157e308",
-                                   "0,0,5e-324"])
+                                   "0,0,5e-324", "1e-150,0,1e10", "0,-1e-152,-1e300"])
 def test_cc_point_at_the_ends_of_the_float_range(point, capsys):
     # slopes t/|z|^2 up to DBL_MAX take the pole branch of the inversion, and
-    # sqrt(pi |t|) on the center neither overflows nor rounds a subnormal
-    # product; the distance is printed once as cc_value and once as r
+    # slopes that overflow take 2pi - |nu| from |z| and t; sqrt(pi |t|) on the
+    # center neither overflows nor rounds a subnormal product; the distance is
+    # printed once as cc_value and once as r
     code, out = run_cli(["cc", "--point", point], capsys)
     assert code == 0
     res = json.loads(out, parse_constant=_reject_non_finite)["results"][0]

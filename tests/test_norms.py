@@ -204,6 +204,37 @@ def test_cc_center_value_over_the_float_range():
             assert float(abs(mpmath.mpf(float(dv)) - exact)) <= 2.0 * np.spacing(dv)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1.0, 1e10, -1e10])
+def test_cc_near_the_center_where_the_slope_overflows(t):
+    # |z| from 1e-10 to 1e-300: the slope t/|z|^2 is finite, overflows (from
+    # |z| ~ 1e-154 at t = 1, ~ 1e-149 at t = 1e10), and |z|^2 is subnormal or
+    # 0.  The triangle inequality through (0, t), whose distance to (z, t) is
+    # |z|, gives |d - sqrt(pi |t|)| <= |z|, here up to the rounding of both
+    model = cc(H1)
+    size = 10.0 ** -np.linspace(10.0, 300.0, 581)
+    z = np.concatenate([np.stack([size, np.zeros_like(size)], axis=1),
+                        np.stack([-size, size], axis=1) / np.sqrt(2.0)])
+    tt = np.full((len(z), 1), t)
+    centre = np.sqrt(np.pi * abs(t))
+    d = model.value(z, tt)
+    assert np.all(np.abs(d - centre) <= np.linalg.norm(z, axis=1) + 4 * np.spacing(centre))
+    # where |z|^2 is a normal float the polar data stay finite, nu = +-2pi
+    # once the slope overflows (at t = 1e10 only), and the gradient keeps unit
+    # length
+    zn2 = np.sum(z * z, axis=1)
+    normal = zn2 >= np.finfo(float).tiny
+    with np.errstate(over="ignore"):
+        steep = np.isinf(t / zn2[normal])
+    assert steep.any() == (abs(t) > 1.0)
+    nu, r, a, b = cc_polar_arrays(z[normal], tt[normal, 0])
+    assert np.all(np.isfinite(r)) and np.allclose(a**2 + b**2, 1.0, atol=1e-12)
+    assert np.all(nu[steep] == np.copysign(2 * np.pi, t))
+    assert np.allclose(np.linalg.norm(model.hgrad(z[normal], tt[normal]), axis=1), 1.0,
+                       atol=1e-12)
+    assert np.all(np.isfinite(model.dt(z[normal], tt[normal])))
+
+
 def test_cc_from_polar_examples():
     x = cc_from_polar([1.0], [0.0], 0.0, 2.0)
     assert np.allclose(x.z, [2.0, 0.0]) and np.allclose(x.t, 0.0)

@@ -824,21 +824,20 @@ def test_counterexample_control_sits_at_round_off():
     assert rep.values["max_excess"] <= 1e-12
 
 
-# counterexample_scan(samples_log2=10) frozen when the coordinate refinement
-# began to zoom to 1e-10 in its last sweep only: (max_excess, arg_z, arg_t,
-# samples)
+# counterexample_scan(samples_log2=10) frozen when the scan's polish became
+# safeguarded Newton steps: (max_excess, arg_z, arg_t, samples)
 PINNED_SCANS = {
-    False: (0.4857556032243724,
-            [0.728164898952973, 0.603039264323418, -0.4479674473166236,
-             0.2595297642551081],
-            [-0.45641828075741814], 1023),
+    False: (0.4857569468304379,
+            [0.8014788775044307, 0.5030707906706547, -0.4932114427456078,
+             0.15325744051625964],
+            [-0.45621906363399733], 1023),
     True: (4.440892098500626e-16,
-           [0.5509546082085178, 0.449689256126496, -0.4577540689286071,
-            -0.5335633092684516],
-           [-7.341717765434396e-09], 1023),
+           [0.5231960264420188, 0.4805306922714397, -0.4098812196719497,
+            -0.572148195366068],
+           [5.487864654394644e-10], 1023),
 }
-# the excesses that the golden-section refinement and the batched zoom to
-# 1e-10 in every sweep found; the scan may not find less than either
+# the excesses that the golden-section refinement and the coordinate sweeps
+# zooming to 1e-10 in every sweep found; the scan may not find less than either
 GOLDEN_SCAN_EXCESS = 0.4857554757509148
 ZOOM_SCAN_EXCESS = 0.4857554757852234
 
@@ -854,6 +853,23 @@ def test_counterexample_scan_is_pinned(control):
     if not control:
         assert rep.values["max_excess"] >= GOLDEN_SCAN_EXCESS
         assert rep.values["max_excess"] >= ZOOM_SCAN_EXCESS
+
+
+@pytest.mark.parametrize("m", [10, 12, 13, 15])
+def test_counterexample_polish_reaches_the_local_max(m, polish_runs):
+    # SciPy's BFGS, started where the polish starts, is the oracle for the
+    # local maximum, which sits on a ridge that couples the coordinates
+    from scipy.optimize import minimize
+    from carnot_hardy.zfield import POLISH_CALLS
+    rep = counterexample_scan(samples_log2=m)
+    control = counterexample_scan(samples_log2=m, isotropic_control=True)
+    f, x0, _ = polish_runs[0]
+    res = minimize(lambda x: -f(x[None])[0], x0, method="BFGS", options={"gtol": 1e-11})
+    assert abs(rep.values["max_excess"] + res.fun) <= 1e-12
+    assert rep.values["max_excess"] >= ZOOM_SCAN_EXCESS
+    # B <= 0 on the isotropic control: only rounding above the plane t = 0
+    assert control.values["max_excess"] <= 1e-12
+    assert all(len(calls) <= POLISH_CALLS for _, _, calls in polish_runs)
 
 
 def test_scan_argmax_lies_on_the_unit_sphere(monkeypatch):
@@ -919,6 +935,22 @@ def test_product_check_small():
     z = rng.normal(size=(20, 4))
     vals = np.linalg.norm(z_field_components(spec, z, np.zeros((20, 2))), axis=-1)
     assert np.allclose(vals, 2.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize("n, N", [(1, 2), (1, 3), (2, 2)])
+@pytest.mark.parametrize("p, theta", [(2.0, 1.0), (3.0, 1.0), (2.0, 0.5)])
+def test_product_scan_finds_the_plateau(n, N, p, theta, polish_runs):
+    # under the hypothesis |Z_rho| peaks at (n+1)/n on the plateau {t = 0},
+    # flat in every z direction: the polish reaches it, never rises above it
+    # but by rounding, and stays on it
+    from carnot_hardy.zfield import POLISH_CALLS
+    rep = product_check(n, N, p, theta, samples_log2=10, mc_samples=10**4)
+    v = rep.values
+    target = (n + 1) / n
+    assert v["hypothesis_holds"]
+    assert abs(v["sampled_sup"] - target) <= 1e-9
+    assert v["argmax_t_norm"] <= 1e-4
+    assert len(polish_runs) == 1 and len(polish_runs[0][2]) <= POLISH_CALLS
 
 
 def test_product_check_hypothesis_violated():

@@ -342,51 +342,84 @@ def test_bracket_zoom_stops_below_the_ulp_of_its_bracket():
     assert abs(s - 1e6) <= 1e-9 and v == -(s - 1e6) ** 2
 
 
-def test_coordinate_refinement_never_returns_less_than_its_start():
-    from carnot_hardy.zfield import _coordinate_refine
-    centre = np.array([0.2, -0.1, 0.4])
+def _counting(f, calls):
+    """f, appending the row count of each call to ``calls``."""
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+    return counted
 
-    def f(x):
-        return -np.sum((x - centre) ** 2, axis=1)
 
+CENTRE = np.array([0.2, -0.1, 0.4])
+
+
+def _quadratic(x):
+    return -np.sum((x - CENTRE) ** 2, axis=1)
+
+
+def test_polish_never_returns_less_than_its_start():
+    from carnot_hardy.zfield import _polish_max
     x0 = np.array([0.35, 0.05, 0.2])
-    v0 = float(f(x0[None])[0])
-    x, best = _coordinate_refine(f, x0, v0, width=0.3, sweeps=6)
+    v0 = float(_quadratic(x0[None])[0])
+    x, best = _polish_max(_quadratic, x0, v0, width=0.3)
     assert best >= v0
-    assert best == f(x[None])[0]
-    assert np.max(np.abs(x - centre)) <= 1e-10
+    assert best == _quadratic(x[None])[0]
+    assert np.max(np.abs(x - CENTRE)) <= 1e-10
     # a start value above anything f reaches is kept, and so is its point
-    x, best = _coordinate_refine(f, x0, 1.0, width=0.3, sweeps=6)
+    x, best = _polish_max(_quadratic, x0, 1.0, width=0.3)
     assert best == 1.0 and np.array_equal(x, x0)
+    # a NaN start comes back as it was, and f is never called
+    calls = []
+    x, best = _polish_max(_counting(_quadratic, calls), x0, np.nan, width=0.3)
+    assert np.isnan(best) and np.array_equal(x, x0) and calls == []
 
 
-def test_coordinate_refinement_zooms_coarse_to_fine():
-    # each sweep but the last stops at the next sweep's grid: two zoom steps
-    # per coordinate, from cells of w/16 to w/256, below 0.35 w/32
-    from carnot_hardy.zfield import _coordinate_refine
-    centre = np.array([0.2, -0.1, 0.4])
-    moved = []
+def test_polish_steps_around_rows_that_read_minus_inf():
+    # the scan's objective reads -inf on rows too near the center; a stencil
+    # that reaches them offers only its own points, and a finer one steps on
+    from carnot_hardy.zfield import _polish_max
+
+    def walled(x):
+        out = _quadratic(x)
+        out[x[:, 0] < 0.1] = -np.inf
+        return out
+
+    x0 = np.array([0.15, 0.05, 0.2])
+    v0 = float(walled(x0[None])[0])
+    seen = []
+    x, best = _polish_max(_counting(walled, seen), x0, v0, width=0.3)
+    assert best >= v0 and best == walled(x[None])[0]
+    assert np.max(np.abs(x - CENTRE)) <= 1e-10
+    # the first stencil (19 rows) met the wall and made no line search
+    assert seen[:2] == [19, 19]
+
+
+def test_polish_shrinks_its_stencil_coarse_to_fine():
+    # a smooth max that is not quadratic, so Newton takes several steps: each
+    # iteration is one stencil of 1 + 2d + 2d(d-1) rows and one line search
+    # of 32 points, and the stencil shrinks from the width to the floor
+    from carnot_hardy.zfield import POLISH_CALLS, POLISH_FLOOR, _polish_max
+    sizes, rows = [], []
 
     def f(x):
-        varies = np.flatnonzero(np.ptp(x, axis=0) > 0.0)
-        assert varies.size == 1
-        moved.append(int(varies[0]))
-        return -np.sum((x - centre) ** 2, axis=1)
+        rows.append(len(x))
+        if len(x) == 19:
+            sizes.append(float(np.max(np.abs(x - x[0]))))
+        return -np.sum(np.log(np.cosh(3.0 * (x - CENTRE))), axis=1)
 
-    x0 = np.array([0.35, 0.05, 0.2])
-    sweeps = 6
-    x, _ = _coordinate_refine(f, x0, -np.sum((x0 - centre) ** 2), width=0.3, sweeps=sweeps)
-    # one run of zoom steps per coordinate and sweep
-    runs = [len(list(steps)) for _, steps in itertools.groupby(moved)]
-    assert len(runs) == sweeps * x0.size
-    assert max(runs[:-x0.size]) <= 2
-    assert np.max(np.abs(x - centre)) <= 1e-10
+    x0 = np.array([0.5, 0.3, -0.1])
+    x, best = _polish_max(f, x0, float(f(x0[None])[0]), width=0.3)
+    del rows[0]                     # the start value's call
+    assert rows == [19, 32] * (len(rows) // 2) and len(rows) <= POLISH_CALLS
+    assert sizes[0] == pytest.approx(0.3, rel=1e-12)
+    assert all(b <= a * (1 + 1e-12) for a, b in zip(sizes, sizes[1:]))
+    assert sizes[-1] == pytest.approx(POLISH_FLOOR, rel=1e-6)
+    assert np.max(np.abs(x - CENTRE)) <= 1e-9
 
 
 def test_multistart_refines_in_batches(monkeypatch):
-    # the Sobol batch plus one call per zoom step, each with its 33 rows;
-    # the one-row golden-section refinement took 808 calls here, and the
-    # batched zoom to 1e-10 in every sweep 126
+    # the Sobol batch, then stencils of 19 rows and line searches of 32, none
+    # of them with a row the scan reads as -inf
     from carnot_hardy import zfield
     calls, rows = [], []
 
@@ -397,11 +430,23 @@ def test_multistart_refines_in_batches(monkeypatch):
 
     monkeypatch.setattr(zfield, "z_field_components", counted)
     res = zfield.multistart_sup(ZFieldSpec(H1, koranyi(H1), 2.0, 6.0), m=10)
-    assert len(calls) <= 60
-    assert calls[0] == res.samples and set(calls[1:]) <= {zfield.ZOOM_POINTS}
+    assert len(calls) - 1 <= zfield.POLISH_CALLS
+    assert calls[0] == res.samples and set(calls[1:]) <= {19, 32}
     assert min(rows) >= 1e-10
     sup = np.sqrt(koranyi_profile_max(4.0, 2.0, 6.0)[0])
-    assert abs(res.sup_value - sup) <= 1e-9 * sup
+    assert abs(res.sup_value - sup) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+@pytest.mark.parametrize("theta", [-1.0, 0.0, 0.5, 1.0, 1.5, 3.0, 5.0, 6.0, 7.0, 8.0])
+def test_koranyi_multistart_reaches_the_closed_sup(p, theta, polish_runs):
+    # the maximum set is a circle times the dilation orbit, flat in two of
+    # three directions; endpoint and interior branches alike
+    from carnot_hardy.zfield import POLISH_CALLS, multistart_sup
+    res = multistart_sup(ZFieldSpec(H1, koranyi(H1), p, theta), m=10)
+    sup = np.sqrt(koranyi_profile_max(4.0, p, theta)[0])
+    assert abs(res.sup_value - sup) <= 1e-12
+    assert len(polish_runs) == 1 and len(polish_runs[0][2]) <= POLISH_CALLS
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +490,10 @@ def test_sobol_draw_beyond_its_range_is_a_typed_error():
         scan_unit_sphere(lambda z, t: z[:, 0], koranyi(H1), SOBOL_BITS + 1)
 
 
-def _one_batch_scan(objective, norm, m, width, sweeps):
+def _one_batch_scan(objective, norm, m, width):
     """The scan with all 2^m of scipy's Sobol points in one batch."""
     from scipy.stats import qmc
-    from carnot_hardy.zfield import _coordinate_refine
+    from carnot_hardy.zfield import _polish_max
     nz = 2 * norm.group.n
 
     def to_sphere(z, t):
@@ -469,8 +514,7 @@ def _one_batch_scan(objective, norm, m, width, sweeps):
         out[ok] = objective(zz[ok], tt[ok])
         return out
 
-    x, best = _coordinate_refine(f, np.concatenate([z[i], t[i]]), float(vals[i]),
-                                 width, sweeps)
+    x, best = _polish_max(f, np.concatenate([z[i], t[i]]), float(vals[i]), width)
     arg_z, arg_t = to_sphere(x[None, :nz], x[None, nz:])
     return best, (arg_z[0], arg_t[0]), vals
 
@@ -481,15 +525,15 @@ def _scan_cases():
     bt = ZFieldSpec(g, balogh_tyson(g), 2.0, 1.0)
     gp = heisenberg_product(1, 2)
     prod = ZFieldSpec(gp, koranyi(gp), 2.0, 6.0)
-    return [(bt.norm, lambda z, t: _vertical_excess(bt, z, t), 0.2, 5),
+    return [(bt.norm, lambda z, t: _vertical_excess(bt, z, t), 0.2),
             (prod.norm, lambda z, t: np.linalg.norm(z_field_components(prod, z, t), axis=-1),
-             0.2, 6)]
+             0.2)]
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["counterexample", "product"])
 def test_blocked_scan_matches_one_batch(case):
     from carnot_hardy.zfield import _SCAN_BLOCK, scan_unit_sphere
-    norm, objective, width, sweeps = _scan_cases()[case]
+    norm, objective, width = _scan_cases()[case]
     m = 15                      # four blocks
     assert 2**m > _SCAN_BLOCK
     rows = []
@@ -498,8 +542,8 @@ def test_blocked_scan_matches_one_batch(case):
         rows.append(len(z))
         return objective(z, t)
 
-    best, (arg_z, arg_t), vals = scan_unit_sphere(recorded, norm, m, width, sweeps)
-    ref_best, (ref_z, ref_t), ref_vals = _one_batch_scan(objective, norm, m, width, sweeps)
+    best, (arg_z, arg_t), vals = scan_unit_sphere(recorded, norm, m, width)
+    ref_best, (ref_z, ref_t), ref_vals = _one_batch_scan(objective, norm, m, width)
     assert best == ref_best
     assert np.array_equal(arg_z, ref_z) and np.array_equal(arg_t, ref_t)
     assert np.array_equal(vals, ref_vals)
@@ -525,11 +569,11 @@ def test_scan_starts_from_the_row_argmax_picks(marks, monkeypatch):
         seen.append(np.concatenate([z, t], axis=1))
         return values[k:k + len(z)].copy()
 
-    def refine(f, x0, value0, width, sweeps):
+    def polish(f, x0, value0, width):
         start.update(x0=x0, value0=value0)
         return x0, value0
 
-    monkeypatch.setattr(zfield, "_coordinate_refine", refine)
+    monkeypatch.setattr(zfield, "_polish_max", polish)
     _, _, vals = zfield.scan_unit_sphere(objective, koranyi(H1), 15)
     i = int(np.argmax(vals))
     assert np.array_equal(start["x0"], np.concatenate(seen)[i])
