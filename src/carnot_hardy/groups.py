@@ -207,17 +207,29 @@ def pairing(a: Array, b: Array) -> Array:
     return out
 
 
+def square_sum(a: Array) -> Array:
+    """sum_i a_i^2 over the last axis, np.sum(a * a, axis=-1) bit for bit:
+    ``pairing(a, a)`` below 8 slots, and NumPy's reduction from 8 on, where it
+    adds in another order."""
+    if a.shape[-1] < 8:
+        return pairing(a, a)
+    return np.add.reduce(a * a, axis=-1)
+
+
 class Nodes(NamedTuple):
     """A batch of points as gauge and test-function jets read it: one chunk
     of quadrature nodes, or any (z, t) batch.
 
-    ``z`` (m, 2n) and ``t`` (m, h) are the nodes' coordinates.  A chunk of the
-    phi chart on H^1 also carries the distinct gauge radii ``sigma`` (k,) of
-    its nodes and the slope table ``lam`` (n_lam,): its nodes are laid out
-    (k, n_angle, n_lam) in C order, the Koranyi gauge of a node is its sigma
-    and t/|z|^2 its lam.  A function of (sigma, lam) is then evaluated on the
-    (k, n_lam) tables and spread onto the nodes.  Monte Carlo chunks and
-    plain (z, t) batches carry no tables (``sigma`` and ``lam`` are None).
+    ``z`` (..., 2n) and ``t`` (..., h) are the nodes' coordinates; the
+    leading shape is the chunk's.  A chunk of the phi chart on H^1 is laid
+    out (k, n_angle, n_lam), one axis per chart coordinate, and carries the
+    distinct gauge radii ``sigma`` (k,) of its nodes and the slope table
+    ``lam`` (n_lam,): the Koranyi gauge of a node is its sigma and t/|z|^2
+    its lam.  A function of (sigma, lam) is then evaluated on the tables
+    ``radii`` (k, 1, 1) and ``lam``, whose product broadcasts as
+    (k, 1, n_lam) against the chunk.  Monte Carlo chunks and plain (z, t)
+    batches carry no tables (``sigma`` and ``lam`` are None) and are flat,
+    (m, 2n) and (m, h).
 
     ``rho`` (m,) is the Koranyi gauge of each node, when the caller already
     has it: a Monte Carlo chunk carries the gauge its support window was
@@ -233,18 +245,11 @@ class Nodes(NamedTuple):
 
     @property
     def radii(self) -> Array:
-        """sigma as a (k, 1) column, to combine with functions of lam."""
-        return self.sigma[:, None]
-
-    def spread(self, table) -> Array:
-        """A table broadcastable to (k, n_lam), in (sigma, lam), on every node:
-        a radius column (k, 1), a slope row (n_lam,) or a full table."""
-        k, n_lam = self.sigma.size, self.lam.size
-        table = np.broadcast_to(table, (k, n_lam))[:, None, :]
-        return np.broadcast_to(table, (k, self.z.shape[0] // (k * n_lam), n_lam)).reshape(-1)
+        """sigma as a (k, 1, 1) table, to combine with functions of lam."""
+        return self.sigma[:, None, None]
 
     def frame(self, p, r) -> Array:
         """``frame`` (z_1 P + z_2 R, z_2 P - z_1 R) with tables P, R in
-        (sigma, lam) spread onto the nodes: the horizontal gradient of every
-        function of (|z|, t) on H^1."""
-        return frame(self.z, self.spread(p)[:, None], self.spread(r)[:, None])
+        (sigma, lam) broadcast against the chunk: the horizontal gradient of
+        every function of (|z|, t) on H^1."""
+        return frame(self.z, np.asarray(p)[..., None], np.asarray(r)[..., None])

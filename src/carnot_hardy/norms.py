@@ -21,6 +21,7 @@ which is odd and strictly increasing on (-2pi, 2pi), then recovers r and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -158,6 +159,17 @@ def _cc_slope(m: Array):
     return nu, inv_sinc, cot
 
 
+@lru_cache(maxsize=32)
+def _cc_slope_table(lam: bytes):
+    """``_cc_slope`` on the slope table whose float64 bytes are ``lam``,
+    read-only: the phi chart's integrands read the same table on every call,
+    and the key is its contents, so a table built anew still hits."""
+    out = _cc_slope(np.frombuffer(lam))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def _cc_frame_grad(nu: Array, a: Array, b: Array) -> Array:
     """Frame components of grad delta_cc from the polar data."""
     s = np.sin(nu)[..., None]
@@ -184,11 +196,26 @@ def cc_polar_arrays(z: Array, t: Array):
     except FloatingPointError:
         return _cc_polar_steep(z, t, zn2)
     nu, inv_sinc, cot = _cc_slope(m)
-    r = np.sqrt(zn2) * inv_sinc
+    r = _z_norm(z, zn2) * inv_sinc
     x = 0.5 * nu
     a = (cot[..., None] * z[..., 0::2] - x[..., None] * z[..., 1::2]) / r[..., None]
     b = (x[..., None] * z[..., 0::2] + cot[..., None] * z[..., 1::2]) / r[..., None]
     return nu, r, a, b
+
+
+def _z_norm(z: Array, zn2: Array) -> Array:
+    """|z| from |z|^2 = zn2; where zn2 is subnormal its square root has lost
+    digits that z keeps, and those rows take |z| from z scaled by its
+    largest component."""
+    zn = np.sqrt(zn2)
+    low = zn2 < np.finfo(float).tiny
+    if np.any(low):
+        zn = np.array(zn)
+        zl = z[low]
+        top = np.max(np.abs(zl), axis=-1)
+        zl = zl / top[:, None]
+        zn[low] = top * np.sqrt(np.sum(zl * zl, axis=-1))
+    return zn
 
 
 def _cc_polar_steep(z: Array, t: Array, zn2: Array):
@@ -214,7 +241,7 @@ def _cc_polar_steep(z: Array, t: Array, zn2: Array):
     x = np.copysign(np.pi, ts)
     rs = _center_value(ts)
     nu[steep], r[steep] = 2.0 * x, rs
-    inv_z, x_r = 1.0 / np.sqrt(zn2[steep])[:, None], (x / rs)[:, None]
+    inv_z, x_r = 1.0 / _z_norm(zs, zn2[steep])[:, None], (x / rs)[:, None]
     a[steep] = -zs[:, 0::2] * inv_z - x_r * zs[:, 1::2]
     b[steep] = x_r * zs[:, 0::2] - zs[:, 1::2] * inv_z
     return nu, r, a, b
@@ -264,11 +291,13 @@ class NormModel:
     ``value(z, t) -> (...)``; ``hgrad(z, t) -> (..., 2n)`` in the X-frame;
     ``dt(z, t) -> (..., h)``.  Every gauge here carries closed derivatives.
     ``jet(nodes, derivs=True) -> (value, hgrad)`` evaluates both from one
-    pass over a node record (flat ``z``, ``t`` and, on phi-chart chunks of
-    H^1, the radius table ``sigma`` and the slope table ``lam``; see
-    ``groups.Nodes``); ``hgrad`` is None when derivs is False.  The Koranyi
-    jet takes the gauge from ``rho`` when the record carries it; the other
-    gauges ignore it.
+    pass over a node record (``z``, ``t`` and, on phi-chart chunks of H^1,
+    the radius table ``sigma`` and the slope table ``lam``; see
+    ``groups.Nodes``); ``hgrad`` is None when derivs is False.  On a chart
+    chunk the value is a (sigma, lam) table that broadcasts against the
+    chunk: the Koranyi gauge is the radius column.  The Koranyi jet takes
+    the gauge from ``rho`` when the record carries it; the other gauges
+    ignore it.
 
     Every gauge here is invariant under the rotations of z in each
     horizontal 2-plane, so <z, B^{-1} grad_z d> = 0, the hypothesis under
@@ -333,11 +362,10 @@ def koranyi(group: StepTwoGroup) -> NormModel:
             if derivs:
                 return value_hgrad(nodes.z, nodes.t, nodes.rho)
             return (value(nodes.z, nodes.t) if nodes.rho is None else nodes.rho), None
-        rho = nodes.spread(nodes.radii)
         if not derivs:
-            return rho, None
+            return nodes.radii, None
         c_sig = 1.0 / np.sqrt(1.0 + nodes.lam**2) / nodes.radii
-        return rho, nodes.frame(c_sig, c_sig * (nodes.lam * L[0, 0] / 4.0))
+        return nodes.radii, nodes.frame(c_sig, c_sig * (nodes.lam * L[0, 0] / 4.0))
 
     return NormModel("koranyi", group, value, lambda z, t: value_hgrad(z, t)[1], dt, jet)
 
@@ -392,15 +420,16 @@ def cc(group: StepTwoGroup) -> NormModel:
     plain = _plain_jet(value, value_hgrad)
 
     # the polar angle depends on the slope lam = t/|z|^2 alone, and on the
-    # phi chart |z| = sigma (1 + lam^2)^{-1/4}: the inversion runs on the lam
-    # table, r = sigma q(lam), and with x = nu/2 and z^perp = (z_2, -z_1) the
-    # gradient is (z (x sin nu + cot cos nu) + z^perp (cot sin nu - x cos nu)) / r
+    # phi chart |z| = sigma (1 + lam^2)^{-1/4}: the inversion runs once on
+    # each lam table, r = sigma q(lam), and with x = nu/2 and
+    # z^perp = (z_2, -z_1) the gradient is
+    # (z (x sin nu + cot cos nu) + z^perp (cot sin nu - x cos nu)) / r
     def jet(nodes, derivs=True):
         if nodes.sigma is None:
             return plain(nodes, derivs)
-        nu, inv_sinc, cot = _cc_slope(nodes.lam)
+        nu, inv_sinc, cot = _cc_slope_table(nodes.lam.tobytes())
         q = (1.0 + nodes.lam**2) ** -0.25 * inv_sinc
-        r = nodes.spread(nodes.radii * q)
+        r = nodes.radii * q
         if not derivs:
             return r, None
         x, s, c = 0.5 * nu, np.sin(nu), np.cos(nu)

@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..groups import Array, heisenberg, heisenberg_product, nonisotropic, pairing
+from ..groups import (Array, heisenberg, heisenberg_product, nonisotropic, pairing,
+                      square_sum)
 from ..norms import balogh_tyson, koranyi
 from ..zfield import (ZFieldSpec, product_hypothesis, scan_unit_sphere,
                       z_field_components, z_field_norm)
@@ -196,8 +197,8 @@ def _ibp_integrands(spec: ZFieldSpec, u: TestFunction):
         sv = _sgn_pow(v, p)
         pair = pairing(gu, z_field_components(spec, nodes.z, nodes.t, d, g))
         d_pt = d**pt
-        return np.stack([sv * pair / d ** (pt - 1.0), sv * eu / d_pt,
-                         np.abs(v) ** p / d_pt])
+        return np.stack(np.broadcast_arrays(sv * pair / d ** (pt - 1.0), sv * eu / d_pt,
+                                            np.abs(v) ** p / d_pt))
 
     return integrands
 
@@ -242,7 +243,8 @@ def _quotient_integrands(spec: ZFieldSpec, u: TestFunction, projected: bool):
             top = np.abs(pairing(gu, zc)) ** p
         else:
             top = pairing(gu, gu) ** (p / 2.0)
-        return np.stack([top / d ** (p * (theta - 1.0)), np.abs(v) ** p / d ** (p * theta)])
+        return np.stack(np.broadcast_arrays(top / d ** (p * (theta - 1.0)),
+                                            np.abs(v) ** p / d ** (p * theta)))
 
     return integrands
 
@@ -294,7 +296,7 @@ def fit_log_excess(points: Sequence[SharpnessPoint], target: float):
 def _vertical_excess(spec: ZFieldSpec, z: Array, t: Array) -> Array:
     """B(z, t) = |Z(z, t)|^2 - |Z(z, 0)|^2, both fields from one stacked batch."""
     zc = z_field_components(spec, np.stack([z, z]), np.stack([t, np.zeros_like(t)]))
-    sq = np.sum(zc * zc, axis=-1)
+    sq = square_sum(zc)
     return sq[0] - sq[1]
 
 

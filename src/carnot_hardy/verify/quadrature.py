@@ -9,10 +9,12 @@ uniform circle rule in the angle (one node at angle 0 when n_angle is 1:
 exact for integrands invariant under rotations of z), and either graded
 Gauss panels in psi = arctan(lam) (whole line) or log-spaced panels in
 log(lam) when a positive lambda window is requested (the cut-off family of
-the sharpness test lives on such windows).  Its 1-D tables are built once
-per resolution, and integrands receive them with each chunk of whole sigma
-slabs (see ``Nodes``), so that a function of the radius or of
-lam = t/|z|^2 alone is evaluated on its table.
+the sharpness test lives on such windows).  Its nodes are laid out
+(sigma, angle, lam), one array axis per chart coordinate, and are built,
+with the 1-D tables, once per resolution.  Integrands receive the tables
+with each chunk of whole sigma slabs (see ``Nodes``), so that a function of
+the radius or of lam = t/|z|^2 alone is evaluated on its table and
+broadcast against the chunk.
 
 Monte Carlo integration covers the product and five-dimensional
 non-isotropic cases, with a fixed seed and chunked, order-deterministic
@@ -37,6 +39,7 @@ Both methods take a window 0 <= lo < hi and reject any other.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -169,9 +172,9 @@ def _chart_tables(sigma_range: tuple, n_sigma: int, n_angle: int, lam_rule: tupl
     return tables
 
 
-def chart_tables(quad: QuadratureSpec, coarse: bool = False) -> ChartTables:
-    """The phi chart's 1-D tables at the resolution of quad (or of its coarse
-    companion grid, with half the nodes); built once per resolution.
+def _chart_key(quad: QuadratureSpec, coarse: bool) -> tuple:
+    """The resolution of quad's chart (or of its coarse companion grid, with
+    half the nodes), as the arguments of ``_chart_tables``.
 
     One circle node integrates a rotation-invariant integrand exactly, so it
     serves the coarse grid too; a full circle keeps at least 4 coarse nodes.
@@ -182,18 +185,26 @@ def chart_tables(quad: QuadratureSpec, coarse: bool = False) -> ChartTables:
     else:
         lam_rule = ("log", *map(float, quad.lambda_range),
                     max(quad.log_nodes // shrink, 4))
-    return _chart_tables(tuple(map(float, quad.sigma_range)),
-                         max(quad.n_sigma // shrink, 8),
-                         1 if quad.n_angle == 1 else max(quad.n_angle // shrink, 4),
-                         lam_rule)
+    return (tuple(map(float, quad.sigma_range)), max(quad.n_sigma // shrink, 8),
+            1 if quad.n_angle == 1 else max(quad.n_angle // shrink, 4), lam_rule)
 
 
-def phi_polar_nodes(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool = False):
-    """Tensor nodes (z, t, w) of the phi chart for H^1, laid out
-    (sigma, angle, lam) in C order."""
-    if group.h != 1 or group.n != 1:
-        raise ValueError("the phi_polar tensor grid is implemented for H^1")
-    tab = chart_tables(quad, coarse)
+def chart_tables(quad: QuadratureSpec, coarse: bool = False) -> ChartTables:
+    """The phi chart's 1-D tables at the resolution of quad (or of its coarse
+    companion grid); built once per resolution."""
+    return _chart_tables(*_chart_key(quad, coarse))
+
+
+# the node arrays of the most recently used chart resolutions, kept up to
+# NODE_CACHE_BYTES in all (a pass of the benchmark's Hardy workload reads
+# 1.5 MB of them); a grid larger than that is built on every call
+NODE_CACHE_BYTES = 2 << 20
+_NODE_CACHE: OrderedDict = OrderedDict()
+
+
+def _chart_nodes(key: tuple):
+    """(z, t, w) of the chart at the resolution ``key``, read-only."""
+    tab = _chart_tables(*key)
     sig = tab.sigma[:, None, None]
     lam = tab.lam[None, None, :]
     clam = 1.0 / np.sqrt(1.0 + lam**2)
@@ -202,39 +213,67 @@ def phi_polar_nodes(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool = Fa
     z = np.empty(shape + (2,))
     np.multiply(sig * tab.cos[None, :, None], rz, out=z[..., 0])
     np.multiply(sig * tab.sin[None, :, None], rz, out=z[..., 1])
-    t = np.broadcast_to(lam * sig**2 * clam, shape)[..., None]
+    # t is constant along the circle: one (sigma, lam) table, broadcast
+    t = np.broadcast_to((lam * sig**2 * clam)[..., None], shape + (1,))
     w = (sig**3 * tab.w_sigma[:, None, None]) * tab.w_angle[None, :, None] * tab.w_lam
-    return z.reshape(-1, 2), t.reshape(-1, 1), np.broadcast_to(w, shape).reshape(-1)
+    z.flags.writeable = False
+    w.flags.writeable = False
+    return z, t, w
+
+
+def phi_polar_nodes(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool = False):
+    """Tensor nodes (z, t, w) of the phi chart for H^1, one axis per chart
+    coordinate: z (k, n_angle, n_lam, 2), t (k, n_angle, n_lam, 1) (a
+    broadcast view of its (sigma, lam) table) and w (k, n_angle, n_lam).
+
+    They are read-only, and built once per resolution while the most
+    recently used ones fit in NODE_CACHE_BYTES.
+    """
+    if group.h != 1 or group.n != 1:
+        raise ValueError("the phi_polar tensor grid is implemented for H^1")
+    key = _chart_key(quad, coarse)
+    if key in _NODE_CACHE:
+        _NODE_CACHE.move_to_end(key)
+        return _NODE_CACHE[key]
+    nodes = _NODE_CACHE[key] = _chart_nodes(key)
+    # the oldest go first, and a grid over the budget goes too; the broadcast
+    # t holds one (sigma, lam) table
+    while sum(z.nbytes + w.nbytes for z, _, w in _NODE_CACHE.values()) > NODE_CACHE_BYTES:
+        _NODE_CACHE.popitem(last=False)
+    return nodes
 
 
 def _chunks(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool):
     """(nodes, weights) of the phi chart's tensor grid, chunk by chunk.
 
-    Each chunk holds whole sigma slabs, as many as fit in quad.chunk nodes
-    and at least one, and carries its chart tables.
+    Each chunk holds whole sigma slabs along the first axis, as many as fit
+    in quad.chunk nodes and at least one, and carries its chart tables.
     """
     z, t, w = phi_polar_nodes(group, quad, coarse)
     tab = chart_tables(quad, coarse)
-    slab = z.shape[0] // tab.sigma.size
-    per = max(quad.chunk // slab, 1)
+    per = max(quad.chunk // w[0].size, 1)
     for i in range(0, tab.sigma.size, per):
-        lo, hi = i * slab, min(i + per, tab.sigma.size) * slab
-        yield Nodes(z[lo:hi], t[lo:hi], tab.sigma[i:i + per], tab.lam), w[lo:hi]
+        s = slice(i, i + per)
+        yield Nodes(z[s], t[s], tab.sigma[s], tab.lam), w[s]
 
 
 def _rows(fs, nodes: Nodes, where: str) -> list:
-    """Samples of every integrand on one chunk, one row per integral.
+    """Samples of every integrand on one chunk, one flat row per integral.
 
-    An integrand returns either m samples or a (k, m) stack of k integrals
-    that share their intermediate work; a chunk of m = 0 nodes gives k empty
-    rows.
+    An integrand returns one row, or a stack of rows along a new first axis
+    (integrals that share their intermediate work), each broadcastable to
+    the chunk's shape ``nodes.z.shape[:-1]``.  Each row is spread onto the
+    chunk and flattened in C order, the order of the flat weights; a chunk
+    of no nodes gives empty rows.
     """
+    shape = nodes.z.shape[:-1]
     rows = []
     for f in fs:
         vals = np.asarray(f(nodes))
         if not np.all(np.isfinite(vals)):
             raise NonFiniteIntegrandError(f"non-finite integrand sample {where}")
-        rows.extend(vals.reshape(len(vals) if vals.ndim == 2 else 1, nodes.z.shape[0]))
+        stack = vals if vals.ndim > len(shape) else vals[None]
+        rows.extend(np.broadcast_to(row, shape).reshape(-1) for row in stack)
     return rows
 
 
@@ -246,6 +285,7 @@ def _accumulate(fs, group: StepTwoGroup, quad: QuadratureSpec, coarse: bool):
                                 "the integrand's singularities")
         if totals is None:
             totals = np.zeros(len(rows))
+        w = w.reshape(-1)
         # numpy's pairwise sum, not BLAS: the same bits whatever its thread count
         for k, row in enumerate(rows):
             totals[k] += float(np.sum(w * row))
@@ -295,10 +335,13 @@ def koranyi_ball_draws(group: StepTwoGroup, radius: float, m: int, rng):
 def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: QuadratureSpec):
     """Integrate several integrands on shared nodes; returns IntegralResults.
 
-    Each integrand f(nodes) receives one chunk as a ``Nodes`` record and
-    returns m samples (one integral) or a (k, m) stack (k consecutive
-    integrals), so that integrals sharing a gauge or test-function evaluation
-    compute it once per chunk.
+    Each integrand f(nodes) receives one chunk as a ``Nodes`` record, whose
+    nodes have the shape nodes.z.shape[:-1]: (k, n_angle, n_lam) on the phi
+    chart, (m,) for Monte Carlo.  It returns one row (one integral) or a
+    stack of rows along a new first axis (consecutive integrals), each row
+    broadcastable to that shape, so that integrals sharing a gauge or
+    test-function evaluation compute it once per chunk and a function of
+    the chart's tables is computed on them alone.
     """
     lo, hi = quad.sigma_range
     if not 0 <= lo < hi:

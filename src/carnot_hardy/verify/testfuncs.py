@@ -19,9 +19,11 @@ Bumps and the cut-off family are evaluated through one jet,
 computes the gauge, its gradient and the radial profile once per batch of
 points; their ``value``, ``hgrad`` and ``euler`` are views of that jet.  On
 a phi-chart chunk the jet evaluates the radial profile on the chunk's
-distinct radii and the vertical factor on its slope table, and spreads them
-onto the nodes.  Elsewhere a bump takes the gauge and its gradient from one
-call of the Koranyi jet, which reads the gauge a Monte Carlo chunk carries.
+distinct radii and the vertical factor on its slope table, and returns each
+factor on the smallest table that holds it: the value and the Euler term as
+(sigma, lam) tables, the gradient on the nodes.  Elsewhere a bump takes the
+gauge and its gradient from one call of the Koranyi jet, which reads the
+gauge a Monte Carlo chunk carries.
 """
 
 from __future__ import annotations
@@ -213,18 +215,18 @@ def radial_bump(group: StepTwoGroup, profile: BumpProfile = BumpProfile(),
     # a table in (sigma, lam)
     def chart_jet(nodes, derivs):
         sig, lam = nodes.radii, nodes.lam
-        eta, deta = (v[:, None] for v in profile.jet(nodes.sigma))
+        eta, deta = (v[:, None, None] for v in profile.jet(nodes.sigma))
         c = 1.0 / np.sqrt(1.0 + lam**2)
         s = lam * c
         mod, dmod = 1.0 + a * s + b * s * s, a + 2.0 * b * s
-        val = nodes.spread(eta * mod)
+        val = eta * mod
         if not derivs:
             return val, None, None
         k = group.couplings[0, 0] / 4.0
         # grad u = eta' mod grad rho + eta mod' grad s
         grad = nodes.frame(deta / sig * (mod * c) - eta / sig**2 * (2.0 * dmod * lam * c**2),
                            k * (deta / sig * (mod * lam * c) + eta / sig**2 * (2.0 * dmod * c**2)))
-        return val, grad, nodes.spread(deta * sig * mod)
+        return val, grad, deta * sig * mod
 
     # evaluations are masked to the support so that points at or near the
     # origin (where rho-quotients degenerate) yield exact zeros, not NaNs;
@@ -307,16 +309,16 @@ def sharpness_function(group: StepTwoGroup, p: float, eps: float,
     # ((k z_2, -k z_1) - lam z); grad rho is as for the bumps
     def chart_jet(nodes, derivs):
         sig, lam = nodes.radii, nodes.lam
-        eta, deta = (v[:, None] for v in profile.jet(nodes.sigma))
+        eta, deta = (v[:, None, None] for v in profile.jet(nodes.sigma))
         w, wd = cutoff(lam, derivs)
         if not derivs:
-            return nodes.spread(eta * w), None, None
+            return eta * w, None, None
         c = 1.0 / np.sqrt(1.0 + lam**2)
         k = group.couplings[0, 0] / 4.0
         # grad u = w' eta grad lam + w eta' grad rho
         grad = nodes.frame(deta / sig * (w * c) - eta / sig**2 * (2.0 * lam * wd / c),
                            k * (deta / sig * (w * lam * c) + eta / sig**2 * (2.0 * wd / c)))
-        return nodes.spread(eta * w), grad, nodes.spread(deta * sig * w)
+        return eta * w, grad, deta * sig * w
 
     # lam = t/|z|^2 is homogeneous of degree zero, so E u = w(lam) eta'(d) d
     def jet(nodes, derivs=True):

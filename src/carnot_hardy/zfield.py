@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import Array, Nodes, StepTwoGroup, heisenberg_product
+from .groups import Array, Nodes, StepTwoGroup, heisenberg_product, square_sum
 from .norms import NormModel
 
 
@@ -130,7 +130,7 @@ def z_field_norm(spec: ZFieldSpec, z: Array, t: Array) -> Array:
     """|Z_d| at each row (z, t): np.linalg.norm's own arithmetic on real rows,
     without its dispatch."""
     v = z_field_components(spec, z, t)
-    return np.sqrt(np.add.reduce(v * v, axis=-1))
+    return np.sqrt(square_sum(v))
 
 
 def product_hypothesis(n: int, p: float, theta: float) -> dict:
@@ -573,7 +573,7 @@ def scan_unit_sphere(objective, norm: NormModel, m: int, width: float = 0.3):
         pts -= 1.0
         pts *= 1.5
         z, t = pts[:, :nz], pts[:, nz:]
-        keep = np.sum(z * z, axis=1) > 1e-6
+        keep = square_sum(z) > 1e-6
         z, t = to_sphere(z[keep], t[keep])
         v = objective(z, t)
         vals.append(v)
@@ -586,7 +586,7 @@ def scan_unit_sphere(objective, norm: NormModel, m: int, width: float = 0.3):
 
     def f(x):
         zz, tt = x[:, :nz], x[:, nz:]
-        ok = np.sum(zz * zz, axis=1) >= 1e-10
+        ok = square_sum(zz) >= 1e-10
         if ok.all():
             return objective(zz, tt)
         out = np.full(len(x), -np.inf)

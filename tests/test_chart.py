@@ -11,7 +11,9 @@ from carnot_hardy.verify import (BumpProfile, Nodes, QuadratureSpec, check_ibp_i
                                  hardy_quotient, integrate_many, product_check, radial_bump,
                                  random_bump, sharpness_function, sharpness_sequence)
 from carnot_hardy.verify import checks, testfuncs
-from carnot_hardy.verify.quadrature import chart_tables
+from carnot_hardy import norms
+from carnot_hardy.verify import quadrature
+from carnot_hardy.verify.quadrature import chart_tables, phi_polar_nodes
 import oracles
 from oracles import euler_adjoint_defect, weak_divergence_defect
 
@@ -34,7 +36,7 @@ def chunks(quad):
 
     def record(nodes):
         seen.append(nodes)
-        return np.zeros(nodes.z.shape[0])
+        return np.zeros(nodes.z.shape[:-1])
 
     integrate_many(H1, [record], quad)
     return seen
@@ -50,18 +52,91 @@ def test_chunks_are_whole_sigma_slabs_with_tables():
     records = chunks(quad)
     fine = [n for n in records if n.sigma.size <= 3]
     slab = 4 * fine[0].lam.size
-    assert all(n.z.shape[0] == n.sigma.size * slab <= quad.chunk for n in fine)
+    assert all(n.z.shape[:-1] == (n.sigma.size, 4, n.lam.size) for n in fine)
+    assert all(n.z[..., 0].size == n.sigma.size * slab <= quad.chunk for n in fine)
     assert sum(n.sigma.size for n in fine) == quad.n_sigma
     for n in records:
         rho = koranyi(H1).value(n.z, n.t)
-        assert rel_gap(n.spread(n.radii), rho) <= 1e-15
-        slope = n.t[:, 0] / np.sum(n.z * n.z, axis=-1)
-        assert np.max(np.abs(n.spread(n.lam) - slope) / np.abs(slope)) <= 1e-15
+        assert rel_gap(np.broadcast_to(n.radii, rho.shape), rho) <= 1e-15
+        slope = n.t[..., 0] / np.sum(n.z * n.z, axis=-1)
+        assert np.max(np.abs(np.broadcast_to(n.lam, slope.shape) - slope)
+                      / np.abs(slope)) <= 1e-15
     # a slab larger than a chunk is a chunk of its own, with its tables
     small = QuadratureSpec(sigma_range=(0.3, 1.8), n_angle=4, psi_nodes=6, chunk=100)
     fine = chunks(small)[:small.n_sigma]
-    assert all(n.sigma.size == 1 and n.z.shape[0] == slab > small.chunk for n in fine)
+    assert all(n.sigma.size == 1 and n.z[..., 0].size == slab > small.chunk for n in fine)
     assert [n.sigma[0] for n in fine] == list(chart_tables(small).sigma)
+
+
+def test_chart_nodes_are_read_only_tensors_kept_within_their_budget():
+    quad = QuadratureSpec(sigma_range=(0.3, 1.8), n_angle=4, psi_nodes=6)
+    z, t, w = phi_polar_nodes(H1, quad)
+    tab = chart_tables(quad)
+    shape = (tab.sigma.size, tab.cos.size, tab.lam.size)
+    assert z.shape == shape + (2,) and t.shape == shape + (1,) and w.shape == shape
+    assert not (z.flags.writeable or t.flags.writeable or w.flags.writeable)
+    # t is constant along the circle: a view of one (sigma, lam) table
+    assert t.strides[1] == 0
+    assert np.array_equal(t[:, 0, :, 0], tab.lam * tab.sigma[:, None] ** 2
+                          * (1.0 / np.sqrt(1.0 + tab.lam**2)))
+    # built once per resolution: the fine and the coarse grid are kept
+    assert phi_polar_nodes(H1, quad)[0] is z
+    assert phi_polar_nodes(H1, quad, coarse=True)[0] is phi_polar_nodes(H1, quad, True)[0]
+    # the most recently used grids stay within the budget, the oldest go first
+    for lo in np.linspace(0.05, 0.25, 40):
+        phi_polar_nodes(H1, replace(quad, sigma_range=(lo, 1.8)))
+    held = sum(z.nbytes + w.nbytes for z, _, w in quadrature._NODE_CACHE.values())
+    assert 0 < held <= quadrature.NODE_CACHE_BYTES
+    assert phi_polar_nodes(H1, quad)[0] is not z
+    # a grid larger than the budget is built on every call, and not kept
+    big = replace(quad, n_sigma=400, n_angle=16, psi_nodes=12)
+    assert phi_polar_nodes(H1, big)[0] is not phi_polar_nodes(H1, big)[0]
+    assert quadrature._chart_key(big, False) not in quadrature._NODE_CACHE
+
+
+def test_integrands_may_return_tables_of_the_chart():
+    # a (sigma, lam) table and its spread onto the nodes integrate to the same
+    # bits, alone and in a stack
+    u = _seeded_bump()
+    quad = QuadratureSpec(sigma_range=PROFILE_SUPPORT, n_angle=4, psi_nodes=6, chunk=3000)
+
+    def table(nodes):
+        return u.jet(nodes, derivs=False)[0]
+
+    def spread(nodes):
+        return np.broadcast_to(table(nodes), nodes.z.shape[:-1]).copy()
+
+    def stack(nodes):
+        return np.stack(np.broadcast_arrays(table(nodes), nodes.radii))
+
+    assert table(chunks(quad)[0]).shape[1] == 1
+    got = integrate_many(H1, [table, stack], quad)
+    want = integrate_many(H1, [spread, stack], quad)
+    for a, b in zip(got, want):
+        assert a.value == b.value and a.error == b.error and a.n_evals == b.n_evals
+    (radius,) = integrate_many(H1, [lambda n: np.broadcast_to(n.radii, n.z.shape[:-1])],
+                               quad)
+    assert got[2].value == radius.value
+
+
+def test_cc_chart_inverts_each_slope_table_once():
+    quad = QuadratureSpec(sigma_range=(0.3, 1.8), n_angle=4, psi_nodes=6, chunk=2000)
+    records = chunks(quad)
+    model = cc(H1)
+    norms._cc_slope_table.cache_clear()
+    want = [model.jet(n) for n in records]
+    # the fine and the coarse grid have one slope table each
+    assert norms._cc_slope_table.cache_info().misses == 2
+    # keyed by the table's contents: a copy is the same table
+    for n, (d, g) in zip(records, want):
+        again = n._replace(lam=np.array(n.lam))
+        d2, g2 = model.jet(again)
+        assert np.array_equal(d2, d) and np.array_equal(g2, g)
+    assert norms._cc_slope_table.cache_info().misses == 2
+    nu, inv_sinc, cot = norms._cc_slope_table(records[0].lam.tobytes())
+    assert not nu.flags.writeable
+    assert all(np.array_equal(a, b) for a, b in
+               zip((nu, inv_sinc, cot), norms._cc_slope(records[0].lam)))
 
 
 @pytest.mark.parametrize("chart", list(QUADS))
@@ -188,7 +263,7 @@ def test_check_integrands_are_rotation_invariant(norm):
         quad = INVARIANT_QUADS[grid]
         nodes = chunks(quad)[0]
         k, n_lam = nodes.sigma.size, nodes.lam.size
-        assert nodes.z.shape[0] == k * 16 * n_lam
+        assert nodes.z.shape[:-1] == (k, 16, n_lam)
         rows = np.asarray(f(nodes))
         for row in rows.reshape(len(rows), k, 16, n_lam):
             assert np.max(np.abs(row)) > 0.0, name
@@ -238,7 +313,7 @@ def test_integrate_keeps_the_full_circle():
     quad = QuadratureSpec(sigma_range=PROFILE_SUPPORT)
 
     def weighted(nodes, i):
-        z2 = nodes.z[:, i] ** 2 if i is not None else np.sum(nodes.z**2, axis=-1)
+        z2 = nodes.z[..., i] ** 2 if i is not None else np.sum(nodes.z**2, axis=-1)
         return u.jet(nodes, derivs=False)[0] * z2
 
     first, whole = (r.value for r in integrate_many(
@@ -254,7 +329,7 @@ def test_undeclared_test_functions_keep_the_full_circle():
     seen = []
 
     def jet(nodes, derivs=True):
-        seen.append(nodes.z.shape[0] // (nodes.sigma.size * nodes.lam.size))
+        seen.append(nodes.z[..., 0].size // (nodes.sigma.size * nodes.lam.size))
         return u.jet(nodes, derivs)
 
     hand_built = testfuncs.TestFunction("recorded bump", {}, u.value, u.hgrad, u.euler, jet,

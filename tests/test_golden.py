@@ -95,16 +95,10 @@ def leaves(got, want, path="$"):
         yield path, got, want
 
 
-MANIFEST_DATA = json.loads(MANIFEST.read_text())
-ENTRIES = MANIFEST_DATA["outputs"]
-
-
-@pytest.mark.parametrize("entry", ENTRIES, ids=[e["name"] for e in ENTRIES])
-def test_readme_command_output_is_golden(entry):
-    code, text = run(entry["command"].split())
-    assert code == entry["exit"], entry["command"]
-    got, want = parse(text), parse((GOLDEN / entry["file"]).read_text())
-    bitwise = fingerprint() == MANIFEST_DATA["fingerprint"]
+def compare(got, want, bitwise: bool):
+    """(mismatches, largest relative float gap, its path).  Floats are
+    mismatches when their bits differ and ``bitwise`` holds; otherwise they
+    only feed the largest gap, which the caller holds against REL_TOL."""
     wrong, gap, gap_at = [], 0.0, None
     for path, g, w in leaves(got, want):
         if type(g) is type(w) is float:
@@ -115,9 +109,52 @@ def test_readme_command_output_is_golden(entry):
                 gap, gap_at = abs(g - w) / max(abs(g), abs(w)), path
         elif type(g) is not type(w) or g != w:
             wrong.append(f"{path}: {g!r} != {w!r}")
+    return wrong, gap, gap_at
+
+
+MANIFEST_DATA = json.loads(MANIFEST.read_text())
+ENTRIES = MANIFEST_DATA["outputs"]
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=[e["name"] for e in ENTRIES])
+def test_readme_command_output_is_golden(entry):
+    code, text = run(entry["command"].split())
+    assert code == entry["exit"], entry["command"]
+    got, want = parse(text), parse((GOLDEN / entry["file"]).read_text())
+    bitwise = fingerprint() == MANIFEST_DATA["fingerprint"]
+    wrong, gap, gap_at = compare(got, want, bitwise)
     assert not wrong and gap <= REL_TOL, (
         f"{entry['command']}: {len(wrong)} mismatches {wrong[:5]}; largest relative "
         f"float gap {gap:.3g} at {gap_at} (bitwise: {bitwise})")
+
+
+def test_off_fingerprint_rule_reports_the_largest_gap():
+    # off the recorded fingerprint floats are compared within REL_TOL: hand-
+    # perturbed copies of a recorded output must report their largest gap
+    want = parse((GOLDEN / "verify_identity.json").read_text())
+    floats = [path for path, _, w in leaves(want, want) if type(w) is float and w != 0.0]
+    assert len(floats) >= 3
+
+    def perturbed(rel: dict, node=want, path="$"):
+        """A copy of the output with the float at each path of rel scaled by
+        1 + rel[path]; paths as ``leaves`` writes them."""
+        if type(node) is dict:
+            return {k: perturbed(rel, v, f"{path}.{k}") for k, v in node.items()}
+        if type(node) is list:
+            return [perturbed(rel, v, f"{path}[{i}]") for i, v in enumerate(node)]
+        return node * (1.0 + rel[path]) if path in rel else node
+
+    far, near = floats[1], floats[-1]
+    wrong, gap, gap_at = compare(perturbed({far: 1e-9, near: 1e-14}), want, bitwise=False)
+    assert wrong == [] and gap_at == far and gap == pytest.approx(1e-9, rel=1e-3)
+    assert gap > REL_TOL
+    # within the tolerance the output passes, and its gap is still reported
+    wrong, gap, gap_at = compare(perturbed({near: 1e-14}), want, bitwise=False)
+    assert wrong == [] and gap_at == near and 0.0 < gap <= REL_TOL
+    # on the recorded fingerprint every changed bit is a mismatch
+    wrong, _, _ = compare(perturbed({far: 1e-9, near: 1e-14}), want, bitwise=True)
+    assert [w.split(":")[0] for w in wrong] == [far, near]
+    assert compare(want, want, bitwise=False) == ([], 0.0, None)
 
 
 def regenerate() -> None:

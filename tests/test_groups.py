@@ -3,7 +3,7 @@ import pytest
 
 from carnot_hardy import (Point, dilate, group_inverse, group_law, heisenberg,
                           heisenberg_product, koranyi, nonisotropic)
-from carnot_hardy.groups import StepTwoGroup, pairing
+from carnot_hardy.groups import StepTwoGroup, pairing, square_sum
 from oracles import (at_point, commutator_vertical, default_step, euler_apply,
                      hgrad_batch, horizontal_divergence, horizontal_gradient)
 
@@ -289,3 +289,17 @@ def test_square_pairing_is_the_slot_sum_bit_for_bit(slots):
     got, want = pairing(x, x), np.sum(x * x, axis=-1)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(pairing(x, x), np.sum(x**2, axis=-1))
+
+
+@pytest.mark.parametrize("slots", range(1, 13))
+def test_square_sum_is_numpys_sum_bit_for_bit(slots):
+    # the slot products below 8 slots, NumPy's own reduction from 8 on, where
+    # its unrolled pairwise sum adds in another order than from the left
+    rng = np.random.default_rng(64)
+    x = rng.normal(size=(2048, slots)) * 10.0 ** rng.uniform(-150, 150, size=(2048, slots))
+    x[:32] = -0.0
+    got, want = square_sum(x), np.sum(x * x, axis=-1)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # strided rows, as the scan's z = points[:, :2n] is
+    wide = np.concatenate([x, x], axis=1)[:, :slots]
+    assert np.array_equal(square_sum(wide), want)

@@ -235,6 +235,21 @@ def test_cc_near_the_center_where_the_slope_overflows(t):
     assert np.all(np.isfinite(model.dt(z[normal], tt[normal])))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1e300, 1e-310, -1e-322])
+@pytest.mark.parametrize("g, z", [(H2, [1e-160, 0.0, 0.0, 3e-161]), (H1, [3e-161, -1e-161])],
+                         ids=["H2", "H1"])
+def test_cc_hgrad_has_unit_length_where_z_squared_is_subnormal(g, z, t):
+    # |z|^2 ~ 1e-320 is subnormal, and its square root has lost digits that z
+    # keeps; t = 1e300 takes the branch where t/|z|^2 overflows, the others
+    # the inversion of the slope
+    z, tt = np.array([z]), np.array([[t]])
+    grad = cc(g).hgrad(z, tt)
+    assert abs(np.linalg.norm(grad) - 1.0) <= 4 * np.spacing(1.0)
+    _, _, a, b = cc_polar_arrays(z, tt[:, 0])
+    assert abs(np.sum(a**2 + b**2) - 1.0) <= 4 * np.spacing(1.0)
+
+
 def test_cc_from_polar_examples():
     x = cc_from_polar([1.0], [0.0], 0.0, 2.0)
     assert np.allclose(x.z, [2.0, 0.0]) and np.allclose(x.t, 0.0)
@@ -442,8 +457,8 @@ def test_koranyi_chart_jet_is_bit_identical_to_the_slot_formula():
     quad = QuadratureSpec(sigma_range=(0.25, 2.0), n_sigma=8)
     nodes = next(_chunks(H1, quad, False))[0]
     c_sig = 1.0 / np.sqrt(1.0 + nodes.lam**2) / nodes.radii
-    P, R = nodes.spread(c_sig), nodes.spread(c_sig * nodes.lam)
-    z1, z2 = nodes.z[:, 0], nodes.z[:, 1]
+    P, R = c_sig, c_sig * nodes.lam
+    z1, z2 = nodes.z[..., 0], nodes.z[..., 1]
     assert np.array_equal(koranyi(H1).jet(nodes)[1],
                           np.stack([z1 * P + z2 * R, z2 * P - z1 * R], axis=-1))
 

@@ -328,7 +328,7 @@ def test_bump_profile_support():
 
 def test_integrate_zero_and_mass_oracle():
     quad = QuadratureSpec(sigma_range=(0.25, 2.0))
-    (zero,) = integrate_many(H1, [lambda n: np.zeros(n.z.shape[0])], quad)
+    (zero,) = integrate_many(H1, [lambda n: np.zeros(n.z.shape[:-1])], quad)
     assert zero.value == 0.0
 
     # radial mass integral against its separable 1-D reduction:
@@ -418,7 +418,7 @@ def test_monte_carlo_needs_a_bounded_window():
     # the box is derived from the window's outer radius
     quad = QuadratureSpec(method="monte_carlo", samples=10, sigma_range=(0.0, np.inf))
     with pytest.raises(ValueError, match="bounded"):
-        integrate_many(H1, [lambda n: np.zeros(n.z.shape[0])], quad)
+        integrate_many(H1, [lambda n: np.zeros(n.z.shape[:-1])], quad)
 
 
 @pytest.mark.parametrize("method", ["tensor_grid", "monte_carlo"])
