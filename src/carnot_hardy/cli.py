@@ -42,6 +42,12 @@ MAX_BOUNDS_N = 1000
 # supz profile holds and prints every node
 MAX_VERIFY_NODES = 2000
 MAX_SUPZ_NODES = 10**6
+# each bump is one Hardy quotient, and the Monte Carlo draws are made and
+# summed chunk by chunk: both caps bound the run time, not the memory (a run
+# at either cap, other flags at their defaults, ends within a minute on two
+# cores)
+MAX_VERIFY_BUMPS = 10**4
+MAX_VERIFY_SAMPLES = 10**8
 
 
 class UsageError(Exception):
@@ -344,8 +350,11 @@ def _check_verify_args(args, group):
                                ("--samples-log2", args.samples_log2, 0)):
         if value < least:
             raise UsageError(f"{flag} {value}: must be at least {least}")
-    if args.nodes > MAX_VERIFY_NODES:
-        raise UsageError(f"--nodes {args.nodes}: verify takes at most {MAX_VERIFY_NODES}")
+    for flag, value, most in (("--bumps", args.bumps, MAX_VERIFY_BUMPS),
+                              ("--nodes", args.nodes, MAX_VERIFY_NODES),
+                              ("--samples", args.samples, MAX_VERIFY_SAMPLES)):
+        if value > most:
+            raise UsageError(f"{flag} {value}: verify takes at most {most}")
     if group is not None:
         if group.h != 1:
             raise UsageError(f"--group {args.group} has {group.h} vertical directions; "

@@ -235,6 +235,15 @@ class Nodes(NamedTuple):
     has it: a Monte Carlo chunk carries the gauge its support window was
     selected by, and the Koranyi jets read it instead of forming it again.
     Chart chunks and plain batches leave it None.
+
+    ``unit`` is a chart chunk's unit slice: its angle and slope nodes at
+    Koranyi radius 1, itself a one-slab chart record (1, n_angle, n_lam)
+    with sigma = (1.0,), shared read-only by every chunk of the same angle
+    and slope rules.  A node (sigma, angle, lam) of the chunk is the
+    dilation by sigma of the node (angle, lam) of the slice, so a function
+    homogeneous of degree zero (the frame gradient of a gauge, Z_d) is
+    evaluated on the slice and broadcast over sigma.  Other records leave it
+    None.
     """
 
     z: Array
@@ -242,6 +251,7 @@ class Nodes(NamedTuple):
     sigma: Optional[Array] = None
     lam: Optional[Array] = None
     rho: Optional[Array] = None
+    unit: Optional["Nodes"] = None
 
     @property
     def radii(self) -> Array:

@@ -186,16 +186,32 @@ def check_ibp_identity(spec: ZFieldSpec, u: TestFunction,
     return Report("ibp_identity", defect <= tol, tol, values, diagnostics)
 
 
+def _gauge_and_field(spec: ZFieldSpec, nodes):
+    """The spec's gauge d on a chunk and Z_d, broadcastable to it.
+
+    Z_d is homogeneous of degree zero, so on a chart chunk it is evaluated
+    once on the chunk's unit slice (``Nodes.unit``), at the n_angle x n_lam
+    nodes of radius 1, and broadcast over sigma; d is the chunk's own.
+    Other records take both from one pass of the gauge's jet on the nodes.
+    """
+    if nodes.unit is None:
+        d, g = spec.norm.jet(nodes)
+        return d, z_field_components(spec, nodes.z, nodes.t, d, g)
+    unit = nodes.unit
+    d1, g1 = spec.norm.jet(unit)
+    return (spec.norm.jet(nodes, derivs=False)[0],
+            z_field_components(spec, unit.z, unit.t, d1, g1))
+
+
 def _ibp_integrands(spec: ZFieldSpec, u: TestFunction):
     """The integrands of I1, I2 and of the mass int |u|^p / d^{pt}, stacked."""
     p, pt = spec.p, spec.ptheta
-    norm = spec.norm
 
     def integrands(nodes):
         v, gu, eu = u.jet(nodes)
-        d, g = norm.jet(nodes)        # the spec's gauge, not the bump's own rho
+        d, zc = _gauge_and_field(spec, nodes)   # the spec's gauge, not the bump's own rho
         sv = _sgn_pow(v, p)
-        pair = pairing(gu, z_field_components(spec, nodes.z, nodes.t, d, g))
+        pair = pairing(gu, zc)
         d_pt = d**pt
         return np.stack(np.broadcast_arrays(sv * pair / d ** (pt - 1.0), sv * eu / d_pt,
                                             np.abs(v) ** p / d_pt))
@@ -237,11 +253,11 @@ def _quotient_integrands(spec: ZFieldSpec, u: TestFunction, projected: bool):
 
     def integrands(nodes):
         v, gu, _ = u.jet(nodes)
-        d, g = norm.jet(nodes, derivs=projected)
         if projected:
-            zc = z_field_components(spec, nodes.z, nodes.t, d, g)
+            d, zc = _gauge_and_field(spec, nodes)
             top = np.abs(pairing(gu, zc)) ** p
         else:
+            d = norm.jet(nodes, derivs=False)[0]
             top = pairing(gu, gu) ** (p / 2.0)
         return np.stack(np.broadcast_arrays(top / d ** (p * (theta - 1.0)),
                                             np.abs(v) ** p / d ** (p * theta)))

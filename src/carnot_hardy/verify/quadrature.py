@@ -14,7 +14,11 @@ the sharpness test lives on such windows).  Its nodes are laid out
 with the 1-D tables, once per resolution.  Integrands receive the tables
 with each chunk of whole sigma slabs (see ``Nodes``), so that a function of
 the radius or of lam = t/|z|^2 alone is evaluated on its table and
-broadcast against the chunk.
+broadcast against the chunk.  Each chunk also carries its unit slice
+(``Nodes.unit``): the same angle and slope nodes at Koranyi radius 1,
+(1, n_angle, n_lam), built once per angle and slope rule, on which a
+function homogeneous of degree zero (a gauge's frame gradient, Z_d) is
+evaluated once and broadcast over sigma.
 
 Monte Carlo integration covers the product and five-dimensional
 non-isotropic cases, with a fixed seed and chunked, order-deterministic
@@ -151,25 +155,36 @@ class ChartTables(NamedTuple):
     w_lam: Array
 
 
+def _frozen(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=64)
-def _chart_tables(sigma_range: tuple, n_sigma: int, n_angle: int, lam_rule: tuple):
-    sig, wsig = _gauss_on(*sigma_range, n_sigma)
-    # midpoints on the circle; a single node sits at angle 0, where z = (|z|, 0)
+def _angle_rule(n_angle: int):
+    """(cos, sin, weight) of the circle's midpoint rule; a single node sits at
+    angle 0, where z = (|z|, 0)."""
     ang = (np.arange(n_angle) + (0.5 if n_angle > 1 else 0.0)) * 2.0 * np.pi / n_angle
-    wang = np.full(n_angle, 2.0 * np.pi / n_angle)
+    return _frozen(np.cos(ang), np.sin(ang), np.full(n_angle, 2.0 * np.pi / n_angle))
+
+
+@lru_cache(maxsize=64)
+def _slope_rule(lam_rule: tuple):
+    """(lam, weight) of the slope rule; the weight carries (1 + lam^2)^{-1}."""
     if lam_rule[0] == "psi":
         psi, wpsi = _graded_psi(*lam_rule[1:])
-        lam = np.tan(psi)
         # measure (1+lam^2)^{-1} dlam = dpsi for n = 1
-        wlam = wpsi
-    else:
-        v, wv = _log_lambda(*lam_rule[1:])
-        lam = np.exp(v)
-        wlam = lam / (1.0 + lam**2) * wv
-    tables = ChartTables(sig, wsig, np.cos(ang), np.sin(ang), wang, lam, wlam)
-    for arr in tables:
-        arr.flags.writeable = False
-    return tables
+        return _frozen(np.tan(psi), wpsi)
+    v, wv = _log_lambda(*lam_rule[1:])
+    lam = np.exp(v)
+    return _frozen(lam, lam / (1.0 + lam**2) * wv)
+
+
+@lru_cache(maxsize=64)
+def _chart_tables(sigma_range: tuple, n_sigma: int, n_angle: int, lam_rule: tuple):
+    sig, wsig = _frozen(*_gauss_on(*sigma_range, n_sigma))
+    return ChartTables(sig, wsig, *_angle_rule(n_angle), *_slope_rule(lam_rule))
 
 
 def _chart_key(quad: QuadratureSpec, coarse: bool) -> tuple:
@@ -202,23 +217,41 @@ NODE_CACHE_BYTES = 2 << 20
 _NODE_CACHE: OrderedDict = OrderedDict()
 
 
+def _chart_points(sigma: Array, cos: Array, sin: Array, lam: Array):
+    """(z, t) of the chart's nodes over the 1-D tables, read-only; t is
+    constant along the circle, a broadcast view of one (sigma, lam) table."""
+    sig = sigma[:, None, None]
+    lam = lam[None, None, :]
+    clam = 1.0 / np.sqrt(1.0 + lam**2)
+    rz = np.sqrt(clam)
+    shape = (sigma.size, cos.size, lam.size)
+    z = np.empty(shape + (2,))
+    np.multiply(sig * cos[None, :, None], rz, out=z[..., 0])
+    np.multiply(sig * sin[None, :, None], rz, out=z[..., 1])
+    z.flags.writeable = False
+    return z, np.broadcast_to((lam * sig**2 * clam)[..., None], shape + (1,))
+
+
 def _chart_nodes(key: tuple):
     """(z, t, w) of the chart at the resolution ``key``, read-only."""
     tab = _chart_tables(*key)
+    z, t = _chart_points(tab.sigma, tab.cos, tab.sin, tab.lam)
     sig = tab.sigma[:, None, None]
-    lam = tab.lam[None, None, :]
-    clam = 1.0 / np.sqrt(1.0 + lam**2)
-    rz = np.sqrt(clam)
-    shape = (tab.sigma.size, tab.cos.size, tab.lam.size)
-    z = np.empty(shape + (2,))
-    np.multiply(sig * tab.cos[None, :, None], rz, out=z[..., 0])
-    np.multiply(sig * tab.sin[None, :, None], rz, out=z[..., 1])
-    # t is constant along the circle: one (sigma, lam) table, broadcast
-    t = np.broadcast_to((lam * sig**2 * clam)[..., None], shape + (1,))
     w = (sig**3 * tab.w_sigma[:, None, None]) * tab.w_angle[None, :, None] * tab.w_lam
-    z.flags.writeable = False
     w.flags.writeable = False
     return z, t, w
+
+
+@lru_cache(maxsize=64)
+def _unit_slice(n_angle: int, lam_rule: tuple) -> Nodes:
+    """The chart's angle and slope nodes at Koranyi radius 1, a one-slab
+    chart record with sigma = (1.0,): z = (cos, sin) (1 + lam^2)^{-1/4} and
+    t = lam (1 + lam^2)^{-1/2}.  It does not depend on the sigma window, so
+    every grid of the same angle and slope rules shares it."""
+    cos, sin, _ = _angle_rule(n_angle)
+    lam, _ = _slope_rule(lam_rule)
+    (one,) = _frozen(np.ones(1))
+    return Nodes(*_chart_points(one, cos, sin, lam), one, lam)
 
 
 def phi_polar_nodes(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool = False):
@@ -247,14 +280,17 @@ def _chunks(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool):
     """(nodes, weights) of the phi chart's tensor grid, chunk by chunk.
 
     Each chunk holds whole sigma slabs along the first axis, as many as fit
-    in quad.chunk nodes and at least one, and carries its chart tables.
+    in quad.chunk nodes and at least one, and carries its chart tables and
+    the grid's unit slice.
     """
     z, t, w = phi_polar_nodes(group, quad, coarse)
-    tab = chart_tables(quad, coarse)
+    key = _chart_key(quad, coarse)
+    tab = _chart_tables(*key)
+    unit = _unit_slice(*key[2:])
     per = max(quad.chunk // w[0].size, 1)
     for i in range(0, tab.sigma.size, per):
         s = slice(i, i + per)
-        yield Nodes(z[s], t[s], tab.sigma[s], tab.lam), w[s]
+        yield Nodes(z[s], t[s], tab.sigma[s], tab.lam, unit=unit), w[s]
 
 
 def _rows(fs, nodes: Nodes, where: str) -> list:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from carnot_hardy import ZFieldSpec, cc, heisenberg, koranyi
+from carnot_hardy.zfield import z_field_components
 from carnot_hardy.verify import (BumpProfile, Nodes, QuadratureSpec, check_ibp_identity,
                                  hardy_quotient, integrate_many, product_check, radial_bump,
                                  random_bump, sharpness_function, sharpness_sequence)
@@ -158,6 +159,83 @@ def test_chart_jets_match_coordinate_jets(chart):
                 assert rel_gap(got, want) <= 1e-13, norm.kind
             d, g = norm.jet(nodes, derivs=False)
             assert g is None and rel_gap(d, norm.value(nodes.z, nodes.t)) <= 1e-13
+            # the gauge gradient and Z_d are homogeneous of degree zero: on
+            # the unit slice, broadcast over sigma, they are the nodes' own
+            spec = ZFieldSpec(H1, norm, 3.0, 1.0)
+            shape = nodes.z.shape
+            d1, g1 = norm.jet(nodes.unit)
+            assert rel_gap(np.broadcast_to(g1, shape), norm.jet(plain)[1]) <= 1e-13
+            zc = z_field_components(spec, nodes.unit.z, nodes.unit.t, d1, g1)
+            assert rel_gap(np.broadcast_to(zc, shape),
+                           z_field_components(spec, nodes.z, nodes.t)) <= 1e-13
+            d_check, zc_check = checks._gauge_and_field(spec, nodes)
+            assert _same_bits(d_check, d) and _same_bits(zc_check, zc), norm.kind
+            assert _same_bits(d_check, norm.jet(nodes)[0]), norm.kind
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_unit_slice_is_the_chart_at_radius_one():
+    for quad in QUADS.values():
+        records = chunks(quad)
+        for coarse in (False, True):
+            tab = chart_tables(quad, coarse)
+            unit = next(n for n in records if n.lam.size == tab.lam.size).unit
+            assert unit.z.shape == (1, tab.cos.size, tab.lam.size, 2)
+            assert unit.t.shape == (1, tab.cos.size, tab.lam.size, 1)
+            assert unit.sigma.tolist() == [1.0] and unit.lam is tab.lam
+            assert unit.unit is None and unit.rho is None
+            rz = (1.0 + tab.lam**2) ** -0.25
+            assert rel_gap(unit.z[0, ..., 0], tab.cos[:, None] * rz) <= 1e-15
+            assert rel_gap(unit.z[0, ..., 1], tab.sin[:, None] * rz) <= 1e-15
+            assert rel_gap(unit.t[0, 0, :, 0], tab.lam / np.sqrt(1.0 + tab.lam**2)) <= 1e-15
+            for arr in (unit.z, unit.t, unit.sigma, unit.lam):
+                assert not arr.flags.writeable
+        # one slice per angle and slope rule, whatever the sigma window
+        wider = chunks(replace(quad, sigma_range=(0.1, 3.0), n_sigma=40))
+        assert {id(n.unit) for n in wider} == {id(n.unit) for n in records}
+        assert len({id(n.unit) for n in records}) == 2
+    # built once per (n_angle, lam_rule)
+    quadrature._unit_slice.cache_clear()
+    quad = QUADS["graded psi"]
+    for lo in (0.1, 0.2, 0.3):
+        chunks(replace(quad, sigma_range=(lo, 1.8)))
+    info = quadrature._unit_slice.cache_info()
+    assert info.misses == 2 and info.currsize == 2
+
+
+@pytest.mark.parametrize("norm", [koranyi(H1), cc(H1)], ids=lambda n: n.kind)
+def test_checks_build_z_d_once_per_slope_table(norm):
+    spec = ZFieldSpec(H1, norm, 3.0, 1.0)
+    u = _seeded_bump()
+    hand_built = testfuncs.TestFunction("full-circle bump", {}, u.value, u.hgrad, u.euler,
+                                        u.jet, support=u.support)
+    quad = QuadratureSpec(sigma_range=u.support, n_angle=8, psi_nodes=6)
+    real = checks.z_field_components
+    rows = []
+
+    def recording(spec, z, t, d=None, g=None):
+        rows.append(np.shape(z)[:-1])
+        return real(spec, z, t, d, g)
+
+    runs = [lambda: check_ibp_identity(spec, u, quad),
+            lambda: check_ibp_identity(spec, hand_built, quad),
+            lambda: hardy_quotient(spec, u, quad),
+            lambda: hardy_quotient(spec, hand_built, quad)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "z_field_components", recording)
+        for run in runs:
+            run()
+    # one call per grid (the fine one and its coarse companion are one chunk
+    # each), on the unit slice of one circle node (declared
+    # rotation-invariant) or of the full circle: n_angle x n_lam rows per
+    # call, never k x n_angle x n_lam
+    slices = {(1, a, chart_tables(replace(quad, n_angle=a), coarse).lam.size)
+              for a, coarse in ((1, False), (1, True), (8, False), (4, True))}
+    assert len(rows) == 2 * len(runs) and set(rows) == slices
 
 
 def integrals(run, withhold: bool) -> np.ndarray:

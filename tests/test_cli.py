@@ -127,6 +127,16 @@ def assert_usage_error(argv, capsys):
     # node counts beyond what a Gauss rule or a profile dump can hold
     ["verify", "identity", "--nodes", "100000"],
     ["supz", "--nodes", "100000000"],
+    # counts that bound nothing but the run time: one past each cap, and the
+    # counts that once ran on past any timeout
+    ["verify", "hardy", "--bumps", str(cli.MAX_VERIFY_BUMPS + 1)],
+    ["verify", "hardy", "--bumps", "100000000"],
+    ["verify", "identity", "--quad-method", "monte_carlo",
+     "--samples", str(cli.MAX_VERIFY_SAMPLES + 1)],
+    ["verify", "hardy", "--quad-method", "monte_carlo",
+     "--samples", str(cli.MAX_VERIFY_SAMPLES + 1)],
+    ["verify", "product", "--samples", str(cli.MAX_VERIFY_SAMPLES + 1)],
+    ["verify", "product", "--samples", "1000000000000", "--samples-log2", "4"],
     # powers of the gauge, of u or of the slope that leave double precision
     # on the support window
     ["verify", "identity", "--p", "1e6"],
