@@ -7,7 +7,6 @@ from .norms import (ConvergenceError, NormModel, balogh_tyson, cc, koranyi, kora
                     make_norm)
 from .zfield import (SupResult, ZFieldSpec, bracket_zoom_max, g_cc,
                      koranyi_profile_max, sup_z_norm, z_profile_koranyi)
-from .bounds import (BoundReport, bound_cc, bound_generic, bound_koranyi,
-                     bound_koranyi_B, bound_product, bound_row)
+from .bounds import BoundReport, bound_cc, bound_generic, bound_row
 
 __version__ = "0.1.0"

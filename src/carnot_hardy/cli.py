@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .bounds import bound_row, hardy_target
 from .groups import Point, heisenberg, heisenberg_product, nonisotropic
-from .norms import TWO_PI, cc_polar_arrays, make_norm
+from .norms import TWO_PI, _cc_frame_grad, cc_polar_arrays, cc_value_arrays, make_norm
 from .zfield import (ScanRangeError, ZFieldSpec, cc_profile_max, g_cc,
                      koranyi_profile_max, z_profile_koranyi)
 from .verify import (QuadratureSpec, Report, check_ibp_identity, counterexample_scan,
@@ -45,7 +45,10 @@ MAX_SUPZ_NODES = 10**6
 # each bump is one Hardy quotient, and the Monte Carlo draws are made and
 # summed chunk by chunk: both caps bound the run time, not the memory (a run
 # at either cap, other flags at their defaults, ends within a minute on two
-# cores)
+# cores).  verify hardy caps --bumps x --nodes at MAX_VERIFY_BUMPS x 80 and
+# --bumps x --samples at MAX_VERIFY_SAMPLES.  One bump at each worst corner,
+# Koranyi / cc, on two cores: 34 / 37 ms at 2000 nodes, 2.0 / 2.7 ms at 80,
+# 33 / 55 s at 10^8 samples, 3.2 / 5.7 ms at 10^4 (whole runs: 14-57 s)
 MAX_VERIFY_BUMPS = 10**4
 MAX_VERIFY_SAMPLES = 10**8
 
@@ -355,6 +358,14 @@ def _check_verify_args(args, group):
                               ("--samples", args.samples, MAX_VERIFY_SAMPLES)):
         if value > most:
             raise UsageError(f"{flag} {value}: verify takes at most {most}")
+    if args.check == "hardy":
+        # every bump integrates on its own grid or its own draws
+        flag, per_bump, most = (("--samples", args.samples, MAX_VERIFY_SAMPLES)
+                                if args.quad_method == "monte_carlo" else
+                                ("--nodes", args.nodes, MAX_VERIFY_BUMPS * 80))
+        if args.bumps * per_bump > most:
+            raise UsageError(f"--bumps {args.bumps} {flag} {per_bump}: verify hardy "
+                             f"takes at most {most} {flag[2:]} over all bumps")
     if group is not None:
         if group.h != 1:
             raise UsageError(f"--group {args.group} has {group.h} vertical directions; "
@@ -473,19 +484,18 @@ def cmd_cc(args) -> int:
     if not x.on_center() and zn2 < np.finfo(float).tiny:
         raise UsageError(f"--point {args.point}: |z|^2 underflows double precision")
     _check_finite(f"--point {args.point}", zn2)
-    model = make_norm("cc", heisenberg(x.z.shape[0] // 2))
-    z, t = x.z[None], x.t[None]
-    value = float(model.value(z, t)[0])
-    result = {"point": coords, "cc_value": value, "r": value}
+    z = x.z[None]
     if x.on_center():
         # the polar chart degenerates on the center: nu = +-2pi by convention
-        result["nu"] = float(np.copysign(TWO_PI, x.t[0]))
+        nu, r = np.copysign([TWO_PI], x.t), cc_value_arrays(z, x.t)
     else:
-        result["nu"] = float(cc_polar_arrays(z, x.t)[0][0])
-        grad = model.hgrad(z, t)[0]
-        result["hgrad"] = grad.tolist()
-        result["hgrad_norm"] = float(np.linalg.norm(grad))
-        result["dt"] = float(model.dt(z, t)[0, 0])
+        # one polar inversion gives r, nu, the frame gradient and d/dt = nu/(4r)
+        nu, r, a, b = cc_polar_arrays(z, x.t)
+    result = {"point": coords, "cc_value": float(r[0]), "r": float(r[0]), "nu": float(nu[0])}
+    if not x.on_center():
+        grad = _cc_frame_grad(nu, a, b)[0]
+        result.update(hgrad=grad.tolist(), hgrad_norm=float(np.linalg.norm(grad)),
+                      dt=float((nu / (4.0 * r))[0]))
     _emit({"meta": _meta(args, "cc"), "results": [result]}, args)
     return 0
 

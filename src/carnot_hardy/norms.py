@@ -322,6 +322,12 @@ def _plain_jet(value: Callable, value_hgrad: Callable) -> Callable:
     return jet
 
 
+def _koranyi_dt(value: Callable) -> Callable:
+    """d rho / dt = t / (2 rho^3), from rho^4 = |z|^4 + |t|^2 in either
+    Koranyi-type gauge, whose ``value`` gives rho."""
+    return lambda z, t: np.asarray(t, float) / (2.0 * value(z, t)[..., None] ** 3)
+
+
 def koranyi(group: StepTwoGroup) -> NormModel:
     """rho = (|z|^4 + |t|^2)^{1/4} with closed frame gradient.
 
@@ -350,10 +356,6 @@ def koranyi(group: StepTwoGroup) -> NormModel:
         g /= (rho ** 3)[..., None]
         return rho, g
 
-    def dt(z, t):
-        t = np.asarray(t, float)
-        return t / (2.0 * value(z, t)[..., None] ** 3)
-
     # on the phi chart (H^1) rho = sigma, |z|^2 = sigma^2 c and t = lam sigma^2 c
     # with c = (1 + lam^2)^{-1/2}, so with k = L/4 the frame gradient is
     # (c/sigma) (z_1 + k lam z_2, z_2 - k lam z_1)
@@ -367,7 +369,8 @@ def koranyi(group: StepTwoGroup) -> NormModel:
         c_sig = 1.0 / np.sqrt(1.0 + nodes.lam**2) / nodes.radii
         return nodes.radii, nodes.frame(c_sig, c_sig * (nodes.lam * L[0, 0] / 4.0))
 
-    return NormModel("koranyi", group, value, lambda z, t: value_hgrad(z, t)[1], dt, jet)
+    return NormModel("koranyi", group, value, lambda z, t: value_hgrad(z, t)[1],
+                     _koranyi_dt(value), jet)
 
 
 def symplectic_norm_sq_arrays(group: StepTwoGroup, z: Array) -> Array:
@@ -383,23 +386,21 @@ def koranyi_b(group: StepTwoGroup) -> NormModel:
         raise ValueError("the generalized Koranyi gauge needs a single vertical direction")
     lam2 = np.repeat(group.lambdas, 2)
 
+    def gauge(zb2, t1):
+        return (zb2**2 + t1**2) ** 0.25
+
     def value(z, t):
-        t1 = np.asarray(t, float)[..., 0]
-        return (symplectic_norm_sq_arrays(group, z)**2 + t1**2) ** 0.25
+        return gauge(symplectic_norm_sq_arrays(group, z), np.asarray(t, float)[..., 0])
 
     def value_hgrad(z, t):
         z = np.asarray(z, float)
         t1 = np.asarray(t, float)[..., 0]
         zb2 = symplectic_norm_sq_arrays(group, z)
-        rho = value(z, t)
+        rho = gauge(zb2, t1)
         return rho, frame(z, zb2[..., None], t1[..., None]) * (lam2 / (4.0 * rho[..., None] ** 3))
 
-    def dt(z, t):
-        t = np.asarray(t, float)
-        return t / (2.0 * value(z, t)[..., None] ** 3)
-
-    return NormModel("koranyi_b", group, value, lambda z, t: value_hgrad(z, t)[1], dt,
-                     _plain_jet(value, value_hgrad))
+    return NormModel("koranyi_b", group, value, lambda z, t: value_hgrad(z, t)[1],
+                     _koranyi_dt(value), _plain_jet(value, value_hgrad))
 
 
 def cc(group: StepTwoGroup) -> NormModel:

@@ -62,12 +62,15 @@ class SupResult:
 
     ``arg`` is the profile parameter (lambda or nu) for closed-form and
     scanned suprema, or the best sample point (z, t) for multistart runs.
+    ``branch`` is the branch of ``koranyi_profile_max`` that decided a closed
+    Koranyi-type sup, "endpoint" or "interior", and None for every other sup.
     """
 
     sup_value: float
     arg: object
     method: str
     samples: int = 0
+    branch: Optional[str] = None
 
     @property
     def sup_sq(self) -> float:
@@ -620,14 +623,11 @@ def sup_z_norm(spec: ZFieldSpec) -> SupResult:
     Q = float(spec.group.Q)
     p, theta = spec.p, spec.theta
 
-    if kind == "koranyi" and spec.group.is_isotropic_heisenberg():
-        sup_sq, lam_star, _ = koranyi_profile_max(Q, p, theta)
-        return SupResult(float(np.sqrt(sup_sq)), lam_star, "closed_form")
-
-    if kind == "koranyi_b":
-        sup_sq, lam_star, _ = koranyi_profile_max(Q, p, theta)
-        factor = 2.0 / np.sqrt(float(spec.group.lambdas.min()))
-        return SupResult(float(factor * np.sqrt(sup_sq)), lam_star, "closed_form")
+    if kind == "koranyi_b" or (kind == "koranyi" and spec.group.is_isotropic_heisenberg()):
+        sup_sq, lam_star, branch = koranyi_profile_max(Q, p, theta)
+        factor = 2.0 / np.sqrt(float(spec.group.lambdas.min()))     # exactly 1 on H^n
+        return SupResult(float(factor * np.sqrt(sup_sq)), lam_star, "closed_form",
+                         branch=branch)
 
     if kind == "cc":
         g_hat, nu_hat = cc_profile_max(Q, p, theta)

@@ -15,7 +15,9 @@ phi chart of the quadrature, the Monte Carlo estimate with every integrand
 evaluated on every draw of the gauge ball pins the bits of the package's
 windowed sums, and the cc profile's dense scan, written out
 with np.linspace and the series on every call, pins the bits of the
-package's table-driven scan.
+package's table-driven scan.  The paper's printed Koranyi, generalized
+Koranyi and product bounds are the references for the bounds rows, which
+divide the target by the sup they report.
 """
 
 from __future__ import annotations
@@ -452,3 +454,27 @@ def cc_profile_max_reference(Q: float, p: float, theta: float, nodes: int = 10**
     if vals[i] > g_hat:
         nu_hat, g_hat = float(nus[i]), float(vals[i])
     return float(g_hat), float(nu_hat)
+
+
+# ---------------------------------------------------------------------------
+# the paper's printed bounds, each with its sup|Z| written out
+# ---------------------------------------------------------------------------
+
+def koranyi_bound(Q: float, p: float, theta: float, lam_min: float = 4.0) -> float:
+    """(lam_min/4)^{p/2} times the two-branch Koranyi bound: with pt = p theta,
+    |(Q-pt)/p|^p |(Q-2)/Q|^p for pt in [(1-sqrt(3/2))Q, (1+sqrt(3/2))Q], else
+    (3/2)^{p/2} (3 pt (pt - 2Q))^{p/4} / |pt - Q|^{p/2} |(Q-2)/p|^p."""
+    pt = p * theta
+    if (1.0 - np.sqrt(1.5)) * Q <= pt <= (1.0 + np.sqrt(1.5)) * Q:
+        value = abs((Q - pt) / p) ** p * abs((Q - 2.0) / Q) ** p
+    else:
+        value = (1.5 ** (p / 2.0) * (3.0 * pt * (pt - 2.0 * Q)) ** (p / 4.0)
+                 / abs(pt - Q) ** (p / 2.0) * abs((Q - 2.0) / p) ** p)
+    return (lam_min / 4.0) ** (p / 2.0) * value
+
+
+def product_bound(n: int, N: int, p: float, theta: float) -> float:
+    """(n/(n+1))^p |(Q - p theta)/p|^p on (H^n)^N, Q = 2N(n+1), where theta >= 0
+    and n >= (p theta - 4)/4."""
+    Q = 2.0 * N * (n + 1)
+    return (n / (n + 1.0)) ** p * abs((Q - p * theta) / p) ** p

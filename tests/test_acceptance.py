@@ -12,9 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from carnot_hardy import (Point, ZFieldSpec, bound_generic,
-                          bound_koranyi, bound_koranyi_B, bound_product, cc,
-                          g_cc, heisenberg, koranyi, koranyi_b,
+from carnot_hardy import (Point, ZFieldSpec, bound_generic, bound_row, cc,
+                          g_cc, heisenberg, heisenberg_product, koranyi, koranyi_b,
                           koranyi_profile_max, nonisotropic, sup_z_norm,
                           z_profile_koranyi)
 from carnot_hardy.norms import cc_polar_arrays, symplectic_norm_sq_arrays
@@ -23,7 +22,8 @@ from carnot_hardy.verify import (BumpProfile, QuadratureSpec, check_ibp_identity
                                  check_w_identity, counterexample_scan, fit_log_excess,
                                  hardy_quotient, product_check, radial_bump,
                                  random_bump, sharpness_sequence)
-from oracles import commutator_vertical, euler_adjoint_defect, hgrad_batch
+from oracles import (commutator_vertical, euler_adjoint_defect, hgrad_batch,
+                     koranyi_bound, product_bound)
 
 H1 = heisenberg(1)
 
@@ -34,9 +34,9 @@ def _report(num, text):
 
 def test_criterion_01_koranyi_heisenberg_bound():
     t0 = time.time()
-    value, branch = bound_koranyi(4.0, 2.0, 1.0)
-    assert value == (4.0 - 2.0) ** 4 / (4.0 * 4.0**2) == 0.25
-    assert branch == "first"
+    row = bound_row(ZFieldSpec(H1, koranyi(H1), 2.0, 1.0))
+    assert row.bound == (4.0 - 2.0) ** 4 / (4.0 * 4.0**2) == 0.25
+    assert row.branch == "first"
     # numerically maximized profile: bracket zoom on the compactified
     # variable plus endpoint check
     alpha, beta = 4.0, 2.0 * (2.0 - 8.0) / 4.0
@@ -62,12 +62,14 @@ def test_criterion_02_cc_scan_maximum():
 
 
 def test_criterion_03_second_branch_cross_check():
-    closed, branch = bound_koranyi(4.0, 2.0, 6.0)
-    assert branch == "second"
+    closed = koranyi_bound(4.0, 2.0, 6.0)
+    row = bound_row(ZFieldSpec(H1, koranyi(H1), 2.0, 6.0))
+    assert row.branch == "second"
     sup_sq, lam_star, kind = koranyi_profile_max(4.0, 2.0, 6.0)
     assert kind == "interior"
     assert abs(sup_sq - 192.0 / 27.0) <= 1e-12
     generic = bound_generic(np.sqrt(sup_sq), 4.0, 2.0, 6.0)
+    assert row.bound == generic
     assert abs(closed - 2.25) <= 1e-9
     assert abs(generic - 2.25) <= 1e-9
     assert abs(closed - generic) <= 1e-9
@@ -216,11 +218,12 @@ def test_criterion_08_w_identity():
 
 def test_criterion_09_generalized_koranyi():
     g = nonisotropic([1.0, 2.0])
-    value, branch = bound_koranyi_B(g, 2.0, 1.0)
-    assert abs(value - 4.0 / 9.0) <= 1e-12
+    spec = ZFieldSpec(g, koranyi_b(g), 2.0, 1.0)
+    row = bound_row(spec)
+    assert row.branch == "first"
+    assert abs(row.bound - 4.0 / 9.0) <= 1e-12
+    assert abs(koranyi_bound(6.0, 2.0, 1.0, lam_min=1.0) - 4.0 / 9.0) <= 1e-12
     # profile identity |Z_{rho_B}|_B^2 = closed profile at 100 random points
-    rb = koranyi_b(g)
-    spec = ZFieldSpec(g, rb, 2.0, 1.0)
     rng = np.random.default_rng(109)
     worst = 0.0
     for _ in range(100):
@@ -248,7 +251,10 @@ def test_criterion_10_products():
     # its sums of squares are NumPy pairwise sums too, whatever the BLAS
     # thread count
     assert rep.diagnostics["mc_stderr"] == 1.3725977033889478
-    assert bound_product(1, 2, 2.0, 1.0) == pytest.approx(2.25)
+    h1xh1 = heisenberg_product(1, 2)
+    row = bound_row(ZFieldSpec(h1xh1, koranyi(h1xh1), 2.0, 1.0))
+    assert row.branch == "product" and row.bound == pytest.approx(2.25)
+    assert product_bound(1, 2, 2.0, 1.0) == pytest.approx(2.25)
     elapsed = time.time() - t0
     assert elapsed < 600.0
     _report(10, f"sup {rep.values['sampled_sup']:.9f} with |t| {rep.values['argmax_t_norm']:.1e}, "

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carnot_hardy import (ZFieldSpec, balogh_tyson, bound_cc, bound_koranyi,
-                          bound_koranyi_B, bound_product, bound_row, cc, cli, heisenberg,
-                          heisenberg_product, koranyi, koranyi_b, nonisotropic)
+from carnot_hardy import (ZFieldSpec, balogh_tyson, bound_cc, bound_row, cc, cli,
+                          heisenberg, heisenberg_product, koranyi, koranyi_b, nonisotropic)
 from carnot_hardy.bounds import hardy_target
 from carnot_hardy.verify import Report
+from carnot_hardy.zfield import product_hypothesis
+from oracles import koranyi_bound, product_bound
 
 
 def run_cli(args, capsys):
@@ -137,6 +138,14 @@ def assert_usage_error(argv, capsys):
      "--samples", str(cli.MAX_VERIFY_SAMPLES + 1)],
     ["verify", "product", "--samples", str(cli.MAX_VERIFY_SAMPLES + 1)],
     ["verify", "product", "--samples", "1000000000000", "--samples-log2", "4"],
+    # counts within their own caps whose product, the total work of verify
+    # hardy, is past a cap: one past each, and the pairs that ran past a minute
+    ["verify", "hardy", "--bumps", "401", "--nodes", "2000"],
+    ["verify", "hardy", "--bumps", "10000", "--nodes", "2000"],
+    ["verify", "hardy", "--quad-method", "monte_carlo", "--bumps", "2",
+     "--samples", str(cli.MAX_VERIFY_SAMPLES // 2 + 1)],
+    ["verify", "hardy", "--quad-method", "monte_carlo", "--bumps", "5",
+     "--samples", str(10**8)],
     # powers of the gauge, of u or of the slope that leave double precision
     # on the support window
     ["verify", "identity", "--p", "1e6"],
@@ -195,7 +204,7 @@ def test_product_of_one_factor_prints_the_heisenberg_rows(capsys):
     assert code == 0
     assert rows == json.loads(out)["results"]
     assert [r["branch"] for r in rows] == ["first", "second"]
-    assert rows[1]["bound"] == 2.5155764746872635 and rows[1]["heuristic"] is False
+    assert rows[1]["bound"] == 2.515576474687263 and rows[1]["heuristic"] is False
 
 
 def test_product_row_whose_hypothesis_fails_has_no_bound(capsys):
@@ -208,16 +217,18 @@ def test_product_row_whose_hypothesis_fails_has_no_bound(capsys):
 
 
 def _closed_bound(norm, Q, p, theta, group):
-    """The bound of a row from its closed formula, which needs no sup; a
-    ValueError where none applies."""
+    """The bound of a row from the paper's closed formula, which needs no
+    sup; None for a product whose hypothesis fails, and a ValueError where
+    no formula applies."""
     if group == "product":
-        return bound_product(1, 2, p, theta)
+        return product_bound(1, 2, p, theta) if all(
+            product_hypothesis(1, p, theta).values()) else None
     if norm == "koranyi" and group == "heisenberg":
-        return bound_koranyi(Q, p, theta)[0]
+        return koranyi_bound(Q, p, theta)
     if norm == "cc":
         return bound_cc(Q, p, theta)[0]
     if norm == "koranyi_b":
-        return bound_koranyi_B(nonisotropic([1.0, 2.0]), p, theta)[0]
+        return koranyi_bound(Q, p, theta, lam_min=1.0)
     raise ValueError(f"no closed bound for {norm}")
 
 
@@ -252,8 +263,11 @@ def test_bounds_from_sampled_sups_are_heuristic(argv, labels, capsys):
             assert closed is None and row["sup_method"] in ("multistart", "scan_zoom")
             assert row["bound"] == pytest.approx(hardy_target(Q, p, theta)
                                                  / row["sup_value"] ** p, rel=1e-12)
-        else:
+        elif row["norm"] == "cc" or closed is None:
             assert row["bound"] == closed
+        else:
+            assert row["bound"] == hardy_target(Q, p, theta) / row["sup_value"] ** p
+            assert abs(row["bound"] - closed) <= 1e-14 * closed
     assert {row["heuristic"] for row in rows} == labels
 
 

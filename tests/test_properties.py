@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from carnot_hardy import (Point, ZFieldSpec, balogh_tyson, cc, dilate, group_inverse,
                           group_law, heisenberg, heisenberg_product, koranyi, koranyi_b,
                           nonisotropic)
-from carnot_hardy.bounds import bound_koranyi, koranyi_window
+from carnot_hardy.bounds import PROFILE_ROW_BRANCH, bound_generic, bound_row
 from carnot_hardy.norms import cc_polar_arrays
-from carnot_hardy.zfield import z_field_components
-from oracles import at_point, cc_from_polar, fd_partials, hgrad_batch
+from carnot_hardy.zfield import koranyi_profile_max, z_field_components
+from oracles import at_point, cc_from_polar, fd_partials, hgrad_batch, koranyi_bound
 
 H1 = heisenberg(1)
 BT_GROUP = nonisotropic([0.5, 1.0])
@@ -156,22 +156,36 @@ def test_cc_invert_inverts_cc_from_polar(angle, nu, r):
 
 
 # ---------------------------------------------------------------------------
-# the Koranyi bound at its window edges
+# the Koranyi-type bounds rows at the window edges
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
-@given(st.floats(2.5, 40.0), st.floats(2.0, 8.0), st.sampled_from([0, 1]),
-       st.floats(-1e-9, 1e-9))
-def test_bound_koranyi_is_continuous_at_the_window_edges(Q, p, edge, offset):
-    # at p theta = (1 +- sqrt(3/2)) Q both branches equal 1.5^{p/2} ((Q-2)/p)^p
-    at_edge = 1.5 ** (p / 2.0) * ((Q - 2.0) / p) ** p
-    (inner, b_in), (outer, b_out) = (
-        bound_koranyi(Q, p, koranyi_window(Q)[edge] * (1.0 + o) / p)
-        for o in (-abs(offset), abs(offset)))
-    assert inner == pytest.approx(at_edge, rel=1e-7)
-    assert outer == pytest.approx(at_edge, rel=1e-7)
+@given(st.integers(1, 19), st.sampled_from(["koranyi", "koranyi_b"]), st.floats(2.0, 8.0),
+       st.sampled_from([0, 1]), st.floats(-1e-9, 1e-9))
+def test_bound_rows_divide_by_their_sup_at_the_window_edges(n, kind, p, edge, offset):
+    # the window p theta in [(1 -+ sqrt(3/2)) Q] is where the profile peaks at
+    # lam = 0; at its edges both branches equal (lam_min/4)^{p/2} 1.5^{p/2} ((Q-2)/p)^p
+    if kind == "koranyi":
+        g, lam_min = heisenberg(n), 4.0
+        norm = koranyi(g)
+    else:
+        g, lam_min = nonisotropic([1.0] + [2.0] * (n - 1)), 1.0
+        norm = koranyi_b(g)
+    Q = float(g.Q)
+    ptheta = (1.0 + (-1.0, 1.0)[edge] * np.sqrt(1.5)) * Q
+    at_edge = (lam_min / 4.0) ** (p / 2.0) * 1.5 ** (p / 2.0) * ((Q - 2.0) / p) ** p
+    rows = [bound_row(ZFieldSpec(g, norm, p, ptheta * (1.0 + o) / p))
+            for o in (-abs(offset), abs(offset))]
+    for row in rows:
+        assert row.bound == bound_generic(row.sup_value, Q, p, row.theta)
+        profile = PROFILE_ROW_BRANCH[koranyi_profile_max(Q, p, row.theta)[2]]
+        assert row.branch == profile
+        assert row.condition_checks == {"ptheta_in_window": profile == "first"}
+        assert row.bound == pytest.approx(at_edge, rel=1e-7)
+        ref = koranyi_bound(Q, p, row.theta, lam_min)
+        assert abs(row.bound - ref) <= 1e-14 * ref
     if abs(offset) > 1e-12:     # at the edge itself rounding picks the branch
-        assert (b_in, b_out) == ("first", "second")
+        assert [row.branch for row in rows] == ["first", "second"]
 
 
 # ---------------------------------------------------------------------------
