@@ -33,7 +33,7 @@ from .verify import (QuadratureSpec, Report, check_ibp_identity, counterexample_
                      hardy_quotient, product_check, radial_bump, random_bump,
                      sharpness_function, sharpness_sequence, fit_log_excess)
 from .verify.checks import TooFewSamplesError
-from .verify.quadrature import NonFiniteIntegrandError
+from .verify.quadrature import NonFiniteIntegrandError, has_chart
 
 DEFAULT_SEED = 2024
 # each bounds row lists the group's lambdas, so its size grows with --n
@@ -45,9 +45,9 @@ MAX_SUPZ_NODES = 10**6
 # each bump is one Hardy quotient, and the Monte Carlo draws are made and
 # summed chunk by chunk: both caps bound the run time, not the memory (a run
 # at either cap, other flags at their defaults, ends within a minute on two
-# cores).  verify hardy caps --bumps x --nodes at MAX_VERIFY_BUMPS x 80 and
-# --bumps x --samples at MAX_VERIFY_SAMPLES.  One bump at each worst corner,
-# Koranyi / cc, on two cores: 34 / 37 ms at 2000 nodes, 2.0 / 2.7 ms at 80,
+# cores).  verify hardy caps --bumps x --nodes at MAX_VERIFY_BUMPS x 80 on the
+# phi chart, else --bumps x --samples at MAX_VERIFY_SAMPLES.  One bump at each
+# worst corner, Koranyi / cc, on two cores: 34 / 37 ms at 2000 nodes, 2.0 / 2.7 ms at 80,
 # 33 / 55 s at 10^8 samples, 3.2 / 5.7 ms at 10^4 (whole runs: 14-57 s)
 MAX_VERIFY_BUMPS = 10**4
 MAX_VERIFY_SAMPLES = 10**8
@@ -336,10 +336,8 @@ def cmd_supz(args) -> int:
 
 def _quad_from_args(args, support):
     """Quadrature overrides from the command line for one test function."""
-    if args.quad_method == "monte_carlo":
-        return QuadratureSpec(method="monte_carlo", samples=args.samples, seed=args.seed,
-                              sigma_range=support)
-    return QuadratureSpec(n_sigma=args.nodes, sigma_range=support)
+    return QuadratureSpec(n_sigma=args.nodes, samples=args.samples, seed=args.seed,
+                          sigma_range=support)
 
 
 def _check_verify_args(args, group):
@@ -360,9 +358,9 @@ def _check_verify_args(args, group):
             raise UsageError(f"{flag} {value}: verify takes at most {most}")
     if args.check == "hardy":
         # every bump integrates on its own grid or its own draws
-        flag, per_bump, most = (("--samples", args.samples, MAX_VERIFY_SAMPLES)
-                                if args.quad_method == "monte_carlo" else
-                                ("--nodes", args.nodes, MAX_VERIFY_BUMPS * 80))
+        flag, per_bump, most = (("--nodes", args.nodes, MAX_VERIFY_BUMPS * 80)
+                                if has_chart(group) else
+                                ("--samples", args.samples, MAX_VERIFY_SAMPLES))
         if args.bumps * per_bump > most:
             raise UsageError(f"--bumps {args.bumps} {flag} {per_bump}: verify hardy "
                              f"takes at most {most} {flag[2:]} over all bumps")
@@ -370,11 +368,9 @@ def _check_verify_args(args, group):
         if group.h != 1:
             raise UsageError(f"--group {args.group} has {group.h} vertical directions; "
                              f"verify {args.check} needs one (see verify product)")
-        if group.n != 1 and (args.check == "sharpness"
-                             or args.quad_method == "tensor_grid"):
-            hint = "" if args.check == "sharpness" else "; try --quad-method monte_carlo"
+        if args.check == "sharpness" and not has_chart(group):
             raise UsageError(f"--group {args.group} has {group.n} horizontal blocks; the "
-                             f"tensor grid of verify {args.check} needs one{hint}")
+                             "tensor grid of verify sharpness needs one")
     if args.check == "product":
         if args.n < 1 or args.N < 1:
             raise UsageError(f"--n {args.n} --N {args.N}: verify product scans (H^n)^N "
@@ -384,9 +380,6 @@ def _check_verify_args(args, group):
         if args.p < 2:
             raise UsageError(f"--p {args.p:g}: verify product needs p >= 2")
     if args.check == "sharpness":
-        if args.quad_method != "tensor_grid":
-            raise UsageError(f"--quad-method {args.quad_method}: verify sharpness "
-                             "integrates the cut-off family on the tensor grid")
         eps = _parse_floats(args.eps, "--eps")
         # one point fits C/log(1/eps) exactly, so the fit needs two
         if not (len(eps) >= 2 and all(0.0 < e < 1.0 for e in eps)
@@ -405,7 +398,7 @@ def cmd_verify(args) -> int:
     if args.check == "identity":
         norm = _make_norm(args.norm, group, args)
         spec = _make_spec(group, norm, args.p, args.theta_value)
-        modulation = 0.25 if group.h == 1 else 0.0
+        modulation = 0.25
         u = radial_bump(group, modulation=modulation)
         _check_powers(context, spec, u, 1.0 + modulation)
         with _finite_integrands(context):
@@ -547,12 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=10**6,
                    help="Monte Carlo samples N, counted as uniform draws from the box "
                         "that holds the gauge ball B; only the Binomial(N, |B|/|box|) "
-                        "draws that land in B are generated; read by the Monte Carlo "
-                        "integrals only: verify product and --quad-method monte_carlo")
+                        "draws that land in B are generated; read where Monte Carlo "
+                        "runs: verify product, and identity/hardy off the phi chart")
     v.add_argument("--samples-log2", type=int, default=15,
                    help="log2 of quasi-random scan points")
-    v.add_argument("--quad-method", choices=("tensor_grid", "monte_carlo"),
-                   default="tensor_grid")
     v.add_argument("--nodes", type=int, default=80)
     common(v)
 

@@ -138,7 +138,7 @@ def _window_shortfall(result: IntegralResult, quad: QuadratureSpec) -> Optional[
     """Why a Monte Carlo integral cannot be compared, or None.  With fewer
     than two samples inside the support window it has no sample variance,
     and with none it evaluated no integrand."""
-    if quad.method == "monte_carlo" and result.n_evals < 2:
+    if result.method == "monte_carlo" and result.n_evals < 2:
         return (f"{result.n_evals} of {quad.samples} Monte Carlo samples in the support "
                 "window: at least 2 are needed")
     return None
@@ -156,9 +156,10 @@ def check_ibp_identity(spec: ZFieldSpec, u: TestFunction,
 
     Pass criterion: pairwise relative differences within IBP_REL_TOL, or
     absolute smallness (1e-4, normalized by the mass integral) when pt = Q
-    makes I3 vanish identically.  A Monte Carlo run with fewer than two
-    samples inside the support window does not pass, and its diagnostics
-    say why the identity was not checked.
+    makes I3 vanish identically.  The diagnostics name the integrator that
+    ran (``method``); under Monte Carlo grid_error is a standard error.  A
+    Monte Carlo run with fewer than two samples inside the support window
+    does not pass, and its diagnostics say why the identity was not checked.
     """
     quad = _quad_for(u, quad)
     p, theta = spec.p, spec.theta
@@ -168,9 +169,9 @@ def check_ibp_identity(spec: ZFieldSpec, u: TestFunction,
                                 _circle_rule(u, quad))
     I1, I2 = r1.value, r2.value
     mass = r3.value
-    I3 = -(Q - pt) / p * mass
+    I3 = -(Q - pt) / p * mass + 0.0      # + 0.0: a zero prints as 0.0, not -0.0
     values = {"I1": I1, "I2": I2, "I3": I3, "p": p, "theta": theta}
-    diagnostics = {"norm": spec.norm.kind, "mass": mass,
+    diagnostics = {"norm": spec.norm.kind, "method": r1.method, "mass": mass,
                    "grid_error": max(r1.error, r2.error, r3.error), "n_evals": r1.n_evals}
     vanishing = abs(Q - pt) <= 1e-12
     tol = 1e-4 if vanishing else IBP_REL_TOL
@@ -412,8 +413,7 @@ def product_check(n: int, N: int, p: float, theta: float,
                                                "Monte Carlo")
     else:
         u = radial_bump(group)
-        quad = QuadratureSpec(method="monte_carlo", samples=mc_samples, seed=seed,
-                              sigma_range=u.support)
+        quad = QuadratureSpec(samples=mc_samples, seed=seed, sigma_range=u.support)
         # the <grad u, Z> row and the Eu row of the three-way identity
         rr, rl, _ = integrate_many(group, [_ibp_integrands(spec, u)], quad)
         diagnostics.update(mc_samples=mc_samples, mc_window_samples=rl.n_evals)

@@ -20,8 +20,8 @@ broadcast against the chunk.  Each chunk also carries its unit slice
 function homogeneous of degree zero (a gauge's frame gradient, Z_d) is
 evaluated once and broadcast over sigma.
 
-Monte Carlo integration covers the product and five-dimensional
-non-isotropic cases, with a fixed seed and chunked, order-deterministic
+Monte Carlo integration covers every group where ``has_chart`` is false,
+with a fixed seed and chunked, order-deterministic
 accumulation.  ``samples`` counts box-equivalent draws: uniform draws from
 the box |z_i| < hi, |t_j| < hi^2, the smallest box that holds the Koranyi
 ball B(hi) of radius hi, the outer end of the support window
@@ -37,7 +37,8 @@ count.  The chunk handed to the integrands carries the gauge the window was
 selected by (``Nodes.rho``), so that the Koranyi jets do not form it again;
 it is the value their own evaluator gives, so no bit moves.
 
-Both methods take a window 0 <= lo < hi and reject any other.
+Both take a window 0 <= lo < hi and reject any other; a ``lambda_range``
+is the chart's alone, and Monte Carlo rejects one.
 """
 
 from __future__ import annotations
@@ -66,9 +67,8 @@ class NonFiniteIntegrandError(ValueError):
 
 @dataclass
 class QuadratureSpec:
-    """Integration method, resolution and support window."""
+    """Resolution and support window; the group picks the integrator."""
 
-    method: str = "tensor_grid"          # tensor_grid | monte_carlo
     n_sigma: int = 80                    # Gauss nodes in sigma
     n_angle: int = 16                    # circle nodes (1: one node at angle 0)
     psi_nodes: int = 12                  # Gauss nodes per psi panel
@@ -89,7 +89,7 @@ class IntegralResult:
     value: float
     error: float          # grid-refinement difference or MC standard error
     n_evals: int          # nodes, or Monte Carlo draws inside the window
-    method: str
+    method: str           # the integrator that ran: tensor_grid | monte_carlo
 
 
 @lru_cache(maxsize=None)
@@ -254,6 +254,12 @@ def _unit_slice(n_angle: int, lam_rule: tuple) -> Nodes:
     return Nodes(*_chart_points(one, cos, sin, lam), one, lam)
 
 
+def has_chart(group: StepTwoGroup) -> bool:
+    """Whether group has the phi chart: one horizontal plane, one vertical
+    direction.  ``integrate_many`` takes the chart there, Monte Carlo elsewhere."""
+    return group.h == 1 and group.n == 1
+
+
 def phi_polar_nodes(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool = False):
     """Tensor nodes (z, t, w) of the phi chart for H^1, one axis per chart
     coordinate: z (k, n_angle, n_lam, 2), t (k, n_angle, n_lam, 1) (a
@@ -262,7 +268,7 @@ def phi_polar_nodes(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool = Fa
     They are read-only, and built once per resolution while the most
     recently used ones fit in NODE_CACHE_BYTES.
     """
-    if group.h != 1 or group.n != 1:
+    if not has_chart(group):
         raise ValueError("the phi_polar tensor grid is implemented for H^1")
     key = _chart_key(quad, coarse)
     if key in _NODE_CACHE:
@@ -369,7 +375,8 @@ def koranyi_ball_draws(group: StepTwoGroup, radius: float, m: int, rng):
 
 
 def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: QuadratureSpec):
-    """Integrate several integrands on shared nodes; returns IntegralResults.
+    """Integrate several integrands on shared nodes; returns IntegralResults,
+    each naming the integrator that ``has_chart(group)`` picked.
 
     Each integrand f(nodes) receives one chunk as a ``Nodes`` record, whose
     nodes have the shape nodes.z.shape[:-1]: (k, n_angle, n_lam) on the phi
@@ -383,14 +390,14 @@ def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: Quadrature
     if not 0 <= lo < hi:
         raise ValueError(f"the support window sigma_range must satisfy 0 <= lo < hi, "
                          f"not {quad.sigma_range!r}")
-    if quad.method == "tensor_grid":
+    if has_chart(group):
         totals, n = _accumulate(fs, group, quad, coarse=False)
         coarse, _ = _accumulate(fs, group, quad, coarse=True)
         return [IntegralResult(float(v), float(abs(v - c)), n, "tensor_grid")
                 for v, c in zip(totals, coarse)]
 
-    if quad.method != "monte_carlo":
-        raise ValueError(f"unknown quadrature method {quad.method!r}")
+    if quad.lambda_range is not None:
+        raise ValueError("lambda_range is a window of the phi chart, not of monte_carlo")
     if quad.samples < 1:
         raise ValueError("monte_carlo integration needs at least one sample")
     if not np.isfinite(hi):

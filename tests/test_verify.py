@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,12 +14,15 @@ from carnot_hardy.verify import (BumpProfile, Nodes, QuadratureSpec,
                                  hardy_quotient, integrate_many,
                                  product_check, radial_bump, random_bump,
                                  sharpness_sequence, smoothstep_jet)
-from carnot_hardy.verify.quadrature import koranyi_ball_draws, koranyi_ball_volume
+from carnot_hardy.verify.quadrature import (has_chart, koranyi_ball_draws,
+                                            koranyi_ball_volume)
 from oracles import (ball_draw_count, ball_monte_carlo, box_gauss_integrals,
                      euler_adjoint_defect, euler_apply, extremal_power, extremal_residual,
                      hgrad_batch, weak_divergence_defect)
 
 H1 = heisenberg(1)
+# the smallest Heisenberg group without the phi chart: it integrates by Monte Carlo
+H2 = heisenberg(2)
 
 
 # ---------------------------------------------------------------------------
@@ -273,22 +277,24 @@ def test_other_gauge_jets_ignore_a_carried_gauge():
 
 
 def test_stacked_integrand_matches_separate_callables():
-    # a (k, m) stack counts as k consecutive integrals with the same sums
-    u = radial_bump(H1, modulation=0.3, modulation2=0.1)
-    rho = koranyi(H1)
-    fs = [lambda n: u.value(n.z, n.t) ** 2,
-          lambda n: u.euler(n.z, n.t) * u.value(n.z, n.t),
-          lambda n: u.value(n.z, n.t) / rho.value(n.z, n.t)]
+    # a (k, m) stack counts as k consecutive integrals with the same sums, on
+    # the chart of H^1 and by Monte Carlo on H^2
+    quads = {H1: QuadratureSpec(sigma_range=(0.25, 2.0), n_angle=4, psi_nodes=6,
+                                chunk=7001),
+             H2: QuadratureSpec(samples=50_001, chunk=7001, seed=3)}
+    for group, quad in quads.items():
+        u = radial_bump(group, modulation=0.3, modulation2=0.1)
+        rho = koranyi(group)
+        fs = [lambda n: u.value(n.z, n.t) ** 2,
+              lambda n: u.euler(n.z, n.t) * u.value(n.z, n.t),
+              lambda n: u.value(n.z, n.t) / rho.value(n.z, n.t)]
 
-    def stacked(nodes):
-        return np.stack([f(nodes) for f in fs])
+        def stacked(nodes):
+            return np.stack([f(nodes) for f in fs])
 
-    quads = (QuadratureSpec(sigma_range=(0.25, 2.0), n_angle=4, psi_nodes=6, chunk=7001),
-             QuadratureSpec(method="monte_carlo", samples=50_001, chunk=7001, seed=3))
-    for quad in quads:
-        separate = integrate_many(H1, fs, quad)
-        assert integrate_many(H1, [stacked], quad) == separate
-        mixed = integrate_many(H1, [fs[0], stacked, fs[2]], quad)
+        separate = integrate_many(group, fs, quad)
+        assert integrate_many(group, [stacked], quad) == separate
+        mixed = integrate_many(group, [fs[0], stacked, fs[2]], quad)
         assert mixed == [separate[0], *separate, separate[2]]
 
 
@@ -394,18 +400,19 @@ def test_dilation_scaling_of_integral():
                          ids=["bump (0.25, 2)", "bump (0.5, 1.5)"])
 def test_monte_carlo_deterministic_and_consistent(prof):
     # the Monte Carlo box is the one that holds the window's outer ball
-    u = radial_bump(H1, prof)
+    u = radial_bump(H2, prof)
 
     def f(nodes):
         return u.value(nodes.z, nodes.t)
 
-    quad = QuadratureSpec(method="monte_carlo", samples=200_000, seed=7,
-                          sigma_range=u.support)
-    (a,) = integrate_many(H1, [f], quad)
-    (b,) = integrate_many(H1, [f], quad)
+    quad = QuadratureSpec(samples=200_000, seed=7, sigma_range=u.support)
+    (a,) = integrate_many(H2, [f], quad)
+    (b,) = integrate_many(H2, [f], quad)
     assert a.value == b.value          # bit-identical for a fixed seed
-    (grid,) = integrate_many(H1, [f], QuadratureSpec(sigma_range=u.support))
-    assert abs(a.value - grid.value) < 5 * a.error + 1e-3 * abs(grid.value)
+    # 20 Gauss nodes per axis of that box reach 4e-4 relative on both bumps
+    hi = u.support[1]
+    (box,) = box_gauss_integrals(H2, [f], (hi, hi**2), 20)
+    assert abs(a.value - box) < 5 * a.error + 1e-3 * abs(box)
 
 
 def test_integrate_flags_nonfinite():
@@ -416,20 +423,44 @@ def test_integrate_flags_nonfinite():
 
 def test_monte_carlo_needs_a_bounded_window():
     # the box is derived from the window's outer radius
-    quad = QuadratureSpec(method="monte_carlo", samples=10, sigma_range=(0.0, np.inf))
+    quad = QuadratureSpec(samples=10, sigma_range=(0.0, np.inf))
     with pytest.raises(ValueError, match="bounded"):
-        integrate_many(H1, [lambda n: np.zeros(n.z.shape[:-1])], quad)
+        integrate_many(H2, [lambda n: np.zeros(n.z.shape[:-1])], quad)
 
 
-@pytest.mark.parametrize("method", ["tensor_grid", "monte_carlo"])
+# the group picks the integrator: the ids name the one each group takes
+@pytest.mark.parametrize("group", [H1, H2], ids=["tensor_grid", "monte_carlo"])
 @pytest.mark.parametrize("window", [(2.0, 0.5), (-1.0, 1.0), (1.0, 1.0), (np.nan, 1.0)],
                          ids=["reversed", "negative", "empty", "nan"])
-def test_integrate_rejects_a_window_it_cannot_integrate(method, window):
-    # the constant 1 read -78.6 on the grid and 0.0 by Monte Carlo over the
-    # reversed window, and 0.0 and 4.94 over (-1, 1), with the default spec
-    quad = QuadratureSpec(method=method, samples=1000, sigma_range=window)
+def test_integrate_rejects_a_window_it_cannot_integrate(group, window):
+    # on H^1 the constant 1 read -78.6 on the grid and 0.0 by Monte Carlo
+    # over the reversed window, and 0.0 and 4.94 over (-1, 1), with the
+    # default spec
+    quad = QuadratureSpec(samples=1000, sigma_range=window)
     with pytest.raises(ValueError, match="0 <= lo < hi"):
-        integrate_many(H1, [lambda n: np.ones(n.z.shape[0])], quad)
+        integrate_many(group, [lambda n: np.ones(n.z.shape[0])], quad)
+
+
+@pytest.mark.parametrize("group, method", [
+    (H1, "tensor_grid"), (nonisotropic([2.0]), "tensor_grid"),
+    (H2, "monte_carlo"), (heisenberg_product(1, 2), "monte_carlo"),
+    (nonisotropic([0.5, 1.0]), "monte_carlo"),
+], ids=["H1", "noniso(2)", "H2", "H1xH1", "noniso(0.5,1)"])
+def test_integrator_follows_the_group(group, method):
+    # the phi chart wherever the group has one plane and one vertical
+    # direction, Monte Carlo everywhere else; the result names the one that ran
+    assert has_chart(group) == (method == "tensor_grid")
+    u = radial_bump(group)
+    quad = QuadratureSpec(samples=20_000, sigma_range=u.support, n_angle=4, psi_nodes=6)
+    (res,) = integrate_many(group, [lambda n: u.value(n.z, n.t)], quad)
+    assert res.method == method and res.value > 0.0
+    # the lambda window is the chart's: Monte Carlo has none to honour
+    windowed = replace(quad, lambda_range=(1e-2, 1e2))
+    if method == "monte_carlo":
+        with pytest.raises(ValueError, match="lambda_range"):
+            integrate_many(group, [lambda n: u.value(n.z, n.t)], windowed)
+    else:
+        assert integrate_many(group, [lambda n: u.value(n.z, n.t)], windowed)[0].value > 0
 
 
 def _bump_integrands(group, profile=BumpProfile()):
@@ -449,7 +480,7 @@ def _bump_integrands(group, profile=BumpProfile()):
     return u, plain, stacked
 
 
-@pytest.mark.parametrize("group", [H1, heisenberg_product(1, 2)], ids=["H1", "H1xH1"])
+@pytest.mark.parametrize("group", [H2, heisenberg_product(1, 2)], ids=["H2", "H1xH1"])
 def test_monte_carlo_evaluates_only_inside_the_window(group):
     u, plain, _ = _bump_integrands(group)
     seen = []
@@ -461,8 +492,7 @@ def test_monte_carlo_evaluates_only_inside_the_window(group):
         return plain(nodes)
 
     lo, hi = 0.5, 1.5
-    quad = QuadratureSpec(method="monte_carlo", samples=20_000, chunk=7001, seed=5,
-                          sigma_range=(lo, hi))
+    quad = QuadratureSpec(samples=20_000, chunk=7001, seed=5, sigma_range=(lo, hi))
     integrate_many(group, [recorded], quad)
     rho = np.concatenate(seen)
     # one chunk per quad.chunk draws of the ball
@@ -472,22 +502,21 @@ def test_monte_carlo_evaluates_only_inside_the_window(group):
 
 
 # a narrow support, (1.7, 1.9): a share (1.7/1.9)^Q of the ball's draws lies
-# inside its inner ball, 0.64 on H^1 and 0.41 on (H^1)^2
+# inside its inner ball, 0.51 on H^2 and 0.41 on (H^1)^2
 NARROW = BumpProfile(1.7, 1.75, 1.85, 1.9)
 
 
-@pytest.mark.parametrize("group", [H1, heisenberg_product(1, 2)], ids=["H1", "H1xH1"])
+@pytest.mark.parametrize("group", [H2, heisenberg_product(1, 2)], ids=["H2", "H1xH1"])
 def test_monte_carlo_window_keeps_the_full_box_bits(group):
     # the draws outside the window drop out of the sums: every draw of the
     # ball evaluated, then those outside the window dropped, gives the same
-    # sums bit for bit (on H^1 in five chunks, the last one partial); with
+    # sums bit for bit (on H^2 in two chunks, the last one partial); with
     # the narrow support 41% or more of the draws are dropped, and summing
     # them as zeros would move the bits
     for profile in (BumpProfile(), NARROW):
         u, plain, stacked = _bump_integrands(group, profile)
         fs = [plain, stacked]
-        quad = QuadratureSpec(method="monte_carlo", samples=50_001, chunk=7001, seed=3,
-                              sigma_range=u.support)
+        quad = QuadratureSpec(samples=50_001, chunk=7001, seed=3, sigma_range=u.support)
         got = integrate_many(group, fs, quad)
         assert got == ball_monte_carlo(group, fs, quad)
         assert all(r.value != 0.0 for r in got)
@@ -498,11 +527,11 @@ def test_monte_carlo_window_keeps_the_full_box_bits(group):
 
 
 @pytest.mark.parametrize("group, samples, chunk, seed, hit", [
-    (H1, 1, 1 << 17, 4, False),        # the one box draw misses the ball
-    (H1, 1, 1 << 17, 1, False),        # it lands in the ball's inner part
-    (H1, 12, 2, 1, True),              # 7 ball draws: the first chunks miss the window
+    (H2, 1, 1 << 17, 1, False),        # the one box draw misses the ball
+    (H2, 1, 1 << 17, 4, False),        # it lands in the ball's inner part
+    (H2, 12, 2, 5, True),              # 4 ball draws: the first chunk misses the window
     (heisenberg_product(1, 2), 40, 2, 20, True),
-], ids=["H1-no ball draw", "H1-one inner draw", "H1-first chunks miss",
+], ids=["H2-no ball draw", "H2-one inner draw", "H2-first chunk misses",
         "H1xH1-first chunk misses"])
 def test_monte_carlo_chunks_outside_the_window(group, samples, chunk, seed, hit):
     u, plain, stacked = _bump_integrands(group, NARROW)
@@ -512,8 +541,7 @@ def test_monte_carlo_chunks_outside_the_window(group, samples, chunk, seed, hit)
         sizes.append(nodes.z.shape[0])
         return stacked(nodes)
 
-    quad = QuadratureSpec(method="monte_carlo", samples=samples, chunk=chunk, seed=seed,
-                          sigma_range=u.support)
+    quad = QuadratureSpec(samples=samples, chunk=chunk, seed=seed, sigma_range=u.support)
     for fs in ([plain], [recorded], [plain, recorded]):
         want = ball_monte_carlo(group, fs, quad)
         sizes.clear()
@@ -658,7 +686,8 @@ def test_ibp_identity_degenerate_ptheta():
     spec = ZFieldSpec(H1, koranyi(H1), 2.0, 2.0)     # p theta = Q = 4
     rep = check_ibp_identity(spec, radial_bump(H1, modulation=0.2))
     assert rep.passed
-    assert abs(rep.values["I3"]) == 0.0
+    # +0.0, not -0.0: the sign bit is clear
+    assert rep.values["I3"] == 0.0 and not np.signbit(rep.values["I3"])
     assert rep.values["defect"] <= 1e-4
 
 
