@@ -74,6 +74,11 @@ def test_bounds_product_reports_the_koranyi_gauge(capsys):
     ["verify", "sharpness", "--group", "product"],
     ["verify", "sharpness", "--group", "nonisotropic", "--lambdas", "1,2",
      "--norm", "koranyi"],
+    # identity and hardy run Monte Carlo on groups without the phi chart;
+    # sharpness and the cc norm still need H^1 and H^n respectively
+    ["verify", "sharpness", "--n", "2"],
+    ["verify", "hardy", "--group", "nonisotropic", "--lambdas", "1,2", "--norm", "cc"],
+    ["verify", "identity", "--group", "nonisotropic", "--lambdas", "1,2,3", "--norm", "cc"],
     ["verify", "product", "--theta", "-1"],
 ])
 def test_unsupported_group_norm_pairs_are_usage_errors(argv, capsys):
