@@ -184,7 +184,8 @@ def dilate(g: StepTwoGroup, gamma: float, x: Point) -> Point:
 def frame(z: Array, P: Array, R: Array) -> Array:
     """Frame components (z_{2i-1} P + z_{2i} R, z_{2i} P - z_{2i-1} R) on each
     block, with P and R broadcast against (..., n): the form that the
-    horizontal gradient of every function of the block radii and t takes."""
+    horizontal gradient of every function of the block radii and t takes.
+    The gauge and test-function jets write their gradients in it."""
     z = np.asarray(z, float)
     z1, z2 = z[..., 0::2], z[..., 1::2]
     g = np.empty(z.shape)
@@ -216,50 +217,64 @@ def square_sum(a: Array) -> Array:
     return np.add.reduce(a * a, axis=-1)
 
 
+def koranyi_gauge(zn2: Array, t: Array) -> Array:
+    """The Koranyi gauge (|z|^4 + |t|^2)^{1/4} from zn2 = |z|^2 and t (..., h)."""
+    return (zn2**2 + pairing(t, t)) ** 0.25
+
+
 class Nodes(NamedTuple):
     """A batch of points as gauge and test-function jets read it: one chunk
     of quadrature nodes, or any (z, t) batch.
 
     ``z`` (..., 2n) and ``t`` (..., h) are the nodes' coordinates; the
-    leading shape is the chunk's.  A chunk of the phi chart on H^1 is laid
-    out (k, n_angle, n_lam), one axis per chart coordinate, and carries the
-    distinct gauge radii ``sigma`` (k,) of its nodes and the slope table
-    ``lam`` (n_lam,): the Koranyi gauge of a node is its sigma and t/|z|^2
-    its lam.  A function of (sigma, lam) is then evaluated on the tables
-    ``radii`` (k, 1, 1) and ``lam``, whose product broadcasts as
-    (k, 1, n_lam) against the chunk.  Monte Carlo chunks and plain (z, t)
-    batches carry no tables (``sigma`` and ``lam`` are None) and are flat,
-    (m, 2n) and (m, h).
+    leading shape is the chunk's: (k, n_angle, n_lam) on a chunk of the phi
+    chart, one axis per chart coordinate, and (m,) elsewhere.  Jets read the
+    points through what the record supplies, each on the smallest table that
+    holds it:
 
-    ``rho`` (m,) is the Koranyi gauge of each node, when the caller already
-    has it: a Monte Carlo chunk carries the gauge its support window was
-    selected by, and the Koranyi jets read it instead of forming it again.
-    Chart chunks and plain batches leave it None.
+    - ``gauge()``, the Koranyi gauge rho of each node.  A chart chunk
+      carries it as ``rho``, the radius column (k, 1, 1); a Monte Carlo
+      chunk carries, as ``rho`` (m,), the gauge its support window was
+      selected by; a plain batch leaves ``rho`` None, and the record forms
+      the gauge from (z, t).
+    - ``invariants(rho)``, the dilation-invariant quantities |z|^2/rho^2,
+      t/rho^2 and t/|z|^2, of shapes (...), (..., h) and (..., h).  A chart
+      chunk carries them as ``tables`` over its slope axis, of shapes
+      (n_lam,), (n_lam, 1) and (n_lam, 1), which broadcast against the
+      chunk; elsewhere ``tables`` is None and they are formed per point.
 
     ``unit`` is a chart chunk's unit slice: its angle and slope nodes at
-    Koranyi radius 1, itself a one-slab chart record (1, n_angle, n_lam)
-    with sigma = (1.0,), shared read-only by every chunk of the same angle
-    and slope rules.  A node (sigma, angle, lam) of the chunk is the
-    dilation by sigma of the node (angle, lam) of the slice, so a function
-    homogeneous of degree zero (the frame gradient of a gauge, Z_d) is
-    evaluated on the slice and broadcast over sigma.  Other records leave it
-    None.
+    Koranyi radius 1, itself a chart record (1, n_angle, n_lam) with the
+    radius column 1 and the same tables, shared read-only by every chunk of
+    the same angle and slope rules.  A node of gauge rho of the chunk is the
+    dilation by rho of a node of the slice, so a function homogeneous of
+    degree zero (the frame gradient of a gauge, Z_d) is evaluated on the
+    slice and broadcast over the radii.  Other records leave it None.
     """
 
     z: Array
     t: Array
-    sigma: Optional[Array] = None
-    lam: Optional[Array] = None
     rho: Optional[Array] = None
+    tables: Optional[tuple] = None
     unit: Optional["Nodes"] = None
 
-    @property
-    def radii(self) -> Array:
-        """sigma as a (k, 1, 1) table, to combine with functions of lam."""
-        return self.sigma[:, None, None]
+    def gauge(self) -> Array:
+        """The Koranyi gauge of each node, as carried or formed from (z, t)."""
+        if self.rho is not None:
+            return self.rho
+        z = np.asarray(self.z, float)
+        return koranyi_gauge(pairing(z, z), np.asarray(self.t, float))
 
-    def frame(self, p, r) -> Array:
-        """``frame`` (z_1 P + z_2 R, z_2 P - z_1 R) with tables P, R in
-        (sigma, lam) broadcast against the chunk: the horizontal gradient of
-        every function of (|z|, t) on H^1."""
-        return frame(self.z, np.asarray(p)[..., None], np.asarray(r)[..., None])
+    def invariants(self, rho: Array):
+        """(|z|^2/rho^2, t/rho^2, t/|z|^2) of each node, given its gauge rho.
+
+        Off the chart they divide by rho and |z|, so the origin and the
+        center give non-finite entries, which the caller masks.
+        """
+        if self.tables is not None:
+            return self.tables
+        z = np.asarray(self.z, float)
+        t = np.asarray(self.t, float)
+        zn2 = pairing(z, z)
+        rho2 = rho**2
+        return zn2 / rho2, t / rho2[..., None], t / zn2[..., None]

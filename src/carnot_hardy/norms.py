@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import Array, CenterError, StepTwoGroup, frame, pairing
+from .groups import Array, CenterError, StepTwoGroup, frame, koranyi_gauge, pairing
 
 TWO_PI = 2.0 * np.pi
 
@@ -196,7 +196,13 @@ def cc_polar_arrays(z: Array, t: Array):
     except FloatingPointError:
         return _cc_polar_steep(z, t, zn2)
     nu, inv_sinc, cot = _cc_slope(m)
-    r = _z_norm(z, zn2) * inv_sinc
+    return _cc_polar(z, _z_norm(z, zn2) * inv_sinc, nu, cot)
+
+
+def _cc_polar(z: Array, r: Array, nu: Array, cot: Array):
+    """(nu, r, a, b) from z, the distance r = |z| (nu/2)/sin(nu/2) and the
+    slope data nu and (nu/2)/tan(nu/2) of t/|z|^2: (a, b) undo the planar
+    rotation by nu/2 on each block."""
     x = 0.5 * nu
     a = (cot[..., None] * z[..., 0::2] - x[..., None] * z[..., 1::2]) / r[..., None]
     b = (x[..., None] * z[..., 0::2] + cot[..., None] * z[..., 1::2]) / r[..., None]
@@ -291,13 +297,13 @@ class NormModel:
     ``value(z, t) -> (...)``; ``hgrad(z, t) -> (..., 2n)`` in the X-frame;
     ``dt(z, t) -> (..., h)``.  Every gauge here carries closed derivatives.
     ``jet(nodes, derivs=True) -> (value, hgrad)`` evaluates both from one
-    pass over a node record (``z``, ``t`` and, on phi-chart chunks of H^1,
-    the radius table ``sigma`` and the slope table ``lam``; see
-    ``groups.Nodes``); ``hgrad`` is None when derivs is False.  On a chart
-    chunk the value is a (sigma, lam) table that broadcasts against the
-    chunk: the Koranyi gauge is the radius column.  The Koranyi jet takes
-    the gauge from ``rho`` when the record carries it; the other gauges
-    ignore it.
+    pass over a node record (see ``groups.Nodes``); ``hgrad`` is None when
+    derivs is False.  The Koranyi jet takes its value from the record's
+    gauge (on a phi-chart chunk the radius column, broadcast against the
+    chunk) and its gradient from the point formula on the record's nodes.
+    The cc jet reads the slope table of a chart chunk, so that its polar
+    inversion runs once per table and its value is a (sigma, lam) table;
+    the other gauges read (z, t) alone.
 
     Every gauge here is invariant under the rotations of z in each
     horizontal 2-plane, so <z, B^{-1} grad_z d> = 0, the hypothesis under
@@ -336,12 +342,9 @@ def koranyi(group: StepTwoGroup) -> NormModel:
     """
     L = group.couplings  # (h, n)
 
-    def gauge(zn2, t):
-        return (zn2**2 + pairing(t, t)) ** 0.25
-
     def value(z, t):
         z = np.asarray(z, float)
-        return gauge(pairing(z, z), np.asarray(t, float))
+        return koranyi_gauge(pairing(z, z), np.asarray(t, float))
 
     def value_hgrad(z, t, rho=None):
         """rho and its frame gradient; a known rho (the gauge of these very
@@ -350,24 +353,17 @@ def koranyi(group: StepTwoGroup) -> NormModel:
         t = np.asarray(t, float)
         zn2 = pairing(z, z)
         if rho is None:
-            rho = gauge(zn2, t)
+            rho = koranyi_gauge(zn2, t)
         lt4 = (t @ L) / 4.0                      # (..., n): sum_j lam^(j)_i t_j / 4
         g = frame(z, zn2[..., None], lt4)
         g /= (rho ** 3)[..., None]
         return rho, g
 
-    # on the phi chart (H^1) rho = sigma, |z|^2 = sigma^2 c and t = lam sigma^2 c
-    # with c = (1 + lam^2)^{-1/2}, so with k = L/4 the frame gradient is
-    # (c/sigma) (z_1 + k lam z_2, z_2 - k lam z_1)
+    # the record carries the gauge (a chart chunk's radius column) or forms it
     def jet(nodes, derivs=True):
-        if nodes.sigma is None:
-            if derivs:
-                return value_hgrad(nodes.z, nodes.t, nodes.rho)
-            return (value(nodes.z, nodes.t) if nodes.rho is None else nodes.rho), None
         if not derivs:
-            return nodes.radii, None
-        c_sig = 1.0 / np.sqrt(1.0 + nodes.lam**2) / nodes.radii
-        return nodes.radii, nodes.frame(c_sig, c_sig * (nodes.lam * L[0, 0] / 4.0))
+            return nodes.gauge(), None
+        return value_hgrad(nodes.z, nodes.t, nodes.rho)
 
     return NormModel("koranyi", group, value, lambda z, t: value_hgrad(z, t)[1],
                      _koranyi_dt(value), jet)
@@ -420,22 +416,21 @@ def cc(group: StepTwoGroup) -> NormModel:
 
     plain = _plain_jet(value, value_hgrad)
 
-    # the polar angle depends on the slope lam = t/|z|^2 alone, and on the
-    # phi chart |z| = sigma (1 + lam^2)^{-1/4}: the inversion runs once on
-    # each lam table, r = sigma q(lam), and with x = nu/2 and
-    # z^perp = (z_2, -z_1) the gradient is
-    # (z (x sin nu + cot cos nu) + z^perp (cot sin nu - x cos nu)) / r
+    # the polar angle depends on the slope t/|z|^2 alone: on a chart chunk
+    # the inversion runs once on its slope table, and r = |z| (nu/2)/sin(nu/2)
+    # with |z| = rho sqrt(|z|^2/rho^2) is the radius column times a table; the
+    # center, steep slopes and subnormal |z|, which no chart node has, are
+    # handled on the point path
     def jet(nodes, derivs=True):
-        if nodes.sigma is None:
+        if nodes.tables is None:
             return plain(nodes, derivs)
-        nu, inv_sinc, cot = _cc_slope_table(nodes.lam.tobytes())
-        q = (1.0 + nodes.lam**2) ** -0.25 * inv_sinc
-        r = nodes.radii * q
+        zc, _, lam = nodes.tables
+        nu, inv_sinc, cot = _cc_slope_table(lam.tobytes())
+        r = nodes.rho * np.sqrt(zc) * inv_sinc
         if not derivs:
             return r, None
-        x, s, c = 0.5 * nu, np.sin(nu), np.cos(nu)
-        qs = q * nodes.radii
-        return r, nodes.frame((x * s + cot * c) / qs, (cot * s - x * c) / qs)
+        _, _, a, b = _cc_polar(nodes.z, r, nu, cot)
+        return r, _cc_frame_grad(nu, a, b)
 
     return NormModel("cc", group, value, lambda z, t: value_hgrad(z, t)[1], dt, jet)
 

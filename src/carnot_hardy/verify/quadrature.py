@@ -1,20 +1,25 @@
 """Quadrature over step-two groups.
 
-The tensor grid lives on the phi chart of H^1: the change of variables
+The tensor grid lives on the phi chart, which every group of one
+horizontal plane and one vertical direction has (``has_chart``: H^1 and the
+one-block groups of any coupling): the change of variables
 (omega, lam) -> (z, t) with z = omega (1 + lam^2)^{-1/4},
 t = lam |omega|^2 (1 + lam^2)^{-1/2}, under which Lebesgue measure becomes
-|omega|^2 (1 + lam^2)^{-(n+1)/2} domega dlam and |omega| equals the Koranyi
-gauge of the image point.  It uses Gauss-Legendre in sigma = |omega|, a
-uniform circle rule in the angle (one node at angle 0 when n_angle is 1:
-exact for integrands invariant under rotations of z), and either graded
-Gauss panels in psi = arctan(lam) (whole line) or log-spaced panels in
-log(lam) when a positive lambda window is requested (the cut-off family of
-the sharpness test lives on such windows).  Its nodes are laid out
-(sigma, angle, lam), one array axis per chart coordinate, and are built,
-with the 1-D tables, once per resolution.  Integrands receive the tables
-with each chunk of whole sigma slabs (see ``Nodes``), so that a function of
-the radius or of lam = t/|z|^2 alone is evaluated on its table and
-broadcast against the chunk.  Each chunk also carries its unit slice
+|omega|^2 (1 + lam^2)^{-1} domega dlam and |omega| equals the Koranyi
+gauge of the image point, whatever the coupling.  It uses Gauss-Legendre
+in sigma = |omega|, a uniform circle rule in the angle (one node at angle 0
+when n_angle is 1: exact for integrands invariant under rotations of z),
+and either graded Gauss panels in psi = arctan(lam) (whole line) or
+log-spaced panels in log(lam) when a positive lambda window is requested
+(the cut-off family of the sharpness test lives on such windows).  Its
+nodes are laid out (sigma, angle, lam), one array axis per chart
+coordinate, and are built, with the 1-D tables, once per resolution.
+Integrands receive each chunk of whole sigma slabs as a node record (see
+``Nodes``) that carries the Koranyi gauge of its nodes as the radius
+column (k, 1, 1) and their dilation-invariant quantities |z|^2/rho^2,
+t/rho^2 and t/|z|^2 as tables over the slope rule, so that a function of
+the gauge and the invariants is evaluated on those tables and broadcast
+against the chunk.  Each chunk also carries its unit slice
 (``Nodes.unit``): the same angle and slope nodes at Koranyi radius 1,
 (1, n_angle, n_lam), built once per angle and slope rule, on which a
 function homogeneous of degree zero (a gauge's frame gradient, Z_d) is
@@ -34,8 +39,9 @@ the estimate is |B(hi)| times their sum over M, with the standard error
 (``koranyi_ball_volume``), so the box draws that miss it are neither made
 nor summed as zeros, and the estimate does not carry the variance of their
 count.  The chunk handed to the integrands carries the gauge the window was
-selected by (``Nodes.rho``), so that the Koranyi jets do not form it again;
-it is the value their own evaluator gives, so no bit moves.
+selected by (``Nodes.rho``), so that the jets do not form it again; it is
+the value the Koranyi evaluator gives, so no bit moves.  Its invariants are
+formed per point.
 
 Both take a window 0 <= lo < hi and reject any other; a ``lambda_range``
 is the chart's alone, and Monte Carlo rejects one.
@@ -245,13 +251,16 @@ def _chart_nodes(key: tuple):
 @lru_cache(maxsize=64)
 def _unit_slice(n_angle: int, lam_rule: tuple) -> Nodes:
     """The chart's angle and slope nodes at Koranyi radius 1, a one-slab
-    chart record with sigma = (1.0,): z = (cos, sin) (1 + lam^2)^{-1/4} and
-    t = lam (1 + lam^2)^{-1/2}.  It does not depend on the sigma window, so
-    every grid of the same angle and slope rules shares it."""
+    chart record with rho = 1: z = (cos, sin) (1 + lam^2)^{-1/4} and
+    t = lam (1 + lam^2)^{-1/2}.  Its invariant tables, |z|^2/rho^2 =
+    (1 + lam^2)^{-1/2}, t/rho^2 = lam (1 + lam^2)^{-1/2} and t/|z|^2 = lam,
+    are every chunk's.  It does not depend on the sigma window, so every
+    grid of the same angle and slope rules shares it."""
     cos, sin, _ = _angle_rule(n_angle)
     lam, _ = _slope_rule(lam_rule)
-    (one,) = _frozen(np.ones(1))
-    return Nodes(*_chart_points(one, cos, sin, lam), one, lam)
+    c = 1.0 / np.sqrt(1.0 + lam**2)
+    one, *tables = _frozen(np.ones((1, 1, 1)), c, (lam * c)[:, None], lam[:, None])
+    return Nodes(*_chart_points(one[0, 0], cos, sin, lam), one, tuple(tables))
 
 
 def has_chart(group: StepTwoGroup) -> bool:
@@ -261,15 +270,17 @@ def has_chart(group: StepTwoGroup) -> bool:
 
 
 def phi_polar_nodes(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool = False):
-    """Tensor nodes (z, t, w) of the phi chart for H^1, one axis per chart
-    coordinate: z (k, n_angle, n_lam, 2), t (k, n_angle, n_lam, 1) (a
-    broadcast view of its (sigma, lam) table) and w (k, n_angle, n_lam).
+    """Tensor nodes (z, t, w) of the phi chart, for any group that has it
+    (``has_chart``), one axis per chart coordinate: z (k, n_angle, n_lam, 2),
+    t (k, n_angle, n_lam, 1) (a broadcast view of its (sigma, lam) table) and
+    w (k, n_angle, n_lam).
 
     They are read-only, and built once per resolution while the most
     recently used ones fit in NODE_CACHE_BYTES.
     """
     if not has_chart(group):
-        raise ValueError("the phi_polar tensor grid is implemented for H^1")
+        raise ValueError("the phi_polar tensor grid needs one horizontal plane "
+                         "and one vertical direction")
     key = _chart_key(quad, coarse)
     if key in _NODE_CACHE:
         _NODE_CACHE.move_to_end(key)
@@ -286,17 +297,17 @@ def _chunks(group: StepTwoGroup, quad: QuadratureSpec, coarse: bool):
     """(nodes, weights) of the phi chart's tensor grid, chunk by chunk.
 
     Each chunk holds whole sigma slabs along the first axis, as many as fit
-    in quad.chunk nodes and at least one, and carries its chart tables and
-    the grid's unit slice.
+    in quad.chunk nodes and at least one, and carries its radius column, the
+    invariant tables of its slope rule and the grid's unit slice.
     """
     z, t, w = phi_polar_nodes(group, quad, coarse)
     key = _chart_key(quad, coarse)
-    tab = _chart_tables(*key)
+    radii = _chart_tables(*key).sigma[:, None, None]
     unit = _unit_slice(*key[2:])
     per = max(quad.chunk // w[0].size, 1)
-    for i in range(0, tab.sigma.size, per):
+    for i in range(0, radii.shape[0], per):
         s = slice(i, i + per)
-        yield Nodes(z[s], t[s], tab.sigma[s], tab.lam, unit=unit), w[s]
+        yield Nodes(z[s], t[s], radii[s], unit.tables, unit), w[s]
 
 
 def _rows(fs, nodes: Nodes, where: str) -> list:

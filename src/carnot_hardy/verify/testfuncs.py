@@ -17,13 +17,17 @@ outside.
 Bumps and the cut-off family are evaluated through one jet,
 ``jet(nodes) -> (value, hgrad, euler)`` on a quadrature node record, which
 computes the gauge, its gradient and the radial profile once per batch of
-points; their ``value``, ``hgrad`` and ``euler`` are views of that jet.  On
-a phi-chart chunk the jet evaluates the radial profile on the chunk's
-distinct radii and the vertical factor on its slope table, and returns each
-factor on the smallest table that holds it: the value and the Euler term as
-(sigma, lam) tables, the gradient on the nodes.  Elsewhere a bump takes the
-gauge and its gradient from one call of the Koranyi jet, which reads the
-gauge a Monte Carlo chunk carries.
+points; their ``value``, ``hgrad`` and ``euler`` are views of that jet.
+Each jet is one formula in the Koranyi gauge rho and the dilation-invariant
+quantities |z|^2/rho^2, t/rho^2 and t/|z|^2 that the record supplies
+(``Nodes.gauge`` and ``Nodes.invariants``): the horizontal gradient is
+frame(z, P, R), whose coefficients P and R are functions of those alone.
+On a phi-chart chunk the gauge is the radius column and the invariants are
+tables over the slope axis, so the profile runs on the chunk's distinct
+radii, the vertical factor on its slope table, and the value, the Euler
+term and P, R come out as (sigma, lam) tables, the gradient on the nodes.
+Elsewhere the same formula runs per point, on the gauge a Monte Carlo chunk
+carries or the one the record forms.
 """
 
 from __future__ import annotations
@@ -34,8 +38,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ..groups import Array, Nodes, StepTwoGroup
-from ..norms import koranyi
+from ..groups import Array, Nodes, StepTwoGroup, frame
 
 LOG2 = float(np.log(2.0))
 
@@ -191,6 +194,18 @@ def _from_jet(kind: str, params: dict, jet: Callable, support: tuple) -> TestFun
                         support=support, jet=jet, rotation_invariant=True)
 
 
+def _support_masked(inside: Array, *arrays) -> tuple:
+    """The arrays with exact zeros on the points outside a bump's support,
+    ``inside`` being False there and broadcast along their trailing axes.
+    Every factor of a bump vanishes there, but the origin and gauges that
+    underflow or overflow divide 0 by 0 or inf by inf; a batch wholly inside
+    the support, as every chart chunk of the checks is, is returned as it is."""
+    if np.all(inside):
+        return arrays
+    return tuple(np.where(inside.reshape(inside.shape + (1,) * (v.ndim - inside.ndim)), v, 0.0)
+                 for v in arrays)
+
+
 def radial_bump(group: StepTwoGroup, profile: BumpProfile = BumpProfile(),
                 modulation: float = 0.0, modulation2: float = 0.0) -> TestFunction:
     """eta(rho) (1 + a s + b s^2) with s = t/rho^2: smooth, supported in a
@@ -202,64 +217,39 @@ def radial_bump(group: StepTwoGroup, profile: BumpProfile = BumpProfile(),
     term breaks the t -> -t symmetry cancellations that make some paired
     integrals vanish identically for purely radial bumps.
     """
-    rho = koranyi(group)
     a = float(modulation)
     b = float(modulation2)
     modulated = a != 0.0 or b != 0.0
     if modulated and group.h != 1:
         raise ValueError("modulated bumps are implemented for h = 1")
+    k = group.couplings / 4.0
 
-    # on a phi-chart chunk, with c = (1 + lam^2)^{-1/2} and k = L/4: rho = sigma,
-    # s = lam c, grad rho = (c/sigma) (z_1 + k lam z_2, z_2 - k lam z_1) and
-    # grad s = (2 c^2/sigma^2) ((k z_2, -k z_1) - lam z); every coefficient is
-    # a table in (sigma, lam)
-    def chart_jet(nodes, derivs):
-        sig, lam = nodes.radii, nodes.lam
-        eta, deta = (v[:, None, None] for v in profile.jet(nodes.sigma))
-        c = 1.0 / np.sqrt(1.0 + lam**2)
-        s = lam * c
-        mod, dmod = 1.0 + a * s + b * s * s, a + 2.0 * b * s
-        val = eta * mod
-        if not derivs:
-            return val, None, None
-        k = group.couplings[0, 0] / 4.0
-        # grad u = eta' mod grad rho + eta mod' grad s
-        grad = nodes.frame(deta / sig * (mod * c) - eta / sig**2 * (2.0 * dmod * lam * c**2),
-                           k * (deta / sig * (mod * lam * c) + eta / sig**2 * (2.0 * dmod * c**2)))
-        return val, grad, deta * sig * mod
-
-    # evaluations are masked to the support so that points at or near the
-    # origin (where rho-quotients degenerate) yield exact zeros, not NaNs;
-    # E rho = rho and E(t/rho^2) = 0 by homogeneity
+    # with zc = |z|^2/rho^2, s = t/rho^2 and k = L/4, grad rho =
+    # frame(z, zc/rho, k s/rho) and, for h = 1, grad s =
+    # frame(z, -2 s zc/rho^2, 2 k zc^2/rho^2), so grad u = eta' mod grad rho +
+    # eta mod' grad s is frame(z, P, R) with
+    # P = (eta'/rho) mod zc - (eta/rho^2) 2 mod' s zc and
+    # R = (eta'/rho) mod k s + (eta/rho^2) 2 mod' k zc^2, each term a factor
+    # in rho times one in the invariants; E rho = rho and E s = 0 by homogeneity
     def jet(nodes, derivs=True):
-        if nodes.sigma is not None:
-            return chart_jet(nodes, derivs)
-        z, t = np.asarray(nodes.z, float), nodes.t
         with np.errstate(invalid="ignore", divide="ignore"):
-            # the gauge and its gradient from one pass (the gradient divides
-            # 0 by 0 at the origin, which the support mask drops)
-            d, gr = rho.jet(nodes, derivs)
+            d = nodes.gauge()
+            zc, s, _ = nodes.invariants(d)
             inside = (d > profile.r2) & (d < profile.R2)
             eta, deta = profile.jet(d)
-            val = eta
-            if modulated:
-                t1 = np.asarray(t, float)[..., 0]
-                s = t1 / d**2
-                mod = 1.0 + a * s + b * s * s
-                val = val * mod
-            val = np.where(inside, val, 0.0)
+            s1 = s[..., 0]
+            mod = 1.0 + a * s1 + b * s1 * s1 if modulated else 1.0
             if not derivs:
-                return val, None, None
-            grad = deta[..., None] * gr
-            eul = deta * d
+                return _support_masked(inside, eta * mod)[0], None, None
+            rd = (deta / d)[..., None]
+            P = rd * (mod * zc)[..., None]
+            R = rd * (np.expand_dims(mod, -1) * (s @ k))
             if modulated:
-                grad = grad * mod[..., None]
-                # grad(t/rho^2) = (Bz/2)/rho^2 - 2 t grad(rho) / rho^3
-                gt = 0.5 * group.bz(z)[..., 0, :]
-                gmod = gt / (d**2)[..., None] - 2.0 * (t1 / d**3)[..., None] * gr
-                grad = grad + (eta * (a + 2.0 * b * s))[..., None] * gmod
-                eul = eul * mod
-        return val, np.where(inside[..., None], grad, 0.0), np.where(inside, eul, 0.0)
+                dmod, ed = 2.0 * (a + 2.0 * b * s1), (eta / d**2)[..., None]
+                P = P - ed * (dmod * s1 * zc)[..., None]
+                R = R + ed * ((dmod * zc**2)[..., None] * k[0])
+            val, P, R, eul = _support_masked(inside, eta * mod, P, R, deta * d * mod)
+        return val, frame(nodes.z, P, R), eul
 
     return _from_jet("bump", {"radii": (profile.r2, profile.r1, profile.R1, profile.R2),
                               "modulation": (a, b)},
@@ -276,12 +266,6 @@ def random_bump(group: StepTwoGroup, rng: np.random.Generator) -> TestFunction:
     return radial_bump(group, BumpProfile(r2, r1, R1, R2), modulation=a)
 
 
-def _slope_grad(group: StepTwoGroup, z: Array, t1: Array, zn2: Array) -> Array:
-    """grad(t/|z|^2) = -2 t z / |z|^4 + Bz / (2 |z|^2), for h = 1."""
-    return (-2.0 * (t1 / zn2**2)[..., None] * z
-            + 0.5 * group.bz(z)[..., 0, :] / zn2[..., None])
-
-
 def sharpness_function(group: StepTwoGroup, p: float, eps: float,
                        profile: BumpProfile = BumpProfile()) -> TestFunction:
     """u_eps = (t/|z|^2)^{(Q-2)/(2p)} g_eps(t/|z|^2) eta(d), supported where
@@ -291,8 +275,8 @@ def sharpness_function(group: StepTwoGroup, p: float, eps: float,
     """
     if group.h != 1:
         raise ValueError("the cut-off family is implemented for h = 1")
-    rho = koranyi(group)
     kappa = (group.Q - 2.0) / (2.0 * p)
+    k = group.couplings[0] / 4.0
 
     def cutoff(lam, derivs):
         """w(lam) = lam^kappa g_eps(lam) and w'(lam) (None when derivs is False)."""
@@ -304,37 +288,23 @@ def sharpness_function(group: StepTwoGroup, p: float, eps: float,
             return w, None
         return w, np.where(inside, kappa * lam_s ** (kappa - 1.0) * g + lam_s**kappa * gd, 0.0)
 
-    # on a phi-chart chunk lam is the slope table, rho = sigma and, with
-    # c = (1 + lam^2)^{-1/2} and k = L/4, grad lam = (2/(sigma^2 c))
-    # ((k z_2, -k z_1) - lam z); grad rho is as for the bumps
-    def chart_jet(nodes, derivs):
-        sig, lam = nodes.radii, nodes.lam
-        eta, deta = (v[:, None, None] for v in profile.jet(nodes.sigma))
-        w, wd = cutoff(lam, derivs)
-        if not derivs:
-            return eta * w, None, None
-        c = 1.0 / np.sqrt(1.0 + lam**2)
-        k = group.couplings[0, 0] / 4.0
-        # grad u = w' eta grad lam + w eta' grad rho
-        grad = nodes.frame(deta / sig * (w * c) - eta / sig**2 * (2.0 * lam * wd / c),
-                           k * (deta / sig * (w * lam * c) + eta / sig**2 * (2.0 * wd / c)))
-        return eta * w, grad, deta * sig * w
-
-    # lam = t/|z|^2 is homogeneous of degree zero, so E u = w(lam) eta'(d) d
+    # lam = t/|z|^2 is homogeneous of degree zero, so E u = w(lam) eta'(rho) rho,
+    # and with zc = |z|^2/rho^2, grad lam = frame(z, -2 lam/(rho^2 zc),
+    # 2 k/(rho^2 zc)); grad rho is as for the bumps, so grad u =
+    # w eta' grad rho + w' eta grad lam is frame(z, P, R), each term a factor
+    # in rho times one in the invariants
     def jet(nodes, derivs=True):
-        if nodes.sigma is not None:
-            return chart_jet(nodes, derivs)
-        z = np.asarray(nodes.z, float)
-        t1 = np.asarray(nodes.t, float)[..., 0]
-        zn2 = np.sum(z * z, axis=-1)
-        w, wd = cutoff(t1 / zn2, derivs)
-        d, gr = rho.jet(nodes, derivs)
+        d = nodes.gauge()
+        zc, s, lam = nodes.invariants(d)
+        s, lam = s[..., 0], lam[..., 0]
+        w, wd = cutoff(lam, derivs)
         eta, deta = profile.jet(d)
         if not derivs:
             return w * eta, None, None
-        glam = _slope_grad(group, z, t1, zn2)
-        return (w * eta, (wd * eta)[..., None] * glam + (w * deta)[..., None] * gr,
-                w * deta * d)
+        rd, ed = (deta / d)[..., None], (eta / d**2)[..., None]
+        P = rd * (w * zc)[..., None] - ed * (2.0 * lam * wd / zc)[..., None]
+        R = rd * ((w * s)[..., None] * k) + ed * ((2.0 * wd / zc)[..., None] * k)
+        return w * eta, frame(nodes.z, P, R), w * deta * d
 
     return _from_jet("extremal_cutoff",
                      {"eps": eps, "exponent": kappa,

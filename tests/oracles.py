@@ -33,7 +33,7 @@ from carnot_hardy.groups import (Array, CenterError, Nodes, Point, StepTwoGroup,
 from carnot_hardy.norms import NormModel, koranyi
 from carnot_hardy.verify.quadrature import (IntegralResult, QuadratureSpec, integrate_many,
                                            koranyi_ball_draws, koranyi_ball_volume)
-from carnot_hardy.verify.testfuncs import TestFunction, _from_jet, _slope_grad
+from carnot_hardy.verify.testfuncs import TestFunction, _from_jet
 from carnot_hardy.zfield import ZFieldSpec, _block_perp, z_field_components
 
 
@@ -207,6 +207,13 @@ def equivalence_ratio_range(norm_a: NormModel, norm_b: NormModel,
 # the extremal profile and its residual
 # ---------------------------------------------------------------------------
 
+def slope_grad(group: StepTwoGroup, z: Array, t1: Array, zn2: Array) -> Array:
+    """grad(t/|z|^2) = -2 t z / |z|^4 + Bz / (2 |z|^2), for h = 1, from the
+    coordinates."""
+    return (-2.0 * (t1 / zn2**2)[..., None] * z
+            + 0.5 * group.bz(z)[..., 0, :] / zn2[..., None])
+
+
 def extremal_power(group: StepTwoGroup, p: float) -> TestFunction:
     """u = (|t|/|z|^2)^{(Q-2)/(2p)}, the profile attaining equality.
 
@@ -225,7 +232,7 @@ def extremal_power(group: StepTwoGroup, p: float) -> TestFunction:
             return val, None, None
         lam = t1 / zn2
         coef = kappa * np.abs(lam) ** (kappa - 1.0) * np.sign(lam)
-        return val, coef[..., None] * _slope_grad(group, z, t1, zn2), np.zeros(val.shape)
+        return val, coef[..., None] * slope_grad(group, z, t1, zn2), np.zeros(val.shape)
 
     return _from_jet("extremal", {"exponent": kappa}, jet, support=(0.0, np.inf))
 

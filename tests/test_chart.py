@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from carnot_hardy import ZFieldSpec, cc, heisenberg, koranyi
+from carnot_hardy import ZFieldSpec, cc, heisenberg, koranyi, nonisotropic
 from carnot_hardy.zfield import z_field_components
 from carnot_hardy.verify import (BumpProfile, Nodes, QuadratureSpec, check_ibp_identity,
                                  hardy_quotient, integrate_many, product_check, radial_bump,
@@ -48,25 +48,42 @@ def rel_gap(got, want) -> float:
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
+def slabs(nodes) -> int:
+    """The number of sigma slabs in a chart chunk: the length of its radius
+    column."""
+    return nodes.rho.shape[0]
+
+
+def slopes(nodes) -> int:
+    """The length of a chart chunk's slope tables."""
+    return nodes.tables[0].size
+
+
 def test_chunks_are_whole_sigma_slabs_with_tables():
     quad = QuadratureSpec(sigma_range=(0.3, 1.8), n_angle=4, psi_nodes=6, chunk=2000)
     records = chunks(quad)
-    fine = [n for n in records if n.sigma.size <= 3]
-    slab = 4 * fine[0].lam.size
-    assert all(n.z.shape[:-1] == (n.sigma.size, 4, n.lam.size) for n in fine)
-    assert all(n.z[..., 0].size == n.sigma.size * slab <= quad.chunk for n in fine)
-    assert sum(n.sigma.size for n in fine) == quad.n_sigma
+    fine = [n for n in records if slabs(n) <= 3]
+    slab = 4 * slopes(fine[0])
+    assert all(n.z.shape[:-1] == (slabs(n), 4, slopes(n)) for n in fine)
+    assert all(n.z[..., 0].size == slabs(n) * slab <= quad.chunk for n in fine)
+    assert sum(slabs(n) for n in fine) == quad.n_sigma
     for n in records:
+        assert n.rho.shape == (slabs(n), 1, 1)
+        assert n.tables[0].shape == (slopes(n),)
+        assert all(v.shape == (slopes(n), 1) for v in n.tables[1:])
         rho = koranyi(H1).value(n.z, n.t)
-        assert rel_gap(np.broadcast_to(n.radii, rho.shape), rho) <= 1e-15
-        slope = n.t[..., 0] / np.sum(n.z * n.z, axis=-1)
-        assert np.max(np.abs(np.broadcast_to(n.lam, slope.shape) - slope)
-                      / np.abs(slope)) <= 1e-15
+        assert rel_gap(np.broadcast_to(n.gauge(), rho.shape), rho) <= 1e-15
+        # the tables are the invariants the nodes' own coordinates give
+        plain = Nodes(n.z, n.t).invariants(rho)
+        for table, point in zip(n.invariants(n.rho), plain):
+            point = point.reshape(n.z.shape[:-1])
+            table = np.broadcast_to(table.reshape(slopes(n)), point.shape)
+            assert np.max(np.abs(table - point) / np.abs(point)) <= 2e-15
     # a slab larger than a chunk is a chunk of its own, with its tables
     small = QuadratureSpec(sigma_range=(0.3, 1.8), n_angle=4, psi_nodes=6, chunk=100)
     fine = chunks(small)[:small.n_sigma]
-    assert all(n.sigma.size == 1 and n.z[..., 0].size == slab > small.chunk for n in fine)
-    assert [n.sigma[0] for n in fine] == list(chart_tables(small).sigma)
+    assert all(slabs(n) == 1 and n.z[..., 0].size == slab > small.chunk for n in fine)
+    assert [n.rho[0, 0, 0] for n in fine] == list(chart_tables(small).sigma)
 
 
 def test_chart_nodes_are_read_only_tensors_kept_within_their_budget():
@@ -108,14 +125,14 @@ def test_integrands_may_return_tables_of_the_chart():
         return np.broadcast_to(table(nodes), nodes.z.shape[:-1]).copy()
 
     def stack(nodes):
-        return np.stack(np.broadcast_arrays(table(nodes), nodes.radii))
+        return np.stack(np.broadcast_arrays(table(nodes), nodes.gauge()))
 
     assert table(chunks(quad)[0]).shape[1] == 1
     got = integrate_many(H1, [table, stack], quad)
     want = integrate_many(H1, [spread, stack], quad)
     for a, b in zip(got, want):
         assert a.value == b.value and a.error == b.error and a.n_evals == b.n_evals
-    (radius,) = integrate_many(H1, [lambda n: np.broadcast_to(n.radii, n.z.shape[:-1])],
+    (radius,) = integrate_many(H1, [lambda n: np.broadcast_to(n.gauge(), n.z.shape[:-1])],
                                quad)
     assert got[2].value == radius.value
 
@@ -130,38 +147,46 @@ def test_cc_chart_inverts_each_slope_table_once():
     assert norms._cc_slope_table.cache_info().misses == 2
     # keyed by the table's contents: a copy is the same table
     for n, (d, g) in zip(records, want):
-        again = n._replace(lam=np.array(n.lam))
+        again = n._replace(tables=tuple(np.array(v) for v in n.tables))
         d2, g2 = model.jet(again)
         assert np.array_equal(d2, d) and np.array_equal(g2, g)
     assert norms._cc_slope_table.cache_info().misses == 2
-    nu, inv_sinc, cot = norms._cc_slope_table(records[0].lam.tobytes())
+    lam = records[0].tables[2]
+    nu, inv_sinc, cot = norms._cc_slope_table(lam.tobytes())
     assert not nu.flags.writeable
     assert all(np.array_equal(a, b) for a, b in
-               zip((nu, inv_sinc, cot), norms._cc_slope(records[0].lam)))
+               zip((nu, inv_sinc, cot), norms._cc_slope(lam[:, 0])))
 
 
-@pytest.mark.parametrize("chart", list(QUADS))
-def test_chart_jets_match_coordinate_jets(chart):
+# each chart on H^1, and on the one-block group of coupling 2, on which the
+# frame coefficients carry the factor L/4 = 1/2 (the cc distance is H^n's alone)
+CHART_CASES = {**{chart: (chart, H1) for chart in QUADS},
+               **{f"{chart} noniso(2)": (chart, nonisotropic([2.0])) for chart in QUADS}}
+
+
+@pytest.mark.parametrize("chart, group", list(CHART_CASES.values()), ids=list(CHART_CASES))
+def test_chart_jets_match_coordinate_jets(chart, group):
     records = chunks(QUADS[chart])
     if chart == "graded psi":
-        assert max(np.max(np.abs(n.lam)) for n in records) > 7e4
-    bumps = [radial_bump(H1, PROFILE, modulation=a, modulation2=b)
+        assert max(np.max(np.abs(n.tables[2])) for n in records) > 7e4
+    bumps = [radial_bump(group, PROFILE, modulation=a, modulation2=b)
              for a, b in ((0.0, 0.0), (0.3, 0.0), (-0.4, 0.25))]
-    cutoff = sharpness_function(H1, 2.0, 1e-2, PROFILE)
+    cutoff = sharpness_function(group, 2.0, 1e-2, PROFILE)
+    norms_here = [koranyi(group)] + ([cc(group)] if group.is_isotropic_heisenberg() else [])
     for nodes in records:
         plain = Nodes(nodes.z, nodes.t)
         for u in bumps + [cutoff]:
             for got, want in zip(u.jet(nodes), u.jet(plain)):
                 assert rel_gap(got, want) <= 1e-13, u.params
             assert rel_gap(u.jet(nodes, derivs=False)[0], u.jet(plain)[0]) <= 1e-13
-        for norm in (koranyi(H1), cc(H1)):
+        for norm in norms_here:
             for got, want in zip(norm.jet(nodes), norm.jet(plain)):
                 assert rel_gap(got, want) <= 1e-13, norm.kind
             d, g = norm.jet(nodes, derivs=False)
             assert g is None and rel_gap(d, norm.value(nodes.z, nodes.t)) <= 1e-13
             # the gauge gradient and Z_d are homogeneous of degree zero: on
             # the unit slice, broadcast over sigma, they are the nodes' own
-            spec = ZFieldSpec(H1, norm, 3.0, 1.0)
+            spec = ZFieldSpec(group, norm, 3.0, 1.0)
             shape = nodes.z.shape
             d1, g1 = norm.jet(nodes.unit)
             assert rel_gap(np.broadcast_to(g1, shape), norm.jet(plain)[1]) <= 1e-13
@@ -183,16 +208,16 @@ def test_unit_slice_is_the_chart_at_radius_one():
         records = chunks(quad)
         for coarse in (False, True):
             tab = chart_tables(quad, coarse)
-            unit = next(n for n in records if n.lam.size == tab.lam.size).unit
+            unit = next(n for n in records if slopes(n) == tab.lam.size).unit
             assert unit.z.shape == (1, tab.cos.size, tab.lam.size, 2)
             assert unit.t.shape == (1, tab.cos.size, tab.lam.size, 1)
-            assert unit.sigma.tolist() == [1.0] and unit.lam is tab.lam
-            assert unit.unit is None and unit.rho is None
+            assert unit.rho.tolist() == [[[1.0]]] and unit.unit is None
+            assert unit.tables[2][:, 0].tolist() == tab.lam.tolist()
             rz = (1.0 + tab.lam**2) ** -0.25
             assert rel_gap(unit.z[0, ..., 0], tab.cos[:, None] * rz) <= 1e-15
             assert rel_gap(unit.z[0, ..., 1], tab.sin[:, None] * rz) <= 1e-15
             assert rel_gap(unit.t[0, 0, :, 0], tab.lam / np.sqrt(1.0 + tab.lam**2)) <= 1e-15
-            for arr in (unit.z, unit.t, unit.sigma, unit.lam):
+            for arr in (unit.z, unit.t, unit.rho, *unit.tables):
                 assert not arr.flags.writeable
         # one slice per angle and slope rule, whatever the sigma window
         wider = chunks(replace(quad, sigma_range=(0.1, 3.0), n_sigma=40))
@@ -340,7 +365,7 @@ def test_check_integrands_are_rotation_invariant(norm):
     for name, (f, grid) in _invariant_integrands(norm).items():
         quad = INVARIANT_QUADS[grid]
         nodes = chunks(quad)[0]
-        k, n_lam = nodes.sigma.size, nodes.lam.size
+        k, n_lam = slabs(nodes), slopes(nodes)
         assert nodes.z.shape[:-1] == (k, 16, n_lam)
         rows = np.asarray(f(nodes))
         for row in rows.reshape(len(rows), k, 16, n_lam):
@@ -407,7 +432,7 @@ def test_undeclared_test_functions_keep_the_full_circle():
     seen = []
 
     def jet(nodes, derivs=True):
-        seen.append(nodes.z[..., 0].size // (nodes.sigma.size * nodes.lam.size))
+        seen.append(nodes.z[..., 0].size // (slabs(nodes) * slopes(nodes)))
         return u.jet(nodes, derivs)
 
     hand_built = testfuncs.TestFunction("recorded bump", {}, u.value, u.hgrad, u.euler, jet,

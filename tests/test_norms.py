@@ -5,7 +5,7 @@ import pytest
 from carnot_hardy import (CenterError, Point, balogh_tyson, cc, heisenberg,
                           heisenberg_product, koranyi, koranyi_b, nonisotropic)
 from carnot_hardy.norms import cc_polar_arrays, solve_mu_inverse, symplectic_norm_sq_arrays
-from carnot_hardy.verify.quadrature import Nodes, QuadratureSpec, _chunks
+from carnot_hardy.verify.quadrature import Nodes, QuadratureSpec, _chunks, has_chart
 from oracles import (at_point, cc_from_polar, equivalence_ratio_range, hgrad_batch,
                      reconstruction_defect_arrays, rotation_defect_arrays)
 
@@ -397,10 +397,10 @@ def _slots(z, first, second):
     return g
 
 
-def _koranyi_slots(model, z, t):
+def _koranyi_slots(model, z, t, rho=None):
     L = model.group.couplings
     zn2 = np.sum(z * z, axis=-1)[..., None]
-    rho3 = (model.value(z, t) ** 3)[..., None]
+    rho3 = ((model.value(z, t) if rho is None else rho) ** 3)[..., None]
     lt4 = (t @ L) / 4.0
     return _slots(z, (zn2 * z[..., 0::2] + z[..., 1::2] * lt4) / rho3,
                   (zn2 * z[..., 1::2] - z[..., 0::2] * lt4) / rho3)
@@ -436,6 +436,7 @@ _SLOT_CASES = [
     (koranyi, _koranyi_slots, nonisotropic([1.0, 2.0])),
     (koranyi, _koranyi_slots, nonisotropic([0.5, 1.0])),
     (koranyi, _koranyi_slots, heisenberg_product(1, 2)),
+    (koranyi, _koranyi_slots, nonisotropic([2.0])),
     (koranyi_b, _koranyi_b_slots, H1), (koranyi_b, _koranyi_b_slots, H2),
     (koranyi_b, _koranyi_b_slots, nonisotropic([1.0, 2.0])),
     (koranyi_b, _koranyi_b_slots, nonisotropic([0.5, 1.0])),
@@ -451,16 +452,12 @@ def test_hgrad_is_bit_identical_to_the_slot_formulas(factory, slots, g):
     assert np.array_equal(model.hgrad(z, t), slots(model, z, t))
     _, grad = model.jet(Nodes(z, t))
     assert np.array_equal(grad, slots(model, z, t))
-
-
-def test_koranyi_chart_jet_is_bit_identical_to_the_slot_formula():
-    quad = QuadratureSpec(sigma_range=(0.25, 2.0), n_sigma=8)
-    nodes = next(_chunks(H1, quad, False))[0]
-    c_sig = 1.0 / np.sqrt(1.0 + nodes.lam**2) / nodes.radii
-    P, R = c_sig, c_sig * nodes.lam
-    z1, z2 = nodes.z[..., 0], nodes.z[..., 1]
-    assert np.array_equal(koranyi(H1).jet(nodes)[1],
-                          np.stack([z1 * P + z2 * R, z2 * P - z1 * R], axis=-1))
+    if has_chart(g):
+        # a chunk of the phi chart: the Koranyi gradient takes the chunk's
+        # radius column as its gauge, the other gauges read (z, t) alone
+        nodes = next(_chunks(g, QuadratureSpec(sigma_range=(0.25, 2.0), n_sigma=8), False))[0]
+        gauge = {"rho": nodes.gauge()} if factory is koranyi else {}
+        assert np.array_equal(model.jet(nodes)[1], slots(model, nodes.z, nodes.t, **gauge))
 
 
 # ---------------------------------------------------------------------------

@@ -132,10 +132,22 @@ def _jet_points(rng, n=4000, group=H1):
     return z, t
 
 
+def _frame_slots(z, P, R):
+    """(z_1 P + z_2 R, z_2 P - z_1 R) on the one block of H^1."""
+    return np.stack([z[:, 0] * P + z[:, 1] * R, z[:, 1] * P - z[:, 0] * R], axis=-1)
+
+
 def test_bump_jet_matches_separate_formulas():
-    # the bump value, gradient and Euler field as separate compositions of the
-    # step and the Koranyi gauge; the jet must reproduce them to the bit
+    # the bump value, gradient and Euler field from the step, the Koranyi
+    # gauge rho and the invariants zc = |z|^2/rho^2 and s = t/rho^2: with
+    # k = L/4, grad u = frame(z, P, R), where
+    # P = (eta'/rho) mod zc - (eta/rho^2) 2 mod' s zc and
+    # R = (eta'/rho) mod k s + (eta/rho^2) 2 mod' k zc^2; the jet must
+    # reproduce them to the bit, with the origin and the support mask, and
+    # its gradient must be the separate composition
+    # eta' mod grad rho + eta mod' grad s to rounding
     rho = koranyi(H1)
+    k = H1.couplings[0, 0] / 4.0
     rng = np.random.default_rng(71)
     z, t = _jet_points(rng)
     prof = BumpProfile(0.3, 0.6, 1.3, 1.8)
@@ -148,18 +160,23 @@ def test_bump_jet_matches_separate_formulas():
             dn, d_dn = smoothstep_jet((prof.R2 - d) / a_dn)
             eta = up * dn
             deta = d_up / a_up * dn - up * d_dn / a_dn
-            gr = rho.hgrad(z, t)
+            zc = np.sum(z * z, axis=-1) / d**2
             s = t[:, 0] / d**2
-            mod = 1.0 + a * s + b * s * s
-            gmod = (0.5 * H1.bz(z)[:, 0, :] / (d**2)[:, None]
-                    - 2.0 * (t[:, 0] / d**3)[:, None] * gr)
-            value, grad, euler = eta, deta[:, None] * gr, deta * d
+            mod, dmod = 1.0 + a * s + b * s * s, 2.0 * (a + 2.0 * b * s)
+            P = deta / d * (mod * zc)
+            R = deta / d * (mod * (s * k))
             if a or b:
-                value, euler = value * mod, euler * mod
-                grad = grad * mod[:, None] + (eta * (a + 2.0 * b * s))[:, None] * gmod
+                P = P - eta / d**2 * (dmod * s * zc)
+                R = R + eta / d**2 * (dmod * zc**2 * k)
+            gr = rho.hgrad(z, t)
+            gs = (0.5 * H1.bz(z)[:, 0, :] / (d**2)[:, None]
+                  - 2.0 * (t[:, 0] / d**3)[:, None] * gr)
+            composed = (deta * mod)[:, None] * gr + (0.5 * eta * dmod)[:, None] * gs
         inside = (d > prof.r2) & (d < prof.R2)
-        ref = (np.where(inside, value, 0.0), np.where(inside[:, None], grad, 0.0),
-               np.where(inside, euler, 0.0))
+        assert not np.all(np.isfinite(P)) and not np.all(inside)
+        ref = (np.where(inside, eta * mod, 0.0),
+               _frame_slots(z, np.where(inside, P, 0.0), np.where(inside, R, 0.0)),
+               np.where(inside, deta * d * mod, 0.0))
         jet = u.jet(Nodes(z, t))
         for got, want in zip(jet, ref):
             assert _same_bits(got, want)
@@ -169,11 +186,18 @@ def test_bump_jet_matches_separate_formulas():
         eta_in, deta_in = prof.jet(d[inside])
         assert _same_bits(eta_in, eta[inside])
         assert _same_bits(deta_in, deta[inside])
+        composed = composed[inside]
+        assert np.max(np.abs(jet[1][inside] - composed)) <= 1e-12 * np.max(np.abs(composed))
 
 
 def test_sharpness_jet_matches_separate_formulas():
+    # with lam = t/|z|^2, grad lam = frame(z, -2 lam/(rho^2 zc), 2 k/(rho^2 zc)),
+    # so grad u = w eta' grad rho + w' eta grad lam = frame(z, P, R) with
+    # P = (eta'/rho) w zc - (eta/rho^2) 2 lam w'/zc and
+    # R = (eta'/rho) w k s + (eta/rho^2) 2 w' k/zc
     from carnot_hardy.verify import sharpness_function
     rho = koranyi(H1)
+    k = H1.couplings[0, 0] / 4.0
     rng = np.random.default_rng(72)
     z, t = _jet_points(rng)
     z[:3] = 1.0                  # the cut-off family is evaluated off the center
@@ -191,16 +215,20 @@ def test_sharpness_jet_matches_separate_formulas():
     wd = np.where(inside, kappa * lam_s ** (kappa - 1.0) * g + lam_s**kappa * gd, 0.0)
     d = rho.value(z, t)
     eta, deta = prof.jet(d)
-    glam = (-2.0 * (t[:, 0] / zn2**2)[:, None] * z
-            + 0.5 * H1.bz(z)[:, 0, :] / zn2[:, None])
-    ref = (w * eta,
-           (wd * eta)[:, None] * glam + (w * deta)[:, None] * rho.hgrad(z, t),
-           w * deta * d)
+    zc, s = zn2 / d**2, t[:, 0] / d**2
+    P = deta / d * (w * zc) - eta / d**2 * (2.0 * lam * wd / zc)
+    R = deta / d * (w * s * k) + eta / d**2 * (2.0 * wd / zc * k)
+    ref = (w * eta, _frame_slots(z, P, R), w * deta * d)
     jet = u.jet(Nodes(z, t))
     assert np.count_nonzero(jet[0]) > 100
     for got, want, field in zip(jet, ref, (u.value, u.hgrad, u.euler)):
         assert _same_bits(got, want)
         assert _same_bits(field(z, t), want)
+    # the factored gradient is the one the separate compositions give
+    glam = (-2.0 * (t[:, 0] / zn2**2)[:, None] * z
+            + 0.5 * H1.bz(z)[:, 0, :] / zn2[:, None])
+    composed = (wd * eta)[:, None] * glam + (w * deta)[:, None] * rho.hgrad(z, t)
+    assert np.max(np.abs(jet[1] - composed)) <= 1e-12 * np.max(np.abs(composed))
 
 
 @pytest.mark.parametrize("group", [H1, heisenberg_product(1, 2)], ids=["H1", "H1xH1"])
