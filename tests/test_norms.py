@@ -460,6 +460,15 @@ def test_hgrad_is_bit_identical_to_the_slot_formulas(factory, slots, g):
         assert np.array_equal(model.jet(nodes)[1], slots(model, nodes.z, nodes.t, **gauge))
 
 
+def test_koranyi_chart_jet_is_bit_identical_to_the_slot_formula():
+    # on a chart chunk the Koranyi gradient reads the chunk's radius column
+    # as rho and is otherwise the point slot formula, bit for bit
+    quad = QuadratureSpec(sigma_range=(0.25, 2.0), n_sigma=8)
+    nodes = next(_chunks(H1, quad, False))[0]
+    assert np.array_equal(koranyi(H1).jet(nodes)[1],
+                          _koranyi_slots(koranyi(H1), nodes.z, nodes.t, rho=nodes.gauge()))
+
+
 # ---------------------------------------------------------------------------
 # shared structural properties
 # ---------------------------------------------------------------------------
