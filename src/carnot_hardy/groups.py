@@ -237,11 +237,12 @@ class Nodes(NamedTuple):
       chunk carries, as ``rho`` (m,), the gauge its support window was
       selected by; a plain batch leaves ``rho`` None, and the record forms
       the gauge from (z, t).
-    - ``invariants(rho)``, the dilation-invariant quantities |z|^2/rho^2,
-      t/rho^2 and t/|z|^2, of shapes (...), (..., h) and (..., h).  A chart
-      chunk carries them as ``tables`` over its slope axis, of shapes
-      (n_lam,), (n_lam, 1) and (n_lam, 1), which broadcast against the
-      chunk; elsewhere ``tables`` is None and they are formed per point.
+    - ``invariants(slope)``, that gauge followed by the dilation-invariant
+      quantities |z|^2/rho^2 and t/rho^2 and, when slope is True, t/|z|^2,
+      of shapes (...), (..., h) and (..., h).  A chart chunk carries them as
+      ``tables`` over its slope axis, of shapes (n_lam,), (n_lam, 1) and
+      (n_lam, 1), which broadcast against the chunk; elsewhere ``tables`` is
+      None and they are formed per point, from one |z|^2.
 
     ``unit`` is a chart chunk's unit slice: its angle and slope nodes at
     Koranyi radius 1, itself a chart record (1, n_angle, n_lam) with the
@@ -265,16 +266,20 @@ class Nodes(NamedTuple):
         z = np.asarray(self.z, float)
         return koranyi_gauge(pairing(z, z), np.asarray(self.t, float))
 
-    def invariants(self, rho: Array):
-        """(|z|^2/rho^2, t/rho^2, t/|z|^2) of each node, given its gauge rho.
+    def invariants(self, slope: bool = False) -> tuple:
+        """(rho, |z|^2/rho^2, t/rho^2) of each node, rho its Koranyi gauge,
+        and t/|z|^2 after them when slope is True.
 
         Off the chart they divide by rho and |z|, so the origin and the
         center give non-finite entries, which the caller masks.
         """
         if self.tables is not None:
-            return self.tables
+            zc, s, lam = self.tables
+            return (self.rho, zc, s, lam) if slope else (self.rho, zc, s)
         z = np.asarray(self.z, float)
         t = np.asarray(self.t, float)
         zn2 = pairing(z, z)
+        rho = koranyi_gauge(zn2, t) if self.rho is None else self.rho
         rho2 = rho**2
-        return zn2 / rho2, t / rho2[..., None], t / zn2[..., None]
+        out = (rho, zn2 / rho2, t / rho2[..., None])
+        return out + (t / zn2[..., None],) if slope else out

@@ -424,9 +424,9 @@ def cc(group: StepTwoGroup) -> NormModel:
     def jet(nodes, derivs=True):
         if nodes.tables is None:
             return plain(nodes, derivs)
-        zc, _, lam = nodes.tables
+        rho, zc, _, lam = nodes.invariants(slope=True)
         nu, inv_sinc, cot = _cc_slope_table(lam.tobytes())
-        r = nodes.rho * np.sqrt(zc) * inv_sinc
+        r = rho * np.sqrt(zc) * inv_sinc
         if not derivs:
             return r, None
         _, _, a, b = _cc_polar(nodes.z, r, nu, cot)

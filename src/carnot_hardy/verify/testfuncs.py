@@ -20,8 +20,9 @@ computes the gauge, its gradient and the radial profile once per batch of
 points; their ``value``, ``hgrad`` and ``euler`` are views of that jet.
 Each jet is one formula in the Koranyi gauge rho and the dilation-invariant
 quantities |z|^2/rho^2, t/rho^2 and t/|z|^2 that the record supplies
-(``Nodes.gauge`` and ``Nodes.invariants``): the horizontal gradient is
-frame(z, P, R), whose coefficients P and R are functions of those alone.
+(``Nodes.invariants``, the last only to the cut-off family, which asks for
+it): the horizontal gradient is frame(z, P, R), whose coefficients P and R
+are functions of those alone.
 On a phi-chart chunk the gauge is the radius column and the invariants are
 tables over the slope axis, so the profile runs on the chunk's distinct
 radii, the vertical factor on its slope table, and the value, the Euler
@@ -198,10 +199,7 @@ def _support_masked(inside: Array, *arrays) -> tuple:
     """The arrays with exact zeros on the points outside a bump's support,
     ``inside`` being False there and broadcast along their trailing axes.
     Every factor of a bump vanishes there, but the origin and gauges that
-    underflow or overflow divide 0 by 0 or inf by inf; a batch wholly inside
-    the support, as every chart chunk of the checks is, is returned as it is."""
-    if np.all(inside):
-        return arrays
+    underflow or overflow divide 0 by 0 or inf by inf."""
     return tuple(np.where(inside.reshape(inside.shape + (1,) * (v.ndim - inside.ndim)), v, 0.0)
                  for v in arrays)
 
@@ -233,8 +231,7 @@ def radial_bump(group: StepTwoGroup, profile: BumpProfile = BumpProfile(),
     # in rho times one in the invariants; E rho = rho and E s = 0 by homogeneity
     def jet(nodes, derivs=True):
         with np.errstate(invalid="ignore", divide="ignore"):
-            d = nodes.gauge()
-            zc, s, _ = nodes.invariants(d)
+            d, zc, s = nodes.invariants()
             inside = (d > profile.r2) & (d < profile.R2)
             eta, deta = profile.jet(d)
             s1 = s[..., 0]
@@ -294,8 +291,7 @@ def sharpness_function(group: StepTwoGroup, p: float, eps: float,
     # w eta' grad rho + w' eta grad lam is frame(z, P, R), each term a factor
     # in rho times one in the invariants
     def jet(nodes, derivs=True):
-        d = nodes.gauge()
-        zc, s, lam = nodes.invariants(d)
+        d, zc, s, lam = nodes.invariants(slope=True)
         s, lam = s[..., 0], lam[..., 0]
         w, wd = cutoff(lam, derivs)
         eta, deta = profile.jet(d)

@@ -72,13 +72,18 @@ def test_chunks_are_whole_sigma_slabs_with_tables():
         assert n.tables[0].shape == (slopes(n),)
         assert all(v.shape == (slopes(n), 1) for v in n.tables[1:])
         rho = koranyi(H1).value(n.z, n.t)
+        gauge, *tables = n.invariants(slope=True)
+        assert gauge is n.rho
         assert rel_gap(np.broadcast_to(n.gauge(), rho.shape), rho) <= 1e-15
-        # the tables are the invariants the nodes' own coordinates give
-        plain = Nodes(n.z, n.t).invariants(rho)
-        for table, point in zip(n.invariants(n.rho), plain):
-            point = point.reshape(n.z.shape[:-1])
+        # the tables are the invariants the nodes' own coordinates give: the
+        # slope exactly as the nodes carry it, |z|^2/rho^2 and t/rho^2 (closed
+        # formulas in the slope) to rounding
+        zn2 = np.sum(n.z * n.z, axis=-1)
+        slope = n.t[..., 0] / zn2
+        for table, point, bound in zip(tables, (zn2 / rho**2, n.t[..., 0] / rho**2, slope),
+                                       (2e-15, 2e-15, 1e-15)):
             table = np.broadcast_to(table.reshape(slopes(n)), point.shape)
-            assert np.max(np.abs(table - point) / np.abs(point)) <= 2e-15
+            assert np.max(np.abs(table - point) / np.abs(point)) <= bound
     # a slab larger than a chunk is a chunk of its own, with its tables
     small = QuadratureSpec(sigma_range=(0.3, 1.8), n_angle=4, psi_nodes=6, chunk=100)
     fine = chunks(small)[:small.n_sigma]
@@ -212,7 +217,7 @@ def test_unit_slice_is_the_chart_at_radius_one():
             assert unit.z.shape == (1, tab.cos.size, tab.lam.size, 2)
             assert unit.t.shape == (1, tab.cos.size, tab.lam.size, 1)
             assert unit.rho.tolist() == [[[1.0]]] and unit.unit is None
-            assert unit.tables[2][:, 0].tolist() == tab.lam.tolist()
+            assert unit.tables[2].base is tab.lam
             rz = (1.0 + tab.lam**2) ** -0.25
             assert rel_gap(unit.z[0, ..., 0], tab.cos[:, None] * rz) <= 1e-15
             assert rel_gap(unit.z[0, ..., 1], tab.sin[:, None] * rz) <= 1e-15
