@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .bounds import bound_row, hardy_target
 from .groups import Point, heisenberg, heisenberg_product, nonisotropic
-from .norms import TWO_PI, _cc_frame_grad, cc_polar_arrays, cc_value_arrays, make_norm
-from .zfield import (ScanRangeError, ZFieldSpec, cc_profile_max, g_cc,
+from .norms import _cc_frame_grad, _cc_polar_rows, make_norm
+from .zfield import (SOBOL_MAX_DIM, ScanRangeError, ZFieldSpec, cc_profile_max, g_cc,
                      koranyi_profile_max, z_profile_koranyi)
 from .verify import (QuadratureSpec, Report, check_ibp_identity, counterexample_scan,
                      hardy_quotient, product_check, radial_bump, random_bump,
@@ -36,7 +36,9 @@ from .verify.checks import TooFewSamplesError
 from .verify.quadrature import NonFiniteIntegrandError, has_chart
 
 DEFAULT_SEED = 2024
-# each bounds row lists the group's lambdas, so its size grows with --n
+# each bounds row lists the group's couplings: the n lambdas of H^n, or the
+# N x nN matrix of (H^n)^N.  Both are capped at MAX_BOUNDS_N entries, so that
+# a product row prints no more than the largest H^n row (about 18 kB of JSON)
 MAX_BOUNDS_N = 1000
 # the Gauss rule of n sigma nodes is built from an n x n matrix, and the
 # supz profile holds and prints every node
@@ -262,6 +264,10 @@ def _meta(args, command):
 def cmd_bounds(args) -> int:
     if args.n > MAX_BOUNDS_N:
         raise UsageError(f"--n {args.n}: bounds tabulates at most {MAX_BOUNDS_N} blocks")
+    if (args.group == "product" and min(args.n, args.N) >= 1
+            and args.n * args.N**2 > MAX_BOUNDS_N):
+        raise UsageError(f"--n {args.n} --N {args.N}: a bounds row of (H^n)^N lists its "
+                         f"N x nN couplings, at most {MAX_BOUNDS_N}")
     if not args.p >= 2.0:
         # checked here because the default theta grid divides Q by p
         raise UsageError(f"--p {args.p:g}: p must be >= 2")
@@ -379,6 +385,11 @@ def _check_verify_args(args, group):
             raise UsageError(f"--theta {args.theta_value:g}: verify product needs theta >= 0")
         if args.p < 2:
             raise UsageError(f"--p {args.p:g}: verify product needs p >= 2")
+        # checked before (H^n)^N, an N x nN matrix, is built
+        dim = (2 * args.n + 1) * args.N
+        if dim > SOBOL_MAX_DIM:
+            raise UsageError(f"--n {args.n} --N {args.N}: the scan of (H^n)^N draws "
+                             f"2nN + N = {dim} Sobol dimensions, at most {SOBOL_MAX_DIM}")
     if args.check == "sharpness":
         eps = _parse_floats(args.eps, "--eps")
         # one point fits C/log(1/eps) exactly, so the fit needs two
@@ -472,20 +483,18 @@ def cmd_cc(args) -> int:
         raise UsageError("the origin has no polar data")
     # the polar chart reads |z|^2, away from the center; where the slope
     # t/|z|^2 overflows it takes 2pi - |nu| from |z| and t
+    z = x.z[None]
     with np.errstate(all="ignore"):
-        zn2 = x.z @ x.z
-    if not x.on_center() and zn2 < np.finfo(float).tiny:
+        zn2 = np.sum(z * z, axis=-1)
+    if not x.on_center() and zn2[0] < np.finfo(float).tiny:
         raise UsageError(f"--point {args.point}: |z|^2 underflows double precision")
     _check_finite(f"--point {args.point}", zn2)
-    z = x.z[None]
-    if x.on_center():
-        # the polar chart degenerates on the center: nu = +-2pi by convention
-        nu, r = np.copysign([TWO_PI], x.t), cc_value_arrays(z, x.t)
-    else:
-        # one polar inversion gives r, nu, the frame gradient and d/dt = nu/(4r)
-        nu, r, a, b = cc_polar_arrays(z, x.t)
+    # one polar inversion gives r, nu, the frame gradient and d/dt = nu/(4r);
+    # on the center it gives r = sqrt(pi |t|), nu = +-2pi and NaN for a and b,
+    # where the gauge has no gradient
+    nu, r, a, b = _cc_polar_rows(z, x.t, zn2)
     result = {"point": coords, "cc_value": float(r[0]), "r": float(r[0]), "nu": float(nu[0])}
-    if not x.on_center():
+    if not np.isnan(a).any():
         grad = _cc_frame_grad(nu, a, b)[0]
         result.update(hgrad=grad.tolist(), hgrad_norm=float(np.linalg.norm(grad)),
                       dt=float((nu / (4.0 * r))[0]))

@@ -15,7 +15,10 @@ eigenvalues 4) is computed through polar coordinates (a + ib, nu, r) with
 (limit (a r, b r, 0) at nu = 0), where the distance of the image point is
 exactly r.  Inversion solves mu(nu) := (nu - sin nu)/(1 - cos nu) = t/|z|^2,
 which is odd and strictly increasing on (-2pi, 2pi), then recovers r and
-(a, b) by undoing the planar rotation on each block.
+(a, b) by undoing the planar rotation on each block.  Where the slope
+t/|z|^2 is not finite, on the center {z = 0} and where |z|^2 < |t|/DBL_MAX,
+one pole branch takes nu = +-2pi and r = sqrt(pi |t|), the distance of the
+center, for the value, the polar data and the CLI alike.
 """
 
 from __future__ import annotations
@@ -186,17 +189,10 @@ def cc_polar_arrays(z: Array, t: Array):
     t is the single vertical coordinate with shape matching z[..., 0].
     """
     z = np.asarray(z, dtype=float)
-    t = np.asarray(t, dtype=float)
     zn2 = np.sum(z * z, axis=-1)
     if np.any(zn2 == 0.0):
         raise CenterError("polar inversion is undefined on the center {z = 0}")
-    try:
-        with np.errstate(over="raise"):
-            m = t / zn2
-    except FloatingPointError:
-        return _cc_polar_steep(z, t, zn2)
-    nu, inv_sinc, cot = _cc_slope(m)
-    return _cc_polar(z, _z_norm(z, zn2) * inv_sinc, nu, cot)
+    return _cc_polar_rows(z, t, zn2)
 
 
 def _cc_polar(z: Array, r: Array, nu: Array, cot: Array):
@@ -224,32 +220,40 @@ def _z_norm(z: Array, zn2: Array) -> Array:
     return zn
 
 
-def _cc_polar_steep(z: Array, t: Array, zn2: Array):
-    """``cc_polar_arrays`` where the slope t/|z|^2 overflows on some entries.
+def _cc_polar_rows(z: Array, t: Array, zn2: Array):
+    """(nu, r, a, b) at every row (z, t) with |z|^2 = zn2, the center included.
 
-    There |z|^2 < |t|/DBL_MAX, and the pole asymptotics
-    t/|z|^2 = 4pi/delta^2 + pi/3 + O(delta) put delta = 2pi - |nu| =
-    2 sqrt(pi) |z|/sqrt(|t|) below 3e-154.  To double precision nu is then
-    +-2pi, r = |z| (nu/2)/sin(nu/2) is sqrt(pi |t|), the center's value, and
-    cos(nu/2) = -1 in a = cos(nu/2) z_odd/|z| - (nu/2) z_even/r and
-    b = (nu/2) z_odd/r + cos(nu/2) z_even/|z|.
+    Rows whose slope t/|z|^2 is finite take the polar inversion.  The others
+    take the pole branch: the center, and rows with |z|^2 < |t|/DBL_MAX,
+    where the pole asymptotics t/|z|^2 = 4pi/delta^2 + pi/3 + O(delta) put
+    delta = 2pi - |nu| = 2 sqrt(pi) |z|/sqrt(|t|) below 3e-154.  To double
+    precision nu is then +-2pi, r = |z| (nu/2)/sin(nu/2) is sqrt(pi |t|), the
+    distance of the center, and cos(nu/2) = -1 in
+    a = cos(nu/2) z_odd/|z| - (nu/2) z_even/r and
+    b = (nu/2) z_odd/r + cos(nu/2) z_even/|z|; on the center a and b are NaN.
     """
-    zn2 = np.asarray(zn2)
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m = t / zn2
+    pole = ~np.isfinite(m)
+    if not np.any(pole):
+        nu, inv_sinc, cot = _cc_slope(m)
+        return _cc_polar(z, _z_norm(z, zn2) * inv_sinc, nu, cot)
     t = np.broadcast_to(t, zn2.shape)
-    with np.errstate(over="ignore"):
-        steep = np.isinf(t / zn2)
     nu, r = np.empty(zn2.shape), np.empty(zn2.shape)
     a, b = np.empty(z[..., 0::2].shape), np.empty(z[..., 0::2].shape)
-    rest = ~steep
+    rest = ~pole
     if np.any(rest):
-        nu[rest], r[rest], a[rest], b[rest] = cc_polar_arrays(z[rest], t[rest])
-    ts, zs = t[steep], z[steep]
+        nu[rest], r[rest], a[rest], b[rest] = _cc_polar_rows(z[rest], t[rest], zn2[rest])
+    ts, zs = t[pole], z[pole]
     x = np.copysign(np.pi, ts)
     rs = _center_value(ts)
-    nu[steep], r[steep] = 2.0 * x, rs
-    inv_z, x_r = 1.0 / _z_norm(zs, zn2[steep])[:, None], (x / rs)[:, None]
-    a[steep] = -zs[:, 0::2] * inv_z - x_r * zs[:, 1::2]
-    b[steep] = x_r * zs[:, 0::2] - zs[:, 1::2] * inv_z
+    nu[pole], r[pole] = 2.0 * x, rs
+    # on the center 1/|z| is inf, and a and b come out NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_z, x_r = 1.0 / _z_norm(zs, zn2[pole])[:, None], (x / rs)[:, None]
+        a[pole] = -zs[:, 0::2] * inv_z - x_r * zs[:, 1::2]
+        b[pole] = x_r * zs[:, 0::2] - zs[:, 1::2] * inv_z
     return nu, r, a, b
 
 
@@ -267,17 +271,7 @@ def _center_value(t: Array) -> Array:
 def cc_value_arrays(z: Array, t: Array) -> Array:
     """Carnot-Caratheodory distance, extended by sqrt(pi |t|) on the center."""
     z = np.asarray(z, dtype=float)
-    t = np.asarray(t, dtype=float)
-    zn2 = np.sum(z * z, axis=-1)
-    out = np.empty(np.broadcast(zn2, t).shape)
-    center = zn2 == 0.0
-    if np.any(center):
-        out[center] = _center_value(np.broadcast_to(t, out.shape)[center])
-    off = ~center
-    if np.any(off):
-        _, r, _, _ = cc_polar_arrays(z[off], np.broadcast_to(t, out.shape)[off])
-        out[off] = r
-    return out
+    return _cc_polar_rows(z, t, np.sum(z * z, axis=-1))[1]
 
 
 def cc_dt_arrays(z: Array, t: Array) -> Array:

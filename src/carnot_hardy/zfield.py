@@ -1,16 +1,19 @@
 """The horizontal substitute for the Euler field and its sup-norm.
 
-For a homogeneous gauge d on a single-vertical group the field is
+For a homogeneous gauge d the field is
 
-    Z_d = (n+1)/n * z/d - (2 p theta / n) * (t/d^2) * sum_i (1/lam_i) P_i grad d,
+    Z_d = (n+1)/n * z/d - (2 p theta / n) * sum_i (t_j(i)/d^2) (1/lam_i) P_i grad d,
 
 where P_i is the quarter-turn on the i-th horizontal 2-plane sending
-(X_{2i-1} d, X_{2i} d) to (-X_{2i} d, X_{2i-1} d).  The group picks the
-formula: one vertical direction takes the one above, and several take that
-of a product of Heisenberg groups (see ``z_field_components``); no other
-multi-vertical group has a field here.  |Z_d| is homogeneous of degree zero,
-so its supremum is a profile maximum in one scalar parameter wherever the
-gauge has enough symmetry, and a sampled lower bound otherwise.
+(X_{2i-1} d, X_{2i} d) to (-X_{2i} d, X_{2i-1} d), lam_i is the coupling of
+that block, j(i) is the vertical direction it couples to, and n is the
+number of blocks per vertical direction.  One formula serves every group
+here: a group with one vertical direction, where n is its number of blocks,
+and a product of Heisenberg groups (H^n)^N, where lam_i = 4 and each factor
+is one vertical direction; no other multi-vertical group has a field here.
+|Z_d| is homogeneous of degree zero, so its supremum is a profile maximum in
+one scalar parameter wherever the gauge has enough symmetry, and a sampled
+lower bound otherwise.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from .norms import NormModel
 
 @dataclass(frozen=True, eq=False)
 class ZFieldSpec:
-    """The tuple (group, norm, p, theta).  A group with one vertical
-    direction takes the single-vertical field, and one with several must be
-    a product of Heisenberg groups (H^n)^N and takes the product field."""
+    """The tuple (group, norm, p, theta).  A group with several vertical
+    directions must be a product of Heisenberg groups (H^n)^N, whose blocks
+    each couple to one vertical direction."""
 
     group: StepTwoGroup
     norm: NormModel
@@ -41,7 +44,7 @@ class ZFieldSpec:
             raise ValueError("p and theta must be finite")
         if self.p < 2:
             raise ValueError("p must be >= 2")
-        g = self.group      # the product formula hard-codes the coupling 4
+        g = self.group      # each block couples to one direction, n blocks in a row
         if g.h > 1 and (g.n % g.h or not np.array_equal(
                 g.couplings, heisenberg_product(g.n // g.h, g.h).couplings)):
             raise ValueError("a group with several vertical directions needs to be "
@@ -52,7 +55,8 @@ class ZFieldSpec:
         return self.p * self.theta
 
     def factor_blocks(self) -> int:
-        """Blocks per Heisenberg factor: the n of (H^n)^N."""
+        """Blocks per vertical direction: the n of the field's formula, and
+        of (H^n)^N."""
         return self.group.n // self.group.h
 
 
@@ -89,11 +93,10 @@ def z_field_components(spec: ZFieldSpec, z: Array, t: Array,
                        d: Optional[Array] = None, g: Optional[Array] = None) -> Array:
     """Batched frame components of Z_d; z (..., 2n), t (..., h).
 
-    One vertical direction takes the formula of the module docstring.  On
-    (H^n)^N the slots of factor j take
-    (n+1)/n z/d - (p theta/(2n)) (t_j/d^2) P grad d.  The gauge d and its
-    frame gradient g at (z, t) come from one pass of the gauge's jet unless
-    the caller hands in both.
+    The formula of the module docstring on every group: the slots of each
+    block take the coupling lam_i of that block and the t_j of the vertical
+    direction it couples to.  The gauge d and its frame gradient g at (z, t)
+    come from one pass of the gauge's jet unless the caller hands in both.
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -103,29 +106,22 @@ def z_field_components(spec: ZFieldSpec, z: Array, t: Array,
             d, g = spec.norm.jet(Nodes(z, t))
     if np.any(d <= 0.0):
         raise ValueError("Z_d needs d > 0 (point away from the origin)")
-    pg = _block_perp(g)
-
-    # both fields are built in place, in the order of operations of
-    # radial - coef * pg (lam2 or t_slot)
-    if spec.group.h == 1:
-        n = spec.group.n
-        lam2 = np.repeat(spec.group.lambdas, 2)
-        radial = (n + 1) / n * z
-        radial /= d[..., None]
-        t1 = t[..., 0]
-        pg /= lam2
-        pg *= (2.0 * spec.ptheta / n) * (t1 / d**2)[..., None]
-        radial -= pg
-        return radial
-
-    fn = spec.factor_blocks()
-    radial = (fn + 1) / fn * z
+    n = spec.factor_blocks()
+    # built in place, in the order of operations of
+    # radial - (pg / lam) * ((2 p theta / n) * (t_j / d^2))
+    radial = (n + 1) / n * z
     radial /= d[..., None]
-    # slot -> owning factor: t_j multiplies the perp gradient of factor j
-    t_slot = np.repeat(t, 2 * fn, axis=-1)
-    t_slot *= (spec.ptheta / (2.0 * fn)) * (1.0 / d**2)[..., None]
-    t_slot *= pg
-    radial -= t_slot
+    pg = _block_perp(g)
+    lam = spec.group.couplings.max(axis=0)
+    # equal couplings (H^n, (H^n)^N) divide as one scalar, in one long loop
+    # instead of a short one per row
+    pg /= lam[0] if np.all(lam == lam[0]) else np.repeat(lam, 2)
+    # t_j / d^2 once per vertical direction and scaled, then spread onto the
+    # 2n consecutive slots of its blocks
+    tj = t / (d**2)[..., None]
+    tj *= 2.0 * spec.ptheta / n
+    pg *= np.repeat(tj, 2 * n, axis=-1)
+    radial -= pg
     return radial
 
 
@@ -277,21 +273,6 @@ def cc_profile_max(Q: float, p: float, theta: float):
 
 
 ZOOM_POINTS = 33
-# 0, 1, ..., ZOOM_POINTS - 1: np.linspace's own multipliers of the step
-_ZOOM_STEPS = np.arange(ZOOM_POINTS, dtype=float)
-_ZOOM_STEPS.flags.writeable = False
-
-
-def _zoom_grid(a: float, b: float) -> Array:
-    """np.linspace(a, b, ZOOM_POINTS), bit for bit, by its own arithmetic;
-    a zero step (a = b, or a denormal width) is left to np.linspace."""
-    step = (b - a) / (ZOOM_POINTS - 1)
-    if step == 0:
-        return np.linspace(a, b, ZOOM_POINTS)
-    s = _ZOOM_STEPS * step
-    s += a
-    s[-1] = b
-    return s
 
 
 def bracket_zoom_max(f, lo: float, hi: float, tol: float = 1e-12):
@@ -307,7 +288,7 @@ def bracket_zoom_max(f, lo: float, hi: float, tol: float = 1e-12):
     a, b = float(lo), float(hi)
     best_s, best_v = a, -np.inf
     while True:
-        s = _zoom_grid(a, b)
+        s = np.linspace(a, b, ZOOM_POINTS)
         v = f(s)
         i = int(np.argmax(v))
         if v[i] > best_v:

@@ -15,9 +15,11 @@ phi chart of the quadrature, the Monte Carlo estimate with every integrand
 evaluated on every draw of the gauge ball pins the bits of the package's
 windowed sums, and the cc profile's dense scan, written out
 with np.linspace and the series on every call, pins the bits of the
-package's table-driven scan.  The paper's printed Koranyi, generalized
-Koranyi and product bounds are the references for the bounds rows, which
-divide the target by the sup they report.
+package's table-driven scan.  Z_d written out per kind of group, one
+vertical direction or a Heisenberg product, each in its own order of
+operations, is the reference for the package's one formula.  The paper's
+printed Koranyi, generalized Koranyi and product bounds are the references
+for the bounds rows, which divide the target by the sup they report.
 """
 
 from __future__ import annotations
@@ -253,6 +255,30 @@ def extremal_residual(spec: ZFieldSpec, x: Point) -> float:
     pair = float(gu[0] @ zc)
     return abs(pair / d ** (spec.theta - 1.0)
                + (spec.group.Q - spec.ptheta) / spec.p * uval[0] / d**spec.theta)
+
+
+# ---------------------------------------------------------------------------
+# the Z field, written out per kind of group
+# ---------------------------------------------------------------------------
+
+def z_field_single_vertical(spec: ZFieldSpec, z: Array, t: Array) -> Array:
+    """Z_d on a group with one vertical direction, in its own order of
+    operations: (n+1)/n z/d - (2 p theta/n) (t/d^2) sum_i (1/lam_i) P_i grad d."""
+    n = spec.group.n
+    d, g = spec.norm.jet(Nodes(z, t))
+    pg = _block_perp(g)
+    pg /= np.repeat(spec.group.lambdas, 2)
+    pg *= (2.0 * spec.ptheta / n) * (t[..., 0] / d**2)[..., None]
+    return (n + 1) / n * z / d[..., None] - pg
+
+
+def z_field_heisenberg_product(spec: ZFieldSpec, z: Array, t: Array) -> Array:
+    """Z_d on (H^n)^N, in its own order of operations: the slots of factor j
+    take (n+1)/n z/d - (p theta/(2n)) (t_j/d^2) P grad d."""
+    n = spec.factor_blocks()
+    d, g = spec.norm.jet(Nodes(z, t))
+    t_slot = np.repeat(t, 2 * n, axis=-1) * ((spec.ptheta / (2.0 * n)) * (1.0 / d**2))[..., None]
+    return (n + 1) / n * z / d[..., None] - t_slot * _block_perp(g)
 
 
 # ---------------------------------------------------------------------------

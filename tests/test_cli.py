@@ -332,13 +332,17 @@ def test_bounds_rows_are_bound_row(argv, spec, branch, capsys):
 
 
 def test_bounds_n_has_a_stated_maximum(monkeypatch, capsys):
-    # the check comes before the group is built: nothing large is started
+    # the check comes before the group is built: nothing large is started.
+    # A row of (H^n)^N lists its N x nN couplings, as many as H^n's n
     def never(args):
         raise AssertionError("the group was built")
 
     monkeypatch.setattr(cli, "_make_group", never)
     for n in (cli.MAX_BOUNDS_N + 1, 10**8):
         assert_usage_error(["bounds", "--n", str(n)], capsys)
+    for N in (32, 10**8):
+        assert_usage_error(["bounds", "--group", "product", "--n", "1", "--N", str(N),
+                            "--theta", "1"], capsys)
 
 
 def test_couplings_near_four_are_not_heisenberg(capsys):
@@ -420,6 +424,7 @@ def test_product_sizes_have_their_own_usage_message(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "product", "--n", "32", "--N", "1"],
     ["verify", "product", "--n", "1", "--N", "22"],
+    ["verify", "product", "--n", "1", "--N", "100000000"],
     ["bounds", "--group", "product", "--n", "32", "--N", "2", "--p", "2", "--theta", "200"],
     ["bounds", "--group", "nonisotropic", "--lambdas", ",".join(["1"] * 32),
      "--norm", "koranyi"],
@@ -427,7 +432,8 @@ def test_product_sizes_have_their_own_usage_message(argv, capsys):
     ["verify", "product", "--samples-log2", "31"],
 ])
 def test_scans_beyond_the_sobol_draw_are_usage_errors(argv, capsys):
-    # 65 dimensions and more, or more than 2^30 points: rejected before any draw
+    # 65 dimensions and more, or more than 2^30 points: rejected before any
+    # draw, and the dimensions of verify product before its N x nN group
     assert_usage_error(argv, capsys)
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from carnot_hardy import (CenterError, Point, balogh_tyson, cc, heisenberg,
                           heisenberg_product, koranyi, koranyi_b, nonisotropic)
-from carnot_hardy.norms import cc_polar_arrays, solve_mu_inverse, symplectic_norm_sq_arrays
+from carnot_hardy.norms import (cc_polar_arrays, cc_value_arrays, solve_mu_inverse,
+                                symplectic_norm_sq_arrays)
 from carnot_hardy.verify.quadrature import Nodes, QuadratureSpec, _chunks, has_chart
 from oracles import (at_point, cc_from_polar, equivalence_ratio_range, hgrad_batch,
                      reconstruction_defect_arrays, rotation_defect_arrays)
@@ -248,6 +249,31 @@ def test_cc_hgrad_has_unit_length_where_z_squared_is_subnormal(g, z, t):
     assert abs(np.linalg.norm(grad) - 1.0) <= 4 * np.spacing(1.0)
     _, _, a, b = cc_polar_arrays(z, tt[:, 0])
     assert abs(np.sum(a**2 + b**2) - 1.0) <= 4 * np.spacing(1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cc_rows_of_a_mixed_batch_keep_their_one_row_bits():
+    # the center, a slope that overflows and regular rows in one batch: each
+    # row has the bits of its one-row batch, in the value and, off the
+    # center, in the polar data
+    rng = np.random.default_rng(40)
+    z = np.concatenate([[[0.0, 0.0], [1e-150, 0.0]], rng.normal(size=(6, 2)),
+                        [[0.0, 0.0], [3e-170, 1e-160]]])
+    t = np.concatenate([[1.0, 1e10], 2.0 * rng.normal(size=6), [-1e300, -1e-5]])
+    steep = [1, 9]
+    with np.errstate(over="ignore"):
+        assert np.all(np.isinf(t[steep] / np.sum(z[steep] ** 2, axis=-1)))
+    value = cc_value_arrays(z, t)
+    off = np.sum(z * z, axis=-1) > 0.0
+    assert list(np.flatnonzero(~off)) == [0, 8]
+    polar = cc_polar_arrays(z[off], t[off])
+    for i in range(len(z)):
+        assert value[i].tobytes() == cc_value_arrays(z[i:i + 1], t[i:i + 1]).tobytes()
+    for k, i in enumerate(np.flatnonzero(off)):
+        one = cc_polar_arrays(z[i:i + 1], t[i:i + 1])
+        for batched, alone in zip(polar, one):
+            assert batched[k:k + 1].tobytes() == alone.tobytes(), (i, batched, alone)
+    assert np.all(value[~off] == np.sqrt(np.pi * np.abs(t[~off])))
 
 
 def test_cc_from_polar_examples():

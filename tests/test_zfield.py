@@ -13,7 +13,8 @@ from carnot_hardy import (CenterError, Point, StepTwoGroup, ZFieldSpec, balogh_t
                           z_profile_koranyi)
 from carnot_hardy.norms import symplectic_norm_sq_arrays
 from carnot_hardy.zfield import bracket_zoom_max, z_field_components
-from oracles import at_point, cc_from_polar
+from oracles import (at_point, cc_from_polar, z_field_heisenberg_product,
+                     z_field_single_vertical)
 
 H1 = heisenberg(1)
 
@@ -176,24 +177,6 @@ def test_cc_scan_table_is_read_only_and_has_no_series_node():
         assert not arr.flags.writeable
 
 
-def test_zoom_grid_is_linspace_to_the_bit():
-    from carnot_hardy.zfield import ZOOM_POINTS, _zoom_grid
-    rng = np.random.default_rng(36)
-    a = rng.uniform(-10.0, 10.0, 200) * 10.0 ** rng.integers(-8, 8, 200)
-    brackets = list(zip(a, a + rng.uniform(0.0, 1.0, 200) * 10.0 ** rng.integers(-12, 3, 200)))
-    # a few ulps wide, denormal widths (a zero step), zero width
-    brackets += [(x, np.nextafter(x, np.inf)) for x in (1.0, -3.5, 1e6, 0.0)]
-    brackets += [(x, np.nextafter(np.nextafter(x, np.inf), np.inf)) for x in (0.7, -1e-3)]
-    brackets += [(0.0, 5e-324), (-1e-310, 1e-310), (0.0, 0.0), (2.5, 2.5), (-0.0, 0.0)]
-    for lo, hi in brackets:
-        lo, hi = float(lo), float(hi)
-        got = _zoom_grid(lo, hi)
-        assert _same_bits(got, np.linspace(lo, hi, ZOOM_POINTS)), (lo, hi)
-        # the zoom hands its later brackets over as NumPy scalars
-        got = _zoom_grid(np.float64(lo), np.float64(hi))
-        assert _same_bits(got, np.linspace(np.float64(lo), np.float64(hi), ZOOM_POINTS))
-
-
 def test_importing_the_package_builds_no_cc_table():
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import carnot_hardy, carnot_hardy.cli, carnot_hardy.verify\n"
@@ -281,6 +264,48 @@ def test_product_field_reduces_to_single_on_one_factor():
         assert np.allclose(got[:, :2], z_field_components(spec_s, z1, t1),
                            rtol=1e-13, atol=0.0)
         assert not np.any(got[:, 2:])
+
+
+# (p, theta) of the field tests: p theta of both signs, small and large
+FIELD_P_THETA = [(2.0, 1.0), (3.0, -0.7), (2.5, 6.0), (7.0, 0.3), (2.0, -4.0), (4.0, 20.0)]
+
+
+def _field_rows(rng, group, rows=500):
+    """Random (z, t) rows of ``group`` over four decades of scale."""
+    z = rng.normal(size=(rows, 2 * group.n)) * rng.uniform(0.01, 10.0, (rows, 1))
+    return z, 3.0 * rng.normal(size=(rows, group.h))
+
+
+@pytest.mark.parametrize("group, make", [
+    (H1, koranyi), (H1, cc), (heisenberg(2), koranyi), (heisenberg(2), cc),
+    (nonisotropic([1.0, 3.0]), koranyi), (nonisotropic([1.0, 3.0]), koranyi_b),
+    (nonisotropic([0.5, 1.0]), balogh_tyson)],
+    ids=["H1-koranyi", "H1-cc", "H2-koranyi", "H2-cc", "lam13-koranyi", "lam13-koranyi_b",
+         "balogh_tyson"])
+def test_one_field_keeps_the_single_vertical_bits(group, make):
+    # one vertical direction: the one formula in the order of operations of
+    # the single-vertical field, bit for bit
+    rng = np.random.default_rng(38)
+    for p, theta in FIELD_P_THETA:
+        spec = ZFieldSpec(group, make(group), p, theta)
+        z, t = _field_rows(rng, group)
+        got = z_field_components(spec, z, t)
+        assert got.tobytes() == z_field_single_vertical(spec, z, t).tobytes(), (p, theta)
+
+
+@pytest.mark.parametrize("n, N", [(1, 2), (2, 3), (3, 2)])
+def test_one_field_is_the_product_field(n, N):
+    # on (H^n)^N the one formula, with lam = 4, is the product field up to
+    # rounding: within 8 ulps of each row's largest component
+    group = heisenberg_product(n, N)
+    rng = np.random.default_rng(39)
+    for p, theta in FIELD_P_THETA:
+        spec = ZFieldSpec(group, koranyi(group), p, theta)
+        z, t = _field_rows(rng, group, rows=2000)
+        got = z_field_components(spec, z, t)
+        ref = z_field_heisenberg_product(spec, z, t)
+        ulp = np.spacing(np.max(np.abs(ref), axis=-1))[:, None]
+        assert np.all(np.abs(got - ref) <= 8.0 * ulp), (p, theta)
 
 
 def test_z_field_norm_is_linalg_norm_to_the_bit():
