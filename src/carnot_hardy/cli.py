@@ -490,11 +490,11 @@ def cmd_cc(args) -> int:
         raise UsageError(f"--point {args.point}: |z|^2 underflows double precision")
     _check_finite(f"--point {args.point}", zn2)
     # one polar inversion gives r, nu, the frame gradient and d/dt = nu/(4r);
-    # on the center it gives r = sqrt(pi |t|), nu = +-2pi and NaN for a and b,
-    # where the gauge has no gradient
+    # on the center it gives r = sqrt(pi |t|) and nu = +-2pi, and the gauge
+    # has no gradient there
     nu, r, a, b = _cc_polar_rows(z, x.t, zn2)
     result = {"point": coords, "cc_value": float(r[0]), "r": float(r[0]), "nu": float(nu[0])}
-    if not np.isnan(a).any():
+    if not x.on_center():
         grad = _cc_frame_grad(nu, a, b)[0]
         result.update(hgrad=grad.tolist(), hgrad_norm=float(np.linalg.norm(grad)),
                       dt=float((nu / (4.0 * r))[0]))

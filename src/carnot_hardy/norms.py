@@ -223,9 +223,11 @@ def _z_norm(z: Array, zn2: Array) -> Array:
 def _cc_polar_rows(z: Array, t: Array, zn2: Array):
     """(nu, r, a, b) at every row (z, t) with |z|^2 = zn2, the center included.
 
-    Rows whose slope t/|z|^2 is finite take the polar inversion.  The others
-    take the pole branch: the center, and rows with |z|^2 < |t|/DBL_MAX,
-    where the pole asymptotics t/|z|^2 = 4pi/delta^2 + pi/3 + O(delta) put
+    Two kinds of rows take the pole branch: the center, and rows with finite
+    t and |z|^2 < |t|/DBL_MAX, whose slope t/|z|^2 overflows.  The others
+    take the polar inversion, which rejects a non-finite slope, so a NaN or
+    infinite t off the center raises ValueError.  At the steep rows the
+    pole asymptotics t/|z|^2 = 4pi/delta^2 + pi/3 + O(delta) put
     delta = 2pi - |nu| = 2 sqrt(pi) |z|/sqrt(|t|) below 3e-154.  To double
     precision nu is then +-2pi, r = |z| (nu/2)/sin(nu/2) is sqrt(pi |t|), the
     distance of the center, and cos(nu/2) = -1 in
@@ -235,7 +237,7 @@ def _cc_polar_rows(z: Array, t: Array, zn2: Array):
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         m = t / zn2
-    pole = ~np.isfinite(m)
+    pole = (zn2 == 0.0) | (np.isinf(m) & np.isfinite(t))
     if not np.any(pole):
         nu, inv_sinc, cot = _cc_slope(m)
         return _cc_polar(z, _z_norm(z, zn2) * inv_sinc, nu, cot)

@@ -112,10 +112,7 @@ def z_field_components(spec: ZFieldSpec, z: Array, t: Array,
     radial = (n + 1) / n * z
     radial /= d[..., None]
     pg = _block_perp(g)
-    lam = spec.group.couplings.max(axis=0)
-    # equal couplings (H^n, (H^n)^N) divide as one scalar, in one long loop
-    # instead of a short one per row
-    pg /= lam[0] if np.all(lam == lam[0]) else np.repeat(lam, 2)
+    pg /= np.repeat(spec.group.couplings.max(axis=0), 2)
     # t_j / d^2 once per vertical direction and scaled, then spread onto the
     # 2n consecutive slots of its blocks
     tj = t / (d**2)[..., None]

@@ -276,6 +276,19 @@ def test_cc_rows_of_a_mixed_batch_keep_their_one_row_bits():
     assert np.all(value[~off] == np.sqrt(np.pi * np.abs(t[~off])))
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_cc_rejects_a_non_finite_t_off_the_center(t):
+    # only a finite t over a vanishing |z|^2 is the pole; a NaN or infinite t
+    # beside regular rows is an input error, as in a batch of its own
+    z = np.array([[1.0, 0.0], [0.3, -2.0], [0.0, 0.0]])
+    tt = np.array([0.5, t, 1.0])
+    for f in (cc_value_arrays, lambda z, t: cc_polar_arrays(z[:2], t[:2])):
+        with pytest.raises(ValueError, match="finite"):
+            f(z, tt)
+        with pytest.raises(ValueError, match="finite"):
+            f(z[1:2], tt[1:2])
+
+
 def test_cc_from_polar_examples():
     x = cc_from_polar([1.0], [0.0], 0.0, 2.0)
     assert np.allclose(x.z, [2.0, 0.0]) and np.allclose(x.t, 0.0)
