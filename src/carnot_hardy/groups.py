@@ -95,15 +95,6 @@ class StepTwoGroup:
     def is_isotropic_heisenberg(self) -> bool:
         return self.h == 1 and bool(np.all(self.couplings[0] == 4.0))
 
-    def bz(self, z: Array) -> Array:
-        """B^(j) z for every vertical direction, shape (..., h, 2n)."""
-        z = np.asarray(z, dtype=float)
-        lam = np.repeat(self.couplings, 2, axis=1)          # (h, 2n)
-        out = np.empty(z.shape[:-1] + (self.h, 2 * self.n))
-        out[..., :, 0::2] = z[..., None, 1::2]
-        out[..., :, 1::2] = -z[..., None, 0::2]
-        return out * lam
-
     def describe(self) -> dict:
         return {"n": self.n, "h": self.h, "Q": self.Q,
                 "couplings": self.couplings.tolist()}
@@ -152,33 +143,6 @@ class Point:
 
     def is_origin(self) -> bool:
         return self.on_center() and not np.any(self.t)
-
-
-def _check_dims(g: StepTwoGroup, x: Point):
-    if x.z.shape[0] != 2 * g.n or x.t.shape[0] != g.h:
-        raise ValueError(f"point of shape ({x.z.shape[0]}, {x.t.shape[0]}) "
-                         f"does not fit a group with (2n, h) = ({2*g.n}, {g.h})")
-
-
-def group_law(g: StepTwoGroup, x: Point, y: Point) -> Point:
-    """x o y = (z + eta, t + tau + <Bz, eta>/2), one entry per vertical direction."""
-    _check_dims(g, x)
-    _check_dims(g, y)
-    cross = 0.5 * (g.bz(x.z) @ y.z)
-    return Point(x.z + y.z, x.t + y.t + cross)
-
-
-def group_inverse(g: StepTwoGroup, x: Point) -> Point:
-    _check_dims(g, x)
-    return Point(-x.z, -x.t)
-
-
-def dilate(g: StepTwoGroup, gamma: float, x: Point) -> Point:
-    """delta_gamma(z, t) = (gamma z, gamma^2 t)."""
-    _check_dims(g, x)
-    if not (gamma > 0):
-        raise ValueError("dilation parameter must be positive")
-    return Point(gamma * x.z, gamma * gamma * x.t)
 
 
 def frame(z: Array, P: Array, R: Array) -> Array:

@@ -18,7 +18,7 @@ lower bound otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -66,19 +66,20 @@ class SupResult:
 
     ``arg`` is the profile parameter (lambda or nu) for closed-form and
     scanned suprema, or the best sample point (z, t) for multistart runs.
-    ``branch`` is the branch of ``koranyi_profile_max`` that decided a closed
-    Koranyi-type sup, "endpoint" or "interior", and None for every other sup.
+    ``branch`` is the label of the bounds row that divides by this sup, and
+    ``checks`` the conditions that chose it: "first" or "second" for the
+    endpoint or interior maximum of a closed Koranyi profile, "closed" or
+    "numeric" for the cc distance inside or outside the paper's window,
+    "product" or "condition_failed" for a product whose hypothesis holds or
+    fails, and "generic" for every other sampled sup.
     """
 
     sup_value: float
     arg: object
     method: str
     samples: int = 0
-    branch: Optional[str] = None
-
-    @property
-    def sup_sq(self) -> float:
-        return self.sup_value ** 2
+    branch: str = "generic"
+    checks: dict = field(default_factory=dict)
 
 
 def _block_perp(v: Array) -> Array:
@@ -234,6 +235,10 @@ def koranyi_profile_max(Q: float, p: float, theta: float):
     return float(alpha), 0.0, "endpoint"
 
 
+# the paper's closed cc window: for theta >= 0 and Q >= CC_COEFF p theta the
+# maximum of g sits at nu = 0, with value (Q/(Q-2))^2
+CC_COEFF = 4.0 / (12.0 - np.pi**2)
+
 # nodes of the dense scan of g on [-2pi, 2pi] before the bracket zoom
 CC_SCAN_NODES = 10**4
 
@@ -252,9 +257,9 @@ def _cc_scan_table():
 def cc_profile_max(Q: float, p: float, theta: float):
     """Maximum of g over [-2pi, 2pi]: dense scan plus a bracket zoom.
 
-    Returns (max g, argmax nu).  Under theta >= 0 and Q >= 4 p theta/(12-pi^2)
-    the maximum sits at nu = 0 with value (Q/(Q-2))^2; outside that regime no
-    closed form is asserted and the scanned value stands on its own.
+    Returns (max g, argmax nu).  On the window of CC_COEFF the maximum sits at
+    nu = 0 with value (Q/(Q-2))^2, which ``sup_z_norm`` reports without a
+    scan; outside it the scanned value stands on its own.
     """
     coeffs = _cc_coeffs(Q, p, theta)
     nus, *basis = _cc_scan_table()
@@ -586,15 +591,20 @@ def multistart_sup(spec: ZFieldSpec, m: int = 17) -> SupResult:
 
 
 def sup_z_norm(spec: ZFieldSpec) -> SupResult:
-    """sup |Z_d|, by closed profile, dense scan, or multistart sampling.
+    """sup |Z_d|, by closed profile, dense scan, or multistart sampling, with
+    the branch label and condition checks of the row that divides by it.
 
-    * Koranyi on isotropic H^n (and its products under the nonpositivity
-      condition): closed one-parameter profile.
+    * Koranyi on isotropic H^n: closed one-parameter profile, "first" where
+      p theta lies in the window of its endpoint maximum, else "second".
     * generalized Koranyi (single vertical direction): the closed profile in
       the symplectic norm times the frame-equivalence factor 2/sqrt(lam_min),
       which is the constant entering the Hardy bound and dominates the
       Euclidean sup.
-    * cc distance: dense scan of g(nu) on [-2pi, 2pi] plus a bracket zoom.
+    * cc distance: the closed sup Q/(Q-2) on the paper's window theta >= 0,
+      Q >= CC_COEFF p theta ("closed"); outside it a dense scan of g(nu) on
+      [-2pi, 2pi] plus a bracket zoom ("numeric").
+    * Koranyi on (H^n)^N: the closed sup (n+1)/n where the product hypothesis
+      holds ("product"), else multistart ("condition_failed").
     * anything else: quasi-random multistart (a sampled lower bound).
     """
     kind = spec.norm.kind
@@ -604,16 +614,25 @@ def sup_z_norm(spec: ZFieldSpec) -> SupResult:
     if kind == "koranyi_b" or (kind == "koranyi" and spec.group.is_isotropic_heisenberg()):
         sup_sq, lam_star, branch = koranyi_profile_max(Q, p, theta)
         factor = 2.0 / np.sqrt(float(spec.group.lambdas.min()))     # exactly 1 on H^n
+        first = branch == "endpoint"            # the paper's first branch, lam = 0
         return SupResult(float(factor * np.sqrt(sup_sq)), lam_star, "closed_form",
-                         branch=branch)
+                         branch="first" if first else "second",
+                         checks={"ptheta_in_window": first})
 
     if kind == "cc":
+        if theta >= 0 and Q >= CC_COEFF * (p * theta):
+            return SupResult(Q / (Q - 2.0), 0.0, "closed_form", branch="closed",
+                             checks={"closed_branch": True})
         g_hat, nu_hat = cc_profile_max(Q, p, theta)
-        return SupResult(float(np.sqrt(g_hat)), nu_hat, "scan_zoom", samples=CC_SCAN_NODES)
+        return SupResult(float(np.sqrt(g_hat)), nu_hat, "scan_zoom", samples=CC_SCAN_NODES,
+                         branch="numeric", checks={"closed_branch": False})
 
     if kind == "koranyi" and spec.group.h > 1:
         fn = spec.factor_blocks()
-        if all(product_hypothesis(fn, p, theta).values()):
-            return SupResult((fn + 1) / fn, 0.0, "closed_form")
+        checks = product_hypothesis(fn, p, theta)
+        if all(checks.values()):
+            return SupResult((fn + 1) / fn, 0.0, "closed_form", branch="product",
+                             checks=checks)
+        return replace(multistart_sup(spec), branch="condition_failed", checks=checks)
 
     return multistart_sup(spec)

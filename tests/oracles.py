@@ -18,8 +18,10 @@ with np.linspace and the series on every call, pins the bits of the
 package's table-driven scan.  Z_d written out per kind of group, one
 vertical direction or a Heisenberg product, each in its own order of
 operations, is the reference for the package's one formula.  The paper's
-printed Koranyi, generalized Koranyi and product bounds are the references
-for the bounds rows, which divide the target by the sup they report.
+printed Koranyi, generalized Koranyi, cc and product bounds are the
+references for the bounds rows, which divide the target by the sup they
+report.  The group law, its inverse and the dilations, which no command
+evaluates, are the references of the group-law property tests.
 """
 
 from __future__ import annotations
@@ -30,13 +32,53 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from carnot_hardy.groups import (Array, CenterError, Nodes, Point, StepTwoGroup,
-                                 _check_dims)
+from carnot_hardy.groups import Array, CenterError, Nodes, Point, StepTwoGroup
 from carnot_hardy.norms import NormModel, koranyi
 from carnot_hardy.verify.quadrature import (IntegralResult, QuadratureSpec, integrate_many,
                                            koranyi_ball_draws, koranyi_ball_volume)
 from carnot_hardy.verify.testfuncs import TestFunction, _from_jet
 from carnot_hardy.zfield import ZFieldSpec, _block_perp, z_field_components
+
+
+# ---------------------------------------------------------------------------
+# the group law
+# ---------------------------------------------------------------------------
+
+def bz(g: StepTwoGroup, z: Array) -> Array:
+    """B^(j) z for every vertical direction, shape (..., h, 2n)."""
+    z = np.asarray(z, dtype=float)
+    lam = np.repeat(g.couplings, 2, axis=1)          # (h, 2n)
+    out = np.empty(z.shape[:-1] + (g.h, 2 * g.n))
+    out[..., :, 0::2] = z[..., None, 1::2]
+    out[..., :, 1::2] = -z[..., None, 0::2]
+    return out * lam
+
+
+def _check_dims(g: StepTwoGroup, x: Point):
+    if x.z.shape[0] != 2 * g.n or x.t.shape[0] != g.h:
+        raise ValueError(f"point of shape ({x.z.shape[0]}, {x.t.shape[0]}) "
+                         f"does not fit a group with (2n, h) = ({2*g.n}, {g.h})")
+
+
+def group_law(g: StepTwoGroup, x: Point, y: Point) -> Point:
+    """x o y = (z + eta, t + tau + <Bz, eta>/2), one entry per vertical direction."""
+    _check_dims(g, x)
+    _check_dims(g, y)
+    cross = 0.5 * (bz(g, x.z) @ y.z)
+    return Point(x.z + y.z, x.t + y.t + cross)
+
+
+def group_inverse(g: StepTwoGroup, x: Point) -> Point:
+    _check_dims(g, x)
+    return Point(-x.z, -x.t)
+
+
+def dilate(g: StepTwoGroup, gamma: float, x: Point) -> Point:
+    """delta_gamma(z, t) = (gamma z, gamma^2 t)."""
+    _check_dims(g, x)
+    if not (gamma > 0):
+        raise ValueError("dilation parameter must be positive")
+    return Point(gamma * x.z, gamma * gamma * x.t)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +117,7 @@ def hgrad_batch(g: StepTwoGroup, value, z: Array, t: Array, step: float) -> Arra
     """Central-difference horizontal gradient of a batched evaluator:
     X_i u = d_{z_i} u + (Bz)_i . d_t u / 2."""
     dz, dt = fd_partials(value, z, t, step)
-    return dz + 0.5 * np.einsum("...jk,...j->...k", g.bz(z), dt)
+    return dz + 0.5 * np.einsum("...jk,...j->...k", bz(g, z), dt)
 
 
 def horizontal_gradient(g: StepTwoGroup, value, x: Point,
@@ -140,8 +182,7 @@ def rotation_defect_arrays(norm: NormModel, z: Array, t: Array) -> Array:
     g = norm.hgrad(z, t)
     dt = norm.dt(z, t)
     # ambient z-partials: d_{z_i} = X_i - (Bz)_i . d_t / 2
-    bz = norm.group.bz(z)
-    dz = g - 0.5 * np.einsum("...jk,...j->...k", bz, dt)
+    dz = g - 0.5 * np.einsum("...jk,...j->...k", bz(norm.group, z), dt)
     lam = norm.group.lambdas
     zper = np.asarray(z, float)
     num = (zper[..., 1::2] * dz[..., 0::2] - zper[..., 0::2] * dz[..., 1::2]) / lam
@@ -213,7 +254,7 @@ def slope_grad(group: StepTwoGroup, z: Array, t1: Array, zn2: Array) -> Array:
     """grad(t/|z|^2) = -2 t z / |z|^4 + Bz / (2 |z|^2), for h = 1, from the
     coordinates."""
     return (-2.0 * (t1 / zn2**2)[..., None] * z
-            + 0.5 * group.bz(z)[..., 0, :] / zn2[..., None])
+            + 0.5 * bz(group, z)[..., 0, :] / zn2[..., None])
 
 
 def extremal_power(group: StepTwoGroup, p: float) -> TestFunction:
@@ -493,6 +534,11 @@ def cc_profile_max_reference(Q: float, p: float, theta: float, nodes: int = 10**
 # the paper's printed bounds, each with its sup|Z| written out
 # ---------------------------------------------------------------------------
 
+# the row label of each branch of koranyi_profile_max: the endpoint lam = 0 is
+# the paper's first branch, p theta in [(1 - sqrt(3/2)) Q, (1 + sqrt(3/2)) Q]
+PROFILE_ROW_BRANCH = {"endpoint": "first", "interior": "second"}
+
+
 def koranyi_bound(Q: float, p: float, theta: float, lam_min: float = 4.0) -> float:
     """(lam_min/4)^{p/2} times the two-branch Koranyi bound: with pt = p theta,
     |(Q-pt)/p|^p |(Q-2)/Q|^p for pt in [(1-sqrt(3/2))Q, (1+sqrt(3/2))Q], else
@@ -504,6 +550,15 @@ def koranyi_bound(Q: float, p: float, theta: float, lam_min: float = 4.0) -> flo
         value = (1.5 ** (p / 2.0) * (3.0 * pt * (pt - 2.0 * Q)) ** (p / 4.0)
                  / abs(pt - Q) ** (p / 2.0) * abs((Q - 2.0) / p) ** p)
     return (lam_min / 4.0) ** (p / 2.0) * value
+
+
+def cc_bound(Q: float, p: float, theta: float) -> float:
+    """((Q-2)/Q)^p |(Q - p theta)/p|^p, the cc bound, on the paper's window
+    theta >= 0 and Q >= 4 p theta/(12 - pi^2), where max|Z_cc| = Q/(Q-2) at
+    nu = 0; a ValueError outside it."""
+    if not (theta >= 0 and Q >= 4.0 / (12.0 - np.pi**2) * (p * theta)):
+        raise ValueError("the closed cc bound needs theta >= 0 and Q >= 4 p theta/(12 - pi^2)")
+    return ((Q - 2.0) / Q) ** p * abs((Q - p * theta) / p) ** p
 
 
 def product_bound(n: int, N: int, p: float, theta: float) -> float:

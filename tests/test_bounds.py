@@ -1,11 +1,15 @@
+import json
+
+import mpmath
 import numpy as np
 import pytest
 
-from carnot_hardy import (ZFieldSpec, bound_cc, bound_generic, bound_row, cc, heisenberg,
+from carnot_hardy import (ZFieldSpec, bound_generic, bound_row, cc, cli, heisenberg,
                           heisenberg_product, koranyi, koranyi_b, koranyi_profile_max,
                           nonisotropic, sup_z_norm)
-from carnot_hardy.bounds import CC_COEFF, PROFILE_ROW_BRANCH, hardy_target
-from oracles import koranyi_bound, product_bound
+from carnot_hardy.bounds import hardy_target
+from carnot_hardy.zfield import CC_COEFF, cc_profile_max
+from oracles import PROFILE_ROW_BRANCH, cc_bound, koranyi_bound, product_bound
 
 
 H1 = heisenberg(1)
@@ -30,14 +34,33 @@ def test_bound_generic():
         bound_generic(-1.0, 4.0, 2.0, 1.0)
 
 
-@pytest.mark.parametrize("p, theta", [(50.0, 1e6), (20.0, 1e20)])
-def test_rows_whose_target_or_sup_power_overflows_keep_their_bound(p, theta):
-    # sup|Z|^p leaves double precision while the bound itself does not
-    row = _row(H1, koranyi, p, theta)
-    with pytest.raises(OverflowError):
-        row.sup_value ** p
-    assert row.branch == "second"
-    assert row.bound > 0.0 and _close(row.bound, koranyi_bound(4.0, p, theta), rel=1e-13)
+@pytest.mark.parametrize("p, theta", [(50.0, 1e6), (20.0, 1e20), (100.0, 1e4),
+                                      (400.0, 300.0)])
+def test_rows_whose_target_or_sup_power_overflows_keep_their_bound(p, theta, capsys):
+    # sup|Z|^p leaves double precision while the bound itself does not; the
+    # command prints both rows of H^1, and at p = 400 both bounds underflow to 0
+    assert cli.main(["bounds", "--n", "1", "--norm", "all", "--p", repr(p),
+                     "--theta", repr(theta)]) == 0
+    printed = json.loads(capsys.readouterr().out)["results"]
+    assert [row["norm"] for row in printed] == ["koranyi", "cc"]
+    for norm, branch, shown in zip((koranyi, cc), ("second", "numeric"), printed):
+        row = _row(H1, norm, p, theta)
+        assert shown == cli._jsonable(row.to_dict())
+        with pytest.raises(OverflowError):
+            row.sup_value ** p
+        assert row.branch == branch
+        if p == 400.0:
+            assert row.bound == 0.0
+        else:
+            assert row.bound > 0.0
+        if norm is koranyi:
+            if p <= 50.0:
+                assert _close(row.bound, koranyi_bound(4.0, p, theta), rel=1e-13)
+            continue
+        with mpmath.workdps(50):
+            ref = (abs(4 - mpmath.mpf(p) * mpmath.mpf(theta)) / p
+                   / mpmath.mpf(row.sup_value)) ** p
+            assert float(abs(row.bound - ref)) <= 1e-14 * float(ref)
 
 
 def test_bound_koranyi_branches():
@@ -89,10 +112,19 @@ def test_rows_divide_the_target_by_the_sup_they_report(group, kind):
     for p in (2.0, 2.5, 3.0, 4.0):
         for theta in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 6.0, 8.0):
             row = bound_row(ZFieldSpec(group, norm, p, theta))
-            if kind == "cc" or row.bound is None:
+            if row.bound is None:
                 continue
             assert row.bound == bound_generic(row.sup_value, Q, p, theta)
             assert row.bound == hardy_target(Q, p, theta) / row.sup_value ** p
+            if kind == "cc":
+                closed = theta >= 0 and Q >= CC_COEFF * (p * theta)
+                assert row.branch == ("closed" if closed else "numeric")
+                assert row.condition_checks == {"closed_branch": closed}
+                if closed:
+                    ref = cc_bound(Q, p, theta)
+                    assert row.sup_method == "closed_form"
+                    assert abs(row.bound - ref) <= 1e-15 * ref
+                continue
             if group.h > 1:
                 assert row.branch == "product"
                 assert _close(row.bound, product_bound(group.n // group.h, group.h, p, theta))
@@ -105,26 +137,33 @@ def test_rows_divide_the_target_by_the_sup_they_report(group, kind):
 
 
 def test_bound_cc():
-    value, branch = bound_cc(4.0, 2.0, 1.0)
-    assert branch == "closed" and value == pytest.approx(0.25)
+    row = _row(H1, cc, 2.0, 1.0)
+    assert row.branch == "closed" and row.bound == 0.25 == cc_bound(4.0, 2.0, 1.0)
     assert 4.0 >= CC_COEFF * 2.0  # the hypothesis that fires the closed branch
-    value, branch = bound_cc(4.0, 2.0, 0.0)
-    assert branch == "closed" and value == pytest.approx(1.0)
-    # negative theta falls back to the numerically computed sup of g
-    g = heisenberg(1)
-    sup = sup_z_norm(ZFieldSpec(g, cc(g), 2.0, -3.0))
-    value, branch = bound_cc(4.0, 2.0, -3.0, g_sup=sup.sup_sq)
-    assert branch == "numeric"
-    assert value == pytest.approx(bound_generic(sup.sup_value, 4.0, 2.0, -3.0), rel=1e-12)
+    row = _row(H1, cc, 2.0, 0.0)
+    assert row.branch == "closed" and row.bound == pytest.approx(1.0)
+    assert _close(row.bound, cc_bound(4.0, 2.0, 0.0), rel=1e-15)
+    # negative theta divides by the numerically computed sup of g, where the
+    # closed formula does not hold
+    sup = sup_z_norm(ZFieldSpec(H1, cc(H1), 2.0, -3.0))
+    row = _row(H1, cc, 2.0, -3.0)
+    assert row.branch == "numeric" and row.sup_value == sup.sup_value
+    assert row.bound == bound_generic(sup.sup_value, 4.0, 2.0, -3.0)
     with pytest.raises(ValueError):
-        bound_cc(4.0, 2.0, -3.0)
+        cc_bound(4.0, 2.0, -3.0)
 
 
 def test_bound_cc_matches_generic():
-    g = heisenberg(1)
-    sup = sup_z_norm(ZFieldSpec(g, cc(g), 2.0, 1.0))
-    closed, _ = bound_cc(4.0, 2.0, 1.0)
-    assert closed == pytest.approx(bound_generic(sup.sup_value, 4.0, 2.0, 1.0), rel=1e-9)
+    # on the window the closed sup Q/(Q-2) is the dense scan's maximum, and
+    # the target over it is the paper's closed cc bound
+    for n, p, theta in ((1, 2.0, 1.0), (1, 3.0, 0.5), (2, 2.5, 0.0), (3, 4.0, 1.0)):
+        g = heisenberg(n)
+        Q = float(g.Q)
+        sup = sup_z_norm(ZFieldSpec(g, cc(g), p, theta))
+        assert sup.method == "closed_form" and sup.sup_value == Q / (Q - 2.0)
+        assert _close(np.sqrt(cc_profile_max(Q, p, theta)[0]), sup.sup_value, rel=1e-15)
+        assert _close(bound_generic(sup.sup_value, Q, p, theta), cc_bound(Q, p, theta),
+                      rel=1e-15)
 
 
 def test_bound_koranyi_b():
@@ -177,12 +216,12 @@ def test_bounds_nonnegative_and_vanish_at_ptheta_q():
         theta = rng.uniform(-4.0, 4.0)
         assert _row(g, koranyi, p, theta).bound >= 0.0
         Q = rng.uniform(3.0, 12.0)
-        if theta >= 0 and Q >= CC_COEFF * p * theta:
-            vcc, _ = bound_cc(Q, p, theta)
-            assert vcc >= 0.0
-    # p theta = Q kills every bound (any positive g_sup in the fallback)
+        if theta >= 0 and Q >= CC_COEFF * (p * theta):
+            assert cc_bound(Q, p, theta) >= 0.0
+        assert _row(g, cc, p, theta).bound >= 0.0
+    # p theta = Q kills every bound, on a closed sup or a scanned one
     assert _row(heisenberg(2), koranyi, 2.5, 2.4).bound == 0.0
-    assert bound_cc(5.0, 2.5, 2.0, g_sup=4.0)[0] == 0.0
+    assert _row(heisenberg(2), cc, 2.5, 2.4).bound == 0.0
 
 
 @pytest.mark.parametrize("lambdas, theta", [((1.0, 2.0), 2.0), ((1.0, 2.0), 1.0),

@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carnot_hardy import (ZFieldSpec, balogh_tyson, bound_cc, bound_row, cc, cli,
+from carnot_hardy import (ZFieldSpec, balogh_tyson, bound_row, cc, cli,
                           heisenberg, heisenberg_product, koranyi, koranyi_b, nonisotropic)
 from carnot_hardy.bounds import hardy_target
 from carnot_hardy.verify import Report
 from carnot_hardy.zfield import product_hypothesis
-from oracles import koranyi_bound, product_bound
+from oracles import cc_bound, koranyi_bound, product_bound
 
 
 def run_cli(args, capsys):
@@ -151,7 +151,7 @@ def assert_usage_error(argv, capsys):
     ["supz", "--norm", "cc", "--Q", "1e308"],
     ["bounds", "--p", "1e308"],
     ["bounds", "--theta", "1e308"],
-    ["bounds", "--p", "400", "--theta", "300"],
+    ["bounds", "--p", "2", "--theta", "1e200"],
     ["cc", "--point", "1e200,0,1"],
     ["cc", "--point", "1e-160,0,1"],
     # node counts beyond what a Gauss rule or a profile dump can hold
@@ -253,7 +253,7 @@ def _closed_bound(norm, Q, p, theta, group):
     if norm == "koranyi" and group == "heisenberg":
         return koranyi_bound(Q, p, theta)
     if norm == "cc":
-        return bound_cc(Q, p, theta)[0]
+        return cc_bound(Q, p, theta)
     if norm == "koranyi_b":
         return koranyi_bound(Q, p, theta, lam_min=1.0)
     raise ValueError(f"no closed bound for {norm}")
@@ -290,11 +290,12 @@ def test_bounds_from_sampled_sups_are_heuristic(argv, labels, capsys):
             assert closed is None and row["sup_method"] in ("multistart", "scan_zoom")
             assert row["bound"] == pytest.approx(hardy_target(Q, p, theta)
                                                  / row["sup_value"] ** p, rel=1e-12)
-        elif row["norm"] == "cc" or closed is None:
-            assert row["bound"] == closed
+        elif closed is None:
+            assert row["bound"] is None
         else:
             assert row["bound"] == hardy_target(Q, p, theta) / row["sup_value"] ** p
-            assert abs(row["bound"] - closed) <= 1e-14 * closed
+            rel = 1e-15 if row["norm"] == "cc" else 1e-14
+            assert abs(row["bound"] - closed) <= rel * closed
     assert {row["heuristic"] for row in rows} == labels
 
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from carnot_hardy import (Point, dilate, group_inverse, group_law, heisenberg,
-                          heisenberg_product, koranyi, nonisotropic)
+from carnot_hardy import Point, heisenberg, heisenberg_product, koranyi, nonisotropic
 from carnot_hardy.groups import StepTwoGroup, pairing, square_sum
-from oracles import (at_point, commutator_vertical, default_step, euler_apply,
-                     hgrad_batch, horizontal_divergence, horizontal_gradient)
+from oracles import (at_point, commutator_vertical, default_step, dilate, euler_apply,
+                     group_inverse, group_law, hgrad_batch, horizontal_divergence,
+                     horizontal_gradient)
 
 
 def test_group_invariants():

@@ -8,13 +8,13 @@ import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from carnot_hardy import (Point, ZFieldSpec, balogh_tyson, cc, dilate, group_inverse,
-                          group_law, heisenberg, heisenberg_product, koranyi, koranyi_b,
-                          nonisotropic)
-from carnot_hardy.bounds import PROFILE_ROW_BRANCH, bound_generic, bound_row
+from carnot_hardy import (Point, ZFieldSpec, balogh_tyson, cc, heisenberg,
+                          heisenberg_product, koranyi, koranyi_b, nonisotropic)
+from carnot_hardy.bounds import bound_generic, bound_row
 from carnot_hardy.norms import cc_polar_arrays
 from carnot_hardy.zfield import koranyi_profile_max, z_field_components
-from oracles import at_point, cc_from_polar, fd_partials, hgrad_batch, koranyi_bound
+from oracles import (PROFILE_ROW_BRANCH, at_point, cc_from_polar, dilate, fd_partials,
+                     group_inverse, group_law, hgrad_batch, koranyi_bound)
 
 H1 = heisenberg(1)
 BT_GROUP = nonisotropic([0.5, 1.0])

@@ -16,7 +16,7 @@ from carnot_hardy.verify import (BumpProfile, Nodes, QuadratureSpec,
                                  sharpness_sequence, smoothstep_jet)
 from carnot_hardy.verify.quadrature import (has_chart, koranyi_ball_draws,
                                             koranyi_ball_volume)
-from oracles import (ball_draw_count, ball_monte_carlo, box_gauss_integrals,
+from oracles import (ball_draw_count, ball_monte_carlo, box_gauss_integrals, bz,
                      euler_adjoint_defect, euler_apply, extremal_power, extremal_residual,
                      hgrad_batch, weak_divergence_defect)
 
@@ -169,7 +169,7 @@ def test_bump_jet_matches_separate_formulas():
                 P = P - eta / d**2 * (dmod * s * zc)
                 R = R + eta / d**2 * (dmod * zc**2 * k)
             gr = rho.hgrad(z, t)
-            gs = (0.5 * H1.bz(z)[:, 0, :] / (d**2)[:, None]
+            gs = (0.5 * bz(H1, z)[:, 0, :] / (d**2)[:, None]
                   - 2.0 * (t[:, 0] / d**3)[:, None] * gr)
             composed = (deta * mod)[:, None] * gr + (0.5 * eta * dmod)[:, None] * gs
         inside = (d > prof.r2) & (d < prof.R2)
@@ -226,7 +226,7 @@ def test_sharpness_jet_matches_separate_formulas():
         assert _same_bits(field(z, t), want)
     # the factored gradient is the one the separate compositions give
     glam = (-2.0 * (t[:, 0] / zn2**2)[:, None] * z
-            + 0.5 * H1.bz(z)[:, 0, :] / zn2[:, None])
+            + 0.5 * bz(H1, z)[:, 0, :] / zn2[:, None])
     composed = (wd * eta)[:, None] * glam + (w * deta)[:, None] * rho.hgrad(z, t)
     assert np.max(np.abs(jet[1] - composed)) <= 1e-12 * np.max(np.abs(composed))
 

@@ -212,20 +212,21 @@ def test_koranyi_b_profile():
 def test_sup_z_norm_koranyi():
     sup = sup_z_norm(ZFieldSpec(H1, koranyi(H1), 2.0, 1.0))
     assert sup.method == "closed_form"
-    assert sup.sup_sq == pytest.approx(4.0, abs=1e-9)
+    assert sup.sup_value ** 2 == pytest.approx(4.0, abs=1e-9)
     assert sup.arg == 0.0
     sup6 = sup_z_norm(ZFieldSpec(H1, koranyi(H1), 2.0, 6.0))
-    assert sup6.sup_sq == pytest.approx(192.0 / 27.0, rel=1e-12)
+    assert sup6.sup_value ** 2 == pytest.approx(192.0 / 27.0, rel=1e-12)
 
 
 def test_sup_z_norm_cc():
+    # on the paper's window the sup is the closed value at nu = 0
     sup = sup_z_norm(ZFieldSpec(H1, cc(H1), 2.0, 1.0))
-    assert sup.method == "scan_zoom"
-    assert abs(sup.sup_sq - 4.0) < 1e-7
-    assert abs(sup.arg) < 1e-3
+    assert sup.method == "closed_form" and sup.branch == "closed"
+    assert sup.sup_value == 2.0 and sup.arg == 0.0
     # outside the closed-branch condition the max moves off nu = 0
     sup_neg = sup_z_norm(ZFieldSpec(H1, cc(H1), 2.0, -3.0))
-    assert sup_neg.sup_sq > 4.0
+    assert sup_neg.method == "scan_zoom" and sup_neg.branch == "numeric"
+    assert sup_neg.sup_value > 2.0
     assert abs(sup_neg.arg) > 0.1
 
 
