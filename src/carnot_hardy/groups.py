@@ -30,6 +30,11 @@ import numpy as np
 
 Array = np.ndarray
 
+# rows of a batch evaluated at once wherever a batch is split (the scan's Sobol
+# points, a Monte Carlo chunk's draws); bounds the temporaries of the gauges,
+# jets and integrands to cache-sized arrays
+BLOCK_ROWS = 2**13
+
 
 class CenterError(ValueError):
     """An operation required smoothness that fails on the center {z = 0}."""

@@ -41,7 +41,13 @@ nor summed as zeros, and the estimate does not carry the variance of their
 count.  The chunk handed to the integrands carries the gauge the window was
 selected by (``Nodes.rho``), so that the jets do not form it again; it is
 the value the Koranyi evaluator gives, so no bit moves.  Its invariants are
-formed per point.
+formed per point.  Draws are made per chunk of ``chunk`` ball points, so the
+random stream does not depend on how a chunk is split; they are evaluated per
+block of BLOCK_ROWS rows (the scaling onto the ball, the gauge, the window
+test and the integrands), so every temporary is a cache-sized array and no
+integrand sees more than a block; and they are summed per chunk, over one
+buffer that holds the chunk's in-window samples in draw order, so the sums
+do not depend on the block size either.
 
 Both take a window 0 <= lo < hi and reject any other; a ``lambda_range``
 is the chart's alone, and Monte Carlo rejects one.
@@ -58,7 +64,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ..groups import Array, Nodes, StepTwoGroup, pairing
+from ..groups import BLOCK_ROWS, Array, Nodes, StepTwoGroup, pairing
 from ..norms import koranyi
 
 LOG2 = float(np.log(2.0))
@@ -374,14 +380,21 @@ def koranyi_ball_draws(group: StepTwoGroup, radius: float, m: int, rng):
     points along a normalized Gaussian, and t is uniform in the h-ball of
     radius radius^2 sqrt(1 - u): a normalized Gaussian direction with the
     radius fraction U^{1/h}.
+
+    The four draws are made for all m points at once, so the random stream
+    does not depend on how the points are later split; they are scaled in
+    place BLOCK_ROWS rows at a time, an element-wise step that keeps its bits.
     """
     u = rng.beta(group.n / 2.0, group.h / 2.0 + 1.0, size=m)
     z = rng.standard_normal((m, 2 * group.n))
     t = rng.standard_normal((m, group.h))
     frac = rng.random(m)
-    z *= (radius * u**0.25 / np.sqrt(pairing(z, z)))[:, None]
-    t *= (radius**2 * np.sqrt(1.0 - u) * frac ** (1.0 / group.h)
-          / np.sqrt(pairing(t, t)))[:, None]
+    for b in range(0, m, BLOCK_ROWS):
+        s = slice(b, b + BLOCK_ROWS)
+        zb, tb, ub = z[s], t[s], u[s]
+        zb *= (radius * ub**0.25 / np.sqrt(pairing(zb, zb)))[:, None]
+        tb *= (radius**2 * np.sqrt(1.0 - ub) * frac[s] ** (1.0 / group.h)
+               / np.sqrt(pairing(tb, tb)))[:, None]
     return z, t
 
 
@@ -401,6 +414,8 @@ def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: Quadrature
     if not 0 <= lo < hi:
         raise ValueError(f"the support window sigma_range must satisfy 0 <= lo < hi, "
                          f"not {quad.sigma_range!r}")
+    if quad.chunk < 1:
+        raise ValueError(f"chunk must be a positive number of nodes, not {quad.chunk!r}")
     if has_chart(group):
         totals, n = _accumulate(fs, group, quad, coarse=False)
         coarse, _ = _accumulate(fs, group, quad, coarse=True)
@@ -424,22 +439,34 @@ def integrate_many(group: StepTwoGroup, fs: Sequence[Callable], quad: Quadrature
     evals = 0
     # one chunk at least, even an empty one, tells the number of rows
     for start in range(0, max(inside, 1), quad.chunk):
-        z, t = koranyi_ball_draws(group, hi, min(quad.chunk, inside - start), rng)
-        rho = gauge(z, t)
-        idx = np.flatnonzero((rho > lo) & (rho < hi))
-        # read-only: the jets hand it on, and one integrand must not alter
-        # what the next one reads
-        rho_in = rho[idx]
-        rho_in.flags.writeable = False
-        rows = _rows(fs, Nodes(z[idx], t[idx], rho=rho_in), "in the Monte Carlo ball")
+        m = min(quad.chunk, inside - start)
+        z, t = koranyi_ball_draws(group, hi, m, rng)
+        # the chunk's in-window samples, one row per integral, filled block by
+        # block in draw order
+        buf, count = None, 0
+        for b in range(0, max(m, 1), BLOCK_ROWS):
+            zb, tb = z[b:b + BLOCK_ROWS], t[b:b + BLOCK_ROWS]
+            rho = gauge(zb, tb)
+            idx = np.flatnonzero((rho > lo) & (rho < hi))
+            # read-only: the jets hand it on, and one integrand must not alter
+            # what the next one reads
+            rho_in = rho[idx]
+            rho_in.flags.writeable = False
+            rows = _rows(fs, Nodes(zb[idx], tb[idx], rho=rho_in), "in the Monte Carlo ball")
+            if buf is None:
+                buf = np.empty((len(rows), m))
+            for k, row in enumerate(rows):
+                buf[k, count:count + idx.size] = row
+            count += idx.size
         if sums is None:
-            sums, sq = np.zeros(len(rows)), np.zeros(len(rows))
-        for k, row in enumerate(rows):
-            # the draws outside the window add nothing; numpy's pairwise
-            # sums, not a BLAS dot, as on the grid
+            sums, sq = np.zeros(len(buf)), np.zeros(len(buf))
+        for k, row in enumerate(buf[:, :count]):
+            # the draws outside the window add nothing; numpy's pairwise sums
+            # over the whole chunk, not per block and not a BLAS dot, as on
+            # the grid
             sums[k] += float(row.sum())
             sq[k] += float(np.sum(row * row))
-        evals += idx.size
+        evals += count
     draws = max(inside, 1)
     mean = sums / draws
     var = np.maximum(sq / draws - mean**2, 0.0)

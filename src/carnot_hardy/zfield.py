@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import Array, Nodes, StepTwoGroup, heisenberg_product, square_sum
+from .groups import BLOCK_ROWS, Array, Nodes, StepTwoGroup, heisenberg_product, square_sum
 from .norms import NormModel
 
 
@@ -525,16 +525,12 @@ def sobol_points(dim: int, lo: int, hi: int) -> Array:
 # the unit-sphere scan
 # ---------------------------------------------------------------------------
 
-# rows drawn, dilated and evaluated at once; bounds the scan's temporaries
-_SCAN_BLOCK = 2**13
-
-
 def scan_unit_sphere(objective, norm: NormModel, m: int, width: float = 0.3):
     """Quasi-random maximization of a dilation-invariant objective on {d = 1}.
 
     ``objective(z, t)`` is batched over rows.  The 2^m unscrambled Sobol
     points of [-1.5, 1.5]^dim, less those with |z|^2 <= 1e-6, are dilated onto
-    the unit gauge sphere of ``norm`` and evaluated in blocks of _SCAN_BLOCK
+    the unit gauge sphere of ``norm`` and evaluated in blocks of BLOCK_ROWS
     points; the first best one, as np.argmax picks it from all values, is
     polished by safeguarded Newton steps (``_polish_max``) from a stencil
     ``width`` wide.  Returns (best value, (arg_z, arg_t) on the sphere,
@@ -552,9 +548,9 @@ def scan_unit_sphere(objective, norm: NormModel, m: int, width: float = 0.3):
         return z / d[:, None], t / d[:, None] ** 2
 
     vals, x0, v0 = [], None, None
-    for lo in range(0, 2**m, _SCAN_BLOCK):
+    for lo in range(0, 2**m, BLOCK_ROWS):
         # 1.5 (2 x - 1), in place
-        pts = sobol_points(dim, lo, min(lo + _SCAN_BLOCK, 2**m))
+        pts = sobol_points(dim, lo, min(lo + BLOCK_ROWS, 2**m))
         pts *= 2.0
         pts -= 1.0
         pts *= 1.5

@@ -7,6 +7,7 @@ from scipy.integrate import quad as scipy_quad
 
 from carnot_hardy import (Point, StepTwoGroup, ZFieldSpec, cc, heisenberg,
                           heisenberg_product, koranyi, nonisotropic)
+from carnot_hardy.groups import BLOCK_ROWS
 from carnot_hardy.verify import (BumpProfile, Nodes, QuadratureSpec,
                                  check_ibp_identity,
                                  check_w_identity, counterexample_scan,
@@ -469,6 +470,16 @@ def test_integrate_rejects_a_window_it_cannot_integrate(group, window):
         integrate_many(group, [lambda n: np.ones(n.z.shape[0])], quad)
 
 
+@pytest.mark.parametrize("group", [H1, H2], ids=["tensor_grid", "monte_carlo"])
+@pytest.mark.parametrize("chunk", [0, -5])
+def test_integrate_rejects_a_nonpositive_chunk(group, chunk):
+    # Monte Carlo stopped in range() at 0 and divided None at -5; the chart
+    # took either for one sigma slab per chunk
+    quad = QuadratureSpec(samples=1000, chunk=chunk)
+    with pytest.raises(ValueError, match="chunk"):
+        integrate_many(group, [lambda n: np.ones(n.z.shape[:-1])], quad)
+
+
 @pytest.mark.parametrize("group, method", [
     (H1, "tensor_grid"), (nonisotropic([2.0]), "tensor_grid"),
     (H2, "monte_carlo"), (heisenberg_product(1, 2), "monte_carlo"),
@@ -534,8 +545,15 @@ def test_monte_carlo_evaluates_only_inside_the_window(group):
 NARROW = BumpProfile(1.7, 1.75, 1.85, 1.9)
 
 
-@pytest.mark.parametrize("group", [H2, heisenberg_product(1, 2)], ids=["H2", "H1xH1"])
-def test_monte_carlo_window_keeps_the_full_box_bits(group):
+# chunks of draws around the evaluation block: one block short of it, one
+# block, one row over, and two blocks and a partial third
+BLOCK_CHUNKS = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3)
+
+
+@pytest.mark.parametrize("group, block_samples", [(H2, 200_000),
+                                                  (heisenberg_product(1, 2), 330_000)],
+                         ids=["H2", "H1xH1"])
+def test_monte_carlo_window_keeps_the_full_box_bits(group, block_samples):
     # the draws outside the window drop out of the sums: every draw of the
     # ball evaluated, then those outside the window dropped, gives the same
     # sums bit for bit (on H^2 in two chunks, the last one partial); with
@@ -552,6 +570,61 @@ def test_monte_carlo_window_keeps_the_full_box_bits(group):
         assert 0 < got[0].n_evals <= drawn
     # the narrow support's inner ball holds a share 0.41 or more of the draws
     assert got[0].n_evals < 0.7 * drawn
+    # a chunk is evaluated in blocks of BLOCK_ROWS draws and summed whole:
+    # the oracle evaluates each chunk at once, and no bit moves whichever
+    # way the chunks fall on the blocks; the last chunk of each is partial
+    for profile in (BumpProfile(), NARROW):
+        u, plain, stacked = _bump_integrands(group, profile)
+        fs = [plain, stacked]
+        quad = QuadratureSpec(samples=block_samples, seed=9, sigma_range=u.support)
+        drawn = ball_draw_count(group, quad)
+        assert drawn > 2 * max(BLOCK_CHUNKS) and all(drawn % c for c in BLOCK_CHUNKS)
+        for chunk in BLOCK_CHUNKS:
+            quad = replace(quad, chunk=chunk)
+            assert integrate_many(group, fs, quad) == ball_monte_carlo(group, fs, quad)
+
+
+@pytest.mark.parametrize("group, samples", [(H2, 1_000_000),
+                                             (heisenberg_product(1, 2), 1_500_000)],
+                         ids=["H2", "H1xH1"])
+def test_monte_carlo_integrands_see_at_most_a_block(group, samples):
+    # a chunk of 2^17 draws reaches the integrands BLOCK_ROWS draws at a time
+    u, plain, _ = _bump_integrands(group)
+    rows = []
+
+    def recorded(nodes):
+        rows.append(nodes.z.shape[0])
+        return plain(nodes)
+
+    quad = QuadratureSpec(samples=samples, seed=13, sigma_range=u.support)
+    (res,) = integrate_many(group, [recorded], quad)
+    drawn = ball_draw_count(group, quad)
+    assert quad.chunk < drawn < 2 * quad.chunk
+    # one call per block of each chunk's draws
+    assert len(rows) == -(-quad.chunk // BLOCK_ROWS) + -(-(drawn - quad.chunk) // BLOCK_ROWS)
+    assert max(rows) <= BLOCK_ROWS and sum(rows) == res.n_evals
+
+
+def test_monte_carlo_peak_memory_is_a_few_blocks():
+    # criterion 10's integrands on (H^1)^2 over one chunk of 121603 draws,
+    # all of them in the window: the draws (7.4 MB) and one buffer of the
+    # chunk's three rows (2.8 MB) are the largest arrays, 11.1 MB at the
+    # peak; evaluating the chunk at once peaked at 41.8 MB
+    import tracemalloc
+    from carnot_hardy.verify.checks import _ibp_integrands
+    group = heisenberg_product(1, 2)
+    u = radial_bump(group)
+    spec = ZFieldSpec(group, koranyi(group), 2.0, 1.0)
+    quad = QuadratureSpec(samples=10**6, sigma_range=u.support)
+    assert ball_draw_count(group, quad) == 121_603 <= quad.chunk
+    tracemalloc.start()
+    try:
+        (res, _, _) = integrate_many(group, [_ibp_integrands(spec, u)], quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_evals == 121_603
+    assert peak <= 16 * 2**20
 
 
 @pytest.mark.parametrize("group, samples, chunk, seed, hit", [

@@ -483,10 +483,11 @@ def test_koranyi_multistart_reaches_the_closed_sup(p, theta, polish_runs):
 def test_sobol_points_match_scipy(m):
     # scipy's generator, from the same Joe-Kuo numbers, is the oracle
     from scipy.stats import qmc
-    from carnot_hardy.zfield import SOBOL_MAX_DIM, _SCAN_BLOCK, sobol_points
+    from carnot_hardy.groups import BLOCK_ROWS
+    from carnot_hardy.zfield import SOBOL_MAX_DIM, sobol_points
     ref = qmc.Sobol(SOBOL_MAX_DIM, scramble=False).random_base2(m)
-    for lo in range(0, 2**m, _SCAN_BLOCK):
-        hi = min(lo + _SCAN_BLOCK, 2**m)
+    for lo in range(0, 2**m, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, 2**m)
         assert np.array_equal(sobol_points(SOBOL_MAX_DIM, lo, hi), ref[lo:hi])
     lo, hi = 2**m // 3, 2**m - 2**m // 5
     assert np.array_equal(sobol_points(SOBOL_MAX_DIM, lo, hi), ref[lo:hi])
@@ -558,10 +559,11 @@ def _scan_cases():
 
 @pytest.mark.parametrize("case", [0, 1], ids=["counterexample", "product"])
 def test_blocked_scan_matches_one_batch(case):
-    from carnot_hardy.zfield import _SCAN_BLOCK, scan_unit_sphere
+    from carnot_hardy.groups import BLOCK_ROWS
+    from carnot_hardy.zfield import scan_unit_sphere
     norm, objective, width = _scan_cases()[case]
     m = 15                      # four blocks
-    assert 2**m > _SCAN_BLOCK
+    assert 2**m > BLOCK_ROWS
     rows = []
 
     def recorded(z, t):
@@ -573,7 +575,7 @@ def test_blocked_scan_matches_one_batch(case):
     assert best == ref_best
     assert np.array_equal(arg_z, ref_z) and np.array_equal(arg_t, ref_t)
     assert np.array_equal(vals, ref_vals)
-    assert max(rows) <= _SCAN_BLOCK and sum(rows[:4]) == vals.size
+    assert max(rows) <= BLOCK_ROWS and sum(rows[:4]) == vals.size
 
 
 @pytest.mark.parametrize("marks", [
